@@ -34,7 +34,11 @@ class NumericalInconsistencyError(AlphaProcError):
 
 
 class ComplexSpectrumError(AlphaProcError):
-    """Eigenvalues expected to be real carry a non-negligible imaginary part."""
+    """Eigenvalues expected to be real carry a non-negligible imaginary part.
+
+    Part of the public contract (CLI exit code 4); no current code path
+    raises it, since every spectrum is taken from a symmetric form.
+    """
 
 
 class UnsupportedKernelError(AlphaProcError):

@@ -79,6 +79,11 @@ def _sqrt_clamped(trace_arg: float, scale: float) -> float:
     return math.sqrt(trace_arg)
 
 
+def _log_distance(a: SpdMatrix, b: SpdMatrix) -> float:
+    """|log A - log B|_F for strictly SPD A, B."""
+    return float(np.linalg.norm(spd_log(a).mat - spd_log(b).mat))
+
+
 def _general_family_value(a: SpdMatrix, b: SpdMatrix, alpha: float) -> float:
     """(1/|a|) sqrt(tr[A^2a + B^2a - 2 (A^a B^2a A^a)^(1/2)])."""
     ta = a.trace_power(2.0 * alpha)
@@ -107,7 +112,7 @@ def alpha_procrustes(a: SpdMatrix, b: SpdMatrix, alpha) -> DistanceResult:
     if al.is_log_limit:
         a.require_strict("log-limit distance")
         b.require_strict("log-limit distance")
-        value = float(np.linalg.norm(spd_log(a).mat - spd_log(b).mat))
+        value = _log_distance(a, b)
         return DistanceResult(value, al, 0.0, "log-limit")
     if al.value < 0:
         a.require_strict("negative alpha")
@@ -135,7 +140,7 @@ def log_euclidean(a: SpdMatrix, b: SpdMatrix) -> DistanceResult:
     _check_dims(a, b)
     a.require_strict("log-Euclidean distance")
     b.require_strict("log-Euclidean distance")
-    value = float(np.linalg.norm(spd_log(a).mat - spd_log(b).mat))
+    value = _log_distance(a, b)
     return DistanceResult(value, AlphaParam.log_limit(), 0.0, "log-limit")
 
 
@@ -177,7 +182,7 @@ def alpha_procrustes_regularized(
     ar = a.add_ridge(gamma)
     br = b.add_ridge(gamma)
     if al.is_log_limit:
-        value = float(np.linalg.norm(spd_log(ar).mat - spd_log(br).mat))
+        value = _log_distance(ar, br)
         return DistanceResult(value, al, gamma, "log-limit")
     value = _general_family_value(ar, br, al.value)
     path = "commuting" if _commutes(ar, br) else "general"

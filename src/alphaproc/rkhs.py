@@ -2,19 +2,23 @@
 
 For datasets X (m points) and Y (n points) mapped into the RKHS of a kernel
 K, the empirical covariance operators are C_X = (1/m) F(X) J_m F(X)* with
-J_m the centering matrix.  All distances between these operators reduce to
-spectral computations on the centered Gram matrices
+J_m the centering matrix.  Every distance between them reduces to finite
+matrices built from Gram matrices.
+
+The regularized family (alpha != 0) eigendecomposes the pooled Gram matrix
+of both datasets once.  Its range is the span of all features, where C_X
+and C_Y become explicit PSD matrices, and the ridge adds exactly zero on
+the orthogonal complement; the two matrices go to
+``metrics.alpha_procrustes_regularized`` unchanged, so sample counts may
+differ.  The log-limit, the unregularized family and the Wasserstein
+distance work on the centered Gram blocks
 
     aa = (1/m) J_m K[X] J_m,   bb = (1/n) J_n K[Y] J_n,
     ab = (1/sqrt(mn)) J_m K[X, Y] J_n,
 
 because nonzero eigenvalues transfer between an operator product and its
-Gram-side counterpart.  The regularized distance of the family needs one
-3m x 3m block matrix whose square-root trace is taken through its
-eigenvalues (clamping real parts at zero and rejecting any eigenvalue with
-a non-negligible imaginary part); the other square-root traces admit a
-symmetric similar form and go through singular values.  No non-symmetric
-matrix square root is ever formed.
+Gram-side counterpart; the square-root traces of the last two are nuclear
+norms.  Only symmetric eigensolves and singular values are used.
 """
 
 from __future__ import annotations
@@ -26,24 +30,21 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .exceptions import (
-    ComplexSpectrumError,
     DimensionError,
     DomainError,
     NonFiniteError,
-    NumericalInconsistencyError,
     UnsupportedKernelError,
 )
 from .linalg import (
     RANK_TOL_FACTOR,
     SpdMatrix,
+    SymMatrix,
     as_alpha,
     psd_spectral_power,
+    psd_tolerance,
+    sym_eigendecompose,
 )
-from .metrics import NEG_TRACE_RTOL
-
-# Imaginary parts above SPECTRUM_TOL * (1 + |eigenvalue|) abort the
-# computation instead of being silently discarded.
-SPECTRUM_TOL = 1e-8
+from .metrics import _sqrt_clamped, alpha_procrustes_regularized
 
 FEATURE_DIM_LIMIT = 10_000
 
@@ -218,114 +219,47 @@ def _psd_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(w, 0.0), v
 
 
-def _real_eigenvalues(mat: np.ndarray, context: str) -> np.ndarray:
-    """Eigenvalues of a matrix similar to a PSD one; imaginary parts must vanish.
-
-    The tolerance scales with the spectral radius: near-zero eigenvalues of a
-    badly scaled non-normal matrix come back with imaginary parts of order
-    |M| * eps, which are roundoff artifacts, not genuine complex spectrum.
-    """
-    w = np.linalg.eigvals(mat)
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    bad = np.abs(w.imag) > SPECTRUM_TOL * np.maximum(1.0 + np.abs(w), scale)
-    if np.any(bad):
-        worst = w[bad][np.argmax(np.abs(w[bad].imag))]
-        raise ComplexSpectrumError(
-            f"{context}: eigenvalue {worst} has non-negligible imaginary part"
-        )
-    return w.real
-
-
-def _h_spectral(w: np.ndarray, v: np.ndarray, alpha: float, gamma: float) -> np.ndarray:
-    """h_alpha(E / gamma) for PSD E given by its spectrum (w, v).
-
-    Acts as ((1 + l/g)^alpha - 1) / (l/g) on eigenvalues above rank_tol and
-    as zero on the kernel of E.
-    """
-    scaled = w / gamma
-    g = np.zeros_like(scaled)
-    if scaled[-1] > 0.0:
-        nz = scaled > RANK_TOL_FACTOR * scaled[-1]
-        g[nz] = np.expm1(alpha * np.log1p(scaled[nz])) / scaled[nz]
-    return (v * g) @ v.T
-
-
-def _ridge_power_minus_identity(
-    w: np.ndarray, v: np.ndarray, alpha: float, gamma: float
-) -> np.ndarray:
-    """(I + E/gamma)^alpha - I from the spectrum of PSD E."""
-    vals = np.expm1(alpha * np.log1p(w / gamma))
-    return (v * vals) @ v.T
-
-
-def _block_sqrt_trace(cg: CenteredGram, alpha: float, gamma: float) -> float:
-    """tr[(I + M)^(1/2) - I] for the 3m x 3m block matrix M of the
-    regularized Gram formula (rows two and three identical)."""
-    wa, va = _psd_eigh(cg.aa)
-    wb, vb = _psd_eigh(cg.bb)
-    ab = cg.ab
-    two_alpha = 2.0 * alpha
-
-    c11 = _ridge_power_minus_identity(wa, va, two_alpha, gamma)
-    c22 = _ridge_power_minus_identity(wb, vb, two_alpha, gamma)
-    h_bb = _h_spectral(wb, vb, two_alpha, gamma)
-    h_aa = _h_spectral(wa, va, two_alpha, gamma)
-    c12 = (ab @ h_bb) / gamma
-    c21 = (ab.T @ h_aa) / gamma
-    c13 = c11 @ c12
-    c23 = c21 @ c12
-    m_block = np.block([[c11, c12, c13], [c21, c22, c23], [c21, c22, c23]])
-
-    mu = _real_eigenvalues(m_block, "regularized block matrix")
-    return float(np.sum(np.sqrt(np.maximum(1.0 + mu, 0.0)) - 1.0))
-
-
-def _clamped_sqrt(arg: float, scale: float) -> float:
-    if arg < 0.0:
-        if -arg >= NEG_TRACE_RTOL * max(scale, 1e-300):
-            raise NumericalInconsistencyError(
-                f"squared distance {arg:.6e} negative beyond the roundoff clamp"
-            )
-        arg = 0.0
-    return math.sqrt(arg)
-
-
 def rkhs_alpha_distance(
     x: Dataset, y: Dataset, kernel: KernelSpec, alpha: float, gamma: float
 ) -> float:
     """Family distance between regularized covariance operators C_X + g*I, C_Y + g*I.
 
-    Closed form via Gram matrices; both datasets must have the same number
-    of samples.  |alpha| below the switch tolerance routes to the analytic
-    log-limit (the Log-Hilbert-Schmidt distance of the regularized
+    Evaluated as ``alpha_procrustes_regularized`` on the finite matrices that
+    represent C_X and C_Y on the span of the features of both datasets; the
+    ridge contributes exactly zero on the orthogonal complement.  Sample
+    counts may differ.  |alpha| below the switch tolerance routes to the
+    analytic log-limit (the Log-Hilbert-Schmidt distance of the regularized
     operators).
     """
-    if x.m != y.m:
-        raise DimensionError(
-            f"regularized distance needs equal sample counts, got {x.m} and {y.m}"
-        )
-    cg = centered_gram(gram_bundle(x, y, kernel))
-    return _regularized_from_blocks(cg, alpha, gamma)
+    return _regularized_distance(gram_bundle(x, y, kernel), alpha, gamma)
 
 
-def _regularized_from_blocks(cg: CenteredGram, alpha, gamma: float) -> float:
+def _regularized_distance(gb: GramBundle, alpha, gamma: float) -> float:
+    """Regularized family distance from the Gram matrices.
+
+    The pooled Gram G = [[K[X], K[X,Y]], [K[Y,X], K[Y]]] = V diag(w) V'
+    gives R = diag(sqrt(w)) V' over the eigenvalues above the PSD
+    tolerance: the coordinates of all features in an orthonormal basis of
+    their span, where C_X ~ R_X J_m R_X' / m and C_Y ~ R_Y J_n R_Y' / n.
+    """
     if gamma <= 0.0:
         raise DomainError(f"gamma must be positive, got {gamma}")
     al = as_alpha(alpha)
     if al.is_log_limit:
-        return _log_limit_distance(cg, gamma)
+        return _log_limit_distance(centered_gram(gb), gamma)
+    pooled = np.block([[gb.kxx, gb.kxy], [gb.kxy.T, gb.kyy]])
+    eig = sym_eigendecompose(SymMatrix.from_array(pooled))
+    keep = eig.values > psd_tolerance(eig.max)
+    if not np.any(keep):
+        return 0.0  # every feature vanishes, so C_X = C_Y = 0
+    coords = np.sqrt(eig.values[keep])[:, None] * eig.vectors[:, keep].T
 
-    wa, _ = _psd_eigh(cg.aa)
-    wb, _ = _psd_eigh(cg.bb)
-    two_alpha = 2.0 * al.value
-    # tr[(E + g I)^2a - g^2a I] summed over the Gram-side spectrum; zero
-    # eigenvalues contribute exactly zero, matching the operator-side trace
-    g2a = gamma**two_alpha
-    term_a = float(np.sum((wa + gamma) ** two_alpha - g2a))
-    term_b = float(np.sum((wb + gamma) ** two_alpha - g2a))
-    term_cross = 2.0 * g2a * _block_sqrt_trace(cg, al.value, gamma)
-    arg = term_a + term_b - term_cross
-    return _clamped_sqrt(arg, abs(term_a) + abs(term_b)) / abs(al.value)
+    def covariance(r: np.ndarray) -> SpdMatrix:
+        r = r - r.mean(axis=1, keepdims=True)
+        return SpdMatrix.from_array(r @ r.T / r.shape[1])
+
+    cx, cy = covariance(coords[:, : gb.m]), covariance(coords[:, gb.m :])
+    return alpha_procrustes_regularized(cx, cy, gamma, al).value
 
 
 def _log_limit_distance(cg: CenteredGram, gamma: float) -> float:
@@ -351,7 +285,7 @@ def _log_limit_distance(cg: CenteredGram, gamma: float) -> float:
     fa = log_factor(wa, va)
     fb = log_factor(wb, vb)
     cross = float(np.trace(fa @ cg.ab @ fb @ cg.ab.T))
-    return _clamped_sqrt(norm_a + norm_b - 2.0 * cross, norm_a + norm_b)
+    return _sqrt_clamped(norm_a + norm_b - 2.0 * cross, norm_a + norm_b)
 
 
 def rkhs_alpha_distance_unregularized(
@@ -363,9 +297,13 @@ def rkhs_alpha_distance_unregularized(
     spectral powers restricted to the range, so aa^0 is the range projection
     (needed at alpha = 1/2).  Sample counts may differ.
     """
+    return _unregularized_distance(gram_bundle(x, y, kernel), alpha)
+
+
+def _unregularized_distance(gb: GramBundle, alpha: float) -> float:
     if alpha < 0.5:
         raise DomainError(f"unregularized formula needs alpha >= 1/2, got {alpha}")
-    cg = centered_gram(gram_bundle(x, y, kernel))
+    cg = centered_gram(gb)
     wa, _ = _psd_eigh(cg.aa)
     wb, _ = _psd_eigh(cg.bb)
     two_alpha = 2.0 * alpha
@@ -380,7 +318,7 @@ def rkhs_alpha_distance_unregularized(
     t = half_a @ cg.ab @ half_b
     term_cross = 2.0 * float(np.sum(np.linalg.svd(t, compute_uv=False)))
     arg = term_a + term_b - term_cross
-    return _clamped_sqrt(arg, abs(term_a) + abs(term_b)) / alpha
+    return _sqrt_clamped(arg, abs(term_a) + abs(term_b)) / alpha
 
 
 def rkhs_gaussian_distance(
@@ -391,22 +329,17 @@ def rkhs_gaussian_distance(
     sqrt(mean discrepancy squared + d_cov^2 / 4).  For alpha >= 1/2 the
     covariance part is the unregularized pure-Gram formula and gamma is not
     needed; otherwise (including the log-limit) gamma > 0 selects the
-    regularized covariance distance.
+    regularized covariance distance.  Sample counts may differ.
     """
     al = as_alpha(alpha)
     gb = gram_bundle(x, y, kernel)
     mdd = mean_discrepancy_squared(gb)
     if not al.is_log_limit and al.value >= 0.5:
-        d_cov = rkhs_alpha_distance_unregularized(x, y, kernel, al.value)
+        d_cov = _unregularized_distance(gb, al.value)
     else:
         if gamma <= 0.0:
             raise DomainError("alpha below 1/2 (or log-limit) needs a positive gamma")
-        if x.m != y.m:
-            raise DimensionError(
-                "alpha below 1/2 needs equal sample counts "
-                f"(regularized path), got {x.m} and {y.m}"
-            )
-        d_cov = _regularized_from_blocks(centered_gram(gb), al, gamma)
+        d_cov = _regularized_distance(gb, al, gamma)
     return math.sqrt(mdd + 0.25 * d_cov**2)
 
 
@@ -430,7 +363,7 @@ def rkhs_wasserstein(x: Dataset, y: Dataset, kernel: KernelSpec) -> float:
     # its eigenvalues are squared singular values, clamped at zero for free.
     cross = float(np.sum(np.linalg.svd(jm @ gb.kxy @ jn, compute_uv=False)))
     arg = mdd + trace_x + trace_y - 2.0 * cross / math.sqrt(gb.m * gb.n)
-    return _clamped_sqrt(arg, trace_x + trace_y)
+    return _sqrt_clamped(arg, trace_x + trace_y)
 
 
 def _polynomial_features(points: np.ndarray, degree: int, offset: float) -> np.ndarray:

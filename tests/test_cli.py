@@ -249,6 +249,17 @@ class TestRkhsDist:
         payload = json.loads(out)
         assert np.isfinite(payload["distance"]) and payload["distance"] >= 0
 
+    def test_unequal_counts_regularized(self, tmp_path):
+        rng = np.random.default_rng(3)
+        x = write_matrix(tmp_path / "X.csv", rng.standard_normal((8, 3)))
+        y = write_matrix(tmp_path / "Y.csv", rng.standard_normal((13, 3)) + 0.4)
+        code, out, _ = run_cli(
+            ["rkhs-dist", x, y, "--kernel", "rbf:sigma=0.7", "--alpha", "0.3",
+             "--gamma", "0.1"]
+        )
+        assert code == 0
+        assert json.loads(out)["distance"] > 0
+
     def test_log_limit_needs_gamma(self, datasets):
         x, y = datasets
         code, _, _ = run_cli(

@@ -204,10 +204,36 @@ class TestRegularizedDistance:
         ).value
         assert abs(d_gram - d_feat) <= 1e-8 * max(1.0, d_feat)
 
-    def test_unequal_sample_counts_rejected(self):
+    @pytest.mark.parametrize("alpha", ["-0.5", "0.25", "0.75", "log-limit"])
+    @pytest.mark.parametrize("kernel", [LINEAR, POLY], ids=["linear", "poly"])
+    def test_unequal_sample_counts_match_feature_oracle(self, kernel, alpha):
         x, y = datasets(15, m=8, n=9)
-        with pytest.raises(DimensionError):
-            rkhs_alpha_distance(x, y, RBF, 0.5, 0.1)
+        al, gamma = AlphaParam.parse(alpha), 0.1
+        gx, gy = feature_gaussians(x, y, kernel)
+        d_gram = rkhs_alpha_distance(x, y, kernel, al, gamma)
+        d_feat = alpha_procrustes_regularized(gx.covariance, gy.covariance, gamma, al).value
+        assert abs(d_gram - d_feat) <= 1e-8 * d_feat
+        # alpha >= 1/2 takes the unregularized covariance term whatever gamma is
+        d_rkhs = rkhs_gaussian_distance(x, y, kernel, al, gamma)
+        if al.value >= 0.5:
+            d_gauss = gaussian_alpha_distance(gx, gy, al)
+        else:
+            d_gauss = gaussian_alpha_distance_regularized(gx, gy, al, gamma)
+        assert abs(d_rkhs - d_gauss) <= 1e-8 * d_gauss
+
+    def test_ill_conditioned_negative_alpha_matches_feature_oracle(self):
+        # covariance spectra up to ~8e6 against gamma = 1e-3
+        x, y = datasets(42, m=10, n=10, dim=3)
+        x, y = Dataset.from_array(x.points * 30), Dataset.from_array(y.points * 30)
+        _, cx = explicit_feature_covariance(x, POLY)
+        _, cy = explicit_feature_covariance(y, POLY)
+        d_gram = rkhs_alpha_distance(x, y, POLY, -0.5, 1e-3)
+        d_feat = alpha_procrustes_regularized(cx, cy, 1e-3, -0.5).value
+        assert abs(d_gram - d_feat) <= 1e-8 * d_feat
+
+    def test_all_zero_features_give_zero(self):
+        z = Dataset.from_array(np.zeros((4, 2)))
+        assert rkhs_alpha_distance(z, z, LINEAR, 0.3, 0.1) == 0.0
 
     def test_permutation_invariance(self):
         x, y = datasets(16)
@@ -250,10 +276,10 @@ class TestUnregularizedDistance:
         assert abs(d - d_feat) <= 1e-8 * max(1.0, d_feat)
 
     def test_gamma_sweep_convergence(self):
-        x, y = datasets(21)
-        d_un = rkhs_alpha_distance_unregularized(x, y, POLY, 0.75)
-        d_reg = rkhs_alpha_distance(x, y, POLY, 0.75, 1e-7)
-        assert abs(d_reg - d_un) <= 1e-3 * d_un
+        for kernel, (x, y) in ((POLY, datasets(21)), (RBF, datasets(21, m=12, n=17))):
+            d_un = rkhs_alpha_distance_unregularized(x, y, kernel, 0.75)
+            d_reg = rkhs_alpha_distance(x, y, kernel, 0.75, 1e-7)
+            assert abs(d_reg - d_un) <= 1e-3 * d_un
 
     def test_unequal_counts_supported(self):
         x, y = datasets(22, m=9, n=12)
@@ -313,6 +339,21 @@ class TestGaussianDistance:
         with pytest.raises(DomainError):
             rkhs_gaussian_distance(x, y, POLY, 0.3)
 
+    @pytest.mark.parametrize("alpha,gamma", [(0.75, 0.0), (0.3, 0.1), (0.0, 0.1)])
+    def test_builds_gram_once(self, monkeypatch, alpha, gamma):
+        import alphaproc.rkhs as rkhs_mod
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return gram_bundle(*args)
+
+        monkeypatch.setattr(rkhs_mod, "gram_bundle", counting)
+        x, y = datasets(29, m=9, n=11)
+        rkhs_gaussian_distance(x, y, RBF, alpha, gamma)
+        assert len(calls) == 1
+
 
 class TestWasserstein:
     def test_same_dataset(self):
@@ -347,41 +388,6 @@ class TestWasserstein:
 
 
 class TestBlockStructure:
-    def test_eigen_block_lemma(self):
-        # nonzero eigenvalues of [[0,0,A],[0,0,0],[0,0,B]] are those of B
-        rng = np.random.default_rng(36)
-        a = rng.standard_normal((4, 4))
-        b = rng.standard_normal((4, 4))
-        z = np.zeros((4, 4))
-        block = np.block([[z, z, a], [z, z, z], [z, z, b]])
-        got = np.sort_complex(np.linalg.eigvals(block))
-        expected = np.sort_complex(
-            np.concatenate([np.linalg.eigvals(b), np.zeros(8, dtype=complex)])
-        )
-        assert np.allclose(got, expected, atol=1e-10)
-
-    def test_block_trace_matches_feature_product(self):
-        # the 3m-block square-root trace equals the same trace computed on
-        # the feature-space product (I + C_X/g)(I + C_Y/g)
-        from alphaproc.rkhs import _block_sqrt_trace
-
-        x, y = datasets(37, m=10, dim=3)
-        gamma = 0.3
-        for alpha in (0.5, 0.8):
-            cg = centered_gram(gram_bundle(x, y, LINEAR))
-            block_trace = _block_sqrt_trace(cg, alpha, gamma)
-            _, cx = explicit_feature_covariance(x, LINEAR)
-            _, cy = explicit_feature_covariance(y, LINEAR)
-            px = spd_power(
-                SpdMatrix.from_array(np.eye(3) + cx.mat / gamma), 2 * alpha
-            ).mat
-            py = spd_power(
-                SpdMatrix.from_array(np.eye(3) + cy.mat / gamma), 2 * alpha
-            ).mat
-            w = np.linalg.eigvals(px @ py)
-            expected = float(np.sum(np.sqrt(np.maximum(w.real, 0.0)) - 1.0))
-            assert abs(block_trace - expected) <= 1e-9 * max(1.0, abs(expected))
-
     def test_h_identity_on_centered_gram(self):
         x, y = datasets(38)
         cg = centered_gram(gram_bundle(x, y, RBF))
