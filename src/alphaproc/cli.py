@@ -24,12 +24,7 @@ from .exceptions import (
     DimensionError,
     NonFiniteError,
 )
-from .gaussian import (
-    GaussianMeasure,
-    MeanMetricSpec,
-    gaussian_alpha_distance,
-    gaussian_alpha_distance_regularized,
-)
+from .gaussian import GaussianMeasure, MeanMetricSpec, _gaussian_terms
 from .geometry import GeodesicCurve, geodesic_eval, geodesic_length_numeric
 from .linalg import AlphaParam, SpdMatrix
 from .metrics import (
@@ -39,13 +34,7 @@ from .metrics import (
     log_euclidean,
     power_euclidean,
 )
-from .rkhs import (
-    Dataset,
-    KernelSpec,
-    gram_bundle,
-    mean_discrepancy_squared,
-    rkhs_gaussian_distance,
-)
+from .rkhs import Dataset, KernelSpec, _rkhs_gaussian_terms
 from .validation import Tolerances, run_all_suites
 
 MATRIX_SYM_TOL = 1e-8
@@ -262,12 +251,7 @@ def _cmd_gauss_dist(args) -> int:
     g1 = GaussianMeasure.from_arrays(_read_vector(args.mean_a), _read_matrix(args.cov_a).mat)
     g2 = GaussianMeasure.from_arrays(_read_vector(args.mean_b), _read_matrix(args.cov_b).mat)
     alpha = _parse_alpha(args.alpha)
-    if args.gamma:
-        total = gaussian_alpha_distance_regularized(g1, g2, alpha, args.gamma, mean_metric)
-    else:
-        total = gaussian_alpha_distance(g1, g2, alpha, mean_metric)
-    mean_term = mean_metric.distance(g1.mean, g2.mean)
-    cov_term = 2.0 * float(np.sqrt(max(total**2 - mean_term**2, 0.0)))
+    mean_term, cov_term, total = _gaussian_terms(g1, g2, alpha, args.gamma or None, mean_metric)
     payload = {
         "schema": 1,
         "alpha": alpha.label(),
@@ -285,9 +269,7 @@ def _cmd_rkhs_dist(args) -> int:
     y = _read_dataset(args.data_y, skip_header=args.header)
     kernel = KernelSpec.parse(args.kernel)
     alpha = _parse_alpha(args.alpha)
-    total = rkhs_gaussian_distance(x, y, kernel, alpha, args.gamma)
-    mean_term = float(np.sqrt(mean_discrepancy_squared(gram_bundle(x, y, kernel))))
-    cov_term = float(np.sqrt(max(total**2 - mean_term**2, 0.0))) * 2.0
+    mean_term, cov_term, total = _rkhs_gaussian_terms(x, y, kernel, alpha, args.gamma)
     payload = {
         "schema": 1,
         "kernel": args.kernel,

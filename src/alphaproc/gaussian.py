@@ -93,6 +93,21 @@ def _check_pair(g1: GaussianMeasure, g2: GaussianMeasure) -> None:
         raise DimensionError(f"Gaussian dimensions differ: {g1.dim} vs {g2.dim}")
 
 
+def _gaussian_terms(
+    g1: GaussianMeasure, g2: GaussianMeasure, alpha, gamma: Optional[float],
+    mean_metric: MeanMetricSpec,
+) -> tuple[float, float, float]:
+    """(d_mean, d_cov, distance); gamma None leaves the covariances unridged."""
+    _check_pair(g1, g2)
+    d_mean = mean_metric.distance(g1.mean, g2.mean)
+    c1, c2, al = g1.covariance, g2.covariance, as_alpha(alpha)
+    if gamma is None:
+        d_cov = alpha_procrustes(c1, c2, al).value
+    else:
+        d_cov = alpha_procrustes_regularized(c1, c2, gamma, al).value
+    return d_mean, d_cov, math.sqrt(d_mean**2 + 0.25 * d_cov**2)
+
+
 def gaussian_alpha_distance(
     g1: GaussianMeasure,
     g2: GaussianMeasure,
@@ -105,10 +120,7 @@ def gaussian_alpha_distance(
     positive covariances are required for alpha <= 0 (including the
     log-limit); PSD is fine for alpha > 0.
     """
-    _check_pair(g1, g2)
-    d_mean = mean_metric.distance(g1.mean, g2.mean)
-    d_cov = alpha_procrustes(g1.covariance, g2.covariance, as_alpha(alpha)).value
-    return math.sqrt(d_mean**2 + 0.25 * d_cov**2)
+    return _gaussian_terms(g1, g2, alpha, None, mean_metric)[2]
 
 
 def wasserstein_gaussian(g1: GaussianMeasure, g2: GaussianMeasure) -> float:
@@ -131,9 +143,4 @@ def gaussian_alpha_distance_regularized(
     Admissible for every alpha on PSD covariances since the ridge makes
     them strictly positive.
     """
-    _check_pair(g1, g2)
-    d_mean = mean_metric.distance(g1.mean, g2.mean)
-    d_cov = alpha_procrustes_regularized(
-        g1.covariance, g2.covariance, gamma, as_alpha(alpha)
-    ).value
-    return math.sqrt(d_mean**2 + 0.25 * d_cov**2)
+    return _gaussian_terms(g1, g2, alpha, gamma, mean_metric)[2]

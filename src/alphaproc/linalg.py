@@ -3,11 +3,14 @@
 Every matrix function (log, exp, fractional power, square root) and every
 Frechet-derivative map in this package goes through one full symmetric
 eigendecomposition.  A single code path keeps log/exp/power/sqrt exactly
-consistent with each other, which the identity tests rely on.
+consistent with each other, which the identity tests rely on.  This module
+also makes every LAPACK call of the package (eigensolves and singular
+values), each behind one guard that turns a failure into a typed error.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +44,17 @@ ALPHA_SWITCH_TOL = 1e-7
 def psd_tolerance(lam_max: float) -> float:
     """Zero-threshold for eigenvalues of a matrix with largest eigenvalue lam_max."""
     return PSD_TOL_FACTOR * max(1.0, lam_max)
+
+
+@contextmanager
+def _lapack_guard(what: str, mat: np.ndarray):
+    """The one guard around every LAPACK call: finite input, typed failure."""
+    if not np.all(np.isfinite(mat)):
+        raise NonFiniteError(f"{what}: matrix contains NaN or infinite entries")
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailureError(f"{what} failed: {exc}") from exc
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -84,6 +98,19 @@ class EigenDecomposition:
         """Matrix function V diag(fn(values)) V^T as a plain array."""
         return (self.vectors * fn(self.values)) @ self.vectors.T
 
+    def apply_on_range(self, fn) -> np.ndarray:
+        """V diag(g) V^T with g = fn on the range and 0 on the kernel.
+
+        Eigenvalues are clamped at 0; those at or below RANK_TOL_FACTOR *
+        lambda_max are kernel directions, so fn only sees positive values.
+        """
+        lam = np.maximum(self.values, 0.0)
+        g = np.zeros_like(lam)
+        if lam[-1] > 0.0:
+            nz = lam > RANK_TOL_FACTOR * lam[-1]
+            g[nz] = fn(lam[nz])
+        return (self.vectors * g) @ self.vectors.T
+
     @property
     def min(self) -> float:
         return float(self.values[0])
@@ -95,12 +122,8 @@ class EigenDecomposition:
 
 def sym_eigendecompose(s: SymMatrix) -> EigenDecomposition:
     """Full symmetric eigendecomposition of ``s``."""
-    if not np.all(np.isfinite(s.mat)):
-        raise NonFiniteError("matrix contains NaN or infinite entries")
-    try:
+    with _lapack_guard("eigendecomposition", s.mat):
         w, v = np.linalg.eigh(s.mat)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailureError(f"eigendecomposition failed: {exc}") from exc
     return EigenDecomposition(_freeze(w), _freeze(v))
 
 
@@ -260,8 +283,16 @@ def trace_sqrt_triple(a: SpdMatrix, b: SpdMatrix, alpha: float) -> float:
     a_pow = spd_power(a, alpha).mat
     b_pow = spd_power(b, 2.0 * alpha).mat
     m = a_pow @ b_pow @ a_pow
-    w = np.linalg.eigvalsh((m + m.T) / 2.0)
+    sym = (m + m.T) / 2.0
+    with _lapack_guard("cross-term eigensolve", sym):
+        w = np.linalg.eigvalsh(sym)
     return float(np.sum(np.sqrt(np.maximum(w, 0.0))))
+
+
+def nuclear_norm(mat: np.ndarray) -> float:
+    """tr[(M' M)^(1/2)] as the sum of singular values: no clamp at rank deficiency."""
+    with _lapack_guard("singular values", mat):
+        return float(np.sum(np.linalg.svd(mat, compute_uv=False)))
 
 
 _LOEWNER_FUNCTIONS = {
@@ -319,16 +350,12 @@ def loewner_apply(
 def h_alpha(e: SpdMatrix, alpha: float) -> SymMatrix:
     """Spectral function ((1 + l)^alpha - 1) / l on the range of a PSD matrix.
 
-    Kernel directions (eigenvalues at or below rank_tol) map to zero, so
-    E @ h_alpha(E) reproduces (I + E)^alpha - I on the range of E.
+    Kernel directions map to zero, so E @ h_alpha(E) reproduces
+    (I + E)^alpha - I on the range of E.
     """
-    lam = np.maximum(e.eig.values, 0.0)
-    g = np.zeros_like(lam)
-    if lam[-1] > 0.0:
-        nz = lam > RANK_TOL_FACTOR * lam[-1]
-        # expm1/log1p avoid cancellation for eigenvalues near zero
-        g[nz] = np.expm1(alpha * np.log1p(lam[nz])) / lam[nz]
-    return SymMatrix.from_array((e.eig.vectors * g) @ e.eig.vectors.T)
+    # expm1/log1p avoid cancellation for eigenvalues near zero
+    g = e.eig.apply_on_range(lambda lam: np.expm1(alpha * np.log1p(lam)) / lam)
+    return SymMatrix.from_array(g)
 
 
 def psd_spectral_power(mat: np.ndarray, p: float) -> np.ndarray:
@@ -337,11 +364,5 @@ def psd_spectral_power(mat: np.ndarray, p: float) -> np.ndarray:
     With p = 0 this is the orthogonal projection onto range(E), the
     convention needed by the limit formulas of the distance family.
     """
-    sym = (mat + mat.T) / 2.0
-    w, v = np.linalg.eigh(sym)
-    w = np.maximum(w, 0.0)
-    out = np.zeros_like(w)
-    if w[-1] > 0.0:
-        nz = w > RANK_TOL_FACTOR * w[-1]
-        out[nz] = w[nz] ** p
-    return (v * out) @ v.T
+    eig = sym_eigendecompose(SymMatrix.from_array(mat))
+    return eig.apply_on_range(lambda w: w**p)

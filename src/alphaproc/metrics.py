@@ -10,8 +10,6 @@ regularized setting used for covariance operators.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,32 +251,11 @@ def procrustes_bruteforce_2x2(
     return best / abs(alpha)
 
 
-def _thread_cap() -> int:
-    env = os.environ.get("ALPHA_PROC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
-
-
 def pairwise_distances(mats: list[SpdMatrix], alpha, metric=alpha_procrustes) -> np.ndarray:
-    """Symmetric matrix of pairwise distances, parallelized over pairs.
-
-    The worker count is capped by the ALPHA_PROC_THREADS environment
-    variable.  No ordering is guaranteed on progress; the result is
-    deterministic.
-    """
+    """Symmetric matrix of pairwise distances, one metric call per pair i < j."""
     k = len(mats)
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     out = np.zeros((k, k))
-
-    def compute(pair):
-        i, j = pair
-        return i, j, metric(mats[i], mats[j], alpha).value
-
-    with ThreadPoolExecutor(max_workers=_thread_cap()) as pool:
-        for i, j, value in pool.map(compute, pairs):
-            out[i, j] = out[j, i] = value
+    for i in range(k):
+        for j in range(i + 1, k):
+            out[i, j] = out[j, i] = metric(mats[i], mats[j], alpha).value
     return out

@@ -36,11 +36,10 @@ from .exceptions import (
     UnsupportedKernelError,
 )
 from .linalg import (
-    RANK_TOL_FACTOR,
     SpdMatrix,
     SymMatrix,
     as_alpha,
-    psd_spectral_power,
+    nuclear_norm,
     psd_tolerance,
     sym_eigendecompose,
 )
@@ -214,11 +213,6 @@ def mean_discrepancy_squared(gb: GramBundle) -> float:
     return max(value, 0.0)
 
 
-def _psd_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w, v = np.linalg.eigh((mat + mat.T) / 2.0)
-    return np.maximum(w, 0.0), v
-
-
 def rkhs_alpha_distance(
     x: Dataset, y: Dataset, kernel: KernelSpec, alpha: float, gamma: float
 ) -> float:
@@ -270,20 +264,12 @@ def _log_limit_distance(cg: CenteredGram, gamma: float) -> float:
     to tr[f(aa) ab f(bb) ab'] with f(l) = log(1 + l/g)/l on the nonzero
     spectrum.
     """
-    wa, va = _psd_eigh(cg.aa)
-    wb, vb = _psd_eigh(cg.bb)
-    norm_a = float(np.sum(np.log1p(wa / gamma) ** 2))
-    norm_b = float(np.sum(np.log1p(wb / gamma) ** 2))
-
-    def log_factor(w, v):
-        g = np.zeros_like(w)
-        if w[-1] > 0.0:
-            nz = w > RANK_TOL_FACTOR * w[-1]
-            g[nz] = np.log1p(w[nz] / gamma) / w[nz]
-        return (v * g) @ v.T
-
-    fa = log_factor(wa, va)
-    fb = log_factor(wb, vb)
+    ea = sym_eigendecompose(SymMatrix.from_array(cg.aa))
+    eb = sym_eigendecompose(SymMatrix.from_array(cg.bb))
+    norm_a = float(np.sum(np.log1p(np.maximum(ea.values, 0.0) / gamma) ** 2))
+    norm_b = float(np.sum(np.log1p(np.maximum(eb.values, 0.0) / gamma) ** 2))
+    fa = ea.apply_on_range(lambda w: np.log1p(w / gamma) / w)
+    fb = eb.apply_on_range(lambda w: np.log1p(w / gamma) / w)
     cross = float(np.trace(fa @ cg.ab @ fb @ cg.ab.T))
     return _sqrt_clamped(norm_a + norm_b - 2.0 * cross, norm_a + norm_b)
 
@@ -304,19 +290,18 @@ def _unregularized_distance(gb: GramBundle, alpha: float) -> float:
     if alpha < 0.5:
         raise DomainError(f"unregularized formula needs alpha >= 1/2, got {alpha}")
     cg = centered_gram(gb)
-    wa, _ = _psd_eigh(cg.aa)
-    wb, _ = _psd_eigh(cg.bb)
+    ea = sym_eigendecompose(SymMatrix.from_array(cg.aa))
+    eb = sym_eigendecompose(SymMatrix.from_array(cg.bb))
     two_alpha = 2.0 * alpha
-    term_a = float(np.sum(wa**two_alpha))
-    term_b = float(np.sum(wb**two_alpha))
+    term_a = float(np.sum(np.maximum(ea.values, 0.0) ** two_alpha))
+    term_b = float(np.sum(np.maximum(eb.values, 0.0) ** two_alpha))
     # The cross matrix ba aa^(2a-1) ab bb^(2a-1) shares its spectrum with
     # T'T for T = aa^(a-1/2) ab bb^(a-1/2), so its square-root trace is the
     # nuclear norm of T; singular values keep the rank-deficient spectrum
     # exact where a general eigensolve would scatter the zero eigenvalues.
-    half_a = psd_spectral_power(cg.aa, alpha - 0.5)
-    half_b = psd_spectral_power(cg.bb, alpha - 0.5)
-    t = half_a @ cg.ab @ half_b
-    term_cross = 2.0 * float(np.sum(np.linalg.svd(t, compute_uv=False)))
+    half_a = ea.apply_on_range(lambda w: w ** (alpha - 0.5))
+    half_b = eb.apply_on_range(lambda w: w ** (alpha - 0.5))
+    term_cross = 2.0 * nuclear_norm(half_a @ cg.ab @ half_b)
     arg = term_a + term_b - term_cross
     return _sqrt_clamped(arg, abs(term_a) + abs(term_b)) / alpha
 
@@ -331,6 +316,13 @@ def rkhs_gaussian_distance(
     needed; otherwise (including the log-limit) gamma > 0 selects the
     regularized covariance distance.  Sample counts may differ.
     """
+    return _rkhs_gaussian_terms(x, y, kernel, alpha, gamma)[2]
+
+
+def _rkhs_gaussian_terms(
+    x: Dataset, y: Dataset, kernel: KernelSpec, alpha, gamma: float
+) -> tuple[float, float, float]:
+    """(mean embedding distance, d_cov, distance) from one set of Gram matrices."""
     al = as_alpha(alpha)
     gb = gram_bundle(x, y, kernel)
     mdd = mean_discrepancy_squared(gb)
@@ -340,7 +332,7 @@ def rkhs_gaussian_distance(
         if gamma <= 0.0:
             raise DomainError("alpha below 1/2 (or log-limit) needs a positive gamma")
         d_cov = _regularized_distance(gb, al, gamma)
-    return math.sqrt(mdd + 0.25 * d_cov**2)
+    return math.sqrt(mdd), d_cov, math.sqrt(mdd + 0.25 * d_cov**2)
 
 
 def rkhs_wasserstein(x: Dataset, y: Dataset, kernel: KernelSpec) -> float:
@@ -354,15 +346,12 @@ def rkhs_wasserstein(x: Dataset, y: Dataset, kernel: KernelSpec) -> float:
     """
     gb = gram_bundle(x, y, kernel)
     mdd = mean_discrepancy_squared(gb)
-    jm = centering(gb.m)
-    jn = centering(gb.n)
-    trace_x = float(np.trace(jm @ gb.kxx @ jm)) / gb.m
-    trace_y = float(np.trace(jn @ gb.kyy @ jn)) / gb.n
-    # tr[(J_n K[Y,X] J_m K[X,Y] J_n)^(1/2)] is the nuclear norm of
-    # J_m K[X,Y] J_n: the product is (J_m K[X,Y] J_n)'(J_m K[X,Y] J_n), so
-    # its eigenvalues are squared singular values, clamped at zero for free.
-    cross = float(np.sum(np.linalg.svd(jm @ gb.kxy @ jn, compute_uv=False)))
-    arg = mdd + trace_x + trace_y - 2.0 * cross / math.sqrt(gb.m * gb.n)
+    cg = centered_gram(gb)
+    trace_x = float(np.trace(cg.aa))
+    trace_y = float(np.trace(cg.bb))
+    # The product under the root is (J_m K[X,Y] J_n)'(J_m K[X,Y] J_n), so
+    # the square-root trace is the nuclear norm of ab = J_m K[X,Y] J_n / sqrt(mn).
+    arg = mdd + trace_x + trace_y - 2.0 * nuclear_norm(cg.ab)
     return _sqrt_clamped(arg, trace_x + trace_y)
 
 

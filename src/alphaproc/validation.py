@@ -4,7 +4,8 @@ Each suite draws inputs from a seeded generator and checks one family of
 guarantees: metric axioms, the comparison inequality against the power
 Euclidean distance, the small-alpha limits, the generalized Lyapunov solve,
 and the geodesic length.  Failures carry a printable witness so a reported
-seed reproduces them exactly.
+seed reproduces them exactly.  The random-input generators are public so
+the test suite draws its inputs from the same code.
 """
 
 from __future__ import annotations
@@ -84,18 +85,21 @@ class SuiteResult:
         self.failures.append(message)
 
 
-def _rand_spd(rng: np.random.Generator, n: int, lo: float = 0.3, hi: float = 3.0) -> SpdMatrix:
+def rand_spd(rng: np.random.Generator, n: int, lo: float = 0.3, hi: float = 3.0) -> SpdMatrix:
+    """Random SPD matrix Q diag(w) Q' with w uniform on [lo, hi]."""
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     w = rng.uniform(lo, hi, n)
     return SpdMatrix.from_array((q * w) @ q.T)
 
 
-def _rand_sym(rng: np.random.Generator, n: int) -> SymMatrix:
+def rand_sym(rng: np.random.Generator, n: int) -> SymMatrix:
+    """Random symmetric matrix with standard normal entries before symmetrizing."""
     m = rng.standard_normal((n, n))
     return SymMatrix.from_array((m + m.T) / 2.0)
 
 
-def _commuting_pair(rng: np.random.Generator, n: int) -> tuple[SpdMatrix, SpdMatrix]:
+def commuting_pair(rng: np.random.Generator, n: int) -> tuple[SpdMatrix, SpdMatrix]:
+    """Two random SPD matrices sharing one eigenbasis."""
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     w1 = rng.uniform(0.3, 3.0, n)
     w2 = rng.uniform(0.3, 3.0, n)
@@ -105,13 +109,13 @@ def _commuting_pair(rng: np.random.Generator, n: int) -> tuple[SpdMatrix, SpdMat
     )
 
 
-def _noncommuting_pair(
+def noncommuting_pair(
     rng: np.random.Generator, n: int, floor: float = 0.05
 ) -> tuple[SpdMatrix, SpdMatrix]:
     """Pair bounded away from the commuting locus, where the strict
     comparison gap degenerates."""
     while True:
-        a, b = _rand_spd(rng, n), _rand_spd(rng, n)
+        a, b = rand_spd(rng, n), rand_spd(rng, n)
         comm = np.linalg.norm(a.mat @ b.mat - b.mat @ a.mat)
         if comm >= floor * np.linalg.norm(a.mat) * np.linalg.norm(b.mat):
             return a, b
@@ -129,7 +133,7 @@ def metric_axioms_suite(seed: int, trials: int, tol: Tolerances) -> SuiteResult:
     gamma = 0.1
     for trial in range(trials):
         n = int(rng.integers(2, 6))
-        mats = [_rand_spd(rng, n) for _ in range(3)]
+        mats = [rand_spd(rng, n) for _ in range(3)]
         means = [rng.standard_normal(n) for _ in range(3)]
         alpha = METRIC_ALPHAS[trial % len(METRIC_ALPHAS)]
 
@@ -186,7 +190,7 @@ def alt_inequality_suite(seed: int, trials: int, tol: Tolerances) -> SuiteResult
     for trial in range(trials):
         n = int(rng.integers(2, 6))
         alpha = alphas[trial % len(alphas)]
-        a, b = _noncommuting_pair(rng, n)
+        a, b = noncommuting_pair(rng, n)
         d_pro = alpha_procrustes(a, b, alpha).value
         d_pow = power_euclidean(a, b, alpha).value
         result.checks += 2
@@ -203,7 +207,7 @@ def alt_inequality_suite(seed: int, trials: int, tol: Tolerances) -> SuiteResult
                     f"gap={d_pow - d_pro:.3e} A={np.array2string(a.mat, precision=4)}",
                 )
             )
-        ca, cb = _commuting_pair(rng, n)
+        ca, cb = commuting_pair(rng, n)
         d_pro_c = alpha_procrustes(ca, cb, alpha).value
         d_pow_c = power_euclidean(ca, cb, alpha).value
         result.checks += 1
@@ -224,7 +228,7 @@ def limit_checks_suite(seed: int, trials: int, tol: Tolerances) -> SuiteResult:
     result = SuiteResult("limit-checks")
     for trial in range(trials):
         n = int(rng.integers(2, 6))
-        a, b = _rand_spd(rng, n), _rand_spd(rng, n)
+        a, b = rand_spd(rng, n), rand_spd(rng, n)
         d_log = log_euclidean(a, b).value
         gaps = [
             abs(alpha_procrustes(a, b, al).value - d_log)
@@ -254,8 +258,8 @@ def lyapunov_suite(seed: int, trials: int, tol: Tolerances) -> SuiteResult:
     result = SuiteResult("lyapunov-residual")
     for trial in range(trials):
         n = int(rng.integers(2, 6))
-        p0 = _rand_spd(rng, n)
-        y = _rand_sym(rng, n)
+        p0 = rand_spd(rng, n)
+        y = rand_sym(rng, n)
         alpha = float(rng.uniform(-2.0, 2.0))
         if abs(alpha) < 0.05:
             alpha = 0.25
@@ -297,7 +301,7 @@ def geodesic_suite(
     for trial in range(min(trials, 9)):
         n = int(rng.integers(2, 6))
         alpha = alphas[trial % len(alphas)]
-        curve = GeodesicCurve(_rand_spd(rng, n), _rand_spd(rng, n), alpha)
+        curve = GeodesicCurve(rand_spd(rng, n), rand_spd(rng, n), alpha)
         result.checks += 2
         res = geodesic_endpoints_residual(curve)
         if res > tol.geodesic_endpoint_rel:

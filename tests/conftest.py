@@ -1,6 +1,12 @@
 import numpy as np
 
-from alphaproc import SpdMatrix, SymMatrix
+from alphaproc import SpdMatrix
+from alphaproc.validation import (  # noqa: F401  (shared with the test modules)
+    commuting_pair,
+    noncommuting_pair,
+    rand_spd,
+    rand_sym,
+)
 
 
 def rand_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -8,36 +14,8 @@ def rand_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def rand_spd(rng: np.random.Generator, n: int, lo: float = 0.3, hi: float = 3.0) -> SpdMatrix:
-    q = rand_orthogonal(rng, n)
-    w = rng.uniform(lo, hi, n)
-    return SpdMatrix.from_array((q * w) @ q.T)
-
-
 def rand_psd_rank_deficient(rng: np.random.Generator, n: int, rank: int) -> SpdMatrix:
     q = rand_orthogonal(rng, n)
     w = np.zeros(n)
     w[:rank] = rng.uniform(0.3, 3.0, rank)
     return SpdMatrix.from_array((q * w) @ q.T)
-
-
-def rand_sym(rng: np.random.Generator, n: int, scale: float = 1.0) -> SymMatrix:
-    m = rng.standard_normal((n, n)) * scale
-    return SymMatrix.from_array((m + m.T) / 2.0)
-
-
-def commuting_pair(rng: np.random.Generator, n: int) -> tuple[SpdMatrix, SpdMatrix]:
-    q = rand_orthogonal(rng, n)
-    w1 = rng.uniform(0.3, 3.0, n)
-    w2 = rng.uniform(0.3, 3.0, n)
-    return SpdMatrix.from_array((q * w1) @ q.T), SpdMatrix.from_array((q * w2) @ q.T)
-
-
-def noncommuting_pair(
-    rng: np.random.Generator, n: int, floor: float = 0.05
-) -> tuple[SpdMatrix, SpdMatrix]:
-    while True:
-        a, b = rand_spd(rng, n), rand_spd(rng, n)
-        comm = np.linalg.norm(a.mat @ b.mat - b.mat @ a.mat)
-        if comm >= floor * np.linalg.norm(a.mat) * np.linalg.norm(b.mat):
-            return a, b

@@ -310,8 +310,8 @@ def test_criterion_11_cli_contract(tmp_path):
     import alphaproc.cli as cli_mod
     from alphaproc import ComplexSpectrumError
 
-    original = cli_mod.rkhs_gaussian_distance
-    cli_mod.rkhs_gaussian_distance = lambda *a, **k: (_ for _ in ()).throw(
+    original = cli_mod._rkhs_gaussian_terms
+    cli_mod._rkhs_gaussian_terms = lambda *a, **k: (_ for _ in ()).throw(
         ComplexSpectrumError("synthetic")
     )
     try:
@@ -320,7 +320,7 @@ def test_criterion_11_cli_contract(tmp_path):
         code4 = run(["rkhs-dist", str(x_path), str(x_path), "--kernel", "linear",
                      "--alpha", "0.5"])[0]
     finally:
-        cli_mod.rkhs_gaussian_distance = original
+        cli_mod._rkhs_gaussian_terms = original
     assert code4 == 4
 
     # byte-stable outputs across two runs (fixed input and seed)

@@ -4,7 +4,9 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import rand_spd
 
+from alphaproc import SpdMatrix, alpha_procrustes
 from alphaproc.cli import main
 
 
@@ -118,6 +120,15 @@ class TestDist:
         assert code == 2
         assert "symmetric" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_exits_2_without_traceback(self, tmp_path):
+        g, h = np.random.default_rng(5).standard_normal((2, 4, 6))
+        a = write_matrix(tmp_path / "A.csv", g @ g.T * 1e100)
+        b = write_matrix(tmp_path / "B.csv", h @ h.T * 1e100)
+        code, out, err = run_cli(["dist", "--alpha", "2", a, b])
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "Traceback" not in err
+
     def test_singular_with_negative_alpha_exits_3(self, matrices, tmp_path):
         singular = write_matrix(tmp_path / "sing.csv", np.diag([1.0, 0.0]))
         code, _, _ = run_cli(["dist", matrices[0], singular, "--alpha", "-1"])
@@ -229,6 +240,24 @@ class TestGaussDist:
         assert payload["distance"] == pytest.approx(1.0, abs=1e-7)
         assert payload["mean_term"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_cov_term_exact_when_mean_term_dominates(self, tmp_path):
+        a_mat = rand_spd(np.random.default_rng(8), 3).mat
+        cov_a = write_matrix(tmp_path / "A.csv", a_mat)
+        cov_b = write_matrix(tmp_path / "B.csv", a_mat + 1e-3 * np.eye(3))
+        m1 = write_matrix(tmp_path / "m1.csv", np.zeros((1, 3)))
+        m2 = write_matrix(tmp_path / "m2.csv", np.array([[1e4, 0.0, 0.0]]))
+        code, out, _ = run_cli(
+            ["gauss-dist", "--mean-a", m1, "--cov-a", cov_a,
+             "--mean-b", m2, "--cov-b", cov_b, "--alpha", "0.75"]
+        )
+        assert code == 0
+        expected = alpha_procrustes(
+            SpdMatrix.from_array(np.loadtxt(cov_a, delimiter=",")),
+            SpdMatrix.from_array(np.loadtxt(cov_b, delimiter=",")),
+            0.75,
+        ).value
+        assert json.loads(out)["cov_term"] == pytest.approx(expected, rel=1e-10)
+
 
 class TestRkhsDist:
     def test_identical_datasets(self, datasets):
@@ -299,6 +328,29 @@ class TestRkhsDist:
         d_gauss = json.loads(out_gauss)["distance"]
         assert d_rkhs == pytest.approx(d_gauss, rel=1e-8)
 
+    def test_builds_gram_once(self, monkeypatch, datasets):
+        import alphaproc.cli as cli_mod
+        import alphaproc.rkhs as rkhs_mod
+
+        calls = []
+        original = rkhs_mod.gram_bundle
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        # a separate build in the CLI would go through its own binding
+        for mod in (rkhs_mod, cli_mod):
+            monkeypatch.setattr(mod, "gram_bundle", counting, raising=False)
+        x, y = datasets
+        for alpha, gamma in (("0.75", "0"), ("0.3", "0.1"), ("log-limit", "0.1")):
+            code, _, _ = run_cli(
+                ["rkhs-dist", x, y, "--kernel", "rbf:sigma=0.7", "--alpha", alpha,
+                 "--gamma", gamma]
+            )
+            assert code == 0
+        assert len(calls) == 3
+
     def test_header_flag(self, tmp_path):
         rng = np.random.default_rng(2)
         path = tmp_path / "with_header.csv"
@@ -344,7 +396,7 @@ class TestExitCodeMapping:
         def boom(*args, **kwargs):
             raise ComplexSpectrumError("synthetic")
 
-        monkeypatch.setattr(cli_mod, "rkhs_gaussian_distance", boom)
+        monkeypatch.setattr(cli_mod, "_rkhs_gaussian_terms", boom)
         x, y = datasets
         code, _, err = run_cli(
             ["rkhs-dist", x, y, "--kernel", "linear", "--alpha", "0.5"]

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import alphaproc
 from alphaproc import (
     AlphaParam,
+    ConvergenceFailureError,
     DomainError,
     NonFiniteError,
     NotPsdError,
@@ -25,6 +29,7 @@ from alphaproc import (
     sym_exp,
     trace_sqrt_triple,
 )
+from alphaproc.linalg import nuclear_norm
 
 
 @st.composite
@@ -139,7 +144,7 @@ class TestLogExp:
     def test_exp_matches_series(self):
         # truncated power series oracle, 20 terms on a small matrix
         rng = np.random.default_rng(3)
-        s = rand_sym(rng, 4, scale=0.25)
+        s = SymMatrix.from_array(0.25 * rand_sym(rng, 4).mat)
         expected = np.zeros((4, 4))
         term = np.eye(4)
         for k in range(20):
@@ -304,3 +309,57 @@ class TestSpectralPower:
         proj = psd_spectral_power(e.mat, 0.0)
         assert np.linalg.norm(proj @ proj - proj) <= 1e-10
         assert np.linalg.norm(proj @ e.mat - e.mat) <= 1e-10
+
+
+LAPACK_NAMES = ("eigh", "eigvalsh", "eigvals", "svd")
+
+
+def _guarded_nodes(tree: ast.AST) -> set[int]:
+    """ids of every node inside a ``with _lapack_guard(...)`` block."""
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.With) and any(
+            isinstance(item.context_expr, ast.Call)
+            and getattr(item.context_expr.func, "id", None) == "_lapack_guard"
+            for item in node.items
+        ):
+            inside.update(id(n) for stmt in node.body for n in ast.walk(stmt))
+    return inside
+
+
+class TestSingleLapackPath:
+    def test_lapack_calls_only_in_linalg_behind_the_guard(self):
+        offenders = []
+        for path in sorted(Path(alphaproc.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            guarded = _guarded_nodes(tree) if path.name == "linalg.py" else set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                    offenders.append(f"{path.name}:{node.lineno} imports from numpy.linalg")
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in LAPACK_NAMES
+                    and ast.unparse(node.value) in ("np.linalg", "numpy.linalg")
+                    and id(node) not in guarded
+                ):
+                    offenders.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+        assert offenders == []
+
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("eigh", lambda: sym_eigendecompose(SymMatrix.from_array(np.eye(3)))),
+            ("eigvalsh", lambda: trace_sqrt_triple(
+                SpdMatrix.from_array(np.eye(3)), SpdMatrix.from_array(np.eye(3)), 0.5
+            )),
+            ("svd", lambda: nuclear_norm(np.eye(3))),
+        ],
+        ids=["eigh", "eigvalsh", "svd"],
+    )
+    def test_lapack_failure_is_typed(self, monkeypatch, name, call):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("synthetic")
+
+        monkeypatch.setattr(np.linalg, name, fail)
+        with pytest.raises(ConvergenceFailureError, match="synthetic"):
+            call()

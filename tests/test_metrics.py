@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from alphaproc import (
     AlphaParam,
+    AlphaProcError,
     DomainError,
     DimensionError,
     NumericalInconsistencyError,
@@ -277,8 +278,7 @@ class TestDistanceResult:
 
 
 class TestPairwise:
-    def test_matches_serial(self, monkeypatch):
-        monkeypatch.setenv("ALPHA_PROC_THREADS", "2")
+    def test_matches_serial(self):
         rng = np.random.default_rng(20)
         mats = [rand_spd(rng, 3) for _ in range(4)]
         out = pairwise_distances(mats, 0.5)
@@ -287,3 +287,15 @@ class TestPairwise:
                 expected = 0.0 if i == j else alpha_procrustes(mats[i], mats[j], 0.5).value
                 assert out[i, j] == pytest.approx(expected, abs=1e-12)
         assert np.allclose(out, out.T)
+
+
+class TestExtremeScale:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_raises_typed_error(self):
+        # 4x4 Wishart pair scaled by 1e100: at alpha = 2 the cross term needs
+        # B^4, whose entries (~1e400) overflow
+        g, h = np.random.default_rng(5).standard_normal((2, 4, 6))
+        a = SpdMatrix.from_array(g @ g.T * 1e100)
+        b = SpdMatrix.from_array(h @ h.T * 1e100)
+        with pytest.raises(AlphaProcError):
+            alpha_procrustes(a, b, 2.0)
