@@ -13,17 +13,12 @@ import argparse
 import numpy as np
 
 from alphaproc import (
-    SpdMatrix,
     alpha_procrustes,
     bures_wasserstein,
     log_euclidean,
     power_euclidean,
 )
-
-
-def random_spd(rng: np.random.Generator, n: int) -> SpdMatrix:
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return SpdMatrix.from_array((q * rng.uniform(0.3, 3.0, n)) @ q.T)
+from alphaproc.validation import rand_spd
 
 
 def main() -> None:
@@ -33,7 +28,7 @@ def main() -> None:
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    a, b = random_spd(rng, args.n), random_spd(rng, args.n)
+    a, b = rand_spd(rng, args.n), rand_spd(rng, args.n)
 
     print(f"n = {args.n}, seed = {args.seed}")
     print(f"log-Euclidean reference: {log_euclidean(a, b).value:.10f}")

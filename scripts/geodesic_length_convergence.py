@@ -13,15 +13,10 @@ import numpy as np
 
 from alphaproc import (
     GeodesicCurve,
-    SpdMatrix,
     alpha_procrustes,
     geodesic_length_numeric,
 )
-
-
-def random_spd(rng: np.random.Generator, n: int) -> SpdMatrix:
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return SpdMatrix.from_array((q * rng.uniform(0.3, 3.0, n)) @ q.T)
+from alphaproc.validation import rand_spd
 
 
 def main() -> None:
@@ -32,7 +27,7 @@ def main() -> None:
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    a, b = random_spd(rng, args.n), random_spd(rng, args.n)
+    a, b = rand_spd(rng, args.n), rand_spd(rng, args.n)
     curve = GeodesicCurve(a, b, args.alpha)
     closed = alpha_procrustes(a, b, args.alpha).value
     print(f"closed-form distance: {closed:.12f}\n")

@@ -59,16 +59,10 @@ def _read_rows(path: str, skip_header: bool = False) -> np.ndarray:
         lines = lines[1:]
     if not lines:
         raise CliInputError(f"{path} is empty")
-    rows = []
-    for idx, line in enumerate(lines, 1):
-        try:
-            rows.append([float(item) for item in line.split(",")])
-        except ValueError as exc:
-            raise CliInputError(f"{path}:{idx}: {exc}") from exc
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise CliInputError(f"{path}: ragged rows")
-    return np.array(rows, dtype=float)
+    try:
+        return np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    except ValueError as exc:
+        raise CliInputError(f"{path}: {exc}") from exc
 
 
 def _read_matrix(path: str) -> SpdMatrix:
@@ -248,8 +242,8 @@ def _cmd_gauss_dist(args) -> int:
         except ValueError as exc:
             raise CliInputError(f"bad --mean-weights: {exc}") from exc
         mean_metric = MeanMetricSpec(weights=weights)
-    g1 = GaussianMeasure.from_arrays(_read_vector(args.mean_a), _read_matrix(args.cov_a).mat)
-    g2 = GaussianMeasure.from_arrays(_read_vector(args.mean_b), _read_matrix(args.cov_b).mat)
+    g1 = GaussianMeasure.from_arrays(_read_vector(args.mean_a), _read_matrix(args.cov_a))
+    g2 = GaussianMeasure.from_arrays(_read_vector(args.mean_b), _read_matrix(args.cov_b))
     alpha = _parse_alpha(args.alpha)
     mean_term, cov_term, total = _gaussian_terms(g1, g2, alpha, args.gamma or None, mean_metric)
     payload = {

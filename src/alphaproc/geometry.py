@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,10 +92,10 @@ def metric_inner(p0: SpdMatrix, y: SymMatrix, z: SymMatrix, alpha) -> float:
     p0.require_strict("metric inner product")
     if al.is_log_limit:
         ly = loewner_apply(p0.eig, "log", y)
-        lz = loewner_apply(p0.eig, "log", z)
+        lz = ly if z is y else loewner_apply(p0.eig, "log", z)
         return float(np.trace(ly.mat @ lz.mat))
     hy = solve_general_lyapunov(p0, y, al.value)
-    hz = solve_general_lyapunov(p0, z, al.value)
+    hz = hy if z is y else solve_general_lyapunov(p0, z, al.value)
     p2a = spd_power(p0, 2.0 * al.value).mat
     return 4.0 * float(np.trace(hy.mat @ p2a @ hz.mat))
 
@@ -115,40 +116,40 @@ class GeodesicCurve:
         if self.a.n != self.b.n:
             raise DomainError("endpoint dimensions differ")
 
+    @cached_property
+    def _closed_form(self):
+        """A^2a, B^2a and the symmetrized non-symmetric square root, built once."""
+        a2 = spd_power(self.a, 2.0 * self.alpha).mat
+        b2 = spd_power(self.b, 2.0 * self.alpha).mat
+        a_pow = spd_power(self.a, self.alpha).mat
+        a_inv = spd_power(self.a, -self.alpha).mat
+        # (A^2a B^2a)^(1/2) = A^a (A^a B^2a A^a)^(1/2) A^-a; its transpose is
+        # (B^2a A^2a)^(1/2), so the geodesic bracket needs s + s.T
+        inner = SpdMatrix.from_array(a_pow @ b2 @ a_pow)
+        s = a_pow @ psd_sqrt(inner).mat @ a_inv
+        return a2, b2, s + s.T
+
+    def _point(self, t: float) -> SpdMatrix:
+        """g(t) for any real t: the bracket raised to 1/2a, no range check."""
+        a2, b2, cross = self._closed_form
+        bracket = (1.0 - t) ** 2 * a2 + t**2 * b2 + t * (1.0 - t) * cross
+        eig = sym_eigendecompose(SymMatrix.from_array(bracket))
+        if eig.min <= psd_tolerance(eig.max):
+            raise NonSpdIntermediateError(
+                f"geodesic bracket lost positivity at t={t} (min eig {eig.min:.3e})"
+            )
+        return SpdMatrix._from_eig(eig.values ** (1.0 / (2.0 * self.alpha)), eig.vectors)
+
     def at(self, t: float) -> SpdMatrix:
-        return geodesic_eval(self, t)
-
-
-def _curve_pieces(curve: GeodesicCurve):
-    """Precompute A^2a, B^2a and the symmetrized non-symmetric square root."""
-    alpha = curve.alpha
-    a2 = spd_power(curve.a, 2.0 * alpha).mat
-    b2 = spd_power(curve.b, 2.0 * alpha).mat
-    a_pow = spd_power(curve.a, alpha).mat
-    a_inv = spd_power(curve.a, -alpha).mat
-    # (A^2a B^2a)^(1/2) = A^a (A^a B^2a A^a)^(1/2) A^-a; its transpose is
-    # (B^2a A^2a)^(1/2), so the geodesic bracket needs s + s.T
-    inner = SpdMatrix.from_array(a_pow @ b2 @ a_pow)
-    s = a_pow @ psd_sqrt(inner).mat @ a_inv
-    return a2, b2, s + s.T
-
-
-def _point_from_pieces(a2, b2, cross, inv_exp: float, t: float) -> SpdMatrix:
-    bracket = (1.0 - t) ** 2 * a2 + t**2 * b2 + t * (1.0 - t) * cross
-    eig = sym_eigendecompose(SymMatrix.from_array(bracket))
-    if eig.min <= psd_tolerance(eig.max):
-        raise NonSpdIntermediateError(
-            f"geodesic bracket lost positivity at t={t} (min eig {eig.min:.3e})"
-        )
-    return SpdMatrix._from_eig(eig.values**inv_exp, eig.vectors)
+        """Point g(t) on the geodesic, t in [0, 1]; g(0) = A and g(1) = B."""
+        if not 0.0 <= t <= 1.0:
+            raise DomainError(f"t must lie in [0, 1], got {t}")
+        return self._point(t)
 
 
 def geodesic_eval(curve: GeodesicCurve, t: float) -> SpdMatrix:
     """Point g(t) on the geodesic, t in [0, 1]; g(0) = A and g(1) = B."""
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"t must lie in [0, 1], got {t}")
-    a2, b2, cross = _curve_pieces(curve)
-    return _point_from_pieces(a2, b2, cross, 1.0 / (2.0 * curve.alpha), t)
+    return curve.at(t)
 
 
 def geodesic_length_numeric(curve: GeodesicCurve, steps: int = 1000) -> float:
@@ -157,22 +158,21 @@ def geodesic_length_numeric(curve: GeodesicCurve, steps: int = 1000) -> float:
     The velocity is a central difference with h equal to the step size (an
     independent differentiation path, deliberately not the analytic
     derivative), and the speed is measured with metric_inner at the curve
-    point.  Converges to the closed-form distance as steps grows.
+    point.  The grid t_j = (j - 1/2) h, j = 0..steps+1, is walked with three
+    points alive, each evaluated once.  Converges to the closed-form
+    distance as steps grows.
     """
     if steps < 100:
         raise DomainError("steps must be at least 100")
-    a2, b2, cross = _curve_pieces(curve)
-    inv_exp = 1.0 / (2.0 * curve.alpha)
     dt = 1.0 / steps
+    bwd, mid = curve._point(-0.5 * dt), curve._point(0.5 * dt)
     total = 0.0
-    for k in range(steps):
-        t = (k + 0.5) * dt
-        p_mid = _point_from_pieces(a2, b2, cross, inv_exp, t)
-        p_fwd = _point_from_pieces(a2, b2, cross, inv_exp, t + dt)
-        p_bwd = _point_from_pieces(a2, b2, cross, inv_exp, t - dt)
-        velocity = SymMatrix.from_array((p_fwd.mat - p_bwd.mat) / (2.0 * dt))
-        speed_sq = metric_inner(p_mid, velocity, velocity, curve.alpha)
+    for j in range(2, steps + 2):
+        fwd = curve._point((j - 0.5) * dt)
+        velocity = SymMatrix.from_array((fwd.mat - bwd.mat) / (2.0 * dt))
+        speed_sq = metric_inner(mid, velocity, velocity, curve.alpha)
         total += math.sqrt(max(speed_sq, 0.0)) * dt
+        bwd, mid = mid, fwd
     return total
 
 

@@ -46,6 +46,9 @@ METRIC_ALPHAS = (
     AlphaParam(2.0),
 )
 
+# Quadrature steps of each numeric geodesic length in geodesic_suite.
+GEODESIC_STEPS = 600
+
 
 @dataclass
 class Tolerances:
@@ -287,12 +290,10 @@ def lyapunov_suite(seed: int, trials: int, tol: Tolerances) -> SuiteResult:
     return result
 
 
-def geodesic_suite(
-    seed: int, trials: int, tol: Tolerances, steps: int = 600
-) -> SuiteResult:
+def geodesic_suite(seed: int, trials: int, tol: Tolerances) -> SuiteResult:
     """Endpoint reconstruction and numeric-length agreement for the geodesic.
 
-    The trial count is capped: each length integral costs `steps`
+    The trial count is capped: each length integral costs GEODESIC_STEPS
     evaluations, and a handful of curves already exercises the construction.
     """
     rng = np.random.default_rng(seed + 4)
@@ -307,7 +308,7 @@ def geodesic_suite(
         if res > tol.geodesic_endpoint_rel:
             result.fail(_witness(seed, trial, "endpoint residual", f"{res:.3e}"))
         d_closed = alpha_procrustes(curve.a, curve.b, alpha).value
-        d_num = geodesic_length_numeric(curve, steps)
+        d_num = geodesic_length_numeric(curve, GEODESIC_STEPS)
         rel = abs(d_num - d_closed) / d_closed
         if rel > tol.geodesic_length_rel:
             result.fail(
@@ -320,10 +321,7 @@ def geodesic_suite(
 
 
 def run_all_suites(
-    seed: int,
-    trials: int,
-    tol: Tolerances | None = None,
-    geodesic_steps: int = 600,
+    seed: int, trials: int, tol: Tolerances | None = None
 ) -> list[SuiteResult]:
     tol = tol or Tolerances()
     return [
@@ -331,5 +329,5 @@ def run_all_suites(
         alt_inequality_suite(seed, trials, tol),
         limit_checks_suite(seed, trials, tol),
         lyapunov_suite(seed, trials, tol),
-        geodesic_suite(seed, trials, tol, steps=geodesic_steps),
+        geodesic_suite(seed, trials, tol),
     ]

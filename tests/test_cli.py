@@ -108,11 +108,17 @@ class TestDist:
         code, _, _ = run_cli(["dist", a, str(tmp_path / "nope.csv"), "--alpha", "1"])
         assert code == 2
 
-    def test_ragged_csv_exits_2(self, matrices, tmp_path):
+    @pytest.mark.parametrize(
+        "content",
+        ["1,2\n3\n", "", "\n  \n", "1,x\nx,1\n", "1,0,\n0,1,\n", "# c\n1,0\n0,1\n"],
+        ids=["ragged", "empty", "blank", "non-numeric", "trailing-comma", "hash-line"],
+    )
+    def test_bad_csv_exits_2(self, matrices, tmp_path, content):
         bad = tmp_path / "bad.csv"
-        bad.write_text("1,2\n3\n")
-        code, _, _ = run_cli(["dist", matrices[0], str(bad), "--alpha", "1"])
+        bad.write_text(content)
+        code, out, err = run_cli(["dist", matrices[0], str(bad), "--alpha", "1"])
         assert code == 2
+        assert out == "" and str(bad) in err and "Traceback" not in err
 
     def test_asymmetric_matrix_exits_2(self, matrices, tmp_path):
         bad = write_matrix(tmp_path / "asym.csv", np.array([[1.0, 0.5], [0.0, 1.0]]))
@@ -221,6 +227,19 @@ class TestGeodesic:
         _, out_dist, _ = run_cli(["dist", "--alpha", "0.5", a, b])
         assert length == pytest.approx(json.loads(out_dist)["distance"], rel=1e-3)
 
+    def test_curve_closed_form_built_once(self, tmp_path, eigh_calls):
+        # 2 endpoint reads + 5 points + 102 quadrature points + 1 cross root
+        rng = np.random.default_rng(20)
+        a = write_matrix(tmp_path / "A.csv", rand_spd(rng, 3).mat)
+        b = write_matrix(tmp_path / "B.csv", rand_spd(rng, 3).mat)
+        eigh_calls.clear()
+        code, _, _ = run_cli(
+            ["geodesic", a, b, "--alpha", "0.7", "--t-steps", "4", "--report-length",
+             "--length-steps", "100"]
+        )
+        assert code == 0
+        assert len(eigh_calls) == 110
+
 
 class TestGaussDist:
     def test_mean_only(self, tmp_path):
@@ -257,6 +276,20 @@ class TestGaussDist:
             0.75,
         ).value
         assert json.loads(out)["cov_term"] == pytest.approx(expected, rel=1e-10)
+
+    def test_decomposes_each_covariance_once(self, tmp_path, eigh_calls):
+        rng = np.random.default_rng(21)
+        cov_a = write_matrix(tmp_path / "A.csv", rand_spd(rng, 3).mat)
+        cov_b = write_matrix(tmp_path / "B.csv", rand_spd(rng, 3).mat)
+        m1 = write_matrix(tmp_path / "m1.csv", np.zeros((1, 3)))
+        m2 = write_matrix(tmp_path / "m2.csv", np.ones((1, 3)))
+        eigh_calls.clear()
+        code, _, _ = run_cli(
+            ["gauss-dist", "--mean-a", m1, "--cov-a", cov_a,
+             "--mean-b", m2, "--cov-b", cov_b, "--alpha", "0.75"]
+        )
+        assert code == 0
+        assert len(eigh_calls) == 2
 
 
 class TestRkhsDist:

@@ -151,6 +151,25 @@ class TestMetricInner:
             assert abs(forward - backward) <= 1e-12 * max(1.0, abs(forward))
             assert metric_inner(p0, y, y, 0.8) > 0.0
 
+    @pytest.mark.parametrize(
+        "alpha, solver", [(0.8, "solve_general_lyapunov"), (0.0, "loewner_apply")]
+    )
+    def test_speed_solves_once(self, monkeypatch, alpha, solver):
+        import alphaproc.geometry as geometry_mod
+
+        calls = []
+        original = getattr(geometry_mod, solver)
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(geometry_mod, solver, counting)
+        rng = np.random.default_rng(19)
+        p0, y = rand_spd(rng, 3), rand_sym(rng, 3)
+        assert metric_inner(p0, y, y, alpha) > 0.0
+        assert len(calls) == 1
+
 
 class TestGeodesic:
     def test_endpoints(self):
@@ -219,6 +238,14 @@ class TestGeodesicLength:
         curve = GeodesicCurve(a, b, 0.25)
         length = geodesic_length_numeric(curve, 1000)
         assert length == pytest.approx(alpha_procrustes(a, b, 0.25).value, rel=1e-3)
+
+    def test_each_grid_point_evaluated_once(self, eigh_calls):
+        # steps + 2 grid points plus one eigensolve for the cross root
+        rng = np.random.default_rng(18)
+        curve = GeodesicCurve(rand_spd(rng, 3), rand_spd(rng, 3), 0.7)
+        eigh_calls.clear()
+        geodesic_length_numeric(curve, 100)
+        assert len(eigh_calls) == 103
 
     def test_too_few_steps_rejected(self):
         rng = np.random.default_rng(16)
