@@ -10,7 +10,8 @@ regularized setting used for covariance operators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .exceptions import (
     NumericalInconsistencyError,
 )
 from .linalg import (
-    ALPHA_SWITCH_TOL,
     AlphaParam,
     SpdMatrix,
     as_alpha,
@@ -43,16 +43,26 @@ class DistanceResult:
     """A computed distance plus the configuration that produced it.
 
     ``formula_path`` is diagnostic only ("general", "log-limit" or
-    "commuting"); the same authoritative formula is used either way.
+    "commuting"); the same authoritative formula is used either way.  It is
+    worked out on first read from the endpoints the distance was evaluated
+    on, so computing a distance never pays for it.
     """
 
     value: float
     alpha: AlphaParam
     gamma: float = 0.0
-    formula_path: str = "general"
+    _endpoints: tuple = field(default=(), repr=False, compare=False)
 
     def __float__(self) -> float:
         return self.value
+
+    @cached_property
+    def formula_path(self) -> str:
+        if self.alpha.is_log_limit:
+            return "log-limit"
+        if self._endpoints and _commutes(*self._endpoints):
+            return "commuting"
+        return "general"
 
 
 def _check_dims(a: SpdMatrix, b: SpdMatrix) -> None:
@@ -77,17 +87,30 @@ def _sqrt_clamped(trace_arg: float, scale: float) -> float:
     return math.sqrt(trace_arg)
 
 
-def _log_distance(a: SpdMatrix, b: SpdMatrix) -> float:
-    """|log A - log B|_F for strictly SPD A, B."""
-    return float(np.linalg.norm(spd_log(a).mat - spd_log(b).mat))
+def _family(a: SpdMatrix, b: SpdMatrix, alpha, gamma: float | None = None) -> DistanceResult:
+    """The one evaluator of the family: each of its special cases calls it.
 
-
-def _general_family_value(a: SpdMatrix, b: SpdMatrix, alpha: float) -> float:
-    """(1/|a|) sqrt(tr[A^2a + B^2a - 2 (A^a B^2a A^a)^(1/2)])."""
-    ta = a.trace_power(2.0 * alpha)
-    tb = b.trace_power(2.0 * alpha)
-    cross = trace_sqrt_triple(a, b, alpha)
-    return _sqrt_clamped(ta + tb - 2.0 * cross, ta + tb) / abs(alpha)
+    gamma None evaluates A and B, which alpha < 0 and the log-limit need
+    strictly positive; gamma > 0 evaluates A + gamma*I and B + gamma*I.
+    """
+    _check_dims(a, b)
+    if gamma is not None and gamma <= 0.0:
+        raise DomainError(f"gamma must be positive, got {gamma}")
+    al = as_alpha(alpha)
+    if gamma is not None:
+        a, b = a.add_ridge(gamma), b.add_ridge(gamma)
+    elif al.is_log_limit or al.value < 0:
+        what = "log-Euclidean distance" if al.is_log_limit else "negative alpha"
+        a.require_strict(what)
+        b.require_strict(what)
+    if al.is_log_limit:
+        value = float(np.linalg.norm(spd_log(a).mat - spd_log(b).mat))
+    else:
+        ta = a.trace_power(2.0 * al.value)
+        tb = b.trace_power(2.0 * al.value)
+        cross = trace_sqrt_triple(a, b, al.value)
+        value = _sqrt_clamped(ta + tb - 2.0 * cross, ta + tb) / abs(al.value)
+    return DistanceResult(value, al, gamma or 0.0, (a, b))
 
 
 def alpha_procrustes(a: SpdMatrix, b: SpdMatrix, alpha) -> DistanceResult:
@@ -105,41 +128,25 @@ def alpha_procrustes(a: SpdMatrix, b: SpdMatrix, alpha) -> DistanceResult:
     alpha : float or AlphaParam
         Family parameter; |alpha| < 1e-7 routes to the log-limit.
     """
-    _check_dims(a, b)
-    al = as_alpha(alpha)
-    if al.is_log_limit:
-        a.require_strict("log-limit distance")
-        b.require_strict("log-limit distance")
-        value = _log_distance(a, b)
-        return DistanceResult(value, al, 0.0, "log-limit")
-    if al.value < 0:
-        a.require_strict("negative alpha")
-        b.require_strict("negative alpha")
-    value = _general_family_value(a, b, al.value)
-    path = "commuting" if _commutes(a, b) else "general"
-    return DistanceResult(value, al, 0.0, path)
+    return _family(a, b, alpha)
 
 
 def bures_wasserstein(a: SpdMatrix, b: SpdMatrix) -> DistanceResult:
     """Bures-Wasserstein distance sqrt(tr[A + B - 2 (A^(1/2) B A^(1/2))^(1/2)]).
 
-    Equals half the family distance at alpha = 1/2.
+    Half the family distance at alpha = 1/2, evaluated as such; the halving
+    is exact, as is the doubling inside the family's 1/|alpha|.
     """
-    _check_dims(a, b)
-    ta, tb = a.trace(), b.trace()
-    cross = trace_sqrt_triple(a, b, 0.5)
-    value = _sqrt_clamped(ta + tb - 2.0 * cross, ta + tb)
-    path = "commuting" if _commutes(a, b) else "general"
-    return DistanceResult(value, AlphaParam(0.5), 0.0, path)
+    result = _family(a, b, 0.5)
+    return replace(result, value=result.value / 2.0)
 
 
 def log_euclidean(a: SpdMatrix, b: SpdMatrix) -> DistanceResult:
-    """Log-Euclidean distance |log A - log B|_F on strictly SPD matrices."""
-    _check_dims(a, b)
-    a.require_strict("log-Euclidean distance")
-    b.require_strict("log-Euclidean distance")
-    value = _log_distance(a, b)
-    return DistanceResult(value, AlphaParam.log_limit(), 0.0, "log-limit")
+    """Log-Euclidean distance |log A - log B|_F on strictly SPD matrices.
+
+    The family's alpha -> 0 limit.
+    """
+    return _family(a, b, AlphaParam.log_limit())
 
 
 def power_euclidean(a: SpdMatrix, b: SpdMatrix, alpha: float) -> DistanceResult:
@@ -152,16 +159,15 @@ def power_euclidean(a: SpdMatrix, b: SpdMatrix, alpha: float) -> DistanceResult:
     _check_dims(a, b)
     if alpha == 0.0:
         raise DomainError("power Euclidean distance needs alpha != 0")
-    if abs(alpha) < ALPHA_SWITCH_TOL:
-        value = log_euclidean(a, b).value
-        return DistanceResult(value, AlphaParam(alpha), 0.0, "log-limit")
+    al = AlphaParam(alpha)
+    if al.is_log_limit:
+        return replace(log_euclidean(a, b), alpha=al)
     if alpha < 0:
         a.require_strict("negative alpha")
         b.require_strict("negative alpha")
     diff = spd_power(a, alpha).mat - spd_power(b, alpha).mat
     value = float(np.linalg.norm(diff)) / abs(alpha)
-    path = "commuting" if _commutes(a, b) else "general"
-    return DistanceResult(value, AlphaParam(alpha), 0.0, path)
+    return DistanceResult(value, al, 0.0, (a, b))
 
 
 def alpha_procrustes_regularized(
@@ -173,18 +179,7 @@ def alpha_procrustes_regularized(
     operators; gamma > 0 makes both arguments strictly positive, so every
     alpha (including the log-limit) is admissible for PSD input.
     """
-    _check_dims(a, b)
-    if gamma <= 0.0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
-    al = as_alpha(alpha)
-    ar = a.add_ridge(gamma)
-    br = b.add_ridge(gamma)
-    if al.is_log_limit:
-        value = _log_distance(ar, br)
-        return DistanceResult(value, al, gamma, "log-limit")
-    value = _general_family_value(ar, br, al.value)
-    path = "commuting" if _commutes(ar, br) else "general"
-    return DistanceResult(value, al, gamma, path)
+    return _family(a, b, alpha, gamma)
 
 
 def _rotation(theta: float, reflect: bool) -> np.ndarray:

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,11 @@ from alphaproc.validation import (  # noqa: F401  (shared with the test modules)
     rand_spd,
     rand_sym,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Environment for child interpreters: they import alphaproc from src/.
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 
 def rand_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:

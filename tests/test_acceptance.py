@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import commuting_pair, noncommuting_pair, rand_spd, rand_sym
+from conftest import CHILD_ENV, commuting_pair, noncommuting_pair, rand_spd, rand_sym
 
 from alphaproc import (
     AlphaParam,
@@ -337,6 +337,7 @@ def test_criterion_11_cli_contract(tmp_path):
          str(a_path), str(b_path)],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["distance"] == pytest.approx(

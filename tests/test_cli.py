@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import rand_spd
+from conftest import CHILD_ENV, rand_spd
 
 from alphaproc import SpdMatrix, alpha_procrustes
 from alphaproc.cli import main
@@ -443,6 +443,7 @@ class TestExitCodeMapping:
             [sys.executable, "-m", "alphaproc", "dist", "--alpha", "0.5", a, b],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["distance"] == pytest.approx(

@@ -56,7 +56,7 @@ class TestAlphaProcrustes:
         rng = np.random.default_rng(2)
         a, b = rand_spd(rng, 3), rand_spd(rng, 3)
         result = alpha_procrustes(a, b, AlphaParam.log_limit())
-        assert result.value == pytest.approx(log_euclidean(a, b).value, abs=1e-14)
+        assert result.value == log_euclidean(a, b).value
         assert result.formula_path == "log-limit"
 
     def test_negative_alpha_needs_strict(self):
@@ -121,6 +121,7 @@ class TestBuresWasserstein:
             d_half = alpha_procrustes(a, b, 0.5).value
             d_bw = bures_wasserstein(a, b).value
             assert abs(d_half - 2.0 * d_bw) <= 1e-10 * max(1.0, d_half)
+            assert d_bw == d_half / 2
 
 
 class TestLogEuclidean:
@@ -224,7 +225,7 @@ class TestRegularized:
         gamma = 0.2
         result = alpha_procrustes_regularized(a, b, gamma, AlphaParam.log_limit())
         expected = log_euclidean(a.add_ridge(gamma), b.add_ridge(gamma)).value
-        assert result.value == pytest.approx(expected, abs=1e-12)
+        assert result.value == expected
 
     def test_gamma_must_be_positive(self):
         with pytest.raises(DomainError):
@@ -266,6 +267,36 @@ class TestDistanceResult:
         result = alpha_procrustes_regularized(DIAG_A, DIAG_B, 0.3, 0.8)
         assert result.gamma == 0.3
         assert result.alpha.value == 0.8
+
+    def test_commuting_diagnostic_worked_out_only_when_read(self, monkeypatch):
+        import alphaproc.metrics as metrics_mod
+
+        calls = []
+        original = metrics_mod._commutes
+
+        def counting(a, b):
+            calls.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(metrics_mod, "_commutes", counting)
+        rng = np.random.default_rng(21)
+        a, b = rand_spd(rng, 3), rand_spd(rng, 3)
+        results = [
+            alpha_procrustes(a, b, 0.5),
+            alpha_procrustes_regularized(a, b, 0.1, 0.5),
+            bures_wasserstein(a, b),
+            power_euclidean(a, b, 0.5),
+        ]
+        assert len(calls) == 0
+        for k, result in enumerate(results, start=1):
+            assert result.formula_path == "general"
+            assert len(calls) == k
+            assert result.formula_path == "general"
+            assert len(calls) == k
+        assert calls[1][0].min_eig == a.min_eig + 0.1  # the ridged pair
+        assert alpha_procrustes(a, b, AlphaParam.log_limit()).formula_path == "log-limit"
+        assert log_euclidean(a, b).formula_path == "log-limit"
+        assert len(calls) == len(results)
 
     def test_negative_clamp_raises_beyond_threshold(self, monkeypatch):
         import alphaproc.metrics as metrics_mod

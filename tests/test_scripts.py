@@ -1,19 +1,20 @@
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
+from conftest import CHILD_ENV, ROOT
 
-ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=[p.stem for p in SCRIPTS])
 def test_script_runs_with_defaults(script):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
