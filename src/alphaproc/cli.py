@@ -196,7 +196,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _matrix_block(mat: np.ndarray) -> str:
-    return "\n".join(",".join(f"{v:.17g}" for v in row) for row in mat)
+    row_fmt = ",".join(["%.17g"] * mat.shape[1])
+    return "\n".join(row_fmt % tuple(row) for row in mat.tolist())
 
 
 def _cmd_geodesic(args) -> int:

@@ -17,7 +17,6 @@ validates that numerically with an independent finite-difference speed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,8 +33,12 @@ from .linalg import (
     psd_sqrt,
     psd_tolerance,
     spd_power,
-    sym_eigendecompose,
+    sym_eigh,
 )
+
+# Largest stack, in float64 entries, that one quadrature eigensolve takes
+# (256 KB); a block holds at least three grid points whatever the order n.
+QUADRATURE_BLOCK_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -56,11 +59,12 @@ def _lyapunov_factor(lam: np.ndarray, alpha: float) -> np.ndarray:
 
     f = 2a (l_i - l_j)(l_i^2a + l_j^2a) / (l_i^2a - l_j^2a) off-diagonal,
     with the removable-singularity limit f = 2 l_i on near-degenerate pairs.
+    ``lam`` may be a (k, n) stack of spectra, giving a (k, n, n) stack.
     At alpha = 1/2 this collapses to l_i + l_j (the Lyapunov equation), and
     as alpha -> 0 to 2 (l_i - l_j) / (log l_i - log l_j).
     """
-    li = lam[:, None]
-    lj = lam[None, :]
+    li = lam[..., :, None]
+    lj = lam[..., None, :]
     pi = li ** (2.0 * alpha)
     pj = lj ** (2.0 * alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -82,11 +86,32 @@ def solve_general_lyapunov(p0: SpdMatrix, y: SymMatrix, alpha: float) -> SymMatr
     return SymMatrix.from_array(v @ h_tilde @ v.T)
 
 
+def _eigenbasis_inner(lam, vecs, y, z, alpha: float) -> np.ndarray:
+    """4 tr(H_Y P^2a H_Z) at a stack of base points P = V diag(lam) V^T.
+
+    ``lam`` is (k, n), ``vecs``, ``y`` and ``z`` are (k, n, n).  In the
+    eigenbasis of P, H_Y is the symmetric part of (V^T Y V) / f, so the trace
+    is 4 sum_ij Ht_ij Hz_ji lam_j^2a: neither H nor P^2a is rebuilt.
+    """
+    f = _lyapunov_factor(lam, alpha)
+    vt = np.swapaxes(vecs, -1, -2)
+
+    def solve(s):
+        h = (vt @ s @ vecs) / f
+        return (h + np.swapaxes(h, -1, -2)) / 2.0
+
+    hy = solve(y)
+    hz = hy if z is y else solve(z)
+    return 4.0 * np.einsum("kij,kji,kj->k", hy, hz, lam ** (2.0 * alpha))
+
+
 def metric_inner(p0: SpdMatrix, y: SymMatrix, z: SymMatrix, alpha) -> float:
     """Riemannian inner product <Y, Z>_P0 = 4 tr(H_Y P0^2a H_Z).
 
-    The log-limit mode evaluates <Dlog(P0) Y, Dlog(P0) Z>_F, the
-    Log-Euclidean metric.
+    The general mode solves for H_Y and H_Z in the eigenbasis of P0 and
+    takes the trace there (one eigenbasis evaluation, shared with the
+    geodesic quadrature).  The log-limit mode evaluates
+    <Dlog(P0) Y, Dlog(P0) Z>_F, the Log-Euclidean metric.
     """
     al = as_alpha(alpha)
     p0.require_strict("metric inner product")
@@ -94,10 +119,12 @@ def metric_inner(p0: SpdMatrix, y: SymMatrix, z: SymMatrix, alpha) -> float:
         ly = loewner_apply(p0.eig, "log", y)
         lz = ly if z is y else loewner_apply(p0.eig, "log", z)
         return float(np.trace(ly.mat @ lz.mat))
-    hy = solve_general_lyapunov(p0, y, al.value)
-    hz = hy if z is y else solve_general_lyapunov(p0, z, al.value)
-    p2a = spd_power(p0, 2.0 * al.value).mat
-    return 4.0 * float(np.trace(hy.mat @ p2a @ hz.mat))
+    if p0.n != y.n or p0.n != z.n:
+        raise DomainError("dimensions of P0 and Y differ")
+    ys = y.mat[None]
+    zs = ys if z is y else z.mat[None]
+    eig = p0.eig
+    return float(_eigenbasis_inner(eig.values[None], eig.vectors[None], ys, zs, al.value)[0])
 
 
 @dataclass(frozen=True)
@@ -129,16 +156,30 @@ class GeodesicCurve:
         s = a_pow @ psd_sqrt(inner).mat @ a_inv
         return a2, b2, s + s.T
 
+    def _spectra(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs of g(t) for a 1-D array of k values of t, no range check.
+
+        One stacked eigensolve of the brackets; returns their eigenvectors
+        (k, n, n) and eigenvalues raised to 1/2a (k, n, descending when
+        alpha < 0).
+        """
+        a2, b2, cross = self._closed_form
+        t = ts[:, None, None]
+        bracket = (1.0 - t) ** 2 * a2 + t**2 * b2 + t * (1.0 - t) * cross
+        w, v = sym_eigh((bracket + np.swapaxes(bracket, -1, -2)) / 2.0)
+        lost = w[:, 0] <= psd_tolerance(w[:, -1])
+        if lost.any():
+            i = int(np.argmax(lost))
+            raise NonSpdIntermediateError(
+                f"geodesic bracket lost positivity at t={float(ts[i])} "
+                f"(min eig {float(w[i, 0]):.3e})"
+            )
+        return w ** (1.0 / (2.0 * self.alpha)), v
+
     def _point(self, t: float) -> SpdMatrix:
         """g(t) for any real t: the bracket raised to 1/2a, no range check."""
-        a2, b2, cross = self._closed_form
-        bracket = (1.0 - t) ** 2 * a2 + t**2 * b2 + t * (1.0 - t) * cross
-        eig = sym_eigendecompose(SymMatrix.from_array(bracket))
-        if eig.min <= psd_tolerance(eig.max):
-            raise NonSpdIntermediateError(
-                f"geodesic bracket lost positivity at t={t} (min eig {eig.min:.3e})"
-            )
-        return SpdMatrix._from_eig(eig.values ** (1.0 / (2.0 * self.alpha)), eig.vectors)
+        lam, vecs = self._spectra(np.array([t], dtype=float))
+        return SpdMatrix._from_eig(lam[0], vecs[0])
 
     def at(self, t: float) -> SpdMatrix:
         """Point g(t) on the geodesic, t in [0, 1]; g(0) = A and g(1) = B."""
@@ -157,22 +198,37 @@ def geodesic_length_numeric(curve: GeodesicCurve, steps: int = 1000) -> float:
 
     The velocity is a central difference with h equal to the step size (an
     independent differentiation path, deliberately not the analytic
-    derivative), and the speed is measured with metric_inner at the curve
-    point.  The grid t_j = (j - 1/2) h, j = 0..steps+1, is walked with three
-    points alive, each evaluated once.  Converges to the closed-form
+    derivative), and the speed is the metric of metric_inner, evaluated in
+    each curve point's eigenbasis.  The grid t_j = (j - 1/2) h,
+    j = 0..steps+1, is decomposed in blocks of at most
+    max(3 n^2, QUADRATURE_BLOCK_ENTRIES) entries, one stacked eigensolve per
+    block; the last two points of a block carry over to the next, so each
+    grid point is decomposed exactly once.  Converges to the closed-form
     distance as steps grows.
     """
     if steps < 100:
         raise DomainError("steps must be at least 100")
     dt = 1.0 / steps
-    bwd, mid = curve._point(-0.5 * dt), curve._point(0.5 * dt)
+    n = curve.a.n
+    block = max(3, QUADRATURE_BLOCK_ENTRIES // (n * n))
+    ts = (np.arange(steps + 2) - 0.5) * dt
     total = 0.0
-    for j in range(2, steps + 2):
-        fwd = curve._point((j - 0.5) * dt)
-        velocity = SymMatrix.from_array((fwd.mat - bwd.mat) / (2.0 * dt))
-        speed_sq = metric_inner(mid, velocity, velocity, curve.alpha)
-        total += math.sqrt(max(speed_sq, 0.0)) * dt
-        bwd, mid = mid, fwd
+    carry = None
+    for lo in range(0, steps + 2, block):
+        lam, vecs = curve._spectra(ts[lo : lo + block])
+        mats = (vecs * lam[:, None, :]) @ np.swapaxes(vecs, -1, -2)
+        if carry is not None:
+            lam, vecs, mats = (np.concatenate(pair) for pair in zip(carry, (lam, vecs, mats)))
+        carry = lam[-2:], vecs[-2:], mats[-2:]
+        # the window's inner points are the midpoints, held to metric_inner's check
+        mid_lam, mid_vecs = lam[1:-1], vecs[1:-1]
+        strict = mid_lam.min(axis=1) > psd_tolerance(mid_lam.max(axis=1))
+        if not strict.all():
+            i = int(np.argmin(strict))
+            SpdMatrix._from_eig(mid_lam[i], mid_vecs[i]).require_strict("metric inner product")
+        velocity = (mats[2:] - mats[:-2]) / (2.0 * dt)
+        speed_sq = _eigenbasis_inner(mid_lam, mid_vecs, velocity, velocity, curve.alpha)
+        total += float(np.sum(np.sqrt(np.maximum(speed_sq, 0.0)))) * dt
     return total
 
 

@@ -41,9 +41,12 @@ RANK_TOL_FACTOR = 1e-10
 ALPHA_SWITCH_TOL = 1e-7
 
 
-def psd_tolerance(lam_max: float) -> float:
-    """Zero-threshold for eigenvalues of a matrix with largest eigenvalue lam_max."""
-    return PSD_TOL_FACTOR * max(1.0, lam_max)
+def psd_tolerance(lam_max: float | np.ndarray) -> float | np.ndarray:
+    """Zero-threshold for eigenvalues of a matrix with largest eigenvalue lam_max.
+
+    Elementwise when lam_max holds the spectral radii of a stack.
+    """
+    return PSD_TOL_FACTOR * np.maximum(1.0, lam_max)
 
 
 @contextmanager
@@ -120,10 +123,18 @@ class EigenDecomposition:
         return float(self.values[-1])
 
 
+def sym_eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a symmetric array or stack.
+
+    ``mats`` is (n, n) or (k, n, n); the stack is decomposed in one call.
+    """
+    with _lapack_guard("eigendecomposition", mats):
+        return np.linalg.eigh(mats)
+
+
 def sym_eigendecompose(s: SymMatrix) -> EigenDecomposition:
     """Full symmetric eigendecomposition of ``s``."""
-    with _lapack_guard("eigendecomposition", s.mat):
-        w, v = np.linalg.eigh(s.mat)
+    w, v = sym_eigh(s.mat)
     return EigenDecomposition(_freeze(w), _freeze(v))
 
 

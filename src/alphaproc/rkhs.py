@@ -191,12 +191,17 @@ def gram_bundle(x: Dataset, y: Dataset, kernel: KernelSpec) -> GramBundle:
     return GramBundle((kxx + kxx.T) / 2.0, (kyy + kyy.T) / 2.0, kxy)
 
 
+def _double_center(k: np.ndarray) -> np.ndarray:
+    """J_m K J_n: subtract the row means, the column means, add the grand mean."""
+    col = k.mean(axis=0, keepdims=True)
+    row = k.mean(axis=1, keepdims=True)
+    return k - row - col + col.mean()
+
+
 def centered_gram(gb: GramBundle) -> CenteredGram:
-    jm = centering(gb.m)
-    jn = centering(gb.n)
-    aa = jm @ gb.kxx @ jm / gb.m
-    bb = jn @ gb.kyy @ jn / gb.n
-    ab = jm @ gb.kxy @ jn / math.sqrt(gb.m * gb.n)
+    aa = _double_center(gb.kxx) / gb.m
+    bb = _double_center(gb.kyy) / gb.n
+    ab = _double_center(gb.kxy) / math.sqrt(gb.m * gb.n)
     return CenteredGram((aa + aa.T) / 2.0, (bb + bb.T) / 2.0, ab)
 
 

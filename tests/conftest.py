@@ -32,12 +32,17 @@ def rand_psd_rank_deficient(rng: np.random.Generator, n: int, rank: int) -> SpdM
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """Arguments of every np.linalg.eigh call made while the test runs."""
+    """Matrices decomposed by each np.linalg.eigh call made while the test runs.
+
+    A 2-D argument records 1 and a (k, n, n) stack records k, so sum() counts
+    decomposed matrices however they were batched.
+    """
     calls = []
     original = np.linalg.eigh
 
     def counting(a, *args, **kwargs):
-        calls.append(a)
+        shape = np.shape(a)
+        calls.append(int(np.prod(shape[:-2], dtype=int)))
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)

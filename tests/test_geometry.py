@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from conftest import rand_spd, rand_sym
@@ -5,6 +8,8 @@ from conftest import rand_spd, rand_sym
 from alphaproc import (
     DomainError,
     GeodesicCurve,
+    NonSpdIntermediateError,
+    SingularBaseError,
     SpdMatrix,
     SymMatrix,
     TangentVector,
@@ -19,7 +24,7 @@ from alphaproc import (
     spd_power,
     sym_eigendecompose,
 )
-from alphaproc.geometry import _lyapunov_factor
+from alphaproc.geometry import QUADRATURE_BLOCK_ENTRIES, _lyapunov_factor
 
 
 def kron_lyapunov_solve(p0: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -152,9 +157,11 @@ class TestMetricInner:
             assert metric_inner(p0, y, y, 0.8) > 0.0
 
     @pytest.mark.parametrize(
-        "alpha, solver", [(0.8, "solve_general_lyapunov"), (0.0, "loewner_apply")]
+        "alpha, solver, distinct_calls",
+        [(0.8, "_eigenbasis_inner", 1), (0.0, "loewner_apply", 2)],
+        ids=["0.8-_eigenbasis_inner", "0.0-loewner_apply"],
     )
-    def test_speed_solves_once(self, monkeypatch, alpha, solver):
+    def test_speed_solves_once(self, monkeypatch, alpha, solver, distinct_calls):
         import alphaproc.geometry as geometry_mod
 
         calls = []
@@ -166,9 +173,30 @@ class TestMetricInner:
 
         monkeypatch.setattr(geometry_mod, solver, counting)
         rng = np.random.default_rng(19)
-        p0, y = rand_spd(rng, 3), rand_sym(rng, 3)
+        p0, y, z = rand_spd(rng, 3), rand_sym(rng, 3), rand_sym(rng, 3)
         assert metric_inner(p0, y, y, alpha) > 0.0
         assert len(calls) == 1
+        calls.clear()
+        metric_inner(p0, y, z, alpha)
+        assert len(calls) == distinct_calls
+
+    @pytest.mark.parametrize("alpha", [-1.0, -0.3, 0.25, 0.5, 0.8, 2.0])
+    def test_matches_lyapunov_trace_form(self, alpha):
+        # reference: 4 tr(H_Y P0^2a H_Z) with H from solve_general_lyapunov
+        rng = np.random.default_rng(22)
+        for n in (2, 5, 12):
+            p0 = rand_spd(rng, n)
+            y, z = rand_sym(rng, n), rand_sym(rng, n)
+            hy = solve_general_lyapunov(p0, y, alpha).mat
+            hz = solve_general_lyapunov(p0, z, alpha).mat
+            expected = 4.0 * np.trace(hy @ spd_power(p0, 2.0 * alpha).mat @ hz)
+            assert metric_inner(p0, y, z, alpha) == pytest.approx(expected, rel=1e-12)
+
+    def test_dimension_mismatch_rejected(self):
+        rng = np.random.default_rng(23)
+        p0 = rand_spd(rng, 3)
+        with pytest.raises(DomainError):
+            metric_inner(p0, rand_sym(rng, 3), rand_sym(rng, 2), 0.8)
 
 
 class TestGeodesic:
@@ -245,7 +273,68 @@ class TestGeodesicLength:
         curve = GeodesicCurve(rand_spd(rng, 3), rand_spd(rng, 3), 0.7)
         eigh_calls.clear()
         geodesic_length_numeric(curve, 100)
-        assert len(eigh_calls) == 103
+        assert sum(eigh_calls) == 103
+
+    @pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.25, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n, steps", [(2, 100), (5, 100), (48, 337)])
+    def test_matches_per_point_reference(self, alpha, n, steps):
+        # n=48 takes blocks of 14 points: 24 full blocks and a remainder of 3
+        rng = np.random.default_rng(24)
+        curve = GeodesicCurve(rand_spd(rng, n), rand_spd(rng, n), alpha)
+        dt = 1.0 / steps
+        points = [curve._point((j - 0.5) * dt) for j in range(steps + 2)]
+        expected = 0.0
+        for j in range(1, steps + 1):
+            velocity = SymMatrix.from_array((points[j + 1].mat - points[j - 1].mat) / (2.0 * dt))
+            speed_sq = metric_inner(points[j], velocity, velocity, alpha)
+            expected += math.sqrt(max(speed_sq, 0.0)) * dt
+        assert geodesic_length_numeric(curve, steps) == pytest.approx(expected, rel=1e-12)
+
+    def test_lost_positivity_names_first_failing_t(self):
+        # bracket I + t(1-t) diag(0, .., 0, -5): the last eigenvalue
+        # 1 - 5t(1-t) turns negative near t = 0.276, in the third block of 14
+        n, steps = 48, 100
+        rng = np.random.default_rng(25)
+        curve = GeodesicCurve(rand_spd(rng, n), rand_spd(rng, n), 0.5)
+        cross = np.diag([2.0] * (n - 1) + [-3.0])
+        curve.__dict__["_closed_form"] = (np.eye(n), np.eye(n), cross)
+        dt = 1.0 / steps
+        ts = [(j - 0.5) * dt for j in range(steps + 2)]
+        first = next(t for t in ts if 1.0 - 5.0 * t * (1.0 - t) <= 1e-12)
+        assert 0.276 < first < 0.3
+        with pytest.raises(NonSpdIntermediateError, match=re.escape(f"t={first} ")):
+            geodesic_length_numeric(curve, steps)
+        with pytest.raises(NonSpdIntermediateError, match=re.escape("t=0.5 ")):
+            geodesic_eval(curve, 0.5)
+
+    def test_non_strict_midpoint_rejected(self):
+        # constant bracket diag(1, 1e-7) passes the positivity check, but at
+        # alpha = 1/4 the point diag(1, 1e-14) is not strictly positive
+        rng = np.random.default_rng(27)
+        curve = GeodesicCurve(rand_spd(rng, 2), rand_spd(rng, 2), 0.25)
+        d = np.diag([1.0, 1e-7])
+        curve.__dict__["_closed_form"] = (d, d, 2.0 * d)
+        with pytest.raises(SingularBaseError, match="metric inner product"):
+            geodesic_length_numeric(curve, 100)
+
+    def test_eigensolve_stacks_bounded(self, monkeypatch):
+        n, steps = 192, 1000
+        rng = np.random.default_rng(26)
+        a, b = rand_spd(rng, n), rand_spd(rng, n)
+        curve = GeodesicCurve(a, b, 0.5)
+        curve._closed_form  # noqa: B018  (built before recording)
+        sizes = []
+        original = np.linalg.eigh
+
+        def recording(mats, *args, **kwargs):
+            sizes.append(np.size(mats))
+            return original(mats, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        length = geodesic_length_numeric(curve, steps)
+        assert sum(sizes) == (steps + 2) * n * n
+        assert max(sizes) <= max(3 * n * n, QUADRATURE_BLOCK_ENTRIES)
+        assert length == pytest.approx(2.0 * bures_wasserstein(a, b).value, rel=1e-3)
 
     def test_too_few_steps_rejected(self):
         rng = np.random.default_rng(16)

@@ -14,6 +14,7 @@ from alphaproc import (
     alpha_procrustes_regularized,
     bures_wasserstein,
     centered_gram,
+    centering,
     explicit_feature_covariance,
     gaussian_alpha_distance,
     gaussian_alpha_distance_regularized,
@@ -102,6 +103,21 @@ class TestGramBundle:
         assert np.max(np.abs(cg.bb.sum(axis=1))) <= 1e-10
         assert np.max(np.abs(cg.ab.sum(axis=0))) <= 1e-10
         assert np.max(np.abs(cg.ab.sum(axis=1))) <= 1e-10
+
+    def test_centered_blocks_match_centering_products(self):
+        # reference: J_m K J_n with the dense centering matrices
+        x, y = datasets(5, m=13, n=8)
+        gb = gram_bundle(x, y, RBF)
+        cg = centered_gram(gb)
+        jm, jn = centering(gb.m), centering(gb.n)
+        for got, k, left, right, scale in (
+            (cg.aa, gb.kxx, jm, jm, gb.m),
+            (cg.bb, gb.kyy, jn, jn, gb.n),
+            (cg.ab, gb.kxy, jm, jn, np.sqrt(gb.m * gb.n)),
+        ):
+            want = left @ k @ right / scale
+            want = want if got is cg.ab else (want + want.T) / 2.0
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def _features(ds):
