@@ -29,7 +29,6 @@ from .linalg import (
     SpdMatrix,
     SymMatrix,
     as_alpha,
-    loewner_apply,
     psd_sqrt,
     psd_tolerance,
     spd_power,
@@ -61,16 +60,25 @@ def _lyapunov_factor(lam: np.ndarray, alpha: float) -> np.ndarray:
     with the removable-singularity limit f = 2 l_i on near-degenerate pairs.
     ``lam`` may be a (k, n) stack of spectra, giving a (k, n, n) stack.
     At alpha = 1/2 this collapses to l_i + l_j (the Lyapunov equation), and
-    as alpha -> 0 to 2 (l_i - l_j) / (log l_i - log l_j).
+    alpha = 0 gives its limit 2 (l_i - l_j) / (log l_i - log l_j), for which
+    H = Dlog(P0)[Y] / 2 (the Log-Euclidean metric).
     """
     li = lam[..., :, None]
     lj = lam[..., None, :]
-    pi = li ** (2.0 * alpha)
-    pj = lj ** (2.0 * alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
-        f = 2.0 * alpha * (li - lj) * (pi + pj) / (pi - pj)
+        if alpha == 0.0:
+            f = 2.0 * (li - lj) / (np.log(li) - np.log(lj))
+        else:
+            pi, pj = li ** (2.0 * alpha), lj ** (2.0 * alpha)
+            f = 2.0 * alpha * (li - lj) * (pi + pj) / (pi - pj)
     near = np.abs(li - lj) < DIVIDED_DIFF_TOL * np.maximum(1.0, li)
     return np.where(near, 2.0 * li, f)
+
+
+def _eigenbasis_solve(vecs, s, f) -> np.ndarray:
+    """Lyapunov solve in the eigenbasis, one matrix or a stack: sym part of (V^T S V) / f."""
+    h = (np.swapaxes(vecs, -1, -2) @ s @ vecs) / f
+    return (h + np.swapaxes(h, -1, -2)) / 2.0
 
 
 def solve_general_lyapunov(p0: SpdMatrix, y: SymMatrix, alpha: float) -> SymMatrix:
@@ -81,8 +89,7 @@ def solve_general_lyapunov(p0: SpdMatrix, y: SymMatrix, alpha: float) -> SymMatr
     if p0.n != y.n:
         raise DomainError("dimensions of P0 and Y differ")
     v = p0.eig.vectors
-    y_tilde = v.T @ y.mat @ v
-    h_tilde = y_tilde / _lyapunov_factor(p0.eig.values, alpha)
+    h_tilde = _eigenbasis_solve(v, y.mat, _lyapunov_factor(p0.eig.values, alpha))
     return SymMatrix.from_array(v @ h_tilde @ v.T)
 
 
@@ -90,41 +97,31 @@ def _eigenbasis_inner(lam, vecs, y, z, alpha: float) -> np.ndarray:
     """4 tr(H_Y P^2a H_Z) at a stack of base points P = V diag(lam) V^T.
 
     ``lam`` is (k, n), ``vecs``, ``y`` and ``z`` are (k, n, n).  In the
-    eigenbasis of P, H_Y is the symmetric part of (V^T Y V) / f, so the trace
-    is 4 sum_ij Ht_ij Hz_ji lam_j^2a: neither H nor P^2a is rebuilt.
+    eigenbasis of P, H_Y is _eigenbasis_solve(V, Y, f), so the trace is
+    4 sum_ij Ht_ij Hz_ji lam_j^2a: neither H nor P^2a is rebuilt.
     """
     f = _lyapunov_factor(lam, alpha)
-    vt = np.swapaxes(vecs, -1, -2)
-
-    def solve(s):
-        h = (vt @ s @ vecs) / f
-        return (h + np.swapaxes(h, -1, -2)) / 2.0
-
-    hy = solve(y)
-    hz = hy if z is y else solve(z)
+    hy = _eigenbasis_solve(vecs, y, f)
+    hz = hy if z is y else _eigenbasis_solve(vecs, z, f)
     return 4.0 * np.einsum("kij,kji,kj->k", hy, hz, lam ** (2.0 * alpha))
 
 
 def metric_inner(p0: SpdMatrix, y: SymMatrix, z: SymMatrix, alpha) -> float:
     """Riemannian inner product <Y, Z>_P0 = 4 tr(H_Y P0^2a H_Z).
 
-    The general mode solves for H_Y and H_Z in the eigenbasis of P0 and
-    takes the trace there (one eigenbasis evaluation, shared with the
-    geodesic quadrature).  The log-limit mode evaluates
+    Every mode solves for H_Y and H_Z in the eigenbasis of P0 and takes the
+    trace there (one eigenbasis evaluation, shared with the geodesic
+    quadrature).  The log-limit mode is alpha = 0 of the same solve,
     <Dlog(P0) Y, Dlog(P0) Z>_F, the Log-Euclidean metric.
     """
     al = as_alpha(alpha)
     p0.require_strict("metric inner product")
-    if al.is_log_limit:
-        ly = loewner_apply(p0.eig, "log", y)
-        lz = ly if z is y else loewner_apply(p0.eig, "log", z)
-        return float(np.trace(ly.mat @ lz.mat))
     if p0.n != y.n or p0.n != z.n:
         raise DomainError("dimensions of P0 and Y differ")
+    a = 0.0 if al.is_log_limit else al.value
     ys = y.mat[None]
     zs = ys if z is y else z.mat[None]
-    eig = p0.eig
-    return float(_eigenbasis_inner(eig.values[None], eig.vectors[None], ys, zs, al.value)[0])
+    return float(_eigenbasis_inner(p0.eig.values[None], p0.eig.vectors[None], ys, zs, a)[0])
 
 
 @dataclass(frozen=True)

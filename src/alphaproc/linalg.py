@@ -24,8 +24,8 @@ from .exceptions import (
     SingularBaseError,
 )
 
-# Eigenvalues in (-psd_tol, psd_tol) are treated as zero; psd_tol scales with
-# the spectral radius so Gram matrices with tiny negative eigenvalues pass.
+# Eigenvalues in (-psd_tol, psd_tol) are treated as zero; psd_tol is relative
+# to the spectral radius, so tiny negative Gram eigenvalues pass at any scale.
 PSD_TOL_FACTOR = 1e-12
 
 # Below this relative eigenvalue gap, Daleckii-Krein quotients switch to the
@@ -46,7 +46,7 @@ def psd_tolerance(lam_max: float | np.ndarray) -> float | np.ndarray:
 
     Elementwise when lam_max holds the spectral radii of a stack.
     """
-    return PSD_TOL_FACTOR * np.maximum(1.0, lam_max)
+    return PSD_TOL_FACTOR * np.maximum(np.abs(lam_max), 1e-300)
 
 
 @contextmanager

@@ -10,15 +10,16 @@ of both datasets once.  Its range is the span of all features, where C_X
 and C_Y become explicit PSD matrices, and the ridge adds exactly zero on
 the orthogonal complement; the two matrices go to
 ``metrics.alpha_procrustes_regularized`` unchanged, so sample counts may
-differ.  The log-limit, the unregularized family and the Wasserstein
-distance work on the centered Gram blocks
+differ.  The log-limit and the unregularized family work on the centered
+Gram blocks
 
     aa = (1/m) J_m K[X] J_m,   bb = (1/n) J_n K[Y] J_n,
     ab = (1/sqrt(mn)) J_m K[X, Y] J_n,
 
 because nonzero eigenvalues transfer between an operator product and its
-Gram-side counterpart; the square-root traces of the last two are nuclear
-norms.  Only symmetric eigensolves and singular values are used.
+Gram-side counterpart.  The Wasserstein distance is their alpha = 1/2
+member, tr aa + tr bb - 2 |ab|_*, with no eigensolve.  Only symmetric
+eigensolves and singular values are used.
 """
 
 from __future__ import annotations
@@ -295,18 +296,24 @@ def _unregularized_distance(gb: GramBundle, alpha: float) -> float:
     if alpha < 0.5:
         raise DomainError(f"unregularized formula needs alpha >= 1/2, got {alpha}")
     cg = centered_gram(gb)
-    ea = sym_eigendecompose(SymMatrix.from_array(cg.aa))
-    eb = sym_eigendecompose(SymMatrix.from_array(cg.bb))
-    two_alpha = 2.0 * alpha
-    term_a = float(np.sum(np.maximum(ea.values, 0.0) ** two_alpha))
-    term_b = float(np.sum(np.maximum(eb.values, 0.0) ** two_alpha))
+    if alpha == 0.5:
+        # aa^0 and bb^0 are the range projections, and they leave ab unchanged
+        # (its columns lie in range(aa), its rows in range(bb)): no eigensolve.
+        term_a, term_b, cross = float(np.trace(cg.aa)), float(np.trace(cg.bb)), cg.ab
+    else:
+        ea = sym_eigendecompose(SymMatrix.from_array(cg.aa))
+        eb = sym_eigendecompose(SymMatrix.from_array(cg.bb))
+        two_alpha = 2.0 * alpha
+        term_a = float(np.sum(np.maximum(ea.values, 0.0) ** two_alpha))
+        term_b = float(np.sum(np.maximum(eb.values, 0.0) ** two_alpha))
+        half_a = ea.apply_on_range(lambda w: w ** (alpha - 0.5))
+        half_b = eb.apply_on_range(lambda w: w ** (alpha - 0.5))
+        cross = half_a @ cg.ab @ half_b
     # The cross matrix ba aa^(2a-1) ab bb^(2a-1) shares its spectrum with
     # T'T for T = aa^(a-1/2) ab bb^(a-1/2), so its square-root trace is the
     # nuclear norm of T; singular values keep the rank-deficient spectrum
     # exact where a general eigensolve would scatter the zero eigenvalues.
-    half_a = ea.apply_on_range(lambda w: w ** (alpha - 0.5))
-    half_b = eb.apply_on_range(lambda w: w ** (alpha - 0.5))
-    term_cross = 2.0 * nuclear_norm(half_a @ cg.ab @ half_b)
+    term_cross = 2.0 * nuclear_norm(cross)
     arg = term_a + term_b - term_cross
     return _sqrt_clamped(arg, abs(term_a) + abs(term_b)) / alpha
 
@@ -316,10 +323,11 @@ def rkhs_gaussian_distance(
 ) -> float:
     """Family distance between the Gaussians N(mean_X, C_X) and N(mean_Y, C_Y) in the RKHS.
 
-    sqrt(mean discrepancy squared + d_cov^2 / 4).  For alpha >= 1/2 the
-    covariance part is the unregularized pure-Gram formula and gamma is not
-    needed; otherwise (including the log-limit) gamma > 0 selects the
-    regularized covariance distance.  Sample counts may differ.
+    sqrt(mean discrepancy squared + d_cov^2 / 4).  gamma > 0 selects the
+    regularized covariance distance at every alpha (gamma < 0 raises
+    DomainError).  gamma = 0 selects the unregularized pure-Gram formula,
+    which needs alpha >= 1/2; below 1/2 and at the log-limit it raises
+    DomainError.  Sample counts may differ.
     """
     return _rkhs_gaussian_terms(x, y, kernel, alpha, gamma)[2]
 
@@ -331,33 +339,25 @@ def _rkhs_gaussian_terms(
     al = as_alpha(alpha)
     gb = gram_bundle(x, y, kernel)
     mdd = mean_discrepancy_squared(gb)
-    if not al.is_log_limit and al.value >= 0.5:
+    if gamma != 0.0:
+        d_cov = _regularized_distance(gb, al, gamma)
+    elif not al.is_log_limit and al.value >= 0.5:
         d_cov = _unregularized_distance(gb, al.value)
     else:
-        if gamma <= 0.0:
-            raise DomainError("alpha below 1/2 (or log-limit) needs a positive gamma")
-        d_cov = _regularized_distance(gb, al, gamma)
+        raise DomainError("alpha below 1/2 (or log-limit) needs a positive gamma")
     return math.sqrt(mdd), d_cov, math.sqrt(mdd + 0.25 * d_cov**2)
 
 
 def rkhs_wasserstein(x: Dataset, y: Dataset, kernel: KernelSpec) -> float:
     """L2-Wasserstein distance between the empirical RKHS Gaussians.
 
-    Supports different sample counts:
+    The alpha = 1/2 member of the family, so sample counts may differ:
 
         d^2 = mean discrepancy squared
             + (1/m) tr(J K[X] J) + (1/n) tr(J K[Y] J)
             - (2/sqrt(mn)) tr[(J_n K[Y,X] J_m K[X,Y] J_n)^(1/2)].
     """
-    gb = gram_bundle(x, y, kernel)
-    mdd = mean_discrepancy_squared(gb)
-    cg = centered_gram(gb)
-    trace_x = float(np.trace(cg.aa))
-    trace_y = float(np.trace(cg.bb))
-    # The product under the root is (J_m K[X,Y] J_n)'(J_m K[X,Y] J_n), so
-    # the square-root trace is the nuclear norm of ab = J_m K[X,Y] J_n / sqrt(mn).
-    arg = mdd + trace_x + trace_y - 2.0 * nuclear_norm(cg.ab)
-    return _sqrt_clamped(arg, trace_x + trace_y)
+    return rkhs_gaussian_distance(x, y, kernel, 0.5)
 
 
 def _polynomial_features(points: np.ndarray, degree: int, offset: float) -> np.ndarray:

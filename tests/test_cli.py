@@ -329,6 +329,20 @@ class TestRkhsDist:
         assert code == 0
         assert json.loads(out)["distance"] > 0
 
+    def test_gamma_applies_above_half(self, tmp_path):
+        rng = np.random.default_rng(4)
+        x = write_matrix(tmp_path / "X.csv", rng.standard_normal((30, 3)))
+        y = write_matrix(tmp_path / "Y.csv", rng.standard_normal((25, 3)) + 0.4)
+        distances = []
+        for gamma in ("0", "0.1"):
+            code, out, _ = run_cli(
+                ["rkhs-dist", x, y, "--kernel", "poly:d=2,c=1", "--alpha", "0.75",
+                 "--gamma", gamma]
+            )
+            assert code == 0
+            distances.append(json.loads(out)["distance"])
+        assert distances[0] != distances[1]
+
     def test_log_limit_needs_gamma(self, datasets):
         x, y = datasets
         code, _, _ = run_cli(

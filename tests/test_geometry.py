@@ -6,6 +6,7 @@ import pytest
 from conftest import rand_spd, rand_sym
 
 from alphaproc import (
+    AlphaParam,
     DomainError,
     GeodesicCurve,
     NonSpdIntermediateError,
@@ -158,8 +159,8 @@ class TestMetricInner:
 
     @pytest.mark.parametrize(
         "alpha, solver, distinct_calls",
-        [(0.8, "_eigenbasis_inner", 1), (0.0, "loewner_apply", 2)],
-        ids=["0.8-_eigenbasis_inner", "0.0-loewner_apply"],
+        [(0.8, "_eigenbasis_inner", 1), (0.0, "_eigenbasis_inner", 1)],
+        ids=["0.8-_eigenbasis_inner", "0.0-_eigenbasis_inner"],
     )
     def test_speed_solves_once(self, monkeypatch, alpha, solver, distinct_calls):
         import alphaproc.geometry as geometry_mod
@@ -195,8 +196,24 @@ class TestMetricInner:
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(23)
         p0 = rand_spd(rng, 3)
-        with pytest.raises(DomainError):
-            metric_inner(p0, rand_sym(rng, 3), rand_sym(rng, 2), 0.8)
+        for alpha in (0.8, AlphaParam.log_limit()):
+            with pytest.raises(DomainError):
+                metric_inner(p0, rand_sym(rng, 3), rand_sym(rng, 2), alpha)
+
+    def test_log_limit_matches_log_derivative(self):
+        # reference: tr(Dlog(P0)[Y] Dlog(P0)[Z]) through loewner_apply
+        rng = np.random.default_rng(24)
+        for n in (2, 5, 12):
+            p0 = rand_spd(rng, n)
+            y, z = rand_sym(rng, n), rand_sym(rng, n)
+            ly, lz = loewner_apply(p0.eig, "log", y), loewner_apply(p0.eig, "log", z)
+            expected = np.trace(ly.mat @ lz.mat)
+            scale = math.sqrt(
+                metric_inner(p0, y, y, AlphaParam.log_limit())
+                * metric_inner(p0, z, z, AlphaParam.log_limit())
+            )
+            value = metric_inner(p0, y, z, AlphaParam.log_limit())
+            assert abs(value - expected) <= 1e-12 * scale
 
 
 class TestGeodesic:

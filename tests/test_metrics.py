@@ -330,3 +330,19 @@ class TestExtremeScale:
         b = SpdMatrix.from_array(h @ h.T * 1e100)
         with pytest.raises(AlphaProcError):
             alpha_procrustes(a, b, 2.0)
+
+    @pytest.mark.parametrize("alpha", ["0.25", "0.5", "-0.5", "log-limit"])
+    @pytest.mark.parametrize("s", [1e-13, 1e-20, 1e-50, 1e-100, 1e-150])
+    def test_homogeneous_at_small_scale(self, s, alpha):
+        # d(sA, sB) = s^a d(A, B): the PSD tolerance is relative, so a pair
+        # scaled far below 1 keeps its whole spectrum
+        al = AlphaParam.parse(alpha)
+        rng = np.random.default_rng(6)
+        for _ in range(30):
+            n = int(rng.integers(2, 7))
+            a, b = rand_spd(rng, n), rand_spd(rng, n)
+            expected = s**al.value * alpha_procrustes(a, b, al).value
+            scaled = alpha_procrustes(
+                SpdMatrix.from_array(s * a.mat), SpdMatrix.from_array(s * b.mat), al
+            ).value
+            assert abs(scaled - expected) <= 1e-12 * expected

@@ -229,12 +229,9 @@ class TestRegularizedDistance:
         d_gram = rkhs_alpha_distance(x, y, kernel, al, gamma)
         d_feat = alpha_procrustes_regularized(gx.covariance, gy.covariance, gamma, al).value
         assert abs(d_gram - d_feat) <= 1e-8 * d_feat
-        # alpha >= 1/2 takes the unregularized covariance term whatever gamma is
+        # gamma > 0 takes the regularized covariance term at every alpha
         d_rkhs = rkhs_gaussian_distance(x, y, kernel, al, gamma)
-        if al.value >= 0.5:
-            d_gauss = gaussian_alpha_distance(gx, gy, al)
-        else:
-            d_gauss = gaussian_alpha_distance_regularized(gx, gy, al, gamma)
+        d_gauss = gaussian_alpha_distance_regularized(gx, gy, al, gamma)
         assert abs(d_rkhs - d_gauss) <= 1e-8 * d_gauss
 
     def test_ill_conditioned_negative_alpha_matches_feature_oracle(self):
@@ -354,6 +351,19 @@ class TestGaussianDistance:
         x, y = datasets(29)
         with pytest.raises(DomainError):
             rkhs_gaussian_distance(x, y, POLY, 0.3)
+        # a negative ridge is rejected at every alpha, not ignored above 1/2
+        with pytest.raises(DomainError):
+            rkhs_gaussian_distance(x, y, POLY, 0.75, -0.1)
+
+    @pytest.mark.parametrize("alpha,expected", [(0.5, 0), (1.0, 2)])
+    def test_half_alpha_needs_no_eigensolve(self, eigh_calls, alpha, expected):
+        # at alpha = 1/2 the range projections leave ab unchanged
+        x, y = datasets(36, m=9, n=12)
+        rkhs_gaussian_distance(x, y, RBF, alpha)
+        assert sum(eigh_calls) == expected
+        if alpha == 0.5:
+            rkhs_wasserstein(x, y, RBF)
+            assert sum(eigh_calls) == 0
 
     @pytest.mark.parametrize("alpha,gamma", [(0.75, 0.0), (0.3, 0.1), (0.0, 0.1)])
     def test_builds_gram_once(self, monkeypatch, alpha, gamma):
