@@ -29,7 +29,6 @@ from .linalg import (
     SpdMatrix,
     SymMatrix,
     as_alpha,
-    psd_sqrt,
     psd_tolerance,
     spd_power,
     sym_eigh,
@@ -40,24 +39,13 @@ from .linalg import (
 QUADRATURE_BLOCK_ENTRIES = 2**15
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """Symmetric direction attached to a strictly SPD base point."""
-
-    base_point: SpdMatrix
-    direction: SymMatrix
-
-    def __post_init__(self):
-        self.base_point.require_strict("tangent base point")
-        if self.base_point.n != self.direction.n:
-            raise DomainError("base point and direction dimensions differ")
-
-
 def _lyapunov_factor(lam: np.ndarray, alpha: float) -> np.ndarray:
     """Eigenbasis divisor f(l_i, l_j) of the composite Lyapunov operator.
 
     f = 2a (l_i - l_j)(l_i^2a + l_j^2a) / (l_i^2a - l_j^2a) off-diagonal,
-    with the removable-singularity limit f = 2 l_i on near-degenerate pairs.
+    with the removable-singularity limit f = 2 l_i on pairs whose gap is
+    below DIVIDED_DIFF_TOL * max(l_i, l_j), a switch relative to the pair so
+    that f, like the metric, is homogeneous in P0.
     ``lam`` may be a (k, n) stack of spectra, giving a (k, n, n) stack.
     At alpha = 1/2 this collapses to l_i + l_j (the Lyapunov equation), and
     alpha = 0 gives its limit 2 (l_i - l_j) / (log l_i - log l_j), for which
@@ -71,7 +59,7 @@ def _lyapunov_factor(lam: np.ndarray, alpha: float) -> np.ndarray:
         else:
             pi, pj = li ** (2.0 * alpha), lj ** (2.0 * alpha)
             f = 2.0 * alpha * (li - lj) * (pi + pj) / (pi - pj)
-    near = np.abs(li - lj) < DIVIDED_DIFF_TOL * np.maximum(1.0, li)
+    near = np.abs(li - lj) < DIVIDED_DIFF_TOL * np.maximum(li, lj)
     return np.where(near, 2.0 * li, f)
 
 
@@ -150,7 +138,7 @@ class GeodesicCurve:
         # (A^2a B^2a)^(1/2) = A^a (A^a B^2a A^a)^(1/2) A^-a; its transpose is
         # (B^2a A^2a)^(1/2), so the geodesic bracket needs s + s.T
         inner = SpdMatrix.from_array(a_pow @ b2 @ a_pow)
-        s = a_pow @ psd_sqrt(inner).mat @ a_inv
+        s = a_pow @ spd_power(inner, 0.5).mat @ a_inv
         return a2, b2, s + s.T
 
     def _spectra(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -85,10 +86,6 @@ class SymMatrix:
     def n(self) -> int:
         return self.mat.shape[0]
 
-    def norm(self) -> float:
-        """Frobenius norm."""
-        return float(np.linalg.norm(self.mat))
-
 
 @dataclass(frozen=True)
 class EigenDecomposition:
@@ -140,16 +137,16 @@ def sym_eigendecompose(s: SymMatrix) -> EigenDecomposition:
 
 @dataclass(frozen=True)
 class SpdMatrix:
-    """Symmetric positive (semi-)definite matrix with cached spectrum.
+    """Symmetric positive (semi-)definite matrix, held as its spectrum.
 
     Construction in PSD mode clamps eigenvalues in (-psd_tol, psd_tol) to
     zero and rejects anything below -psd_tol; strict mode requires every
-    eigenvalue above psd_tol.
+    eigenvalue above psd_tol.  ``mat`` is the symmetrized input when there
+    was one, else V diag(w) V^T formed on first read.
     """
 
-    base: SymMatrix
-    min_eig: float
-    eig: EigenDecomposition = field(repr=False)
+    eig: EigenDecomposition
+    _input: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def from_array(cls, arr, strict: bool = False) -> "SpdMatrix":
@@ -165,15 +162,14 @@ class SpdMatrix:
                     f"matrix is not strictly positive definite "
                     f"(min eigenvalue {eig.min:.3e}, tolerance {tol:.3e})"
                 )
-            return cls(s, eig.min, eig)
+            return cls(eig, s.mat)
         if eig.min < -tol:
             raise NotPsdError(
                 f"matrix has eigenvalue {eig.min:.3e} below -{tol:.3e}"
             )
         values = np.where(np.abs(eig.values) < tol, 0.0, eig.values)
         values = np.maximum(values, 0.0)
-        eig = EigenDecomposition(_freeze(values), eig.vectors)
-        return cls(s, eig.min, eig)
+        return cls(EigenDecomposition(_freeze(values), eig.vectors), s.mat)
 
     @classmethod
     def _from_eig(cls, values: np.ndarray, vectors: np.ndarray) -> "SpdMatrix":
@@ -181,34 +177,36 @@ class SpdMatrix:
         order = np.argsort(values)
         values = np.asarray(values, dtype=float)[order]
         vectors = np.asarray(vectors, dtype=float)[:, order]
-        mat = (vectors * values) @ vectors.T
-        base = SymMatrix(_freeze((mat + mat.T) / 2.0))
-        eig = EigenDecomposition(_freeze(values), _freeze(vectors))
-        return cls(base, float(values[0]), eig)
+        return cls(EigenDecomposition(_freeze(values), _freeze(vectors)))
 
-    @property
+    @cached_property
     def mat(self) -> np.ndarray:
-        return self.base.mat
+        if self._input is not None:
+            return self._input
+        # column-major, the layout the eigenvector permutation in _from_eig
+        # produces: BLAS rounds the product by operand layout, so this keeps
+        # the bits of the dense form independent of when it is formed
+        v = np.asfortranarray(self.eig.vectors)
+        mat = (v * self.eig.values) @ v.T
+        return _freeze((mat + mat.T) / 2.0)
 
     @property
     def n(self) -> int:
-        return self.base.n
+        return self.eig.values.shape[0]
 
-    def is_strict(self) -> bool:
-        return self.min_eig > psd_tolerance(self.eig.max)
+    @property
+    def min_eig(self) -> float:
+        return self.eig.min
 
     def require_strict(self, what: str) -> None:
-        if not self.is_strict():
+        if not self.min_eig > psd_tolerance(self.eig.max):
             raise SingularBaseError(
                 f"{what} requires a strictly positive definite matrix "
                 f"(min eigenvalue {self.min_eig:.3e})"
             )
 
-    def trace(self) -> float:
-        return float(np.sum(self.eig.values))
-
     def trace_power(self, p: float) -> float:
-        """tr(A^p) from the cached spectrum."""
+        """tr(A^p) from the spectrum."""
         if p < 0:
             self.require_strict(f"power {p}")
         return float(np.sum(self.eig.values**p))
@@ -278,11 +276,6 @@ def sym_exp(s: SymMatrix) -> SpdMatrix:
     return SpdMatrix._from_eig(np.exp(eig.values), eig.vectors)
 
 
-def psd_sqrt(a: SpdMatrix) -> SpdMatrix:
-    """Principal square root of a PSD matrix."""
-    return SpdMatrix._from_eig(np.sqrt(np.maximum(a.eig.values, 0.0)), a.eig.vectors)
-
-
 def trace_sqrt_triple(a: SpdMatrix, b: SpdMatrix, alpha: float) -> float:
     """tr[(A^a B^{2a} A^a)^{1/2}], the cross term of the distance family.
 
@@ -312,68 +305,44 @@ _LOEWNER_FUNCTIONS = {
 }
 
 
-def loewner_apply(
-    p0_eig: EigenDecomposition, f: str, s: SymMatrix, p: float | None = None
-) -> SymMatrix:
+def loewner_apply(p0_eig: EigenDecomposition, f: str, s: SymMatrix) -> SymMatrix:
     """Frechet derivative Df(P0)[S] in the eigenbasis of P0.
 
     First divided differences (f(l_i) - f(l_j)) / (l_i - l_j), replaced by
-    f'(l_i) whenever |l_i - l_j| < DIVIDED_DIFF_TOL * max(1, |l_i|).
+    f'(l_i) whenever |l_i - l_j| < DIVIDED_DIFF_TOL * scale_i.  For "log"
+    the scale is l_i, so the switch is homogeneous like the logarithm's
+    derivative; "exp" acts on logarithms, whose differences are absolute,
+    and uses max(1, |l_i|).
 
     Parameters
     ----------
     p0_eig : EigenDecomposition
         Spectrum of the base point P0.
     f : str
-        One of "exp", "log", "power".
+        One of "exp", "log".
     s : SymMatrix
         Direction of differentiation.
-    p : float, optional
-        Exponent, required when f == "power".
     """
+    if f not in _LOEWNER_FUNCTIONS:
+        raise DomainError(f"unknown scalar function {f!r}")
+    fn, fprime = _LOEWNER_FUNCTIONS[f]
     lam = p0_eig.values
-    if f == "power":
-        if p is None:
-            raise DomainError("power function needs an exponent")
-        fn = lambda x: x**p  # noqa: E731
-        fprime = lambda x: p * x ** (p - 1.0)  # noqa: E731
-    elif f in _LOEWNER_FUNCTIONS:
-        fn, fprime = _LOEWNER_FUNCTIONS[f]
-        if f == "log" and lam[0] <= psd_tolerance(float(lam[-1])):
+    if f == "log":
+        if lam[0] <= psd_tolerance(float(lam[-1])):
             raise DomainError(
                 f"log derivative undefined: eigenvalue {lam[0]:.3e} at or below zero"
             )
+        scale = lam
     else:
-        raise DomainError(f"unknown scalar function {f!r}")
+        scale = np.maximum(1.0, np.abs(lam))
 
     diff = lam[:, None] - lam[None, :]
     vals = fn(lam)
     with np.errstate(divide="ignore", invalid="ignore"):
         quot = (vals[:, None] - vals[None, :]) / diff
-    near = np.abs(diff) < DIVIDED_DIFF_TOL * np.maximum(1.0, np.abs(lam))[:, None]
+    near = np.abs(diff) < DIVIDED_DIFF_TOL * scale[:, None]
     coeff = np.where(near, fprime(lam)[:, None], quot)
 
     v = p0_eig.vectors
     s_tilde = v.T @ s.mat @ v
     return SymMatrix.from_array(v @ (coeff * s_tilde) @ v.T)
-
-
-def h_alpha(e: SpdMatrix, alpha: float) -> SymMatrix:
-    """Spectral function ((1 + l)^alpha - 1) / l on the range of a PSD matrix.
-
-    Kernel directions map to zero, so E @ h_alpha(E) reproduces
-    (I + E)^alpha - I on the range of E.
-    """
-    # expm1/log1p avoid cancellation for eigenvalues near zero
-    g = e.eig.apply_on_range(lambda lam: np.expm1(alpha * np.log1p(lam)) / lam)
-    return SymMatrix.from_array(g)
-
-
-def psd_spectral_power(mat: np.ndarray, p: float) -> np.ndarray:
-    """E^p on the range of a PSD array: kernel eigenvalues stay zero.
-
-    With p = 0 this is the orthogonal projection onto range(E), the
-    convention needed by the limit formulas of the distance family.
-    """
-    eig = sym_eigendecompose(SymMatrix.from_array(mat))
-    return eig.apply_on_range(lambda w: w**p)

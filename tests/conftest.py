@@ -30,6 +30,12 @@ def rand_psd_rank_deficient(rng: np.random.Generator, n: int, rank: int) -> SpdM
     return SpdMatrix.from_array((q * w) @ q.T)
 
 
+def h_alpha(e: SpdMatrix, alpha: float) -> np.ndarray:
+    """((1 + l)^alpha - 1) / l on the range of E and 0 on its kernel."""
+    # expm1/log1p avoid cancellation for eigenvalues near zero
+    return e.eig.apply_on_range(lambda lam: np.expm1(alpha * np.log1p(lam)) / lam)
+
+
 @pytest.fixture
 def eigh_calls(monkeypatch):
     """Matrices decomposed by each np.linalg.eigh call made while the test runs.

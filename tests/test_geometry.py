@@ -13,7 +13,6 @@ from alphaproc import (
     SingularBaseError,
     SpdMatrix,
     SymMatrix,
-    TangentVector,
     alpha_procrustes,
     bures_wasserstein,
     geodesic_eval,
@@ -360,18 +359,56 @@ class TestGeodesicLength:
             geodesic_length_numeric(curve, 50)
 
 
-class TestTangentVector:
-    def test_requires_strict_base(self):
-        singular = SpdMatrix.from_array(np.diag([1.0, 0.0]))
-        from alphaproc import SingularBaseError
+SCALES = [1e-30, 1e-12, 1e-9, 1e-6, 1e3, 1e30]
 
-        with pytest.raises(SingularBaseError):
-            TangentVector(singular, SymMatrix.from_array(np.eye(2)))
 
-    def test_holds_fields(self):
-        rng = np.random.default_rng(17)
-        p0 = rand_spd(rng, 3)
-        y = rand_sym(rng, 3)
-        tv = TangentVector(p0, y)
-        assert tv.base_point is p0
-        assert tv.direction is y
+class TestScaleCovariance:
+    """The metric is homogeneous in P0: <sY, sZ>_sP0 = s^2a <Y, Z>_P0.
+
+    Each eigenvalue-gap switch is relative to the eigenvalues it compares,
+    so this holds to roundoff at any scale, not only near 1.
+    """
+
+    @pytest.mark.parametrize("alpha", ["-0.5", "0.25", "0.5", "1", "2", "log-limit"])
+    @pytest.mark.parametrize("s", SCALES)
+    def test_metric_inner(self, s, alpha):
+        al = AlphaParam.parse(alpha)
+        rng = np.random.default_rng(40)
+        for _ in range(10):
+            n = int(rng.integers(2, 7))
+            p0 = rand_spd(rng, n)
+            y, z = rand_sym(rng, n), rand_sym(rng, n)
+            expected = metric_inner(p0, y, z, al)
+            scale = math.sqrt(metric_inner(p0, y, y, al) * metric_inner(p0, z, z, al))
+            scaled = metric_inner(
+                SpdMatrix.from_array(s * p0.mat),
+                SymMatrix.from_array(s * y.mat),
+                SymMatrix.from_array(s * z.mat),
+                al,
+            )
+            assert abs(scaled / s ** (2.0 * al.value) - expected) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+    def test_geodesic_length(self, alpha):
+        s = 1e-9
+        rng = np.random.default_rng(41)
+        a, b = rand_spd(rng, 3), rand_spd(rng, 3)
+        expected = geodesic_length_numeric(GeodesicCurve(a, b, alpha), 200)
+        scaled = geodesic_length_numeric(
+            GeodesicCurve(SpdMatrix.from_array(s * a.mat), SpdMatrix.from_array(s * b.mat), alpha),
+            200,
+        )
+        assert abs(scaled / s**alpha - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_log_derivative(self, s):
+        # log(sP) = log(s) I + log(P), so Dlog(sP0)[sY] = Dlog(P0)[Y]
+        rng = np.random.default_rng(42)
+        for _ in range(10):
+            n = int(rng.integers(2, 7))
+            p0, y = rand_spd(rng, n), rand_sym(rng, n)
+            expected = loewner_apply(p0.eig, "log", y).mat
+            scaled = loewner_apply(
+                SpdMatrix.from_array(s * p0.mat).eig, "log", SymMatrix.from_array(s * y.mat)
+            ).mat
+            assert np.linalg.norm(scaled - expected) <= 1e-12 * np.linalg.norm(expected)

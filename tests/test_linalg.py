@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import rand_psd_rank_deficient, rand_spd, rand_sym
+from conftest import h_alpha, rand_psd_rank_deficient, rand_spd, rand_sym
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -19,17 +19,15 @@ from alphaproc import (
     SingularBaseError,
     SpdMatrix,
     SymMatrix,
-    h_alpha,
+    EigenDecomposition,
     loewner_apply,
-    psd_spectral_power,
-    psd_sqrt,
     spd_log,
     spd_power,
     sym_eigendecompose,
     sym_exp,
     trace_sqrt_triple,
 )
-from alphaproc.linalg import nuclear_norm
+from alphaproc.linalg import RANK_TOL_FACTOR, nuclear_norm
 
 
 @st.composite
@@ -171,16 +169,16 @@ class TestLogExp:
 
 class TestPsdSqrt:
     def test_diagonal(self):
-        out = psd_sqrt(SpdMatrix.from_array(np.diag([4.0, 16.0])))
+        out = spd_power(SpdMatrix.from_array(np.diag([4.0, 16.0])), 0.5)
         assert np.allclose(out.mat, np.diag([2.0, 4.0]), atol=1e-14)
 
     def test_identity(self):
-        out = psd_sqrt(SpdMatrix.from_array(np.eye(3)))
+        out = spd_power(SpdMatrix.from_array(np.eye(3)), 0.5)
         assert np.allclose(out.mat, np.eye(3), atol=1e-14)
 
     def test_rank_deficient_squares_back(self):
         a = rand_psd_rank_deficient(np.random.default_rng(4), 3, 2)
-        root = psd_sqrt(a)
+        root = spd_power(a, 0.5)
         assert np.linalg.norm(root.mat @ root.mat - a.mat) <= 1e-9
 
 
@@ -247,16 +245,6 @@ class TestLoewnerApply:
         back = loewner_apply(log_eig, "exp", dlog)
         assert np.linalg.norm(back.mat - s.mat) <= 1e-9 * max(1.0, np.linalg.norm(s.mat))
 
-    def test_power_function(self):
-        rng = np.random.default_rng(10)
-        p0 = rand_spd(rng, 3)
-        s = rand_sym(rng, 3)
-        h = 1e-7
-        shifted = SpdMatrix.from_array(p0.mat + h * s.mat, strict=True)
-        fd = (spd_power(shifted, 0.5).mat - spd_power(p0, 0.5).mat) / h
-        out = loewner_apply(p0.eig, "power", s, p=0.5)
-        assert np.linalg.norm(out.mat - fd) <= 1e-5 * max(1.0, np.linalg.norm(fd))
-
     def test_log_rejects_singular_spectrum(self):
         a = SpdMatrix.from_array(np.diag([1.0, 0.0]))
         s = SymMatrix.from_array(np.eye(2))
@@ -270,22 +258,28 @@ class TestLoewnerApply:
 
 
 class TestHAlpha:
+    """h_a(l) = ((1 + l)^a - 1) / l through apply_on_range.
+
+    h_a divides by l, so on rank-deficient input only the range rule keeps
+    it finite; E h_a(E) = (I + E)^a - I ties that rule to the ridge path.
+    """
+
     def test_identity_input(self):
         out = h_alpha(SpdMatrix.from_array(np.eye(3)), 0.8)
-        assert np.allclose(out.mat, (2.0**0.8 - 1.0) * np.eye(3), atol=1e-12)
+        assert np.allclose(out, (2.0**0.8 - 1.0) * np.eye(3), atol=1e-12)
 
     def test_rank_deficient(self):
         e = SpdMatrix.from_array(np.diag([3.0, 0.0]))
         out = h_alpha(e, 1.0)
-        assert np.allclose(out.mat, np.diag([1.0, 0.0]), atol=1e-14)
-        assert np.allclose(e.mat @ out.mat, np.diag([3.0, 0.0]), atol=1e-14)
+        assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-14)
+        assert np.allclose(e.mat @ out, np.diag([3.0, 0.0]), atol=1e-14)
 
     @pytest.mark.parametrize("alpha", [0.8, 1.0, 2.0, -0.5])
     def test_product_identity(self, alpha):
         # E h_a(E) = (I + E)^a - I; both sides vanish on the kernel of E
         rng = np.random.default_rng(11)
         e = rand_psd_rank_deficient(rng, 4, 3)
-        lhs = e.mat @ h_alpha(e, alpha).mat
+        lhs = e.mat @ h_alpha(e, alpha)
         rhs = spd_power(e.add_ridge(1.0), alpha).mat - np.eye(4)
         assert np.linalg.norm(lhs - rhs) <= 1e-10
 
@@ -306,9 +300,39 @@ class TestSpectralPower:
     def test_zero_power_is_range_projection(self):
         rng = np.random.default_rng(12)
         e = rand_psd_rank_deficient(rng, 4, 2)
-        proj = psd_spectral_power(e.mat, 0.0)
+        eig = sym_eigendecompose(SymMatrix.from_array(e.mat))
+        proj = eig.apply_on_range(lambda w: w**0.0)
         assert np.linalg.norm(proj @ proj - proj) <= 1e-10
         assert np.linalg.norm(proj @ e.mat - e.mat) <= 1e-10
+
+
+class TestApplyOnRange:
+    def test_kernel_at_or_below_rank_tolerance_maps_to_zero(self):
+        q = np.linalg.qr(np.random.default_rng(13).standard_normal((4, 4)))[0]
+        cut = RANK_TOL_FACTOR * 4.0
+        eig = EigenDecomposition(np.array([0.5 * cut, cut, 2.0 * cut, 4.0]), q)
+        seen = []
+
+        def inverse(w):
+            seen.append(w.copy())
+            return 1.0 / w
+
+        out = eig.apply_on_range(inverse)
+        expected = (q * np.array([0.0, 0.0, 1.0 / (2.0 * cut), 0.25])) @ q.T
+        assert np.array_equal(seen[0], [2.0 * cut, 4.0])
+        assert np.allclose(out, expected, rtol=1e-14, atol=0.0)
+
+    def test_negative_roundoff_is_clamped(self):
+        eig = EigenDecomposition(np.array([-1e-13, 1.0, 3.0]), np.eye(3))
+        with np.errstate(all="raise"):
+            out = eig.apply_on_range(np.log)
+        assert np.array_equal(out, np.diag([0.0, 0.0, math.log(3.0)]))
+
+    def test_zero_spectrum_gives_zero_matrix(self):
+        eig = EigenDecomposition(np.zeros(3), np.eye(3))
+        with np.errstate(all="raise"):
+            out = eig.apply_on_range(lambda w: 1.0 / w)
+        assert np.array_equal(out, np.zeros((3, 3)))
 
 
 LAPACK_NAMES = ("eigh", "eigvalsh", "eigvals", "svd")

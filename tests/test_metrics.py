@@ -298,6 +298,16 @@ class TestDistanceResult:
         assert log_euclidean(a, b).formula_path == "log-limit"
         assert len(calls) == len(results)
 
+    def test_ridged_endpoints_form_no_matrix_until_read(self):
+        # the distance needs only the ridged spectra; the dense A + gamma*I
+        # is formed when formula_path reads it
+        rng = np.random.default_rng(22)
+        a, b = rand_spd(rng, 3), rand_spd(rng, 3)
+        result = alpha_procrustes_regularized(a, b, 0.1, 0.5)
+        assert all("mat" not in vars(end) for end in result._endpoints)
+        assert result.formula_path == "general"
+        assert all("mat" in vars(end) for end in result._endpoints)
+
     def test_negative_clamp_raises_beyond_threshold(self, monkeypatch):
         import alphaproc.metrics as metrics_mod
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import h_alpha
 
 from alphaproc import (
     AlphaParam,
@@ -19,7 +20,6 @@ from alphaproc import (
     gaussian_alpha_distance,
     gaussian_alpha_distance_regularized,
     gram_bundle,
-    h_alpha,
     mean_discrepancy_squared,
     rkhs_alpha_distance,
     rkhs_alpha_distance_unregularized,
@@ -314,14 +314,16 @@ class TestGaussianDistance:
 
     def test_half_alpha_equals_wasserstein(self):
         x, y = datasets(25)
+        gx, gy = feature_gaussians(x, y, POLY)
         assert rkhs_gaussian_distance(x, y, POLY, 0.5) == pytest.approx(
-            rkhs_wasserstein(x, y, POLY), abs=1e-12
+            wasserstein_gaussian(gx, gy), rel=1e-8
         )
 
     def test_half_alpha_equals_wasserstein_unequal_counts(self):
         x, y = datasets(26, m=10, n=14)
+        gx, gy = feature_gaussians(x, y, POLY)
         assert rkhs_gaussian_distance(x, y, POLY, 0.5) == pytest.approx(
-            rkhs_wasserstein(x, y, POLY), abs=1e-12
+            wasserstein_gaussian(gx, gy), rel=1e-8
         )
 
     @pytest.mark.parametrize(
@@ -419,7 +421,7 @@ class TestBlockStructure:
         cg = centered_gram(gram_bundle(x, y, RBF))
         e = SpdMatrix.from_array(cg.aa)
         for alpha in (0.8, 1.6):
-            lhs = e.mat @ h_alpha(e, 2 * alpha).mat
+            lhs = e.mat @ h_alpha(e, 2 * alpha)
             rhs = spd_power(e.add_ridge(1.0), 2 * alpha).mat - np.eye(e.n)
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(1.0, np.linalg.norm(rhs))
 
