@@ -22,7 +22,7 @@ from .linalg import SpdMatrix, as_alpha
 from .metrics import alpha_procrustes, alpha_procrustes_regularized
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianMeasure:
     """Mean vector plus PSD covariance."""
 
@@ -30,15 +30,11 @@ class GaussianMeasure:
     covariance: SpdMatrix
 
     @classmethod
-    def from_arrays(cls, mean, covariance, strict: bool = False) -> "GaussianMeasure":
+    def from_arrays(cls, mean, covariance) -> "GaussianMeasure":
         m = np.atleast_1d(np.asarray(mean, dtype=float)).ravel()
         if not np.all(np.isfinite(m)):
             raise NonFiniteError("mean contains NaN or infinite entries")
-        cov = (
-            covariance
-            if isinstance(covariance, SpdMatrix)
-            else SpdMatrix.from_array(covariance, strict=strict)
-        )
+        cov = covariance if isinstance(covariance, SpdMatrix) else SpdMatrix.from_array(covariance)
         if m.shape[0] != cov.n:
             raise DimensionError(
                 f"mean has length {m.shape[0]} but covariance is {cov.n}x{cov.n}"
@@ -51,7 +47,7 @@ class GaussianMeasure:
         return self.mean.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeanMetricSpec:
     """Choice of metric on the mean vectors.
 
@@ -84,17 +80,13 @@ class MeanMetricSpec:
 EUCLIDEAN_MEAN = MeanMetricSpec()
 
 
-def _check_pair(g1: GaussianMeasure, g2: GaussianMeasure) -> None:
-    if g1.dim != g2.dim:
-        raise DimensionError(f"Gaussian dimensions differ: {g1.dim} vs {g2.dim}")
-
-
 def _gaussian_terms(
     g1: GaussianMeasure, g2: GaussianMeasure, alpha, gamma: Optional[float],
     mean_metric: MeanMetricSpec,
 ) -> tuple[float, float, float]:
     """(d_mean, d_cov, distance); gamma None leaves the covariances unridged."""
-    _check_pair(g1, g2)
+    if g1.dim != g2.dim:
+        raise DimensionError(f"Gaussian dimensions differ: {g1.dim} vs {g2.dim}")
     d_mean = mean_metric.distance(g1.mean, g2.mean)
     c1, c2, al = g1.covariance, g2.covariance, as_alpha(alpha)
     if gamma is None:

@@ -24,10 +24,10 @@ import numpy as np
 
 from .exceptions import DomainError, NonSpdIntermediateError
 from .linalg import (
-    ALPHA_SWITCH_TOL,
     DIVIDED_DIFF_TOL,
     SpdMatrix,
     SymMatrix,
+    _log_divided_difference,
     as_alpha,
     psd_tolerance,
     spd_power,
@@ -55,7 +55,7 @@ def _lyapunov_factor(lam: np.ndarray, alpha: float) -> np.ndarray:
     lj = lam[..., None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         if alpha == 0.0:
-            f = 2.0 * (li - lj) / (np.log(li) - np.log(lj))
+            f = 2.0 / _log_divided_difference(li, lj)
         else:
             pi, pj = li ** (2.0 * alpha), lj ** (2.0 * alpha)
             f = 2.0 * alpha * (li - lj) * (pi + pj) / (pi - pj)
@@ -121,7 +121,7 @@ class GeodesicCurve:
     alpha: float
 
     def __post_init__(self):
-        if abs(self.alpha) < ALPHA_SWITCH_TOL:
+        if as_alpha(self.alpha).is_log_limit:
             raise DomainError("geodesic needs alpha != 0 (no log-limit form)")
         self.a.require_strict("geodesic endpoint")
         self.b.require_strict("geodesic endpoint")
@@ -173,11 +173,6 @@ class GeodesicCurve:
         return self._point(t)
 
 
-def geodesic_eval(curve: GeodesicCurve, t: float) -> SpdMatrix:
-    """Point g(t) on the geodesic, t in [0, 1]; g(0) = A and g(1) = B."""
-    return curve.at(t)
-
-
 def geodesic_length_numeric(curve: GeodesicCurve, steps: int = 1000) -> float:
     """Length of the geodesic by midpoint quadrature of the metric speed.
 
@@ -219,8 +214,8 @@ def geodesic_length_numeric(curve: GeodesicCurve, steps: int = 1000) -> float:
 
 def geodesic_endpoints_residual(curve: GeodesicCurve) -> float:
     """Max relative reconstruction error of the endpoints, for diagnostics."""
-    ra = np.linalg.norm(geodesic_eval(curve, 0.0).mat - curve.a.mat)
-    rb = np.linalg.norm(geodesic_eval(curve, 1.0).mat - curve.b.mat)
+    ra = np.linalg.norm(curve.at(0.0).mat - curve.a.mat)
+    rb = np.linalg.norm(curve.at(1.0).mat - curve.b.mat)
     return float(
         max(
             ra / max(np.linalg.norm(curve.a.mat), 1e-300),

@@ -67,7 +67,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymMatrix:
     """Dense real symmetric matrix; symmetrized exactly on construction."""
 
@@ -87,16 +87,12 @@ class SymMatrix:
         return self.mat.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors (columns)."""
 
     values: np.ndarray
     vectors: np.ndarray
-
-    def apply(self, fn) -> np.ndarray:
-        """Matrix function V diag(fn(values)) V^T as a plain array."""
-        return (self.vectors * fn(self.values)) @ self.vectors.T
 
     def apply_on_range(self, fn) -> np.ndarray:
         """V diag(g) V^T with g = fn on the range and 0 on the kernel.
@@ -135,34 +131,24 @@ def sym_eigendecompose(s: SymMatrix) -> EigenDecomposition:
     return EigenDecomposition(_freeze(w), _freeze(v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpdMatrix:
     """Symmetric positive (semi-)definite matrix, held as its spectrum.
 
-    Construction in PSD mode clamps eigenvalues in (-psd_tol, psd_tol) to
-    zero and rejects anything below -psd_tol; strict mode requires every
-    eigenvalue above psd_tol.  ``mat`` is the symmetrized input when there
-    was one, else V diag(w) V^T formed on first read.
+    Construction clamps eigenvalues in (-psd_tol, psd_tol) to zero and
+    rejects anything below -psd_tol; a formula that needs every eigenvalue
+    above psd_tol calls ``require_strict``.  ``mat`` is the symmetrized input
+    when there was one, else V diag(w) V^T formed on first read.
     """
 
     eig: EigenDecomposition
     _input: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
-    def from_array(cls, arr, strict: bool = False) -> "SpdMatrix":
-        return cls.from_sym(SymMatrix.from_array(arr), strict=strict)
-
-    @classmethod
-    def from_sym(cls, s: SymMatrix, strict: bool = False) -> "SpdMatrix":
+    def from_array(cls, arr) -> "SpdMatrix":
+        s = SymMatrix.from_array(arr)
         eig = sym_eigendecompose(s)
         tol = psd_tolerance(eig.max)
-        if strict:
-            if eig.min <= tol:
-                raise SingularBaseError(
-                    f"matrix is not strictly positive definite "
-                    f"(min eigenvalue {eig.min:.3e}, tolerance {tol:.3e})"
-                )
-            return cls(eig, s.mat)
         if eig.min < -tol:
             raise NotPsdError(
                 f"matrix has eigenvalue {eig.min:.3e} below -{tol:.3e}"
@@ -218,18 +204,13 @@ class SpdMatrix:
 
 @dataclass(frozen=True)
 class AlphaParam:
-    """Family parameter alpha with an explicit limit mode at alpha = 0."""
+    """Family parameter alpha; |alpha| < ALPHA_SWITCH_TOL is the log-limit."""
 
     value: float
-    mode: str = field(init=False)
-
-    def __post_init__(self):
-        mode = "log-limit" if abs(self.value) < ALPHA_SWITCH_TOL else "general"
-        object.__setattr__(self, "mode", mode)
 
     @property
     def is_log_limit(self) -> bool:
-        return self.mode == "log-limit"
+        return abs(self.value) < ALPHA_SWITCH_TOL
 
     @classmethod
     def log_limit(cls) -> "AlphaParam":
@@ -267,7 +248,7 @@ def spd_power(a: SpdMatrix, p: float) -> SpdMatrix:
 def spd_log(a: SpdMatrix) -> SymMatrix:
     """Principal matrix logarithm of a strictly SPD matrix."""
     a.require_strict("matrix logarithm")
-    return SymMatrix.from_array(a.eig.apply(np.log))
+    return SymMatrix.from_array((a.eig.vectors * np.log(a.eig.values)) @ a.eig.vectors.T)
 
 
 def sym_exp(s: SymMatrix) -> SpdMatrix:
@@ -299,9 +280,15 @@ def nuclear_norm(mat: np.ndarray) -> float:
         return float(np.sum(np.linalg.svd(mat, compute_uv=False)))
 
 
+def _log_divided_difference(li, lj):
+    """(log l_i - log l_j) / (l_i - l_j) without subtracting logarithms; nan at l_i = l_j."""
+    d = np.abs(li - lj)
+    return np.log1p(d / np.minimum(li, lj)) / d
+
+
 _LOEWNER_FUNCTIONS = {
-    "exp": (np.exp, np.exp),
-    "log": (np.log, lambda x: 1.0 / x),
+    "exp": (lambda li, lj: (np.exp(li) - np.exp(lj)) / (li - lj), np.exp),
+    "log": (_log_divided_difference, lambda x: 1.0 / x),
 }
 
 
@@ -325,7 +312,7 @@ def loewner_apply(p0_eig: EigenDecomposition, f: str, s: SymMatrix) -> SymMatrix
     """
     if f not in _LOEWNER_FUNCTIONS:
         raise DomainError(f"unknown scalar function {f!r}")
-    fn, fprime = _LOEWNER_FUNCTIONS[f]
+    divided, fprime = _LOEWNER_FUNCTIONS[f]
     lam = p0_eig.values
     if f == "log":
         if lam[0] <= psd_tolerance(float(lam[-1])):
@@ -336,11 +323,9 @@ def loewner_apply(p0_eig: EigenDecomposition, f: str, s: SymMatrix) -> SymMatrix
     else:
         scale = np.maximum(1.0, np.abs(lam))
 
-    diff = lam[:, None] - lam[None, :]
-    vals = fn(lam)
     with np.errstate(divide="ignore", invalid="ignore"):
-        quot = (vals[:, None] - vals[None, :]) / diff
-    near = np.abs(diff) < DIVIDED_DIFF_TOL * scale[:, None]
+        quot = divided(lam[:, None], lam[None, :])
+    near = np.abs(lam[:, None] - lam[None, :]) < DIVIDED_DIFF_TOL * scale[:, None]
     coeff = np.where(near, fprime(lam)[:, None], quot)
 
     v = p0_eig.vectors

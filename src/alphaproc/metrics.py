@@ -191,14 +191,16 @@ def _rotation(theta: float, reflect: bool) -> np.ndarray:
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+BRUTEFORCE_GRID = 720
+GOLDEN_TOL = 1e-10
 
 
-def _golden_section(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Minimize a unimodal scalar function on [lo, hi] to width tol."""
+def _golden_section(fn, lo: float, hi: float) -> float:
+    """Minimize a unimodal scalar function on [lo, hi] to width GOLDEN_TOL."""
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = fn(x1), fn(x2)
-    while hi - lo > tol:
+    while hi - lo > GOLDEN_TOL:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
@@ -210,20 +212,16 @@ def _golden_section(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
     return min(f1, f2)
 
 
-def procrustes_bruteforce_2x2(
-    a: SpdMatrix, b: SpdMatrix, alpha: float, grid_size: int = 720
-) -> float:
+def procrustes_bruteforce_2x2(a: SpdMatrix, b: SpdMatrix, alpha: float) -> float:
     """Direct minimization of |A^a - B^a U|_F / |a| over the full group O(2).
 
     Verification oracle for the closed form: both connected components of
     O(2) (rotations, and rotations composed with diag(1, -1)) are scanned on
-    a uniform theta grid, then the best bracket is refined by golden-section
-    search to 1e-10 in theta.
+    a uniform theta grid of BRUTEFORCE_GRID points, then the best bracket is
+    refined by golden-section search to GOLDEN_TOL in theta.
     """
     if a.n != 2 or b.n != 2:
         raise DimensionError("brute-force oracle is 2x2 only")
-    if grid_size < 360:
-        raise DomainError("grid_size must be at least 360")
     if alpha == 0.0:
         raise DomainError("alpha must be nonzero")
     if alpha < 0:
@@ -233,8 +231,8 @@ def procrustes_bruteforce_2x2(
     b_pow = spd_power(b, alpha).mat
 
     best = math.inf
-    thetas = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
-    step = 2.0 * math.pi / grid_size
+    thetas = np.linspace(0.0, 2.0 * math.pi, BRUTEFORCE_GRID, endpoint=False)
+    step = 2.0 * math.pi / BRUTEFORCE_GRID
     for reflect in (False, True):
         cost = lambda t: float(  # noqa: E731
             np.linalg.norm(a_pow - b_pow @ _rotation(t, reflect))

@@ -125,7 +125,7 @@ class KernelSpec:
         return np.exp(-np.maximum(sq, 0.0) / (2.0 * self.sigma**2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Sample matrix, one row per observation; at least two samples."""
 
@@ -134,6 +134,8 @@ class Dataset:
     @classmethod
     def from_array(cls, arr) -> "Dataset":
         a = np.atleast_2d(np.asarray(arr, dtype=float))
+        if a.ndim != 2:
+            raise DimensionError(f"expected a 2-D sample matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise NonFiniteError("dataset contains NaN or infinite entries")
         if a.shape[0] < 2:
@@ -151,7 +153,7 @@ class Dataset:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramBundle:
     """Raw Gram matrices K[X], K[Y], K[X, Y]."""
 
@@ -168,7 +170,7 @@ class GramBundle:
         return self.kyy.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CenteredGram:
     """Doubly centered, sample-scaled Gram blocks aa, bb, ab."""
 

@@ -50,28 +50,22 @@ METRIC_ALPHAS = (
 GEODESIC_STEPS = 600
 
 
-@dataclass
-class Tolerances:
-    """Gates for the randomized suites; loosened or broken only by tests.
-
-    identity_tol sits above the sqrt(eps) cancellation floor of the trace
-    formula evaluated at identical arguments; the zero-implies-equal
-    direction is enforced through separation_min on distinct pairs.
-    """
-
-    triangle_slack: float = -1e-9
-    symmetry_rel: float = 1e-9
-    identity_tol: float = 1e-5
-    separation_min: float = 1e-6
-    alt_upper: float = 1e-10
-    alt_noncommuting_gap: float = 1e-6
-    alt_commuting: float = 1e-10
-    bw_half_rel: float = 1e-10
-    limit_final_rel: float = 1e-3
-    lyapunov_rel: float = 1e-9
-    lyapunov_half_rel: float = 1e-10
-    geodesic_endpoint_rel: float = 1e-9
-    geodesic_length_rel: float = 1e-2
+# Gates of the randomized suites.  IDENTITY_TOL sits above the sqrt(eps)
+# cancellation floor of the trace formula at identical arguments; distinct
+# pairs must clear SEPARATION_MIN, which enforces that zero implies equal.
+TRIANGLE_SLACK = -1e-9
+SYMMETRY_REL = 1e-9
+IDENTITY_TOL = 1e-5
+SEPARATION_MIN = 1e-6
+ALT_UPPER = 1e-10
+ALT_NONCOMMUTING_GAP = 1e-6
+ALT_COMMUTING = 1e-10
+BW_HALF_REL = 1e-10
+LIMIT_FINAL_REL = 1e-3
+LYAPUNOV_REL = 1e-9
+LYAPUNOV_HALF_REL = 1e-10
+GEODESIC_ENDPOINT_REL = 1e-9
+GEODESIC_LENGTH_REL = 1e-2
 
 
 @dataclass
@@ -112,15 +106,13 @@ def commuting_pair(rng: np.random.Generator, n: int) -> tuple[SpdMatrix, SpdMatr
     )
 
 
-def noncommuting_pair(
-    rng: np.random.Generator, n: int, floor: float = 0.05
-) -> tuple[SpdMatrix, SpdMatrix]:
+def noncommuting_pair(rng: np.random.Generator, n: int) -> tuple[SpdMatrix, SpdMatrix]:
     """Pair bounded away from the commuting locus, where the strict
-    comparison gap degenerates."""
+    comparison gap degenerates: |AB - BA|_F >= 0.05 |A|_F |B|_F."""
     while True:
         a, b = rand_spd(rng, n), rand_spd(rng, n)
         comm = np.linalg.norm(a.mat @ b.mat - b.mat @ a.mat)
-        if comm >= floor * np.linalg.norm(a.mat) * np.linalg.norm(b.mat):
+        if comm >= 0.05 * np.linalg.norm(a.mat) * np.linalg.norm(b.mat):
             return a, b
 
 
@@ -128,7 +120,7 @@ def _witness(seed: int, trial: int, what: str, detail: str) -> str:
     return f"seed={seed} trial={trial} {what}: {detail}"
 
 
-def metric_axioms_suite(seed: int, trials: int, tol: Tolerances) -> SuiteResult:
+def metric_axioms_suite(seed: int, trials: int) -> SuiteResult:
     """Symmetry, identity of indiscernibles, and the triangle inequality for
     matrices, Gaussians, and regularized operators across the alpha set."""
     rng = np.random.default_rng(seed)
@@ -156,15 +148,15 @@ def metric_axioms_suite(seed: int, trials: int, tol: Tolerances) -> SuiteResult:
             d12, d02 = dist(1, 2), dist(0, 2)
             result.checks += 4
             scale = max(d01, d10, 1e-300)
-            if abs(d01 - d10) > tol.symmetry_rel * scale:
+            if abs(d01 - d10) > SYMMETRY_REL * scale:
                 result.fail(
                     _witness(seed, trial, f"{family} symmetry", f"{d01} vs {d10}")
                 )
-            if dist(0, 0) > tol.identity_tol:
+            if dist(0, 0) > IDENTITY_TOL:
                 result.fail(
                     _witness(seed, trial, f"{family} identity", f"d(A,A)={dist(0, 0)}")
                 )
-            if d01 <= tol.separation_min:
+            if d01 <= SEPARATION_MIN:
                 result.fail(
                     _witness(
                         seed, trial, f"{family} separation",
@@ -172,7 +164,7 @@ def metric_axioms_suite(seed: int, trials: int, tol: Tolerances) -> SuiteResult:
                     )
                 )
             slack = d01 + d12 - d02
-            if slack < tol.triangle_slack:
+            if slack < TRIANGLE_SLACK:
                 result.fail(
                     _witness(
                         seed,
@@ -184,7 +176,7 @@ def metric_axioms_suite(seed: int, trials: int, tol: Tolerances) -> SuiteResult:
     return result
 
 
-def alt_inequality_suite(seed: int, trials: int, tol: Tolerances) -> SuiteResult:
+def alt_inequality_suite(seed: int, trials: int) -> SuiteResult:
     """Family distance never exceeds the power Euclidean distance; the gap is
     strictly positive off the commuting locus and vanishes on it."""
     rng = np.random.default_rng(seed + 1)
@@ -197,11 +189,11 @@ def alt_inequality_suite(seed: int, trials: int, tol: Tolerances) -> SuiteResult
         d_pro = alpha_procrustes(a, b, alpha).value
         d_pow = power_euclidean(a, b, alpha).value
         result.checks += 2
-        if d_pro > d_pow + tol.alt_upper:
+        if d_pro > d_pow + ALT_UPPER:
             result.fail(
                 _witness(seed, trial, f"upper bound (alpha={alpha})", f"{d_pro} > {d_pow}")
             )
-        if d_pow - d_pro <= tol.alt_noncommuting_gap:
+        if d_pow - d_pro <= ALT_NONCOMMUTING_GAP:
             result.fail(
                 _witness(
                     seed,
@@ -214,7 +206,7 @@ def alt_inequality_suite(seed: int, trials: int, tol: Tolerances) -> SuiteResult
         d_pro_c = alpha_procrustes(ca, cb, alpha).value
         d_pow_c = power_euclidean(ca, cb, alpha).value
         result.checks += 1
-        if abs(d_pro_c - d_pow_c) > tol.alt_commuting * max(1.0, d_pow_c):
+        if abs(d_pro_c - d_pow_c) > ALT_COMMUTING * max(1.0, d_pow_c):
             result.fail(
                 _witness(
                     seed, trial, f"commuting equality (alpha={alpha})",
@@ -224,7 +216,7 @@ def alt_inequality_suite(seed: int, trials: int, tol: Tolerances) -> SuiteResult
     return result
 
 
-def limit_checks_suite(seed: int, trials: int, tol: Tolerances) -> SuiteResult:
+def limit_checks_suite(seed: int, trials: int) -> SuiteResult:
     """Small-alpha convergence to the log-Euclidean distance and the exact
     factor-of-two link to the Bures-Wasserstein distance at alpha = 1/2."""
     rng = np.random.default_rng(seed + 2)
@@ -240,21 +232,21 @@ def limit_checks_suite(seed: int, trials: int, tol: Tolerances) -> SuiteResult:
         result.checks += 2
         if not (gaps[0] > gaps[1] > gaps[2]):
             result.fail(_witness(seed, trial, "gap monotonicity", f"gaps={gaps}"))
-        if gaps[-1] >= tol.limit_final_rel * d_log:
+        if gaps[-1] >= LIMIT_FINAL_REL * d_log:
             result.fail(
                 _witness(seed, trial, "final gap", f"{gaps[-1]} vs {d_log}")
             )
         d_half = alpha_procrustes(a, b, 0.5).value
         d_bw = bures_wasserstein(a, b).value
         result.checks += 1
-        if abs(d_half - 2.0 * d_bw) > tol.bw_half_rel * max(d_half, 1e-300):
+        if abs(d_half - 2.0 * d_bw) > BW_HALF_REL * max(d_half, 1e-300):
             result.fail(
                 _witness(seed, trial, "alpha=1/2 coincidence", f"{d_half} vs 2*{d_bw}")
             )
     return result
 
 
-def lyapunov_suite(seed: int, trials: int, tol: Tolerances) -> SuiteResult:
+def lyapunov_suite(seed: int, trials: int) -> SuiteResult:
     """Forward-map residual of the generalized Lyapunov solve, plus the plain
     Lyapunov identity at alpha = 1/2."""
     rng = np.random.default_rng(seed + 3)
@@ -273,7 +265,7 @@ def lyapunov_suite(seed: int, trials: int, tol: Tolerances) -> SuiteResult:
         forward = loewner_apply(sym_eigendecompose(spd_log(p0)), "exp", inner)
         residual = np.linalg.norm(forward.mat - y.mat) / np.linalg.norm(y.mat)
         result.checks += 1
-        if residual > tol.lyapunov_rel:
+        if residual > LYAPUNOV_REL:
             result.fail(
                 _witness(
                     seed, trial, f"forward residual (alpha={alpha:.3f})",
@@ -285,12 +277,12 @@ def lyapunov_suite(seed: int, trials: int, tol: Tolerances) -> SuiteResult:
             h_half.mat @ p0.mat + p0.mat @ h_half.mat - y.mat
         ) / np.linalg.norm(y.mat)
         result.checks += 1
-        if res_half > tol.lyapunov_half_rel:
+        if res_half > LYAPUNOV_HALF_REL:
             result.fail(_witness(seed, trial, "alpha=1/2 Lyapunov", f"{res_half:.3e}"))
     return result
 
 
-def geodesic_suite(seed: int, trials: int, tol: Tolerances) -> SuiteResult:
+def geodesic_suite(seed: int, trials: int) -> SuiteResult:
     """Endpoint reconstruction and numeric-length agreement for the geodesic.
 
     The trial count is capped: each length integral costs GEODESIC_STEPS
@@ -305,12 +297,12 @@ def geodesic_suite(seed: int, trials: int, tol: Tolerances) -> SuiteResult:
         curve = GeodesicCurve(rand_spd(rng, n), rand_spd(rng, n), alpha)
         result.checks += 2
         res = geodesic_endpoints_residual(curve)
-        if res > tol.geodesic_endpoint_rel:
+        if res > GEODESIC_ENDPOINT_REL:
             result.fail(_witness(seed, trial, "endpoint residual", f"{res:.3e}"))
         d_closed = alpha_procrustes(curve.a, curve.b, alpha).value
         d_num = geodesic_length_numeric(curve, GEODESIC_STEPS)
         rel = abs(d_num - d_closed) / d_closed
-        if rel > tol.geodesic_length_rel:
+        if rel > GEODESIC_LENGTH_REL:
             result.fail(
                 _witness(
                     seed, trial, f"length mismatch (alpha={alpha})",
@@ -320,14 +312,11 @@ def geodesic_suite(seed: int, trials: int, tol: Tolerances) -> SuiteResult:
     return result
 
 
-def run_all_suites(
-    seed: int, trials: int, tol: Tolerances | None = None
-) -> list[SuiteResult]:
-    tol = tol or Tolerances()
+def run_all_suites(seed: int, trials: int) -> list[SuiteResult]:
     return [
-        metric_axioms_suite(seed, trials, tol),
-        alt_inequality_suite(seed, trials, tol),
-        limit_checks_suite(seed, trials, tol),
-        lyapunov_suite(seed, trials, tol),
-        geodesic_suite(seed, trials, tol),
+        metric_axioms_suite(seed, trials),
+        alt_inequality_suite(seed, trials),
+        limit_checks_suite(seed, trials),
+        lyapunov_suite(seed, trials),
+        geodesic_suite(seed, trials),
     ]

@@ -436,6 +436,11 @@ class TestValidate:
         code, _, _ = run_cli(["validate", "--trials", "0"])
         assert code == 2
 
+    def test_negative_seed_exits_2(self):
+        code, _, err = run_cli(["validate", "--trials", "1", "--seed", "-1"])
+        assert code == 2
+        assert "--seed" in err
+
     def test_seed_changes_draws_but_passes(self):
         code, out, _ = run_cli(["validate", "--trials", "4", "--seed", "123"])
         assert code == 0

@@ -15,7 +15,6 @@ from alphaproc import (
     SymMatrix,
     alpha_procrustes,
     bures_wasserstein,
-    geodesic_eval,
     geodesic_length_numeric,
     loewner_apply,
     metric_inner,
@@ -222,23 +221,23 @@ class TestGeodesic:
             a, b = rand_spd(rng, 3), rand_spd(rng, 3)
             curve = GeodesicCurve(a, b, alpha)
             assert np.linalg.norm(
-                geodesic_eval(curve, 0.0).mat - a.mat
+                curve.at(0.0).mat - a.mat
             ) <= 1e-9 * np.linalg.norm(a.mat)
             assert np.linalg.norm(
-                geodesic_eval(curve, 1.0).mat - b.mat
+                curve.at(1.0).mat - b.mat
             ) <= 1e-9 * np.linalg.norm(b.mat)
 
     def test_commuting_midpoint(self):
         a = SpdMatrix.from_array(np.diag([1.0, 4.0]))
         b = SpdMatrix.from_array(np.diag([9.0, 16.0]))
-        mid = geodesic_eval(GeodesicCurve(a, b, 0.5), 0.5)
+        mid = GeodesicCurve(a, b, 0.5).at(0.5)
         assert np.allclose(mid.mat, np.diag([4.0, 9.0]), atol=1e-12)
 
     def test_midpoint_additivity(self):
         rng = np.random.default_rng(9)
         a, b = rand_spd(rng, 3), rand_spd(rng, 3)
         curve = GeodesicCurve(a, b, 0.7)
-        g = geodesic_eval(curve, 0.3)
+        g = curve.at(0.3)
         total = alpha_procrustes(a, b, 0.7).value
         split = (
             alpha_procrustes(a, g, 0.7).value + alpha_procrustes(g, b, 0.7).value
@@ -249,7 +248,7 @@ class TestGeodesic:
         rng = np.random.default_rng(10)
         curve = GeodesicCurve(rand_spd(rng, 2), rand_spd(rng, 2), 0.5)
         with pytest.raises(DomainError):
-            geodesic_eval(curve, 1.5)
+            curve.at(1.5)
 
     def test_zero_alpha_rejected(self):
         rng = np.random.default_rng(11)
@@ -260,7 +259,7 @@ class TestGeodesic:
         rng = np.random.default_rng(12)
         curve = GeodesicCurve(rand_spd(rng, 4), rand_spd(rng, 4), 0.6)
         for t in (0.1, 0.45, 0.9):
-            assert geodesic_eval(curve, t).min_eig > 0
+            assert curve.at(t).min_eig > 0
 
 
 class TestGeodesicLength:
@@ -321,7 +320,7 @@ class TestGeodesicLength:
         with pytest.raises(NonSpdIntermediateError, match=re.escape(f"t={first} ")):
             geodesic_length_numeric(curve, steps)
         with pytest.raises(NonSpdIntermediateError, match=re.escape("t=0.5 ")):
-            geodesic_eval(curve, 0.5)
+            curve.at(0.5)
 
     def test_non_strict_midpoint_rejected(self):
         # constant bracket diag(1, 1e-7) passes the positivity check, but at
@@ -411,4 +410,24 @@ class TestScaleCovariance:
             scaled = loewner_apply(
                 SpdMatrix.from_array(s * p0.mat).eig, "log", SymMatrix.from_array(s * y.mat)
             ).mat
-            assert np.linalg.norm(scaled - expected) <= 1e-12 * np.linalg.norm(expected)
+            assert np.linalg.norm(scaled - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    def test_log_limit_metric_over_sixty_decades(self):
+        # 61 scales from 1e-30 to 1e30; the log divided differences
+        # subtract no logarithms, so roundoff does not grow with |log s|
+        al = AlphaParam.log_limit()
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            n = int(rng.integers(2, 7))
+            p0 = rand_spd(rng, n)
+            y, z = rand_sym(rng, n), rand_sym(rng, n)
+            expected = metric_inner(p0, y, z, al)
+            scale = math.sqrt(metric_inner(p0, y, y, al) * metric_inner(p0, z, z, al))
+            for s in np.logspace(-30.0, 30.0, 61):
+                scaled = metric_inner(
+                    SpdMatrix.from_array(s * p0.mat),
+                    SymMatrix.from_array(s * y.mat),
+                    SymMatrix.from_array(s * z.mat),
+                    al,
+                )
+                assert abs(scaled - expected) <= 1e-13 * scale

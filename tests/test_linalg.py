@@ -13,13 +13,20 @@ import alphaproc
 from alphaproc import (
     AlphaParam,
     ConvergenceFailureError,
+    Dataset,
     DomainError,
+    GaussianMeasure,
+    KernelSpec,
+    MeanMetricSpec,
     NonFiniteError,
     NotPsdError,
     SingularBaseError,
     SpdMatrix,
     SymMatrix,
     EigenDecomposition,
+    alpha_procrustes,
+    centered_gram,
+    gram_bundle,
     loewner_apply,
     spd_log,
     spd_power,
@@ -92,7 +99,48 @@ class TestSpdConstruction:
 
     def test_strict_rejects_singular(self):
         with pytest.raises(SingularBaseError):
-            SpdMatrix.from_array(np.diag([1.0, 0.0]), strict=True)
+            SpdMatrix.from_array(np.diag([1.0, 0.0])).require_strict("test")
+
+
+_DIAG = np.diag([1.0, 2.0])
+_POINTS = np.arange(6.0).reshape(3, 2)
+
+
+def _bundle():
+    x = Dataset.from_array(_POINTS)
+    return gram_bundle(x, x, KernelSpec.linear())
+
+
+# each builds a new object with the same content on every call
+ARRAY_HOLDERS = {
+    "SpdMatrix": lambda: SpdMatrix.from_array(_DIAG),
+    "SymMatrix": lambda: SymMatrix.from_array(_DIAG),
+    "EigenDecomposition": lambda: sym_eigendecompose(SymMatrix.from_array(_DIAG)),
+    "GaussianMeasure": lambda: GaussianMeasure.from_arrays([0.0, 1.0], _DIAG),
+    "MeanMetricSpec": lambda: MeanMetricSpec(weights=[1.0, 2.0]),
+    "Dataset": lambda: Dataset.from_array(_POINTS),
+    "GramBundle": _bundle,
+    "CenteredGram": lambda: centered_gram(_bundle()),
+}
+
+
+class TestEquality:
+    """Objects that hold arrays compare by identity; parameters by value."""
+
+    @pytest.mark.parametrize("make", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+    def test_array_holders_compare_by_identity(self, make):
+        a, b = make(), make()
+        assert a != b
+        assert a == a
+        assert len({a, b, a}) == 2
+
+    def test_parameters_compare_by_value(self):
+        assert AlphaParam(0.5) == AlphaParam(0.5)
+        assert KernelSpec.gaussian_rbf(0.5) == KernelSpec.gaussian_rbf(0.5)
+        a, b = ARRAY_HOLDERS["SpdMatrix"](), SpdMatrix.from_array(np.eye(2))
+        first, second = alpha_procrustes(a, b, 0.5), alpha_procrustes(a, b, 0.5)
+        assert first == second
+        assert hash(first) == hash(second)
 
 
 class TestSpdPower:
@@ -231,7 +279,8 @@ class TestLoewnerApply:
         p0 = rand_spd(rng, 4, lo=0.5, hi=2.5)
         s = rand_sym(rng, 4)
         h = 1e-6
-        shifted = SpdMatrix.from_array(p0.mat + h * s.mat, strict=True)
+        shifted = SpdMatrix.from_array(p0.mat + h * s.mat)
+        shifted.require_strict("shifted base point")
         fd = (spd_log(shifted).mat - spd_log(p0).mat) / h
         out = loewner_apply(p0.eig, "log", s)
         assert np.linalg.norm(out.mat - fd) <= 1e-5 * max(1.0, np.linalg.norm(fd))
@@ -286,10 +335,10 @@ class TestHAlpha:
 
 class TestAlphaParam:
     def test_mode_switch(self):
-        assert AlphaParam(0.5).mode == "general"
-        assert AlphaParam(1e-9).mode == "log-limit"
+        assert not AlphaParam(0.5).is_log_limit
+        assert AlphaParam(1e-9).is_log_limit
         assert AlphaParam.log_limit().is_log_limit
-        assert AlphaParam(1e-3).mode == "general"
+        assert not AlphaParam(1e-3).is_log_limit
 
     def test_parse(self):
         assert AlphaParam.parse("log-limit").is_log_limit

@@ -253,10 +253,6 @@ class TestBruteforce:
         with pytest.raises(DimensionError):
             procrustes_bruteforce_2x2(a, a, 0.5)
 
-    def test_rejects_small_grid(self):
-        with pytest.raises(DomainError):
-            procrustes_bruteforce_2x2(DIAG_A, DIAG_B, 0.5, grid_size=100)
-
 
 class TestDistanceResult:
     def test_float_conversion(self):

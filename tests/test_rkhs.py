@@ -96,6 +96,10 @@ class TestGramBundle:
         with pytest.raises(DimensionError):
             gram_bundle(x, y, LINEAR)
 
+    def test_dataset_rejects_3d_array(self):
+        with pytest.raises(DimensionError):
+            Dataset.from_array(np.ones((4, 3, 2)))
+
     def test_centered_blocks_have_zero_sums(self):
         x, y = datasets(4, m=9, n=7)
         cg = centered_gram(gram_bundle(x, y, RBF))

@@ -1,0 +1,41 @@
+"""Every gate of the randomized suites can fail, and reports where it did."""
+
+import pytest
+
+from alphaproc import validation
+
+SEED = 7
+
+# gate constant -> (suite that reads it, check its witness names, impossible value)
+GATES = {
+    "TRIANGLE_SLACK": ("metric-axioms", "triangle", float("inf")),
+    "SYMMETRY_REL": ("metric-axioms", "symmetry", -1.0),
+    "IDENTITY_TOL": ("metric-axioms", "identity", -1.0),
+    "SEPARATION_MIN": ("metric-axioms", "separation", float("inf")),
+    "ALT_UPPER": ("alt-inequality", "upper bound", float("-inf")),
+    "ALT_NONCOMMUTING_GAP": ("alt-inequality", "non-commuting gap", float("inf")),
+    "ALT_COMMUTING": ("alt-inequality", "commuting equality", -1.0),
+    "BW_HALF_REL": ("limit-checks", "alpha=1/2 coincidence", -1.0),
+    "LIMIT_FINAL_REL": ("limit-checks", "final gap", -1.0),
+    "LYAPUNOV_REL": ("lyapunov-residual", "forward residual", -1.0),
+    "LYAPUNOV_HALF_REL": ("lyapunov-residual", "alpha=1/2 Lyapunov", -1.0),
+    "GEODESIC_ENDPOINT_REL": ("geodesic-length", "endpoint residual", -1.0),
+    "GEODESIC_LENGTH_REL": ("geodesic-length", "length mismatch", -1.0),
+}
+
+
+def test_every_gate_constant_is_covered():
+    names = {name for name in vars(validation) if name.isupper()}
+    assert names - {"METRIC_ALPHAS", "GEODESIC_STEPS"} == set(GATES)
+
+
+@pytest.mark.parametrize("gate", sorted(GATES))
+def test_impossible_gate_fails_only_its_suite(monkeypatch, gate):
+    suite, check, impossible = GATES[gate]
+    monkeypatch.setattr(validation, gate, impossible)
+    results = {r.name: r for r in validation.run_all_suites(SEED, 3)}
+    assert not results[suite].passed
+    for message in results[suite].failures:
+        assert f"seed={SEED} " in message
+        assert check in message
+    assert all(r.passed for name, r in results.items() if name != suite)
