@@ -159,6 +159,7 @@ def _sweep_alphas(args) -> list[AlphaParam]:
         raise CliInputError(f"bad --alpha-range {args.alpha_range!r}: {exc}") from exc
     if steps < 2 or hi <= lo:
         raise CliInputError("--alpha-range needs lo < hi and steps >= 2")
+    lo, hi = AlphaParam(lo).value, AlphaParam(hi).value  # finite before linspace
     grid = [AlphaParam(v) for v in np.linspace(lo, hi, steps)]
     if lo <= 0.0 <= hi and not any(al.is_log_limit for al in grid):
         grid.append(AlphaParam.log_limit())

@@ -31,7 +31,9 @@ class GaussianMeasure:
 
     @classmethod
     def from_arrays(cls, mean, covariance) -> "GaussianMeasure":
-        m = np.atleast_1d(np.asarray(mean, dtype=float)).ravel()
+        m = np.atleast_1d(np.asarray(mean, dtype=float))
+        if m.ndim != 1:
+            raise DimensionError(f"expected a 1-D mean vector, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise NonFiniteError("mean contains NaN or infinite entries")
         cov = covariance if isinstance(covariance, SpdMatrix) else SpdMatrix.from_array(covariance)

@@ -208,6 +208,10 @@ class AlphaParam:
 
     value: float
 
+    def __post_init__(self):
+        if not np.isfinite(self.value):
+            raise DomainError(f"alpha must be finite, got {self.value}")
+
     @property
     def is_log_limit(self) -> bool:
         return abs(self.value) < ALPHA_SWITCH_TOL
@@ -265,9 +269,15 @@ def trace_sqrt_triple(a: SpdMatrix, b: SpdMatrix, alpha: float) -> float:
     if alpha < 0:
         a.require_strict("negative power")
         b.require_strict("negative power")
-    a_pow = spd_power(a, alpha).mat
-    b_pow = spd_power(b, 2.0 * alpha).mat
-    m = a_pow @ b_pow @ a_pow
+    return trace_sqrt_sandwich(spd_power(a, alpha).mat, spd_power(b, 2.0 * alpha).mat)
+
+
+def trace_sqrt_sandwich(p: np.ndarray, q: np.ndarray) -> float:
+    """tr[(P Q P)^{1/2}] for PSD P and Q, from the eigenvalues of sym(P Q P).
+
+    Roundoff negatives are clamped at zero.
+    """
+    m = p @ q @ p
     sym = (m + m.T) / 2.0
     with _lapack_guard("cross-term eigensolve", sym):
         w = np.linalg.eigvalsh(sym)

@@ -37,19 +37,19 @@ def h_alpha(e: SpdMatrix, alpha: float) -> np.ndarray:
 
 
 @pytest.fixture
-def eigh_calls(monkeypatch):
-    """Matrices decomposed by each np.linalg.eigh call made while the test runs.
+def eigh_orders(monkeypatch):
+    """Order of every matrix decomposed by np.linalg.eigh while the test runs.
 
-    A 2-D argument records 1 and a (k, n, n) stack records k, so sum() counts
-    decomposed matrices however they were batched.
+    A (k, n, n) stack records n k times, so len() counts decomposed
+    matrices however they were batched.
     """
-    calls = []
+    orders = []
     original = np.linalg.eigh
 
-    def counting(a, *args, **kwargs):
+    def recording(a, *args, **kwargs):
         shape = np.shape(a)
-        calls.append(int(np.prod(shape[:-2], dtype=int)))
+        orders.extend([shape[-1]] * int(np.prod(shape[:-2], dtype=int)))
         return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    return calls
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return orders

@@ -140,6 +140,12 @@ class TestDist:
         code, _, _ = run_cli(["dist", matrices[0], singular, "--alpha", "-1"])
         assert code == 3
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    def test_non_finite_alpha_exits_3(self, matrices, alpha):
+        code, out, err = run_cli(["dist", f"--alpha={alpha}", *matrices])
+        assert code == 3
+        assert out == "" and "alpha must be finite" in err
+
     def test_indefinite_matrix_exits_3(self, matrices, tmp_path):
         indefinite = write_matrix(tmp_path / "neg.csv", np.diag([1.0, -2.0]))
         code, _, _ = run_cli(["dist", matrices[0], indefinite, "--alpha", "0.5"])
@@ -184,6 +190,12 @@ class TestSweep:
         code, out, _ = run_cli(["sweep", "--alpha-range=-0.5:0.5:5", a, b])
         assert code == 0
         assert "log-limit" in out
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_alpha_range_to_infinity_exits_3(self, matrices):
+        code, out, err = run_cli(["sweep", "--alpha-range=0:inf:3", *matrices])
+        assert code == 3
+        assert out == "" and "alpha must be finite" in err
 
     def test_empty_alpha_list_exits_2(self, matrices):
         a, b = matrices
@@ -234,18 +246,18 @@ class TestGeodesic:
         _, out_dist, _ = run_cli(["dist", "--alpha", "0.5", a, b])
         assert length == pytest.approx(json.loads(out_dist)["distance"], rel=1e-3)
 
-    def test_curve_closed_form_built_once(self, tmp_path, eigh_calls):
+    def test_curve_closed_form_built_once(self, tmp_path, eigh_orders):
         # 2 endpoint reads + 5 points + 102 quadrature points + 1 cross root
         rng = np.random.default_rng(20)
         a = write_matrix(tmp_path / "A.csv", rand_spd(rng, 3).mat)
         b = write_matrix(tmp_path / "B.csv", rand_spd(rng, 3).mat)
-        eigh_calls.clear()
+        eigh_orders.clear()
         code, _, _ = run_cli(
             ["geodesic", a, b, "--alpha", "0.7", "--t-steps", "4", "--report-length",
              "--length-steps", "100"]
         )
         assert code == 0
-        assert sum(eigh_calls) == 110
+        assert len(eigh_orders) == 110
 
 
 class TestGaussDist:
@@ -284,19 +296,19 @@ class TestGaussDist:
         ).value
         assert json.loads(out)["cov_term"] == pytest.approx(expected, rel=1e-10)
 
-    def test_decomposes_each_covariance_once(self, tmp_path, eigh_calls):
+    def test_decomposes_each_covariance_once(self, tmp_path, eigh_orders):
         rng = np.random.default_rng(21)
         cov_a = write_matrix(tmp_path / "A.csv", rand_spd(rng, 3).mat)
         cov_b = write_matrix(tmp_path / "B.csv", rand_spd(rng, 3).mat)
         m1 = write_matrix(tmp_path / "m1.csv", np.zeros((1, 3)))
         m2 = write_matrix(tmp_path / "m2.csv", np.ones((1, 3)))
-        eigh_calls.clear()
+        eigh_orders.clear()
         code, _, _ = run_cli(
             ["gauss-dist", "--mean-a", m1, "--cov-a", cov_a,
              "--mean-b", m2, "--cov-b", cov_b, "--alpha", "0.75"]
         )
         assert code == 0
-        assert sum(eigh_calls) == 2
+        assert len(eigh_orders) == 2
 
 
 class TestRkhsDist:

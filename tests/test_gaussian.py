@@ -30,6 +30,11 @@ class TestConstruction:
         with pytest.raises(DimensionError):
             GaussianMeasure.from_arrays([1.0, 2.0, 3.0], np.eye(2))
 
+    def test_two_dimensional_mean_rejected(self):
+        # not flattened into a 4-vector that happens to match the covariance
+        with pytest.raises(DimensionError):
+            GaussianMeasure.from_arrays(np.ones((2, 2)), np.eye(4))
+
     def test_weights_must_be_positive(self):
         with pytest.raises(DomainError):
             MeanMetricSpec(weights=[1.0, -1.0])

@@ -344,6 +344,13 @@ class TestAlphaParam:
         assert AlphaParam.parse("log-limit").is_log_limit
         assert AlphaParam.parse("0.5").value == 0.5
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(DomainError, match="alpha must be finite"):
+            AlphaParam(value)
+        with pytest.raises(DomainError, match="alpha must be finite"):
+            AlphaParam.parse(str(value))
+
 
 class TestSpectralPower:
     def test_zero_power_is_range_projection(self):

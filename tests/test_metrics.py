@@ -67,6 +67,15 @@ class TestAlphaProcrustes:
         with pytest.raises(SingularBaseError):
             alpha_procrustes(a, b, AlphaParam.log_limit())
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_is_a_domain_error(self, alpha):
+        # blamed on alpha before any arithmetic, not on the matrix it poisons
+        with pytest.raises(DomainError, match="alpha must be finite"):
+            alpha_procrustes(DIAG_A, DIAG_B, alpha)
+        with pytest.raises(DomainError, match="alpha must be finite"):
+            alpha_procrustes_regularized(DIAG_A, DIAG_B, 0.1, alpha)
+
     def test_psd_allowed_for_positive_alpha(self):
         rng = np.random.default_rng(5)
         a = rand_psd_rank_deficient(rng, 3, 2)

@@ -10,6 +10,7 @@ from alphaproc import (
     GaussianMeasure,
     GramBundle,
     KernelSpec,
+    SingularBaseError,
     UnsupportedKernelError,
     alpha_procrustes,
     alpha_procrustes_regularized,
@@ -40,6 +41,50 @@ def datasets(seed=0, m=15, n=15, dim=2, shift=0.4):
     x = Dataset.from_array(rng.standard_normal((m, dim)))
     y = Dataset.from_array(rng.standard_normal((n, dim)) * 1.3 + shift)
     return x, y
+
+
+def mp_regularized_rbf(x, y, sigma, alphas, gamma, dps=40):
+    """Regularized RBF family distances at ``dps`` digits, one per alpha.
+
+    The pooled Gram G = V diag(w) V' gives the feature coordinates
+    diag(sqrt(w)) V' (every eigenvalue kept); C_X and C_Y are the sample
+    covariances of those coordinates, their ridged powers come from their
+    eigendecompositions, and the cross term from the eigenvalues of
+    A^a B^2a A^a.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        rows = [[mp.mpf(float(v)) for v in row] for row in np.vstack([x, y])]
+        size, m = len(rows), len(x)
+        scale = 2 * mp.mpf(sigma) ** 2
+        gram = mp.matrix(size, size)
+        for i in range(size):
+            for j in range(size):
+                sq = mp.fsum((a - b) ** 2 for a, b in zip(rows[i], rows[j]))
+                gram[i, j] = mp.exp(-sq / scale)
+        w, v = mp.eigsy(gram)
+        coords = mp.diag([mp.sqrt(wi) for wi in w]) * v.T
+
+        def covariance(cols):
+            b = mp.matrix(size, len(cols))
+            for i in range(size):
+                mean = mp.fsum(coords[i, c] for c in cols) / len(cols)
+                for k, c in enumerate(cols):
+                    b[i, k] = (coords[i, c] - mean) / mp.sqrt(len(cols))
+            s, u = mp.eigsy(b * b.T)
+            return [max(si, 0) + mp.mpf(gamma) for si in s], u
+
+        (sx, ux), (sy, uy) = covariance(range(m)), covariance(range(m, size))
+        out = []
+        for alpha in alphas:
+            a = mp.mpf(alpha)
+            pa = ux * mp.diag([si**a for si in sx]) * ux.T
+            cross = pa * uy * mp.diag([si ** (2 * a) for si in sy]) * uy.T * pa
+            eigs = mp.eigsy((cross + cross.T) / 2, eigvals_only=True)
+            total = mp.fsum(si ** (2 * a) for si in sx + sy)
+            total -= 2 * mp.fsum(mp.sqrt(max(e, 0)) for e in eigs)
+            out.append(float(mp.sqrt(total) / abs(a)))
+        return out
 
 
 def feature_gaussians(x, y, kernel):
@@ -248,6 +293,57 @@ class TestRegularizedDistance:
         d_feat = alpha_procrustes_regularized(cx, cy, 1e-3, -0.5).value
         assert abs(d_gram - d_feat) <= 1e-8 * d_feat
 
+    @pytest.mark.parametrize("gamma", [0.01, 0.1, 1.0])
+    @pytest.mark.parametrize("alpha", [-0.5, 0.25, 0.75, 2.0])
+    def test_both_factor_sides_match_feature_oracle(self, eigh_orders, alpha, gamma):
+        # the linear features span r = 12 dimensions: X (m = 8 < r) takes its
+        # powers from the sample side, Y (n = 30 >= r) from the covariance side
+        x, y = datasets(43, m=8, n=30, dim=12)
+        _, cx = explicit_feature_covariance(x, LINEAR)
+        _, cy = explicit_feature_covariance(y, LINEAR)
+        eigh_orders.clear()
+        d_gram = rkhs_alpha_distance(x, y, LINEAR, alpha, gamma)
+        assert eigh_orders == [38, 8, 12]
+        d_feat = alpha_procrustes_regularized(cx, cy, gamma, alpha).value
+        assert abs(d_gram - d_feat) <= 1e-10 * d_feat
+
+    def test_rbf_decomposes_the_pooled_gram_and_one_side_per_dataset(self, eigh_orders):
+        # the RBF features span r = m + n dimensions; each covariance is
+        # decomposed on its sample side, never as an r x r matrix
+        x, y = datasets(44, m=9, n=12)
+        rkhs_alpha_distance(x, y, RBF, 0.7, 0.1)
+        assert eigh_orders == [21, 9, 12]
+
+    def test_negative_alpha_needs_the_ridge_above_tolerance(self):
+        # C + gI must be strictly positive on the span of the features, as
+        # for the matrix family: g below 1e-12 lambda_max is singular there
+        x, y = datasets(45, m=6, n=7, dim=8)
+        _, cx = explicit_feature_covariance(x, LINEAR)
+        _, cy = explicit_feature_covariance(y, LINEAR)
+        gamma = 1e-13 * cy.eig.max
+        with pytest.raises(SingularBaseError):
+            alpha_procrustes_regularized(cx, cy, gamma, -0.5)
+        with pytest.raises(SingularBaseError):
+            rkhs_alpha_distance(x, y, LINEAR, -0.5, gamma)
+        # full-rank covariances on the span keep their own smallest eigenvalue
+        x, y = datasets(46, m=20, n=25, dim=3)
+        _, cx = explicit_feature_covariance(x, LINEAR)
+        _, cy = explicit_feature_covariance(y, LINEAR)
+        gamma = 1e-13 * cy.eig.max
+        d_feat = alpha_procrustes_regularized(cx, cy, gamma, -0.5).value
+        d_gram = rkhs_alpha_distance(x, y, LINEAR, -0.5, gamma)
+        assert abs(d_gram - d_feat) <= 1e-10 * d_feat
+
+    @pytest.mark.parametrize("sigma", [1.0, 3.0])
+    def test_rbf_matches_40_digit_reference(self, sigma):
+        x, y = datasets(47, m=7, n=6, dim=3)
+        alphas = (-0.5, 0.25, 2.0)
+        reference = mp_regularized_rbf(x.points, y.points, sigma, alphas, 0.1)
+        kernel = KernelSpec.gaussian_rbf(sigma)
+        for alpha, ref in zip(alphas, reference):
+            d = rkhs_alpha_distance(x, y, kernel, alpha, 0.1)
+            assert abs(d - ref) <= 1e-12 * ref
+
     def test_all_zero_features_give_zero(self):
         z = Dataset.from_array(np.zeros((4, 2)))
         assert rkhs_alpha_distance(z, z, LINEAR, 0.3, 0.1) == 0.0
@@ -362,14 +458,14 @@ class TestGaussianDistance:
             rkhs_gaussian_distance(x, y, POLY, 0.75, -0.1)
 
     @pytest.mark.parametrize("alpha,expected", [(0.5, 0), (1.0, 2)])
-    def test_half_alpha_needs_no_eigensolve(self, eigh_calls, alpha, expected):
+    def test_half_alpha_needs_no_eigensolve(self, eigh_orders, alpha, expected):
         # at alpha = 1/2 the range projections leave ab unchanged
         x, y = datasets(36, m=9, n=12)
         rkhs_gaussian_distance(x, y, RBF, alpha)
-        assert sum(eigh_calls) == expected
+        assert len(eigh_orders) == expected
         if alpha == 0.5:
             rkhs_wasserstein(x, y, RBF)
-            assert sum(eigh_calls) == 0
+            assert len(eigh_orders) == 0
 
     @pytest.mark.parametrize("alpha,gamma", [(0.75, 0.0), (0.3, 0.1), (0.0, 0.1)])
     def test_builds_gram_once(self, monkeypatch, alpha, gamma):
