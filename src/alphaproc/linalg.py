@@ -10,6 +10,7 @@ values), each behind one guard that turns a failure into a typed error.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -133,15 +134,23 @@ def sym_eigendecompose(s: SymMatrix) -> EigenDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class SpdMatrix:
-    """Symmetric positive (semi-)definite matrix, held as its spectrum.
+    """Symmetric positive (semi-)definite operator, held as its spectrum.
 
-    Construction clamps eigenvalues in (-psd_tol, psd_tol) to zero and
-    rejects anything below -psd_tol; a formula that needs every eigenvalue
-    above psd_tol calls ``require_strict``.  ``mat`` is the symmetrized input
-    when there was one, else V diag(w) V^T formed on first read.
+    The spectrum sits on an n x k orthonormal basis ``eig.vectors``.  When
+    k < n, as for an operator built from a factor by ``_from_factor``, the
+    n - k directions outside that basis hold one eigenvalue, ``floor``; it
+    is 0.0 on a complete basis.  ``n``, ``min_eig``, ``require_strict``,
+    ``trace_power``, ``add_ridge``, ``spd_power``, ``spd_log`` and ``mat``
+    account for those directions; code that reads ``eig`` directly needs a
+    complete basis.  Construction from an array clamps eigenvalues in
+    (-psd_tol, psd_tol) to zero and rejects anything below -psd_tol; a
+    formula that needs every eigenvalue above psd_tol calls
+    ``require_strict``.  ``mat`` is the symmetrized input when there was
+    one, else formed from the spectrum on first read.
     """
 
     eig: EigenDecomposition
+    floor: float = 0.0
     _input: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
@@ -155,51 +164,102 @@ class SpdMatrix:
             )
         values = np.where(np.abs(eig.values) < tol, 0.0, eig.values)
         values = np.maximum(values, 0.0)
-        return cls(EigenDecomposition(_freeze(values), eig.vectors), s.mat)
+        return cls(EigenDecomposition(_freeze(values), eig.vectors), _input=s.mat)
 
     @classmethod
-    def _from_eig(cls, values: np.ndarray, vectors: np.ndarray) -> "SpdMatrix":
-        """Build from a known nonnegative spectrum without re-validation."""
-        order = np.argsort(values)
-        values = np.asarray(values, dtype=float)[order]
-        vectors = np.asarray(vectors, dtype=float)[:, order]
-        return cls(EigenDecomposition(_freeze(values), _freeze(vectors)))
+    def _from_eig(
+        cls, values: np.ndarray, vectors: np.ndarray, floor: float = 0.0
+    ) -> "SpdMatrix":
+        """Build from a known nonnegative spectrum without re-validation.
+
+        An ascending spectrum keeps its eigenvector array: ridges and
+        positive powers share the basis instead of copying it.
+        """
+        values = np.asarray(values, dtype=float)
+        if np.any(values[1:] < values[:-1]):
+            order = np.argsort(values)
+            values, vectors = values[order], np.asarray(vectors, dtype=float)[:, order]
+        return cls(EigenDecomposition(_freeze(values), _freeze(vectors)), floor)
+
+    @classmethod
+    def _from_factor(cls, b: np.ndarray) -> "SpdMatrix":
+        """b b' for a factor b (n x k), decomposed on the smaller of b b' and b' b.
+
+        On the sample side (n > k), b' b = U diag(s) U', and the columns of
+        b U diag(s)^(-1/2) over the nonzero s are an orthonormal basis of the
+        range of b b' with eigenvalues s; the directions outside it hold 0.
+        """
+        n, k = b.shape
+        on_samples = n > k
+        s, u = sym_eigh(b.T @ b if on_samples else b @ b.T)
+        s = np.where(s < psd_tolerance(s[-1]), 0.0, s)
+        if on_samples:
+            nz = s > 0.0
+            s, u = s[nz], (b @ u[:, nz]) / np.sqrt(s[nz])
+        return cls._from_eig(s, u)
 
     @cached_property
     def mat(self) -> np.ndarray:
         if self._input is not None:
             return self._input
-        # column-major, the layout the eigenvector permutation in _from_eig
-        # produces: BLAS rounds the product by operand layout, so this keeps
-        # the bits of the dense form independent of when it is formed
+        # one layout, column-major, whatever layout the eigenvectors arrive
+        # in: BLAS rounds the product by operand layout, so this keeps the
+        # bits of the dense form independent of how the basis was built
         v = np.asfortranarray(self.eig.vectors)
-        mat = (v * self.eig.values) @ v.T
+        mat = _dense(v, self.eig.values, self.floor)
         return _freeze((mat + mat.T) / 2.0)
 
     @property
     def n(self) -> int:
-        return self.eig.values.shape[0]
+        return self.eig.vectors.shape[0]
+
+    @property
+    def _rest(self) -> int:
+        """Number of directions outside the basis, each holding ``floor``."""
+        return self.n - self.eig.values.shape[0]
+
+    def _bounds(self) -> tuple[float, float]:
+        """Smallest and largest eigenvalue, ``floor`` included."""
+        w = np.append(self.eig.values, self.floor) if self._rest else self.eig.values
+        return float(w.min()), float(w.max())
 
     @property
     def min_eig(self) -> float:
-        return self.eig.min
+        return self._bounds()[0]
 
     def require_strict(self, what: str) -> None:
-        if not self.min_eig > psd_tolerance(self.eig.max):
+        lo, hi = self._bounds()
+        if not lo > psd_tolerance(hi):
             raise SingularBaseError(
                 f"{what} requires a strictly positive definite matrix "
-                f"(min eigenvalue {self.min_eig:.3e})"
+                f"(min eigenvalue {lo:.3e})"
             )
 
     def trace_power(self, p: float) -> float:
         """tr(A^p) from the spectrum."""
         if p < 0:
             self.require_strict(f"power {p}")
-        return float(np.sum(self.eig.values**p))
+        total = float(np.sum(self.eig.values**p))
+        if self._rest:
+            total += self._rest * self.floor**p
+        return total
+
+    def _map(self, fn) -> "SpdMatrix":
+        """fn applied to every eigenvalue, those outside the basis included."""
+        floor = fn(self.floor) if self._rest else 0.0
+        return SpdMatrix._from_eig(fn(self.eig.values), self.eig.vectors, floor)
 
     def add_ridge(self, gamma: float) -> "SpdMatrix":
         """A + gamma*I, sharing the eigenbasis."""
-        return SpdMatrix._from_eig(self.eig.values + gamma, self.eig.vectors)
+        return self._map(lambda w: w + gamma)
+
+
+def _dense(v: np.ndarray, values: np.ndarray, floor: float) -> np.ndarray:
+    """V diag(values) V' plus ``floor`` on the directions outside V's columns."""
+    mat = (v * (values - floor)) @ v.T
+    if v.shape[1] < v.shape[0]:
+        mat[np.diag_indices_from(mat)] += floor
+    return mat
 
 
 @dataclass(frozen=True)
@@ -246,13 +306,14 @@ def spd_power(a: SpdMatrix, p: float) -> SpdMatrix:
     """
     if p < 0:
         a.require_strict(f"power {p}")
-    return SpdMatrix._from_eig(a.eig.values**p, a.eig.vectors)
+    return a._map(lambda w: w**p)
 
 
 def spd_log(a: SpdMatrix) -> SymMatrix:
     """Principal matrix logarithm of a strictly SPD matrix."""
     a.require_strict("matrix logarithm")
-    return SymMatrix.from_array((a.eig.vectors * np.log(a.eig.values)) @ a.eig.vectors.T)
+    floor = math.log(a.floor) if a._rest else 0.0
+    return SymMatrix.from_array(_dense(a.eig.vectors, np.log(a.eig.values), floor))
 
 
 def sym_exp(s: SymMatrix) -> SpdMatrix:
@@ -264,20 +325,11 @@ def sym_exp(s: SymMatrix) -> SpdMatrix:
 def trace_sqrt_triple(a: SpdMatrix, b: SpdMatrix, alpha: float) -> float:
     """tr[(A^a B^{2a} A^a)^{1/2}], the cross term of the distance family.
 
-    Equals the sum of square roots of the eigenvalues of A^{2a} B^{2a}.
+    The sum of square roots of the eigenvalues of sym(A^a B^{2a} A^a), with
+    roundoff negatives clamped at zero.
     """
-    if alpha < 0:
-        a.require_strict("negative power")
-        b.require_strict("negative power")
-    return trace_sqrt_sandwich(spd_power(a, alpha).mat, spd_power(b, 2.0 * alpha).mat)
-
-
-def trace_sqrt_sandwich(p: np.ndarray, q: np.ndarray) -> float:
-    """tr[(P Q P)^{1/2}] for PSD P and Q, from the eigenvalues of sym(P Q P).
-
-    Roundoff negatives are clamped at zero.
-    """
-    m = p @ q @ p
+    p = spd_power(a, alpha).mat
+    m = p @ spd_power(b, 2.0 * alpha).mat @ p
     sym = (m + m.T) / 2.0
     with _lapack_guard("cross-term eigensolve", sym):
         w = np.linalg.eigvalsh(sym)

@@ -87,6 +87,11 @@ def _sqrt_clamped(trace_arg: float, scale: float) -> float:
     return math.sqrt(trace_arg)
 
 
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 < gamma < math.inf:
+        raise DomainError(f"gamma must be positive and finite, got {gamma}")
+
+
 def _family(a: SpdMatrix, b: SpdMatrix, alpha, gamma: float | None = None) -> DistanceResult:
     """The one evaluator of the family: each of its special cases calls it.
 
@@ -94,10 +99,9 @@ def _family(a: SpdMatrix, b: SpdMatrix, alpha, gamma: float | None = None) -> Di
     strictly positive; gamma > 0 evaluates A + gamma*I and B + gamma*I.
     """
     _check_dims(a, b)
-    if gamma is not None and gamma <= 0.0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
     al = as_alpha(alpha)
     if gamma is not None:
+        _check_gamma(gamma)
         a, b = a.add_ridge(gamma), b.add_ridge(gamma)
     elif al.is_log_limit or al.value < 0:
         what = "log-Euclidean distance" if al.is_log_limit else "negative alpha"

@@ -9,8 +9,9 @@ The regularized family (alpha != 0) eigendecomposes the pooled Gram matrix
 of both datasets once.  Its range is the span of all features, r
 dimensions, where C_X = b b' with b the centered coordinates of X's
 features over sqrt(m); the ridge adds exactly zero on the orthogonal
-complement.  Each ridged power (C_X + gI)^p is taken through the smaller
-of b b' (r x r) and b' b (m x m), so sample counts may differ.  The
+complement.  The distance is then ``alpha_procrustes_regularized`` on
+the two covariances, each an ``SpdMatrix`` decomposed on the smaller of
+b b' (r x r) and b' b (m x m), so sample counts may differ.  The
 log-limit and the unregularized family work on the centered Gram blocks
 
     aa = (1/m) J_m K[X] J_m,   bb = (1/n) J_n K[Y] J_n,
@@ -34,7 +35,6 @@ from .exceptions import (
     DimensionError,
     DomainError,
     NonFiniteError,
-    SingularBaseError,
     UnsupportedKernelError,
 )
 from .linalg import (
@@ -44,10 +44,8 @@ from .linalg import (
     nuclear_norm,
     psd_tolerance,
     sym_eigendecompose,
-    sym_eigh,
-    trace_sqrt_sandwich,
 )
-from .metrics import _sqrt_clamped
+from .metrics import _check_gamma, _sqrt_clamped, alpha_procrustes_regularized
 
 FEATURE_DIM_LIMIT = 10_000
 
@@ -244,13 +242,11 @@ def _regularized_distance(gb: GramBundle, alpha, gamma: float) -> float:
     The pooled Gram G = [[K[X], K[X,Y]], [K[Y,X], K[Y]]] = V diag(w) V'
     gives R = diag(sqrt(w)) V' over the eigenvalues above the PSD
     tolerance: the coordinates of all features in an orthonormal basis of
-    their span, r of them.  The value is the family's
-    (1/|a|) sqrt(tr A^2a + tr B^2a - 2 tr[(A^a B^2a A^a)^(1/2)]) for
-    A = C_X + gI and B = C_Y + gI on the span, each ridged power taken from
-    the covariance's factor (``_RidgedCovariance``).
+    their span, r of them.  There C_X = b b' with b the centered columns of
+    X's coordinates over sqrt(m), and the value is the matrix family's on
+    C_X + gI and C_Y + gI, each held as the spectrum of its factor.
     """
-    if gamma <= 0.0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
+    _check_gamma(gamma)
     al = as_alpha(alpha)
     if al.is_log_limit:
         return _log_limit_distance(centered_gram(gb), gamma)
@@ -260,80 +256,11 @@ def _regularized_distance(gb: GramBundle, alpha, gamma: float) -> float:
     if not np.any(keep):
         return 0.0  # every feature vanishes, so C_X = C_Y = 0
     coords = np.sqrt(eig.values[keep])[:, None] * eig.vectors[:, keep].T
-    cx = _RidgedCovariance.from_coords(coords[:, : gb.m], gamma)
-    cy = _RidgedCovariance.from_coords(coords[:, gb.m :], gamma)
-    a = al.value
-    if a < 0:
-        cx.require_strict()
-        cy.require_strict()
-    ta, tb = cx.trace_power(2.0 * a), cy.trace_power(2.0 * a)
-    cross = trace_sqrt_sandwich(cx.power(a), cy.power(2.0 * a))
-    return _sqrt_clamped(ta + tb - 2.0 * cross, ta + tb) / abs(a)
-
-
-@dataclass(frozen=True, eq=False)
-class _RidgedCovariance:
-    """C + gI on an r-dimensional span, held as C = W diag(s) W' plus the ridge.
-
-    C = b b' for a factor b (r x k); the eigensolve runs on the smaller of
-    b b' and b' b.  On the covariance side (r <= k), b b' = W diag(s) W'
-    with W orthonormal and complete, so (C + gI)^p = W diag((s + g)^p) W'.
-    On the sample side (r > k), b' b = U diag(s) U' and W = b U, whose
-    columns have squared norms s and span the range of C; by the push-through
-    identity
-
-        (C + gI)^p = g^p I + W diag(h_p) W',
-
-    h_p = ((s + g)^p - g^p) / s, with its limit p g^(p-1) at s = 0.  The
-    split stays on the sample side, whose r - k directions outside the range
-    hold g^p: on a complete basis with p < 0 and s >> g, g^p I would cancel
-    against W diag(h_p) W' and lose the small eigenvalues (s + g)^p.
-    """
-
-    s: np.ndarray
-    w: np.ndarray
-    gamma: float
-
-    @classmethod
-    def from_coords(cls, coords: np.ndarray, gamma: float) -> "_RidgedCovariance":
-        """Covariance of the columns of ``coords`` (r x k), plus gamma*I."""
-        r, k = coords.shape
-        b = (coords - coords.mean(axis=1, keepdims=True)) / math.sqrt(k)
-        on_samples = r > k
-        s, u = sym_eigh(b.T @ b if on_samples else b @ b.T)
-        s = np.where(s < psd_tolerance(s[-1]), 0.0, s)
-        return cls(s, b @ u if on_samples else u, gamma)
-
-    @property
-    def on_samples(self) -> bool:
-        return len(self.s) < self.w.shape[0]
-
-    def require_strict(self) -> None:
-        """The strictness rule of ``SpdMatrix.require_strict`` on C + gI."""
-        # the sample side leaves directions where C + gI is exactly g
-        lowest = self.gamma + (0.0 if self.on_samples else self.s[0])
-        if not lowest > psd_tolerance(self.s[-1] + self.gamma):
-            raise SingularBaseError(
-                "negative alpha requires a strictly positive definite matrix "
-                f"(min eigenvalue {lowest:.3e})"
-            )
-
-    def trace_power(self, p: float) -> float:
-        """tr (C + gI)^p over the r-dimensional span."""
-        g, s = self.gamma, self.s
-        return float(np.sum((s + g) ** p)) + (self.w.shape[0] - len(s)) * g**p
-
-    def power(self, p: float) -> np.ndarray:
-        """(C + gI)^p as a dense r x r matrix."""
-        g, s, w = self.gamma, self.s, self.w
-        if not self.on_samples:
-            return (w * (s + g) ** p) @ w.T
-        # (s + g)^p - g^p without cancellation at s << g
-        h = g**p * np.expm1(p * np.log1p(s / g))
-        h = np.divide(h, s, out=np.full_like(s, p * g ** (p - 1.0)), where=s > 0.0)
-        mat = (w * h) @ w.T
-        mat[np.diag_indices_from(mat)] += g**p
-        return mat
+    cx, cy = (
+        SpdMatrix._from_factor((c - c.mean(axis=1, keepdims=True)) / math.sqrt(c.shape[1]))
+        for c in (coords[:, : gb.m], coords[:, gb.m :])
+    )
+    return alpha_procrustes_regularized(cx, cy, gamma, al).value
 
 
 def _log_limit_distance(cg: CenteredGram, gamma: float) -> float:

@@ -146,6 +146,12 @@ class TestDist:
         assert code == 3
         assert out == "" and "alpha must be finite" in err
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_gamma_exits_3(self, matrices, gamma):
+        code, out, err = run_cli(["dist", *matrices, "--alpha", "0.5", f"--gamma={gamma}"])
+        assert code == 3
+        assert out == "" and "gamma must be positive and finite" in err
+
     def test_indefinite_matrix_exits_3(self, matrices, tmp_path):
         indefinite = write_matrix(tmp_path / "neg.csv", np.diag([1.0, -2.0]))
         code, _, _ = run_cli(["dist", matrices[0], indefinite, "--alpha", "0.5"])
@@ -367,6 +373,16 @@ class TestRkhsDist:
         )
         assert code == 0
         assert json.loads(out)["alpha"] == "log-limit"
+
+    @pytest.mark.parametrize("alpha", ["log-limit", "0.5"])
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_gamma_exits_3(self, datasets, alpha, gamma):
+        code, out, err = run_cli(
+            ["rkhs-dist", *datasets, "--kernel", "linear", "--alpha", alpha,
+             f"--gamma={gamma}"]
+        )
+        assert code == 3
+        assert out == "" and "gamma must be positive and finite" in err
 
     def test_linear_matches_gauss_dist_on_moments(self, datasets, tmp_path):
         from alphaproc import Dataset, KernelSpec, explicit_feature_covariance

@@ -102,6 +102,58 @@ class TestSpdConstruction:
             SpdMatrix.from_array(np.diag([1.0, 0.0])).require_strict("test")
 
 
+def _factors():
+    rng = np.random.default_rng(31)
+    return {
+        "sample-side": rng.standard_normal((12, 5)),
+        "covariance-side": rng.standard_normal((5, 12)),
+        "rank-deficient": rng.standard_normal((12, 3)) @ rng.standard_normal((3, 7)),
+        "all-zero": np.zeros((6, 4)),
+    }
+
+
+class TestFromFactor:
+    """b b' held on the smaller side of b agrees with the dense matrix."""
+
+    @pytest.mark.parametrize("name", list(_factors()))
+    def test_matches_dense_ridged_matrix(self, name):
+        b = _factors()[name]
+        n, k = b.shape
+        factored = SpdMatrix._from_factor(b)
+        assert factored.n == n
+        if n > k:  # the sample side keeps at most k basis vectors
+            assert factored.eig.vectors.shape[1] <= k
+        gamma = 0.1
+        ridged = factored.add_ridge(gamma)
+        dense = SpdMatrix.from_array(b @ b.T + gamma * np.eye(n))
+        scale = np.linalg.norm(dense.mat)
+        assert np.linalg.norm(ridged.mat - dense.mat) <= 1e-13 * scale
+        assert ridged.min_eig == pytest.approx(dense.min_eig, rel=1e-12)
+        for p in (-1.0, -0.5, 0.5, 2.0):
+            assert ridged.trace_power(p) == pytest.approx(dense.trace_power(p), rel=1e-12)
+            expected = spd_power(dense, p).mat
+            got = spd_power(ridged, p).mat
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+        expected = spd_log(dense).mat
+        assert np.linalg.norm(spd_log(ridged).mat - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("name", list(_factors()))
+    def test_strict_at_the_same_ridge(self, name):
+        def strict(a):
+            try:
+                a.require_strict("test")
+            except SingularBaseError:
+                return False
+            return True
+
+        b = _factors()[name]
+        lam_max = max(np.linalg.eigvalsh(b @ b.T)[-1], 1.0)
+        for gamma in (0.0, 1e-13 * lam_max, 1e-11 * lam_max, 0.1):
+            factored = SpdMatrix._from_factor(b).add_ridge(gamma)
+            dense = SpdMatrix.from_array(b @ b.T + gamma * np.eye(b.shape[0]))
+            assert strict(factored) == strict(dense), gamma
+
+
 _DIAG = np.diag([1.0, 2.0])
 _POINTS = np.arange(6.0).reshape(3, 2)
 

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 from alphaproc import (
     AlphaParam,
     AlphaProcError,
+    Dataset,
     DomainError,
     DimensionError,
+    KernelSpec,
     NumericalInconsistencyError,
     SingularBaseError,
     SpdMatrix,
@@ -27,6 +29,7 @@ from alphaproc import (
     pairwise_distances,
     power_euclidean,
     procrustes_bruteforce_2x2,
+    rkhs_alpha_distance,
 )
 
 DIAG_A = SpdMatrix.from_array(np.diag([1.0, 4.0]))
@@ -236,9 +239,10 @@ class TestRegularized:
         expected = log_euclidean(a.add_ridge(gamma), b.add_ridge(gamma)).value
         assert result.value == expected
 
-    def test_gamma_must_be_positive(self):
-        with pytest.raises(DomainError):
-            alpha_procrustes_regularized(DIAG_A, DIAG_B, 0.0, 0.5)
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_gamma_must_be_positive(self, gamma):
+        with pytest.raises(DomainError, match="gamma"):
+            alpha_procrustes_regularized(DIAG_A, DIAG_B, gamma, 0.5)
 
 
 class TestBruteforce:
@@ -313,14 +317,29 @@ class TestDistanceResult:
         assert result.formula_path == "general"
         assert all("mat" in vars(end) for end in result._endpoints)
 
-    def test_negative_clamp_raises_beyond_threshold(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: alpha_procrustes(DIAG_A, DIAG_B, 0.5),
+            # the regularized RKHS family is evaluated by the same function
+            lambda: rkhs_alpha_distance(
+                Dataset.from_array(np.arange(8.0).reshape(4, 2)),
+                Dataset.from_array(np.arange(8.0).reshape(4, 2) ** 1.5),
+                KernelSpec.linear(),
+                0.5,
+                0.1,
+            ),
+        ],
+        ids=["matrix", "rkhs"],
+    )
+    def test_negative_clamp_raises_beyond_threshold(self, monkeypatch, call):
         import alphaproc.metrics as metrics_mod
 
         monkeypatch.setattr(
             metrics_mod, "trace_sqrt_triple", lambda a, b, al: 1e9
         )
         with pytest.raises(NumericalInconsistencyError):
-            metrics_mod.alpha_procrustes(DIAG_A, DIAG_B, 0.5)
+            call()
 
 
 class TestPairwise:

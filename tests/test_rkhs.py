@@ -344,6 +344,20 @@ class TestRegularizedDistance:
             d = rkhs_alpha_distance(x, y, kernel, alpha, 0.1)
             assert abs(d - ref) <= 1e-12 * ref
 
+    @pytest.mark.parametrize("kernel", [LINEAR, POLY], ids=["linear", "poly"])
+    def test_identical_points_against_varied_dataset(self, kernel):
+        # X has zero covariance, so C_X + gI is gI on the whole span
+        _, y = datasets(48, m=9, n=11, dim=3)
+        x = Dataset.from_array(np.tile([0.5, -1.0, 2.0], (7, 1)))
+        gamma = 0.1
+        gx, gy = feature_gaussians(x, y, kernel)
+        for alpha in (-0.5, 0.25, 1.0):
+            d_feat = alpha_procrustes_regularized(gx.covariance, gy.covariance, gamma, alpha).value
+            d_xy = rkhs_alpha_distance(x, y, kernel, alpha, gamma)
+            d_yx = rkhs_alpha_distance(y, x, kernel, alpha, gamma)
+            assert abs(d_xy - d_feat) <= 1e-10 * d_feat
+            assert abs(d_yx - d_xy) <= 1e-12 * d_xy
+
     def test_all_zero_features_give_zero(self):
         z = Dataset.from_array(np.zeros((4, 2)))
         assert rkhs_alpha_distance(z, z, LINEAR, 0.3, 0.1) == 0.0
