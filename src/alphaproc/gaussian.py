@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -54,23 +54,20 @@ class MeanMetricSpec:
     """Choice of metric on the mean vectors.
 
     Euclidean by default; ``weights`` selects a diagonally weighted
-    Euclidean metric, and ``custom`` injects an arbitrary metric callable.
+    Euclidean metric.
     """
 
     weights: Optional[np.ndarray] = None
-    custom: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
 
     def __post_init__(self):
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float).ravel()
-            if not np.all(w > 0):
-                raise DomainError("mean-metric weights must be strictly positive")
+            if not np.all((w > 0) & np.isfinite(w)):
+                raise DomainError("mean-metric weights must be strictly positive and finite")
             w.setflags(write=False)
             object.__setattr__(self, "weights", w)
 
     def distance(self, m1: np.ndarray, m2: np.ndarray) -> float:
-        if self.custom is not None:
-            return float(self.custom(m1, m2))
         diff = m1 - m2
         if self.weights is not None:
             if self.weights.shape[0] != diff.shape[0]:

@@ -26,17 +26,13 @@ from .exceptions import (
     SingularBaseError,
 )
 
-# Eigenvalues in (-psd_tol, psd_tol) are treated as zero; psd_tol is relative
-# to the spectral radius, so tiny negative Gram eigenvalues pass at any scale.
+# Eigenvalues below psd_tol are treated as zero; psd_tol is relative to the
+# spectral radius, so tiny negative Gram eigenvalues pass at any scale.
 PSD_TOL_FACTOR = 1e-12
 
 # Below this relative eigenvalue gap, Daleckii-Krein quotients switch to the
 # derivative to avoid catastrophic cancellation.
 DIVIDED_DIFF_TOL = 1e-8
-
-# Eigenvalues below rank_tol = RANK_TOL_FACTOR * lambda_max count as kernel
-# directions for spectral functions restricted to the range.
-RANK_TOL_FACTOR = 1e-10
 
 # |alpha| below this routes every family formula to its analytic alpha -> 0
 # limit; the 1/alpha^2 prefactor amplifies roundoff quadratically.
@@ -49,6 +45,14 @@ def psd_tolerance(lam_max: float | np.ndarray) -> float | np.ndarray:
     Elementwise when lam_max holds the spectral radii of a stack.
     """
     return PSD_TOL_FACTOR * np.maximum(np.abs(lam_max), 1e-300)
+
+
+def _clamp_zero(w: np.ndarray) -> np.ndarray:
+    """The zero-eigenvalue rule: entries of ascending ``w`` below psd_tolerance(w[-1]) become 0.
+
+    Every positive power keeps them at 0, so it is restricted to the range.
+    """
+    return np.where(w < psd_tolerance(w[-1]), 0.0, w)
 
 
 @contextmanager
@@ -95,19 +99,6 @@ class EigenDecomposition:
     values: np.ndarray
     vectors: np.ndarray
 
-    def apply_on_range(self, fn) -> np.ndarray:
-        """V diag(g) V^T with g = fn on the range and 0 on the kernel.
-
-        Eigenvalues are clamped at 0; those at or below RANK_TOL_FACTOR *
-        lambda_max are kernel directions, so fn only sees positive values.
-        """
-        lam = np.maximum(self.values, 0.0)
-        g = np.zeros_like(lam)
-        if lam[-1] > 0.0:
-            nz = lam > RANK_TOL_FACTOR * lam[-1]
-            g[nz] = fn(lam[nz])
-        return (self.vectors * g) @ self.vectors.T
-
     @property
     def min(self) -> float:
         return float(self.values[0])
@@ -142,11 +133,12 @@ class SpdMatrix:
     is 0.0 on a complete basis.  ``n``, ``min_eig``, ``require_strict``,
     ``trace_power``, ``add_ridge``, ``spd_power``, ``spd_log`` and ``mat``
     account for those directions; code that reads ``eig`` directly needs a
-    complete basis.  Construction from an array clamps eigenvalues in
-    (-psd_tol, psd_tol) to zero and rejects anything below -psd_tol; a
-    formula that needs every eigenvalue above psd_tol calls
-    ``require_strict``.  ``mat`` is the symmetrized input when there was
-    one, else formed from the spectrum on first read.
+    complete basis.  Every constructor clamps eigenvalues below psd_tol to
+    zero (``_clamp_zero``); ``from_array`` first rejects anything below
+    -psd_tol, while spectra from kernels (``_from_gram``, ``_from_factor``)
+    are never rejected.  A formula that needs every eigenvalue above
+    psd_tol calls ``require_strict``.  ``mat`` is the symmetrized input
+    when there was one, else formed from the spectrum on first read.
     """
 
     eig: EigenDecomposition
@@ -162,9 +154,14 @@ class SpdMatrix:
             raise NotPsdError(
                 f"matrix has eigenvalue {eig.min:.3e} below -{tol:.3e}"
             )
-        values = np.where(np.abs(eig.values) < tol, 0.0, eig.values)
-        values = np.maximum(values, 0.0)
-        return cls(EigenDecomposition(_freeze(values), eig.vectors), _input=s.mat)
+        values = _freeze(_clamp_zero(eig.values))
+        return cls(EigenDecomposition(values, eig.vectors), _input=s.mat)
+
+    @classmethod
+    def _from_gram(cls, mat: np.ndarray) -> "SpdMatrix":
+        """Spectrum of a symmetric kernel matrix (Gram block, factor product), never rejected."""
+        w, v = sym_eigh(mat)
+        return cls._from_eig(_clamp_zero(w), v)
 
     @classmethod
     def _from_eig(
@@ -190,13 +187,12 @@ class SpdMatrix:
         range of b b' with eigenvalues s; the directions outside it hold 0.
         """
         n, k = b.shape
-        on_samples = n > k
-        s, u = sym_eigh(b.T @ b if on_samples else b @ b.T)
-        s = np.where(s < psd_tolerance(s[-1]), 0.0, s)
-        if on_samples:
-            nz = s > 0.0
-            s, u = s[nz], (b @ u[:, nz]) / np.sqrt(s[nz])
-        return cls._from_eig(s, u)
+        if n <= k:
+            return cls._from_gram(b @ b.T)
+        eig = cls._from_gram(b.T @ b).eig
+        nz = eig.values > 0.0
+        s = eig.values[nz]
+        return cls._from_eig(s, (b @ eig.vectors[:, nz]) / np.sqrt(s))
 
     @cached_property
     def mat(self) -> np.ndarray:

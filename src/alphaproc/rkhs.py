@@ -37,14 +37,7 @@ from .exceptions import (
     NonFiniteError,
     UnsupportedKernelError,
 )
-from .linalg import (
-    SpdMatrix,
-    SymMatrix,
-    as_alpha,
-    nuclear_norm,
-    psd_tolerance,
-    sym_eigendecompose,
-)
+from .linalg import SpdMatrix, as_alpha, nuclear_norm
 from .metrics import _check_gamma, _sqrt_clamped, alpha_procrustes_regularized
 
 FEATURE_DIM_LIMIT = 10_000
@@ -65,6 +58,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "poly", "rbf"):
             raise DomainError(f"unknown kernel kind {self.kind!r}")
+        for name in ("degree", "offset", "sigma"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"kernel {name} must be finite, got {value}")
         if self.kind == "poly":
             if self.degree < 1 or int(self.degree) != self.degree:
                 raise DomainError("polynomial degree must be an integer >= 1")
@@ -186,13 +183,20 @@ def centering(m: int) -> np.ndarray:
 
 
 def gram_bundle(x: Dataset, y: Dataset, kernel: KernelSpec) -> GramBundle:
-    """Evaluate the three Gram matrices; the diagonal blocks are symmetrized."""
+    """Evaluate the three Gram matrices; the diagonal blocks are symmetrized.
+
+    A kernel value that overflows raises NonFiniteError naming the kernel.
+    """
     if x.dim != y.dim:
         raise DimensionError(f"sample dimensions differ: {x.dim} vs {y.dim}")
-    kxx = kernel.gram(x.points, x.points)
-    kyy = kernel.gram(y.points, y.points)
-    kxy = kernel.gram(x.points, y.points)
-    return GramBundle((kxx + kxx.T) / 2.0, (kyy + kyy.T) / 2.0, kxy)
+    with np.errstate(all="ignore"):
+        kxx = kernel.gram(x.points, x.points)
+        kyy = kernel.gram(y.points, y.points)
+        kxy = kernel.gram(x.points, y.points)
+        gb = GramBundle((kxx + kxx.T) / 2.0, (kyy + kyy.T) / 2.0, kxy)
+    if not all(np.all(np.isfinite(k)) for k in (gb.kxx, gb.kyy, gb.kxy)):
+        raise NonFiniteError(f"{kernel} gives NaN or infinite Gram entries on these datasets")
+    return gb
 
 
 def _double_center(k: np.ndarray) -> np.ndarray:
@@ -240,8 +244,8 @@ def _regularized_distance(gb: GramBundle, alpha, gamma: float) -> float:
     """Regularized family distance from the Gram matrices.
 
     The pooled Gram G = [[K[X], K[X,Y]], [K[Y,X], K[Y]]] = V diag(w) V'
-    gives R = diag(sqrt(w)) V' over the eigenvalues above the PSD
-    tolerance: the coordinates of all features in an orthonormal basis of
+    gives R = diag(sqrt(w)) V' over the eigenvalues the zero-eigenvalue rule
+    keeps: the coordinates of all features in an orthonormal basis of
     their span, r of them.  There C_X = b b' with b the centered columns of
     X's coordinates over sqrt(m), and the value is the matrix family's on
     C_X + gI and C_Y + gI, each held as the spectrum of its factor.
@@ -250,9 +254,8 @@ def _regularized_distance(gb: GramBundle, alpha, gamma: float) -> float:
     al = as_alpha(alpha)
     if al.is_log_limit:
         return _log_limit_distance(centered_gram(gb), gamma)
-    pooled = np.block([[gb.kxx, gb.kxy], [gb.kxy.T, gb.kyy]])
-    eig = sym_eigendecompose(SymMatrix.from_array(pooled))
-    keep = eig.values > psd_tolerance(eig.max)
+    eig = SpdMatrix._from_gram(np.block([[gb.kxx, gb.kxy], [gb.kxy.T, gb.kyy]])).eig
+    keep = eig.values > 0.0
     if not np.any(keep):
         return 0.0  # every feature vanishes, so C_X = C_Y = 0
     coords = np.sqrt(eig.values[keep])[:, None] * eig.vectors[:, keep].T
@@ -268,17 +271,20 @@ def _log_limit_distance(cg: CenteredGram, gamma: float) -> float:
 
     The squared norms are sums of log(1 + l/g)^2 over the centered Gram
     spectra, and the cross term tr[log(I + C_X/g) log(I + C_Y/g)] transfers
-    to tr[f(aa) ab f(bb) ab'] with f(l) = log(1 + l/g)/l on the nonzero
-    spectrum.
+    to tr[f(aa) ab f(bb) ab'] with f(l) = log(1 + l/g)/l on the range and 0
+    on the clamped kernel; with M = Va' ab Vb it is sum_ij f(a_i) M_ij^2 f(b_j).
     """
-    ea = sym_eigendecompose(SymMatrix.from_array(cg.aa))
-    eb = sym_eigendecompose(SymMatrix.from_array(cg.bb))
-    norm_a = float(np.sum(np.log1p(np.maximum(ea.values, 0.0) / gamma) ** 2))
-    norm_b = float(np.sum(np.log1p(np.maximum(eb.values, 0.0) / gamma) ** 2))
-    fa = ea.apply_on_range(lambda w: np.log1p(w / gamma) / w)
-    fb = eb.apply_on_range(lambda w: np.log1p(w / gamma) / w)
-    cross = float(np.trace(fa @ cg.ab @ fb @ cg.ab.T))
+    wa, wb, m = _in_eigenbases(cg)
+    norm_a, norm_b = (float(np.sum(np.log1p(w / gamma) ** 2)) for w in (wa, wb))
+    fa, fb = (np.log1p(w / gamma) / np.where(w > 0.0, w, 1.0) for w in (wa, wb))
+    cross = float(np.sum((fa[:, None] * m) * (m * fb)))  # M_ij^2 alone may overflow
     return _sqrt_clamped(norm_a + norm_b - 2.0 * cross, norm_a + norm_b)
+
+
+def _in_eigenbases(cg: CenteredGram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clamped spectra of aa = Va diag(wa) Va' and bb = Vb diag(wb) Vb', and M = Va' ab Vb."""
+    ea, eb = SpdMatrix._from_gram(cg.aa).eig, SpdMatrix._from_gram(cg.bb).eig
+    return ea.values, eb.values, ea.vectors.T @ cg.ab @ eb.vectors
 
 
 def rkhs_alpha_distance_unregularized(
@@ -288,7 +294,8 @@ def rkhs_alpha_distance_unregularized(
 
     (1/a) tr[aa^2a + bb^2a - 2 (ba aa^(2a-1) ab bb^(2a-1))^(1/2)]^(1/2) with
     spectral powers restricted to the range, so aa^0 is the range projection
-    (needed at alpha = 1/2).  Sample counts may differ.
+    (needed at alpha = 1/2); the clamped kernel stays 0 under every positive
+    power.  Sample counts may differ.
     """
     return _unregularized_distance(gram_bundle(x, y, kernel), alpha)
 
@@ -302,18 +309,15 @@ def _unregularized_distance(gb: GramBundle, alpha: float) -> float:
         # (its columns lie in range(aa), its rows in range(bb)): no eigensolve.
         term_a, term_b, cross = float(np.trace(cg.aa)), float(np.trace(cg.bb)), cg.ab
     else:
-        ea = sym_eigendecompose(SymMatrix.from_array(cg.aa))
-        eb = sym_eigendecompose(SymMatrix.from_array(cg.bb))
-        two_alpha = 2.0 * alpha
-        term_a = float(np.sum(np.maximum(ea.values, 0.0) ** two_alpha))
-        term_b = float(np.sum(np.maximum(eb.values, 0.0) ** two_alpha))
-        half_a = ea.apply_on_range(lambda w: w ** (alpha - 0.5))
-        half_b = eb.apply_on_range(lambda w: w ** (alpha - 0.5))
-        cross = half_a @ cg.ab @ half_b
+        wa, wb, m = _in_eigenbases(cg)
+        term_a, term_b = (float(np.sum(w ** (2.0 * alpha))) for w in (wa, wb))
+        # diag(wa)^(a-1/2) M diag(wb)^(a-1/2): 0**p = 0 keeps it on the range
+        cross = wa[:, None] ** (alpha - 0.5) * m * wb ** (alpha - 0.5)
     # The cross matrix ba aa^(2a-1) ab bb^(2a-1) shares its spectrum with
     # T'T for T = aa^(a-1/2) ab bb^(a-1/2), so its square-root trace is the
-    # nuclear norm of T; singular values keep the rank-deficient spectrum
-    # exact where a general eigensolve would scatter the zero eigenvalues.
+    # nuclear norm of T, which the rotation into the eigenbases keeps;
+    # singular values keep the rank-deficient spectrum exact where a general
+    # eigensolve would scatter the zero eigenvalues.
     term_cross = 2.0 * nuclear_norm(cross)
     arg = term_a + term_b - term_cross
     return _sqrt_clamped(arg, abs(term_a) + abs(term_b)) / alpha

@@ -14,8 +14,11 @@ from alphaproc.validation import (  # noqa: F401  (shared with the test modules)
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Environment for child interpreters: they import alphaproc from src/.
-CHILD_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+# Environment for child interpreters: they import alphaproc from src/ and
+# turn a numpy RuntimeWarning into an error, as the in-process tests do.
+CHILD_ENV = dict(
+    os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONWARNINGS="error::RuntimeWarning"
+)
 
 
 def rand_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -31,9 +34,12 @@ def rand_psd_rank_deficient(rng: np.random.Generator, n: int, rank: int) -> SpdM
 
 
 def h_alpha(e: SpdMatrix, alpha: float) -> np.ndarray:
-    """((1 + l)^alpha - 1) / l on the range of E and 0 on its kernel."""
-    # expm1/log1p avoid cancellation for eigenvalues near zero
-    return e.eig.apply_on_range(lambda lam: np.expm1(alpha * np.log1p(lam)) / lam)
+    """((1 + l)^alpha - 1) / l on the range of E and 0 on its clamped kernel."""
+    w, v = e.eig.values, e.eig.vectors
+    # expm1/log1p avoid cancellation for eigenvalues near zero; the numerator
+    # is 0 where w is, so dividing by 1 there keeps the kernel at 0
+    h = np.expm1(alpha * np.log1p(w)) / np.where(w > 0.0, w, 1.0)
+    return (v * h) @ v.T
 
 
 @pytest.fixture

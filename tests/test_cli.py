@@ -317,6 +317,19 @@ class TestGaussDist:
         assert len(eigh_orders) == 2
 
 
+    @pytest.mark.parametrize("weight", ["inf", "nan"])
+    def test_non_finite_mean_weight_exits_3(self, tmp_path, weight):
+        cov = write_matrix(tmp_path / "C.csv", np.eye(2))
+        m1 = write_matrix(tmp_path / "m1.csv", np.array([[1.0, 0.0]]))
+        m2 = write_matrix(tmp_path / "m2.csv", np.array([[0.0, 0.0]]))
+        code, out, err = run_cli(
+            ["gauss-dist", "--mean-a", m1, "--cov-a", cov, "--mean-b", m2, "--cov-b", cov,
+             "--alpha", "1.0", "--mean-weights", f"{weight},1"]
+        )
+        assert code == 3
+        assert out == "" and "positive and finite" in err
+
+
 class TestRkhsDist:
     def test_identical_datasets(self, datasets):
         x, _ = datasets
@@ -383,6 +396,21 @@ class TestRkhsDist:
         )
         assert code == 3
         assert out == "" and "gamma must be positive and finite" in err
+
+    @pytest.mark.parametrize(
+        "kernel", ["rbf:sigma=nan", "rbf:sigma=inf", "poly:d=2,c=nan", "poly:d=2,c=inf"]
+    )
+    def test_non_finite_kernel_parameter_exits_3(self, datasets, kernel):
+        code, out, err = run_cli(["rkhs-dist", *datasets, "--kernel", kernel, "--alpha", "1"])
+        assert code == 3
+        assert out == "" and "must be finite" in err
+
+    def test_gram_overflow_exits_2_naming_the_kernel(self, datasets):
+        code, out, err = run_cli(
+            ["rkhs-dist", *datasets, "--kernel", "poly:d=100000,c=1", "--alpha", "1"]
+        )
+        assert code == 2
+        assert out == "" and "degree=100000" in err
 
     def test_linear_matches_gauss_dist_on_moments(self, datasets, tmp_path):
         from alphaproc import Dataset, KernelSpec, explicit_feature_covariance

@@ -23,7 +23,6 @@ from alphaproc import (
     SingularBaseError,
     SpdMatrix,
     SymMatrix,
-    EigenDecomposition,
     alpha_procrustes,
     centered_gram,
     gram_bundle,
@@ -34,7 +33,7 @@ from alphaproc import (
     sym_exp,
     trace_sqrt_triple,
 )
-from alphaproc.linalg import RANK_TOL_FACTOR, nuclear_norm
+from alphaproc.linalg import PSD_TOL_FACTOR, nuclear_norm
 
 
 @st.composite
@@ -359,10 +358,10 @@ class TestLoewnerApply:
 
 
 class TestHAlpha:
-    """h_a(l) = ((1 + l)^a - 1) / l through apply_on_range.
+    """h_a(l) = ((1 + l)^a - 1) / l on the range, 0 on the clamped kernel.
 
-    h_a divides by l, so on rank-deficient input only the range rule keeps
-    it finite; E h_a(E) = (I + E)^a - I ties that rule to the ridge path.
+    h_a divides by l, so on rank-deficient input only the zero-eigenvalue
+    rule keeps it finite; E h_a(E) = (I + E)^a - I ties that rule to the ridge path.
     """
 
     def test_identity_input(self):
@@ -404,43 +403,59 @@ class TestAlphaParam:
             AlphaParam.parse(str(value))
 
 
-class TestSpectralPower:
-    def test_zero_power_is_range_projection(self):
-        rng = np.random.default_rng(12)
-        e = rand_psd_rank_deficient(rng, 4, 2)
-        eig = sym_eigendecompose(SymMatrix.from_array(e.mat))
-        proj = eig.apply_on_range(lambda w: w**0.0)
-        assert np.linalg.norm(proj @ proj - proj) <= 1e-10
-        assert np.linalg.norm(proj @ e.mat - e.mat) <= 1e-10
+class TestZeroEigenvalueRule:
+    """One cut-off for every spectrum: eigenvalues below psd_tolerance of the
+    largest are 0, on PSD input and on spectra from kernels alike, and every
+    positive power keeps them at 0."""
 
+    @staticmethod
+    def _spectra(mat):
+        return {
+            "from_array": SpdMatrix.from_array(mat),
+            "from_gram": SpdMatrix._from_gram(mat),
+        }
 
-class TestApplyOnRange:
-    def test_kernel_at_or_below_rank_tolerance_maps_to_zero(self):
+    def test_sub_tolerance_eigenvalues_map_to_zero(self):
         q = np.linalg.qr(np.random.default_rng(13).standard_normal((4, 4)))[0]
-        cut = RANK_TOL_FACTOR * 4.0
-        eig = EigenDecomposition(np.array([0.5 * cut, cut, 2.0 * cut, 4.0]), q)
-        seen = []
-
-        def inverse(w):
-            seen.append(w.copy())
-            return 1.0 / w
-
-        out = eig.apply_on_range(inverse)
-        expected = (q * np.array([0.0, 0.0, 1.0 / (2.0 * cut), 0.25])) @ q.T
-        assert np.array_equal(seen[0], [2.0 * cut, 4.0])
-        assert np.allclose(out, expected, rtol=1e-14, atol=0.0)
+        cut = PSD_TOL_FACTOR * 4.0
+        mat = (q * np.array([0.5 * cut, 2.0 * cut, 0.5, 4.0])) @ q.T
+        for name, a in self._spectra(mat).items():
+            w = a.eig.values
+            assert w[0] == 0.0, name
+            assert w[1] == pytest.approx(2.0 * cut, rel=1e-2), name
+            with np.errstate(all="raise"):
+                half = spd_power(a, 0.5)
+            assert half.eig.values[0] == 0.0, name
+            assert np.count_nonzero(half.eig.values) == 3, name
+            assert a.trace_power(2.0) == pytest.approx(16.25, rel=1e-14), name
 
     def test_negative_roundoff_is_clamped(self):
-        eig = EigenDecomposition(np.array([-1e-13, 1.0, 3.0]), np.eye(3))
-        with np.errstate(all="raise"):
-            out = eig.apply_on_range(np.log)
-        assert np.array_equal(out, np.diag([0.0, 0.0, math.log(3.0)]))
+        for name, a in self._spectra(np.diag([-1e-13, 1.0, 3.0])).items():
+            assert np.array_equal(a.eig.values, [0.0, 1.0, 3.0]), name
+            with np.errstate(all="raise"):
+                out = spd_power(a, 0.5).mat
+            assert np.array_equal(out, np.diag([0.0, 1.0, math.sqrt(3.0)])), name
 
-    def test_zero_spectrum_gives_zero_matrix(self):
-        eig = EigenDecomposition(np.zeros(3), np.eye(3))
-        with np.errstate(all="raise"):
-            out = eig.apply_on_range(lambda w: 1.0 / w)
-        assert np.array_equal(out, np.zeros((3, 3)))
+    def test_small_positive_power_is_range_projection(self):
+        rng = np.random.default_rng(12)
+        e = rand_psd_rank_deficient(rng, 4, 2)
+        proj = spd_power(e, 1e-12).mat
+        assert np.linalg.norm(proj @ proj - proj) <= 1e-10
+        assert np.linalg.norm(proj @ e.mat - e.mat) <= 1e-10
+        assert np.trace(proj) == pytest.approx(2.0, abs=1e-10)
+
+    def test_kernel_spectra_are_clamped_not_rejected(self):
+        mat = np.diag([-0.5, 1.0, 3.0])
+        with pytest.raises(NotPsdError):
+            SpdMatrix.from_array(mat)
+        assert np.array_equal(SpdMatrix._from_gram(mat).eig.values, [0.0, 1.0, 3.0])
+
+    def test_zero_spectrum_gives_zero(self):
+        for name, a in self._spectra(np.zeros((3, 3))).items():
+            with np.errstate(all="raise"):
+                out = spd_power(a, 0.25).mat
+                assert a.trace_power(1.5) == 0.0, name
+            assert np.array_equal(out, np.zeros((3, 3))), name
 
 
 LAPACK_NAMES = ("eigh", "eigvalsh", "eigvals", "svd")

@@ -1,3 +1,6 @@
+import math
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 from conftest import h_alpha
@@ -10,6 +13,7 @@ from alphaproc import (
     GaussianMeasure,
     GramBundle,
     KernelSpec,
+    NonFiniteError,
     SingularBaseError,
     UnsupportedKernelError,
     alpha_procrustes,
@@ -36,6 +40,12 @@ LINEAR = KernelSpec.linear()
 RBF = KernelSpec.gaussian_rbf(0.8)
 
 
+def _mixed_gaussian_sample(rng, m, dim=5):
+    """Gaussian sample with a random linear map and mean shift."""
+    mix = rng.standard_normal((dim, dim)) / np.sqrt(dim)
+    return rng.standard_normal((m, dim)) @ (np.eye(dim) + mix) + rng.normal(0.0, 0.3, dim)
+
+
 def datasets(seed=0, m=15, n=15, dim=2, shift=0.4):
     rng = np.random.default_rng(seed)
     x = Dataset.from_array(rng.standard_normal((m, dim)))
@@ -43,14 +53,36 @@ def datasets(seed=0, m=15, n=15, dim=2, shift=0.4):
     return x, y
 
 
+def _mp_family(mp, cov_x, cov_y, alphas, gamma):
+    """Family distances between cov_x + gamma I and cov_y + gamma I, one per alpha.
+
+    Ridged powers come from the eigendecompositions (roundoff negatives
+    clamped at 0), the cross term from the eigenvalues of A^a B^2a A^a.
+    """
+
+    def spectrum(c):
+        s, u = mp.eigsy(c)
+        return [max(si, 0) + mp.mpf(gamma) for si in s], u
+
+    (sx, ux), (sy, uy) = spectrum(cov_x), spectrum(cov_y)
+    out = []
+    for alpha in alphas:
+        a = mp.mpf(alpha)
+        pa = ux * mp.diag([si**a for si in sx]) * ux.T
+        cross = pa * uy * mp.diag([si ** (2 * a) for si in sy]) * uy.T * pa
+        eigs = mp.eigsy((cross + cross.T) / 2, eigvals_only=True)
+        total = mp.fsum(si ** (2 * a) for si in sx + sy)
+        total -= 2 * mp.fsum(mp.sqrt(max(e, 0)) for e in eigs)
+        out.append(float(mp.sqrt(total) / abs(a)))
+    return out
+
+
 def mp_regularized_rbf(x, y, sigma, alphas, gamma, dps=40):
     """Regularized RBF family distances at ``dps`` digits, one per alpha.
 
     The pooled Gram G = V diag(w) V' gives the feature coordinates
     diag(sqrt(w)) V' (every eigenvalue kept); C_X and C_Y are the sample
-    covariances of those coordinates, their ridged powers come from their
-    eigendecompositions, and the cross term from the eigenvalues of
-    A^a B^2a A^a.
+    covariances of those coordinates.
     """
     mp = pytest.importorskip("mpmath")
     with mp.workdps(dps):
@@ -71,20 +103,37 @@ def mp_regularized_rbf(x, y, sigma, alphas, gamma, dps=40):
                 mean = mp.fsum(coords[i, c] for c in cols) / len(cols)
                 for k, c in enumerate(cols):
                     b[i, k] = (coords[i, c] - mean) / mp.sqrt(len(cols))
-            s, u = mp.eigsy(b * b.T)
-            return [max(si, 0) + mp.mpf(gamma) for si in s], u
+            return b * b.T
 
-        (sx, ux), (sy, uy) = covariance(range(m)), covariance(range(m, size))
-        out = []
-        for alpha in alphas:
-            a = mp.mpf(alpha)
-            pa = ux * mp.diag([si**a for si in sx]) * ux.T
-            cross = pa * uy * mp.diag([si ** (2 * a) for si in sy]) * uy.T * pa
-            eigs = mp.eigsy((cross + cross.T) / 2, eigvals_only=True)
-            total = mp.fsum(si ** (2 * a) for si in sx + sy)
-            total -= 2 * mp.fsum(mp.sqrt(max(e, 0)) for e in eigs)
-            out.append(float(mp.sqrt(total) / abs(a)))
-        return out
+        return _mp_family(mp, covariance(range(m)), covariance(range(m, size)), alphas, gamma)
+
+
+def mp_unregularized_poly(x, y, degree, offset, alphas, dps=40):
+    """Unregularized polynomial-kernel family distances at ``dps`` digits.
+
+    The covariances are those of the explicit multinomial features of
+    (x'y + c)^d: one feature sqrt(d! / prod k_i!) prod z_i^k_i per multiset
+    of slots, with z = (sqrt(c), x).
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+
+        def covariance(points):
+            rows = []
+            for point in points:
+                z = [mp.sqrt(mp.mpf(offset))] + [mp.mpf(float(v)) for v in point]
+                row = []
+                for combo in combinations_with_replacement(range(len(z)), degree):
+                    coeff = math.factorial(degree)
+                    for k in np.bincount(combo):
+                        coeff //= math.factorial(int(k))
+                    row.append(mp.sqrt(coeff) * mp.fprod(z[i] for i in combo))
+                rows.append(row)
+            f = mp.matrix(rows)
+            f -= mp.ones(len(rows), 1) * (mp.ones(1, len(rows)) * f) / len(rows)
+            return f.T * f / len(rows)
+
+        return _mp_family(mp, covariance(x), covariance(y), alphas, 0)
 
 
 def feature_gaussians(x, y, kernel):
@@ -113,8 +162,32 @@ class TestKernelSpec:
         with pytest.raises(DomainError):
             KernelSpec.gaussian_rbf(-1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: KernelSpec.polynomial(v),
+            lambda v: KernelSpec.polynomial(2, v),
+            lambda v: KernelSpec.gaussian_rbf(v),
+        ],
+        ids=["degree", "offset", "sigma"],
+    )
+    def test_non_finite_parameters_rejected(self, make, value):
+        with pytest.raises(DomainError, match="must be finite"):
+            make(value)
+
 
 class TestGramBundle:
+    def test_overflow_is_a_typed_error(self):
+        # (x'y + 1)^100000 overflows; the suite turns numpy warnings into
+        # errors, so this also checks that no RuntimeWarning escapes
+        x, y = datasets(4)
+        kernel = KernelSpec.polynomial(100_000, 1.0)
+        with pytest.raises(NonFiniteError, match="degree=100000"):
+            gram_bundle(x, y, kernel)
+        with pytest.raises(NonFiniteError, match="degree=100000"):
+            rkhs_gaussian_distance(x, y, kernel, 0.5, 0.1)
+
     def test_linear_orthonormal_points(self):
         x = Dataset.from_array([[1.0, 0.0], [0.0, 1.0]])
         gb = gram_bundle(x, x, LINEAR)
@@ -346,17 +419,36 @@ class TestRegularizedDistance:
 
     @pytest.mark.parametrize("kernel", [LINEAR, POLY], ids=["linear", "poly"])
     def test_identical_points_against_varied_dataset(self, kernel):
-        # X has zero covariance, so C_X + gI is gI on the whole span
+        # X has zero covariance, so C_X + gI is gI on the whole span, and its
+        # centered Gram block is exactly 0: the Gram-side log factor and
+        # powers must vanish on it
         _, y = datasets(48, m=9, n=11, dim=3)
         x = Dataset.from_array(np.tile([0.5, -1.0, 2.0], (7, 1)))
         gamma = 0.1
         gx, gy = feature_gaussians(x, y, kernel)
-        for alpha in (-0.5, 0.25, 1.0):
+        for alpha in (-0.5, 0.25, 1.0, AlphaParam.log_limit()):
             d_feat = alpha_procrustes_regularized(gx.covariance, gy.covariance, gamma, alpha).value
             d_xy = rkhs_alpha_distance(x, y, kernel, alpha, gamma)
             d_yx = rkhs_alpha_distance(y, x, kernel, alpha, gamma)
             assert abs(d_xy - d_feat) <= 1e-10 * d_feat
             assert abs(d_yx - d_xy) <= 1e-12 * d_xy
+        d_feat = alpha_procrustes(gx.covariance, gy.covariance, 0.75).value
+        d_xy = rkhs_alpha_distance_unregularized(x, y, kernel, 0.75)
+        assert abs(d_xy - d_feat) <= 1e-10 * d_feat
+
+    @pytest.mark.parametrize("gamma", [0.1, 1e300])
+    def test_log_limit_at_extreme_feature_scale(self, gamma):
+        # Gram entries near 1e306: the Gram-side cross term must neither
+        # overflow nor lose the answer to the scale of its factors
+        rng = np.random.default_rng(1)
+        x, y = (Dataset.from_array(rng.standard_normal((m, 2)) * 1e153) for m in (6, 5))
+        _, cx = explicit_feature_covariance(x, LINEAR)
+        _, cy = explicit_feature_covariance(y, LINEAR)
+        log_limit = AlphaParam.log_limit()
+        expected = alpha_procrustes_regularized(cx, cy, gamma, log_limit).value
+        assert rkhs_alpha_distance(x, y, LINEAR, log_limit, gamma) == pytest.approx(
+            expected, rel=1e-9
+        )
 
     def test_all_zero_features_give_zero(self):
         z = Dataset.from_array(np.zeros((4, 2)))
@@ -414,6 +506,19 @@ class TestUnregularizedDistance:
         _, cx = explicit_feature_covariance(x, POLY)
         _, cy = explicit_feature_covariance(y, POLY)
         assert d == pytest.approx(alpha_procrustes(cx, cy, 0.75).value, rel=1e-8)
+
+    @pytest.mark.parametrize("alpha", [0.55, 0.75])
+    def test_against_high_precision_feature_referee(self, alpha):
+        # Centered poly:d=2,c=1 features of dim-5 data span 20 dimensions;
+        # the 20th eigenvalue of Y's Gram block is 6.8e-11 of its largest, a
+        # real range direction that the power bb^(a - 1/2) must keep.
+        rng = np.random.default_rng(28)
+        x, y = (_mixed_gaussian_sample(rng, m) for m in (120, 90))
+        expected = mp_unregularized_poly(x, y, 2, 1.0, [alpha])[0]
+        d = rkhs_alpha_distance_unregularized(
+            Dataset.from_array(x), Dataset.from_array(y), POLY, alpha
+        )
+        assert abs(d - expected) <= 1e-10 * expected
 
     def test_small_alpha_rejected(self):
         x, y = datasets(23)
