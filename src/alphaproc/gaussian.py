@@ -18,8 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import DimensionError, DomainError, NonFiniteError
-from .linalg import SpdMatrix, as_alpha
-from .metrics import alpha_procrustes, alpha_procrustes_regularized
+from .linalg import SpdMatrix
+from .metrics import _family
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,15 +83,11 @@ def _gaussian_terms(
     g1: GaussianMeasure, g2: GaussianMeasure, alpha, gamma: Optional[float],
     mean_metric: MeanMetricSpec,
 ) -> tuple[float, float, float]:
-    """(d_mean, d_cov, distance); gamma None leaves the covariances unridged."""
+    """(d_mean, d_cov, distance); gamma None leaves the covariances unridged, 0 raises."""
     if g1.dim != g2.dim:
         raise DimensionError(f"Gaussian dimensions differ: {g1.dim} vs {g2.dim}")
     d_mean = mean_metric.distance(g1.mean, g2.mean)
-    c1, c2, al = g1.covariance, g2.covariance, as_alpha(alpha)
-    if gamma is None:
-        d_cov = alpha_procrustes(c1, c2, al).value
-    else:
-        d_cov = alpha_procrustes_regularized(c1, c2, gamma, al).value
+    d_cov = _family(g1.covariance, g2.covariance, alpha, gamma).value
     return d_mean, d_cov, math.sqrt(d_mean**2 + 0.25 * d_cov**2)
 
 

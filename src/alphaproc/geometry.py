@@ -25,8 +25,10 @@ import numpy as np
 from .exceptions import DomainError, NonSpdIntermediateError
 from .linalg import (
     DIVIDED_DIFF_TOL,
+    AlphaParam,
     SpdMatrix,
     SymMatrix,
+    _check_dims,
     _log_divided_difference,
     as_alpha,
     psd_tolerance,
@@ -39,7 +41,7 @@ from .linalg import (
 QUADRATURE_BLOCK_ENTRIES = 2**15
 
 
-def _lyapunov_factor(lam: np.ndarray, alpha: float) -> np.ndarray:
+def _lyapunov_factor(lam: np.ndarray, al: AlphaParam) -> np.ndarray:
     """Eigenbasis divisor f(l_i, l_j) of the composite Lyapunov operator.
 
     f = 2a (l_i - l_j)(l_i^2a + l_j^2a) / (l_i^2a - l_j^2a) off-diagonal,
@@ -48,17 +50,17 @@ def _lyapunov_factor(lam: np.ndarray, alpha: float) -> np.ndarray:
     that f, like the metric, is homogeneous in P0.
     ``lam`` may be a (k, n) stack of spectra, giving a (k, n, n) stack.
     At alpha = 1/2 this collapses to l_i + l_j (the Lyapunov equation), and
-    alpha = 0 gives its limit 2 (l_i - l_j) / (log l_i - log l_j), for which
-    H = Dlog(P0)[Y] / 2 (the Log-Euclidean metric).
+    the log-limit gives its limit 2 (l_i - l_j) / (log l_i - log l_j), for
+    which H = Dlog(P0)[Y] / 2 (the Log-Euclidean metric).
     """
     li = lam[..., :, None]
     lj = lam[..., None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        if alpha == 0.0:
+        if al.is_log_limit:
             f = 2.0 / _log_divided_difference(li, lj)
         else:
-            pi, pj = li ** (2.0 * alpha), lj ** (2.0 * alpha)
-            f = 2.0 * alpha * (li - lj) * (pi + pj) / (pi - pj)
+            pi, pj = li ** (2.0 * al.value), lj ** (2.0 * al.value)
+            f = 2.0 * al.value * (li - lj) * (pi + pj) / (pi - pj)
     near = np.abs(li - lj) < DIVIDED_DIFF_TOL * np.maximum(li, lj)
     return np.where(near, 2.0 * li, f)
 
@@ -69,29 +71,34 @@ def _eigenbasis_solve(vecs, s, f) -> np.ndarray:
     return (h + np.swapaxes(h, -1, -2)) / 2.0
 
 
-def solve_general_lyapunov(p0: SpdMatrix, y: SymMatrix, alpha: float) -> SymMatrix:
-    """Unique symmetric H with Dexp(log P0) o Dlog(P0^2a)(H P0^2a + P0^2a H) = Y."""
-    if alpha == 0.0:
+def solve_general_lyapunov(p0: SpdMatrix, y: SymMatrix, alpha) -> SymMatrix:
+    """Unique symmetric H with Dexp(log P0) o Dlog(P0^2a)(H P0^2a + P0^2a H) = Y.
+
+    |alpha| < 1e-7 raises DomainError: the log-limit metric is metric_inner's.
+    """
+    al = as_alpha(alpha)
+    if al.is_log_limit:
         raise DomainError("alpha must be nonzero; use the log-limit metric instead")
     p0.require_strict("generalized Lyapunov solve")
-    if p0.n != y.n:
-        raise DomainError("dimensions of P0 and Y differ")
+    _check_dims(p0, y)
     v = p0.eig.vectors
-    h_tilde = _eigenbasis_solve(v, y.mat, _lyapunov_factor(p0.eig.values, alpha))
+    h_tilde = _eigenbasis_solve(v, y.mat, _lyapunov_factor(p0.eig.values, al))
     return SymMatrix.from_array(v @ h_tilde @ v.T)
 
 
-def _eigenbasis_inner(lam, vecs, y, z, alpha: float) -> np.ndarray:
+def _eigenbasis_inner(lam, vecs, y, z, al: AlphaParam) -> np.ndarray:
     """4 tr(H_Y P^2a H_Z) at a stack of base points P = V diag(lam) V^T.
 
     ``lam`` is (k, n), ``vecs``, ``y`` and ``z`` are (k, n, n).  In the
     eigenbasis of P, H_Y is _eigenbasis_solve(V, Y, f), so the trace is
-    4 sum_ij Ht_ij Hz_ji lam_j^2a: neither H nor P^2a is rebuilt.
+    4 sum_ij Ht_ij Hz_ji lam_j^2a: neither H nor P^2a is rebuilt.  The
+    log-limit takes P^0 = I.
     """
-    f = _lyapunov_factor(lam, alpha)
+    f = _lyapunov_factor(lam, al)
     hy = _eigenbasis_solve(vecs, y, f)
     hz = hy if z is y else _eigenbasis_solve(vecs, z, f)
-    return 4.0 * np.einsum("kij,kji,kj->k", hy, hz, lam ** (2.0 * alpha))
+    p2a = lam ** (0.0 if al.is_log_limit else 2.0 * al.value)
+    return 4.0 * np.einsum("kij,kji,kj->k", hy, hz, p2a)
 
 
 def metric_inner(p0: SpdMatrix, y: SymMatrix, z: SymMatrix, alpha) -> float:
@@ -104,37 +111,36 @@ def metric_inner(p0: SpdMatrix, y: SymMatrix, z: SymMatrix, alpha) -> float:
     """
     al = as_alpha(alpha)
     p0.require_strict("metric inner product")
-    if p0.n != y.n or p0.n != z.n:
-        raise DomainError("dimensions of P0 and Y differ")
-    a = 0.0 if al.is_log_limit else al.value
+    _check_dims(p0, y, z)
     ys = y.mat[None]
     zs = ys if z is y else z.mat[None]
-    return float(_eigenbasis_inner(p0.eig.values[None], p0.eig.vectors[None], ys, zs, a)[0])
+    return float(_eigenbasis_inner(p0.eig.values[None], p0.eig.vectors[None], ys, zs, al)[0])
 
 
 @dataclass(frozen=True)
 class GeodesicCurve:
-    """Closed-form geodesic between two strictly SPD endpoints."""
+    """Closed-form geodesic between two strictly SPD endpoints; alpha is held as an AlphaParam."""
 
     a: SpdMatrix
     b: SpdMatrix
-    alpha: float
+    alpha: AlphaParam
 
     def __post_init__(self):
-        if as_alpha(self.alpha).is_log_limit:
+        object.__setattr__(self, "alpha", as_alpha(self.alpha))
+        if self.alpha.is_log_limit:
             raise DomainError("geodesic needs alpha != 0 (no log-limit form)")
         self.a.require_strict("geodesic endpoint")
         self.b.require_strict("geodesic endpoint")
-        if self.a.n != self.b.n:
-            raise DomainError("endpoint dimensions differ")
+        _check_dims(self.a, self.b)
 
     @cached_property
     def _closed_form(self):
         """A^2a, B^2a and the symmetrized non-symmetric square root, built once."""
-        a2 = spd_power(self.a, 2.0 * self.alpha).mat
-        b2 = spd_power(self.b, 2.0 * self.alpha).mat
-        a_pow = spd_power(self.a, self.alpha).mat
-        a_inv = spd_power(self.a, -self.alpha).mat
+        alpha = self.alpha.value
+        a2 = spd_power(self.a, 2.0 * alpha).mat
+        b2 = spd_power(self.b, 2.0 * alpha).mat
+        a_pow = spd_power(self.a, alpha).mat
+        a_inv = spd_power(self.a, -alpha).mat
         # (A^2a B^2a)^(1/2) = A^a (A^a B^2a A^a)^(1/2) A^-a; its transpose is
         # (B^2a A^2a)^(1/2), so the geodesic bracket needs s + s.T
         inner = SpdMatrix.from_array(a_pow @ b2 @ a_pow)
@@ -159,7 +165,7 @@ class GeodesicCurve:
                 f"geodesic bracket lost positivity at t={float(ts[i])} "
                 f"(min eig {float(w[i, 0]):.3e})"
             )
-        return w ** (1.0 / (2.0 * self.alpha)), v
+        return w ** (1.0 / (2.0 * self.alpha.value)), v
 
     def _point(self, t: float) -> SpdMatrix:
         """g(t) for any real t: the bracket raised to 1/2a, no range check."""
@@ -186,8 +192,8 @@ def geodesic_length_numeric(curve: GeodesicCurve, steps: int = 1000) -> float:
     grid point is decomposed exactly once.  Converges to the closed-form
     distance as steps grows.
     """
-    if steps < 100:
-        raise DomainError("steps must be at least 100")
+    if not isinstance(steps, (int, np.integer)) or steps < 100:
+        raise DomainError(f"steps must be an integer of at least 100, got {steps!r}")
     dt = 1.0 / steps
     n = curve.a.n
     block = max(3, QUADRATURE_BLOCK_ENTRIES // (n * n))

@@ -66,6 +66,12 @@ def _lapack_guard(what: str, mat: np.ndarray):
         raise ConvergenceFailureError(f"{what} failed: {exc}") from exc
 
 
+def _check_dims(*ops) -> None:
+    """The one dimension check: square operands (SymMatrix, SpdMatrix) of one order."""
+    if len({op.n for op in ops}) > 1:
+        raise DimensionError("matrix dimensions differ: " + " vs ".join(str(op.n) for op in ops))
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.setflags(write=False)

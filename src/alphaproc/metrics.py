@@ -23,6 +23,7 @@ from .exceptions import (
 from .linalg import (
     AlphaParam,
     SpdMatrix,
+    _check_dims,
     as_alpha,
     spd_log,
     spd_power,
@@ -30,7 +31,7 @@ from .linalg import (
 )
 
 # The trace argument of the square root may dip below zero by roundoff; clamp
-# when |negative| < NEG_TRACE_RTOL * (tr A^2a + tr B^2a), else raise.
+# when |negative| < NEG_TRACE_RTOL * (|tr A^2a| + |tr B^2a|), else raise.
 NEG_TRACE_RTOL = 1e-9
 
 # Commutator norm below COMMUTE_RTOL * |A|_F * |B|_F flags the commuting
@@ -65,26 +66,27 @@ class DistanceResult:
         return "general"
 
 
-def _check_dims(a: SpdMatrix, b: SpdMatrix) -> None:
-    if a.n != b.n:
-        raise DimensionError(f"matrix dimensions differ: {a.n} vs {b.n}")
-
-
 def _commutes(a: SpdMatrix, b: SpdMatrix) -> bool:
     scale = np.linalg.norm(a.mat) * np.linalg.norm(b.mat)
     comm = a.mat @ b.mat - b.mat @ a.mat
     return bool(np.linalg.norm(comm) <= COMMUTE_RTOL * max(scale, 1e-300))
 
 
-def _sqrt_clamped(trace_arg: float, scale: float) -> float:
-    if trace_arg < 0.0:
-        if -trace_arg >= NEG_TRACE_RTOL * max(scale, 1.0e-300):
+def _trace_form(ta: float, tb: float, cross: float, alpha: float) -> float:
+    """(1/|a|) sqrt(ta + tb - 2 cross): every trace-form value, matrix or Gram side.
+
+    The log-limit passes alpha = 1; a negative argument is clamped per NEG_TRACE_RTOL.
+    """
+    arg = ta + tb - 2.0 * cross
+    if arg < 0.0:
+        scale = abs(ta) + abs(tb)
+        if -arg >= NEG_TRACE_RTOL * max(scale, 1.0e-300):
             raise NumericalInconsistencyError(
-                f"trace argument {trace_arg:.6e} is negative beyond the "
+                f"trace argument {arg:.6e} is negative beyond the "
                 f"roundoff clamp ({NEG_TRACE_RTOL:.0e} * {scale:.6e})"
             )
-        trace_arg = 0.0
-    return math.sqrt(trace_arg)
+        arg = 0.0
+    return math.sqrt(arg) / abs(alpha)
 
 
 def _check_gamma(gamma: float) -> None:
@@ -92,28 +94,33 @@ def _check_gamma(gamma: float) -> None:
         raise DomainError(f"gamma must be positive and finite, got {gamma}")
 
 
-def _family(a: SpdMatrix, b: SpdMatrix, alpha, gamma: float | None = None) -> DistanceResult:
-    """The one evaluator of the family: each of its special cases calls it.
-
-    gamma None evaluates A and B, which alpha < 0 and the log-limit need
-    strictly positive; gamma > 0 evaluates A + gamma*I and B + gamma*I.
-    """
-    _check_dims(a, b)
-    al = as_alpha(alpha)
-    if gamma is not None:
-        _check_gamma(gamma)
-        a, b = a.add_ridge(gamma), b.add_ridge(gamma)
-    elif al.is_log_limit or al.value < 0:
+def _require_strict_unridged(a: SpdMatrix, b: SpdMatrix, al: AlphaParam) -> None:
+    """With no ridge, alpha < 0 and the log-limit need A and B strictly positive."""
+    if al.is_log_limit or al.value < 0:
         what = "log-Euclidean distance" if al.is_log_limit else "negative alpha"
         a.require_strict(what)
         b.require_strict(what)
+
+
+def _family(a: SpdMatrix, b: SpdMatrix, alpha, gamma: float | None = None) -> DistanceResult:
+    """The one evaluator of the family: each of its special cases calls it.
+
+    gamma None evaluates A and B; gamma > 0 evaluates A + gamma*I and
+    B + gamma*I (any other gamma raises DomainError).
+    """
+    _check_dims(a, b)
+    al = as_alpha(alpha)
+    if gamma is None:
+        _require_strict_unridged(a, b, al)
+    else:
+        _check_gamma(gamma)
+        a, b = a.add_ridge(gamma), b.add_ridge(gamma)
     if al.is_log_limit:
         value = float(np.linalg.norm(spd_log(a).mat - spd_log(b).mat))
     else:
         ta = a.trace_power(2.0 * al.value)
         tb = b.trace_power(2.0 * al.value)
-        cross = trace_sqrt_triple(a, b, al.value)
-        value = _sqrt_clamped(ta + tb - 2.0 * cross, ta + tb) / abs(al.value)
+        value = _trace_form(ta, tb, trace_sqrt_triple(a, b, al.value), al.value)
     return DistanceResult(value, al, gamma or 0.0, (a, b))
 
 
@@ -153,24 +160,23 @@ def log_euclidean(a: SpdMatrix, b: SpdMatrix) -> DistanceResult:
     return _family(a, b, AlphaParam.log_limit())
 
 
-def power_euclidean(a: SpdMatrix, b: SpdMatrix, alpha: float) -> DistanceResult:
+def power_euclidean(a: SpdMatrix, b: SpdMatrix, alpha) -> DistanceResult:
     """Power Euclidean distance |A^a - B^a|_F / |a|.
 
     Upper bound of the family distance, with equality exactly on commuting
-    pairs.  |alpha| below the switch tolerance routes to the log-Euclidean
-    limit, matching the family convention.
+    pairs.  Exact alpha = 0 raises DomainError, and so does
+    ``AlphaParam.log_limit()`` (the CLI's ``--alpha log-limit``), whose
+    value is 0; 0 < |alpha| < 1e-7 routes to the log-Euclidean distance.
     """
     _check_dims(a, b)
-    if alpha == 0.0:
+    al = as_alpha(alpha)
+    if al.value == 0.0:
         raise DomainError("power Euclidean distance needs alpha != 0")
-    al = AlphaParam(alpha)
     if al.is_log_limit:
         return replace(log_euclidean(a, b), alpha=al)
-    if alpha < 0:
-        a.require_strict("negative alpha")
-        b.require_strict("negative alpha")
-    diff = spd_power(a, alpha).mat - spd_power(b, alpha).mat
-    value = float(np.linalg.norm(diff)) / abs(alpha)
+    _require_strict_unridged(a, b, al)
+    diff = spd_power(a, al.value).mat - spd_power(b, al.value).mat
+    value = float(np.linalg.norm(diff)) / abs(al.value)
     return DistanceResult(value, al, 0.0, (a, b))
 
 
@@ -216,23 +222,23 @@ def _golden_section(fn, lo: float, hi: float) -> float:
     return min(f1, f2)
 
 
-def procrustes_bruteforce_2x2(a: SpdMatrix, b: SpdMatrix, alpha: float) -> float:
+def procrustes_bruteforce_2x2(a: SpdMatrix, b: SpdMatrix, alpha) -> float:
     """Direct minimization of |A^a - B^a U|_F / |a| over the full group O(2).
 
     Verification oracle for the closed form: both connected components of
     O(2) (rotations, and rotations composed with diag(1, -1)) are scanned on
     a uniform theta grid of BRUTEFORCE_GRID points, then the best bracket is
-    refined by golden-section search to GOLDEN_TOL in theta.
+    refined by golden-section search to GOLDEN_TOL in theta.  It has no
+    log-limit form: |alpha| < 1e-7 raises DomainError.
     """
     if a.n != 2 or b.n != 2:
         raise DimensionError("brute-force oracle is 2x2 only")
-    if alpha == 0.0:
-        raise DomainError("alpha must be nonzero")
-    if alpha < 0:
-        a.require_strict("negative alpha")
-        b.require_strict("negative alpha")
-    a_pow = spd_power(a, alpha).mat
-    b_pow = spd_power(b, alpha).mat
+    al = as_alpha(alpha)
+    if al.is_log_limit:
+        raise DomainError(f"brute-force oracle has no log-limit form, got alpha {al.value}")
+    _require_strict_unridged(a, b, al)
+    a_pow = spd_power(a, al.value).mat
+    b_pow = spd_power(b, al.value).mat
 
     best = math.inf
     thetas = np.linspace(0.0, 2.0 * math.pi, BRUTEFORCE_GRID, endpoint=False)
@@ -245,7 +251,7 @@ def procrustes_bruteforce_2x2(a: SpdMatrix, b: SpdMatrix, alpha: float) -> float
         k = int(np.argmin(values))
         refined = _golden_section(cost, thetas[k] - step, thetas[k] + step)
         best = min(best, refined)
-    return best / abs(alpha)
+    return best / abs(al.value)
 
 
 def pairwise_distances(mats: list[SpdMatrix], alpha, metric=alpha_procrustes) -> np.ndarray:

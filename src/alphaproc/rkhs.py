@@ -37,8 +37,8 @@ from .exceptions import (
     NonFiniteError,
     UnsupportedKernelError,
 )
-from .linalg import SpdMatrix, as_alpha, nuclear_norm
-from .metrics import _check_gamma, _sqrt_clamped, alpha_procrustes_regularized
+from .linalg import AlphaParam, SpdMatrix, as_alpha, nuclear_norm
+from .metrics import _check_gamma, _trace_form, alpha_procrustes_regularized
 
 FEATURE_DIM_LIMIT = 10_000
 
@@ -227,7 +227,7 @@ def mean_discrepancy_squared(gb: GramBundle) -> float:
 
 
 def rkhs_alpha_distance(
-    x: Dataset, y: Dataset, kernel: KernelSpec, alpha: float, gamma: float
+    x: Dataset, y: Dataset, kernel: KernelSpec, alpha, gamma: float
 ) -> float:
     """Family distance between regularized covariance operators C_X + g*I, C_Y + g*I.
 
@@ -237,11 +237,30 @@ def rkhs_alpha_distance(
     |alpha| below the switch tolerance routes to the analytic log-limit
     (the Log-Hilbert-Schmidt distance of the regularized operators).
     """
-    return _regularized_distance(gram_bundle(x, y, kernel), alpha, gamma)
+    return _covariance_distance(gram_bundle(x, y, kernel), alpha, gamma)
 
 
-def _regularized_distance(gb: GramBundle, alpha, gamma: float) -> float:
-    """Regularized family distance from the Gram matrices.
+def _covariance_distance(gb: GramBundle, alpha, gamma: float | None) -> float:
+    """The one route choice of the RKHS family, from one set of Gram matrices.
+
+    gamma None takes the operators themselves, which needs alpha >= 1/2;
+    otherwise gamma must be positive and finite, and the log-limit goes to
+    the centered Gram blocks, every other alpha to the pooled Gram matrix.
+    """
+    al = as_alpha(alpha)
+    if gamma is None:
+        if al.is_log_limit or al.value < 0.5:
+            raise DomainError(f"unregularized family needs alpha >= 1/2, got {al.label()};"
+                              " smaller alphas and the log-limit need a positive gamma")
+        return _unregularized_distance(centered_gram(gb), al.value)
+    _check_gamma(gamma)
+    if al.is_log_limit:
+        return _log_limit_distance(centered_gram(gb), gamma)
+    return _pooled_distance(gb, al, gamma)
+
+
+def _pooled_distance(gb: GramBundle, al: AlphaParam, gamma: float) -> float:
+    """Regularized family distance from the Gram matrices, alpha off the log-limit.
 
     The pooled Gram G = [[K[X], K[X,Y]], [K[Y,X], K[Y]]] = V diag(w) V'
     gives R = diag(sqrt(w)) V' over the eigenvalues the zero-eigenvalue rule
@@ -250,10 +269,6 @@ def _regularized_distance(gb: GramBundle, alpha, gamma: float) -> float:
     X's coordinates over sqrt(m), and the value is the matrix family's on
     C_X + gI and C_Y + gI, each held as the spectrum of its factor.
     """
-    _check_gamma(gamma)
-    al = as_alpha(alpha)
-    if al.is_log_limit:
-        return _log_limit_distance(centered_gram(gb), gamma)
     eig = SpdMatrix._from_gram(np.block([[gb.kxx, gb.kxy], [gb.kxy.T, gb.kyy]])).eig
     keep = eig.values > 0.0
     if not np.any(keep):
@@ -278,7 +293,7 @@ def _log_limit_distance(cg: CenteredGram, gamma: float) -> float:
     norm_a, norm_b = (float(np.sum(np.log1p(w / gamma) ** 2)) for w in (wa, wb))
     fa, fb = (np.log1p(w / gamma) / np.where(w > 0.0, w, 1.0) for w in (wa, wb))
     cross = float(np.sum((fa[:, None] * m) * (m * fb)))  # M_ij^2 alone may overflow
-    return _sqrt_clamped(norm_a + norm_b - 2.0 * cross, norm_a + norm_b)
+    return _trace_form(norm_a, norm_b, cross, 1.0)
 
 
 def _in_eigenbases(cg: CenteredGram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -288,22 +303,19 @@ def _in_eigenbases(cg: CenteredGram) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def rkhs_alpha_distance_unregularized(
-    x: Dataset, y: Dataset, kernel: KernelSpec, alpha: float
+    x: Dataset, y: Dataset, kernel: KernelSpec, alpha
 ) -> float:
     """Family distance between the covariance operators themselves, alpha >= 1/2.
 
     (1/a) tr[aa^2a + bb^2a - 2 (ba aa^(2a-1) ab bb^(2a-1))^(1/2)]^(1/2) with
     spectral powers restricted to the range, so aa^0 is the range projection
     (needed at alpha = 1/2); the clamped kernel stays 0 under every positive
-    power.  Sample counts may differ.
+    power.  Sample counts may differ; alpha below 1/2 raises DomainError.
     """
-    return _unregularized_distance(gram_bundle(x, y, kernel), alpha)
+    return _covariance_distance(gram_bundle(x, y, kernel), alpha, None)
 
 
-def _unregularized_distance(gb: GramBundle, alpha: float) -> float:
-    if alpha < 0.5:
-        raise DomainError(f"unregularized formula needs alpha >= 1/2, got {alpha}")
-    cg = centered_gram(gb)
+def _unregularized_distance(cg: CenteredGram, alpha: float) -> float:
     if alpha == 0.5:
         # aa^0 and bb^0 are the range projections, and they leave ab unchanged
         # (its columns lie in range(aa), its rows in range(bb)): no eigensolve.
@@ -318,9 +330,7 @@ def _unregularized_distance(gb: GramBundle, alpha: float) -> float:
     # nuclear norm of T, which the rotation into the eigenbases keeps;
     # singular values keep the rank-deficient spectrum exact where a general
     # eigensolve would scatter the zero eigenvalues.
-    term_cross = 2.0 * nuclear_norm(cross)
-    arg = term_a + term_b - term_cross
-    return _sqrt_clamped(arg, abs(term_a) + abs(term_b)) / alpha
+    return _trace_form(term_a, term_b, nuclear_norm(cross), alpha)
 
 
 def rkhs_gaussian_distance(
@@ -341,15 +351,9 @@ def _rkhs_gaussian_terms(
     x: Dataset, y: Dataset, kernel: KernelSpec, alpha, gamma: float
 ) -> tuple[float, float, float]:
     """(mean embedding distance, d_cov, distance) from one set of Gram matrices."""
-    al = as_alpha(alpha)
     gb = gram_bundle(x, y, kernel)
     mdd = mean_discrepancy_squared(gb)
-    if gamma != 0.0:
-        d_cov = _regularized_distance(gb, al, gamma)
-    elif not al.is_log_limit and al.value >= 0.5:
-        d_cov = _unregularized_distance(gb, al.value)
-    else:
-        raise DomainError("alpha below 1/2 (or log-limit) needs a positive gamma")
+    d_cov = _covariance_distance(gb, alpha, gamma or None)
     return math.sqrt(mdd), d_cov, math.sqrt(mdd + 0.25 * d_cov**2)
 
 

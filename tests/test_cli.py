@@ -252,6 +252,11 @@ class TestGeodesic:
         _, out_dist, _ = run_cli(["dist", "--alpha", "0.5", a, b])
         assert length == pytest.approx(json.loads(out_dist)["distance"], rel=1e-3)
 
+    def test_log_limit_alpha_exits_3(self, matrices):
+        code, out, err = run_cli(["geodesic", *matrices, "--alpha", "log-limit", "--t-steps", "2"])
+        assert code == 3
+        assert out == "" and "no log-limit form" in err
+
     def test_curve_closed_form_built_once(self, tmp_path, eigh_orders):
         # 2 endpoint reads + 5 points + 102 quadrature points + 1 cross root
         rng = np.random.default_rng(20)
@@ -483,8 +488,11 @@ class TestValidate:
         assert code == 0
         assert out.count("PASS") == 5
 
-    def test_injected_failure_exits_5(self):
-        code, _, err = run_cli(["validate", "--trials", "3", "--inject-failure"])
+    def test_injected_failure_exits_5(self, monkeypatch):
+        from alphaproc import validation
+
+        monkeypatch.setattr(validation, "TRIANGLE_SLACK", float("inf"))
+        code, _, err = run_cli(["validate", "--trials", "3"])
         assert code == 5
         assert "triangle" in err
 
@@ -504,6 +512,16 @@ class TestValidate:
 
 
 class TestExitCodeMapping:
+    @pytest.mark.parametrize("command", [["geodesic", "--alpha", "0.5", "--t-steps", "2"],
+                                         ["dist", "--alpha", "0.5"]])
+    def test_dimension_mismatch_exits_2(self, tmp_path, command):
+        rng = np.random.default_rng(24)
+        a = write_matrix(tmp_path / "A3.csv", rand_spd(rng, 3).mat)
+        b = write_matrix(tmp_path / "B4.csv", rand_spd(rng, 4).mat)
+        code, out, err = run_cli([command[0], a, b, *command[1:]])
+        assert code == 2
+        assert out == "" and "dimensions differ" in err
+
     def test_complex_spectrum_maps_to_4(self, monkeypatch, datasets):
         import alphaproc.cli as cli_mod
         from alphaproc import ComplexSpectrumError

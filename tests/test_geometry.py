@@ -7,6 +7,7 @@ from conftest import rand_spd, rand_sym
 
 from alphaproc import (
     AlphaParam,
+    DimensionError,
     DomainError,
     GeodesicCurve,
     NonSpdIntermediateError,
@@ -90,13 +91,13 @@ class TestLyapunovSolve:
 class TestLyapunovFactor:
     def test_half_alpha_is_sum(self):
         lam = np.array([0.4, 1.3, 2.7])
-        f = _lyapunov_factor(lam, 0.5)
+        f = _lyapunov_factor(lam, AlphaParam(0.5))
         expected = lam[:, None] + lam[None, :]
         assert np.allclose(f, expected, atol=1e-12)
 
     def test_small_alpha_is_log_form(self):
         lam = np.array([0.4, 1.3, 2.7])
-        f = _lyapunov_factor(lam, 1e-6)
+        f = _lyapunov_factor(lam, AlphaParam(1e-6))
         with np.errstate(divide="ignore", invalid="ignore"):
             expected = 2.0 * (lam[:, None] - lam[None, :]) / (
                 np.log(lam)[:, None] - np.log(lam)[None, :]
@@ -106,7 +107,7 @@ class TestLyapunovFactor:
 
     def test_degenerate_limit(self):
         lam = np.array([1.5, 1.5])
-        f = _lyapunov_factor(lam, 0.8)
+        f = _lyapunov_factor(lam, AlphaParam(0.8))
         assert np.allclose(f, 2.0 * 1.5)
 
 
@@ -195,7 +196,7 @@ class TestMetricInner:
         rng = np.random.default_rng(23)
         p0 = rand_spd(rng, 3)
         for alpha in (0.8, AlphaParam.log_limit()):
-            with pytest.raises(DomainError):
+            with pytest.raises(DimensionError):
                 metric_inner(p0, rand_sym(rng, 3), rand_sym(rng, 2), alpha)
 
     def test_log_limit_matches_log_derivative(self):
@@ -354,8 +355,9 @@ class TestGeodesicLength:
     def test_too_few_steps_rejected(self):
         rng = np.random.default_rng(16)
         curve = GeodesicCurve(rand_spd(rng, 2), rand_spd(rng, 2), 0.5)
-        with pytest.raises(DomainError):
-            geodesic_length_numeric(curve, 50)
+        for steps in (50, 100.5):
+            with pytest.raises(DomainError):
+                geodesic_length_numeric(curve, steps)
 
 
 SCALES = [1e-30, 1e-12, 1e-9, 1e-6, 1e3, 1e30]

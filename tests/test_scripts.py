@@ -18,3 +18,18 @@ def test_script_runs_with_defaults(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_benchmark_selftest_passes():
+    # the self-test checks the tracer's view of the library (which bindings
+    # it wraps, how many eigensolves a pair costs), so a refactor that
+    # breaks the benchmark fails here too; it writes to .perfbench_out/
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench/selftest.py"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
