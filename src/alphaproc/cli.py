@@ -64,6 +64,8 @@ def _read_matrix(path: str) -> SpdMatrix:
     arr = _read_rows(path)
     if arr.shape[0] != arr.shape[1]:
         raise CliInputError(f"{path}: matrix is not square ({arr.shape})")
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteError(f"{path}: matrix contains NaN or infinite entries")
     asym = float(np.max(np.abs(arr - arr.T)))
     if asym > MATRIX_SYM_TOL * max(1.0, float(np.max(np.abs(arr)))):
         raise CliInputError(f"{path}: matrix is not symmetric (max deviation {asym:.3e})")

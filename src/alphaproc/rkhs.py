@@ -84,30 +84,33 @@ class KernelSpec:
 
     @classmethod
     def parse(cls, text: str) -> "KernelSpec":
-        """Parse 'linear', 'poly:d=2,c=1' or 'rbf:sigma=0.5'."""
+        """Parse 'linear', 'poly:d=2,c=1' or 'rbf:sigma=0.5'; other parameter names raise."""
         text = text.strip()
         if text == "linear":
             return cls.linear()
         head, sep, tail = text.partition(":")
+        names = {"poly": ("d", "c"), "rbf": ("sigma",)}.get(head)
+        if names is None:
+            raise DomainError(f"unknown kernel spec {text!r}")
         params = {}
         if sep:
             for item in tail.split(","):
                 if not item:
                     continue
-                key, eq, value = item.partition("=")
+                key, eq, value = (part.strip() for part in item.partition("="))
                 if not eq:
                     raise DomainError(f"malformed kernel parameter {item!r}")
-                params[key.strip()] = value.strip()
+                if key not in names:
+                    raise DomainError(f"unknown {head} kernel parameter {key!r}")
+                params[key] = value
         try:
             if head == "poly":
                 return cls.polynomial(
                     degree=int(params.get("d", 2)), offset=float(params.get("c", 0.0))
                 )
-            if head == "rbf":
-                return cls.gaussian_rbf(sigma=float(params.get("sigma", 1.0)))
+            return cls.gaussian_rbf(sigma=float(params.get("sigma", 1.0)))
         except ValueError as exc:
             raise DomainError(f"malformed kernel spec {text!r}: {exc}") from exc
-        raise DomainError(f"unknown kernel spec {text!r}")
 
     def gram(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Pointwise kernel matrix K[i, j] = K(x_i, y_j)."""

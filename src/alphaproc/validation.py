@@ -3,13 +3,15 @@
 Each suite draws inputs from a seeded generator and checks one family of
 guarantees: metric axioms, the comparison inequality against the power
 Euclidean distance, the small-alpha limits, the generalized Lyapunov solve,
-and the geodesic length.  Failures carry a printable witness so a reported
-seed reproduces them exactly.  The random-input generators are public so
-the test suite draws its inputs from the same code.
+and the geodesic length.  Each check goes through `SuiteResult.check` as
+the condition that must hold, so a NaN fails it; a failure carries a
+printable witness so a reported seed reproduces it exactly.  The
+random-input generators are public so the test suite draws from them too.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,11 +41,7 @@ from .metrics import (
 )
 
 METRIC_ALPHAS = (
-    AlphaParam(-1.0),
-    AlphaParam.log_limit(),
-    AlphaParam(0.5),
-    AlphaParam(1.0),
-    AlphaParam(2.0),
+    AlphaParam(-1.0), AlphaParam.log_limit(), AlphaParam(0.5), AlphaParam(1.0), AlphaParam(2.0)
 )
 
 # Quadrature steps of each numeric geodesic length in geodesic_suite.
@@ -65,12 +63,13 @@ LIMIT_FINAL_REL = 1e-3
 LYAPUNOV_REL = 1e-9
 LYAPUNOV_HALF_REL = 1e-10
 GEODESIC_ENDPOINT_REL = 1e-9
-GEODESIC_LENGTH_REL = 1e-2
+GEODESIC_LENGTH_REL = 1e-5
 
 
 @dataclass
 class SuiteResult:
     name: str
+    seed: int
     checks: int = 0
     failures: list[str] = field(default_factory=list)
 
@@ -78,8 +77,12 @@ class SuiteResult:
     def passed(self) -> bool:
         return not self.failures
 
-    def fail(self, message: str) -> None:
-        self.failures.append(message)
+    def check(self, ok: bool, trial: int, what: str, detail: Callable[[], str]) -> None:
+        """Count one check whose condition ``ok`` must hold (NaN fails); on failure
+        record a witness, calling ``detail`` for its text."""
+        self.checks += 1
+        if not ok:
+            self.failures.append(f"seed={self.seed} trial={trial} {what}: {detail()}")
 
 
 def rand_spd(rng: np.random.Generator, n: int, lo: float = 0.3, hi: float = 3.0) -> SpdMatrix:
@@ -100,10 +103,7 @@ def commuting_pair(rng: np.random.Generator, n: int) -> tuple[SpdMatrix, SpdMatr
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     w1 = rng.uniform(0.3, 3.0, n)
     w2 = rng.uniform(0.3, 3.0, n)
-    return (
-        SpdMatrix.from_array((q * w1) @ q.T),
-        SpdMatrix.from_array((q * w2) @ q.T),
-    )
+    return SpdMatrix.from_array((q * w1) @ q.T), SpdMatrix.from_array((q * w2) @ q.T)
 
 
 def noncommuting_pair(rng: np.random.Generator, n: int) -> tuple[SpdMatrix, SpdMatrix]:
@@ -116,63 +116,44 @@ def noncommuting_pair(rng: np.random.Generator, n: int) -> tuple[SpdMatrix, SpdM
             return a, b
 
 
-def _witness(seed: int, trial: int, what: str, detail: str) -> str:
-    return f"seed={seed} trial={trial} {what}: {detail}"
+def _show(m) -> str:
+    """Witness text of a matrix."""
+    return np.array2string(m.mat, precision=4)
 
 
 def metric_axioms_suite(seed: int, trials: int) -> SuiteResult:
     """Symmetry, identity of indiscernibles, and the triangle inequality for
     matrices, Gaussians, and regularized operators across the alpha set."""
     rng = np.random.default_rng(seed)
-    result = SuiteResult("metric-axioms")
+    result = SuiteResult("metric-axioms", seed)
     gamma = 0.1
     for trial in range(trials):
         n = int(rng.integers(2, 6))
         mats = [rand_spd(rng, n) for _ in range(3)]
         means = [rng.standard_normal(n) for _ in range(3)]
         alpha = METRIC_ALPHAS[trial % len(METRIC_ALPHAS)]
-
+        gauss = [GaussianMeasure.from_arrays(m, c) for m, c in zip(means, mats)]
         families = {
             "matrix": lambda i, j: alpha_procrustes(mats[i], mats[j], alpha).value,
-            "gaussian": lambda i, j: gaussian_alpha_distance(
-                GaussianMeasure.from_arrays(means[i], mats[i]),
-                GaussianMeasure.from_arrays(means[j], mats[j]),
-                alpha,
-            ),
+            "gaussian": lambda i, j: gaussian_alpha_distance(gauss[i], gauss[j], alpha),
             "regularized": lambda i, j: alpha_procrustes_regularized(
                 mats[i], mats[j], gamma, alpha
             ).value,
         }
         for family, dist in families.items():
             d01, d10 = dist(0, 1), dist(1, 0)
-            d12, d02 = dist(1, 2), dist(0, 2)
-            result.checks += 4
+            d12, d02, d00 = dist(1, 2), dist(0, 2), dist(0, 0)
             scale = max(d01, d10, 1e-300)
-            if abs(d01 - d10) > SYMMETRY_REL * scale:
-                result.fail(
-                    _witness(seed, trial, f"{family} symmetry", f"{d01} vs {d10}")
-                )
-            if dist(0, 0) > IDENTITY_TOL:
-                result.fail(
-                    _witness(seed, trial, f"{family} identity", f"d(A,A)={dist(0, 0)}")
-                )
-            if d01 <= SEPARATION_MIN:
-                result.fail(
-                    _witness(
-                        seed, trial, f"{family} separation",
-                        f"d={d01} for distinct inputs",
-                    )
-                )
+            result.check(abs(d01 - d10) <= SYMMETRY_REL * scale, trial, f"{family} symmetry",
+                         lambda: f"{d01} vs {d10}")
+            result.check(d00 <= IDENTITY_TOL, trial, f"{family} identity",
+                         lambda: f"d(A,A)={d00}")
+            result.check(d01 > SEPARATION_MIN, trial, f"{family} separation",
+                         lambda: f"d={d01} for distinct inputs")
             slack = d01 + d12 - d02
-            if slack < TRIANGLE_SLACK:
-                result.fail(
-                    _witness(
-                        seed,
-                        trial,
-                        f"{family} triangle (alpha={alpha.label()})",
-                        f"slack={slack:.3e} A={np.array2string(mats[0].mat, precision=4)}",
-                    )
-                )
+            result.check(slack >= TRIANGLE_SLACK, trial,
+                         f"{family} triangle (alpha={alpha.label()})",
+                         lambda: f"slack={slack:.3e} A={_show(mats[0])}")
     return result
 
 
@@ -180,7 +161,7 @@ def alt_inequality_suite(seed: int, trials: int) -> SuiteResult:
     """Family distance never exceeds the power Euclidean distance; the gap is
     strictly positive off the commuting locus and vanishes on it."""
     rng = np.random.default_rng(seed + 1)
-    result = SuiteResult("alt-inequality")
+    result = SuiteResult("alt-inequality", seed)
     alphas = (-1.0, 0.5, 0.7, 2.0)
     for trial in range(trials):
         n = int(rng.integers(2, 6))
@@ -188,31 +169,16 @@ def alt_inequality_suite(seed: int, trials: int) -> SuiteResult:
         a, b = noncommuting_pair(rng, n)
         d_pro = alpha_procrustes(a, b, alpha).value
         d_pow = power_euclidean(a, b, alpha).value
-        result.checks += 2
-        if d_pro > d_pow + ALT_UPPER:
-            result.fail(
-                _witness(seed, trial, f"upper bound (alpha={alpha})", f"{d_pro} > {d_pow}")
-            )
-        if d_pow - d_pro <= ALT_NONCOMMUTING_GAP:
-            result.fail(
-                _witness(
-                    seed,
-                    trial,
-                    f"non-commuting gap (alpha={alpha})",
-                    f"gap={d_pow - d_pro:.3e} A={np.array2string(a.mat, precision=4)}",
-                )
-            )
+        result.check(d_pro <= d_pow + ALT_UPPER, trial, f"upper bound (alpha={alpha})",
+                     lambda: f"{d_pro} > {d_pow}")
+        result.check(d_pow - d_pro > ALT_NONCOMMUTING_GAP, trial,
+                     f"non-commuting gap (alpha={alpha})",
+                     lambda: f"gap={d_pow - d_pro:.3e} A={_show(a)}")
         ca, cb = commuting_pair(rng, n)
         d_pro_c = alpha_procrustes(ca, cb, alpha).value
         d_pow_c = power_euclidean(ca, cb, alpha).value
-        result.checks += 1
-        if abs(d_pro_c - d_pow_c) > ALT_COMMUTING * max(1.0, d_pow_c):
-            result.fail(
-                _witness(
-                    seed, trial, f"commuting equality (alpha={alpha})",
-                    f"|{d_pro_c} - {d_pow_c}|",
-                )
-            )
+        result.check(abs(d_pro_c - d_pow_c) <= ALT_COMMUTING * max(1.0, d_pow_c), trial,
+                     f"commuting equality (alpha={alpha})", lambda: f"|{d_pro_c} - {d_pow_c}|")
     return result
 
 
@@ -220,29 +186,20 @@ def limit_checks_suite(seed: int, trials: int) -> SuiteResult:
     """Small-alpha convergence to the log-Euclidean distance and the exact
     factor-of-two link to the Bures-Wasserstein distance at alpha = 1/2."""
     rng = np.random.default_rng(seed + 2)
-    result = SuiteResult("limit-checks")
+    result = SuiteResult("limit-checks", seed)
     for trial in range(trials):
         n = int(rng.integers(2, 6))
         a, b = rand_spd(rng, n), rand_spd(rng, n)
         d_log = log_euclidean(a, b).value
-        gaps = [
-            abs(alpha_procrustes(a, b, al).value - d_log)
-            for al in (1e-2, 1e-3, 1e-4)
-        ]
-        result.checks += 2
-        if not (gaps[0] > gaps[1] > gaps[2]):
-            result.fail(_witness(seed, trial, "gap monotonicity", f"gaps={gaps}"))
-        if gaps[-1] >= LIMIT_FINAL_REL * d_log:
-            result.fail(
-                _witness(seed, trial, "final gap", f"{gaps[-1]} vs {d_log}")
-            )
+        gaps = [abs(alpha_procrustes(a, b, al).value - d_log) for al in (1e-2, 1e-3, 1e-4)]
+        result.check(gaps[0] > gaps[1] > gaps[2], trial, "gap monotonicity",
+                     lambda: f"gaps={gaps}")
+        result.check(gaps[-1] < LIMIT_FINAL_REL * d_log, trial, "final gap",
+                     lambda: f"{gaps[-1]} vs {d_log}")
         d_half = alpha_procrustes(a, b, 0.5).value
         d_bw = bures_wasserstein(a, b).value
-        result.checks += 1
-        if abs(d_half - 2.0 * d_bw) > BW_HALF_REL * max(d_half, 1e-300):
-            result.fail(
-                _witness(seed, trial, "alpha=1/2 coincidence", f"{d_half} vs 2*{d_bw}")
-            )
+        result.check(abs(d_half - 2.0 * d_bw) <= BW_HALF_REL * max(d_half, 1e-300), trial,
+                     "alpha=1/2 coincidence", lambda: f"{d_half} vs 2*{d_bw}")
     return result
 
 
@@ -250,7 +207,7 @@ def lyapunov_suite(seed: int, trials: int) -> SuiteResult:
     """Forward-map residual of the generalized Lyapunov solve, plus the plain
     Lyapunov identity at alpha = 1/2."""
     rng = np.random.default_rng(seed + 3)
-    result = SuiteResult("lyapunov-residual")
+    result = SuiteResult("lyapunov-residual", seed)
     for trial in range(trials):
         n = int(rng.integers(2, 6))
         p0 = rand_spd(rng, n)
@@ -264,21 +221,13 @@ def lyapunov_suite(seed: int, trials: int) -> SuiteResult:
         inner = loewner_apply(p2a.eig, "log", w)
         forward = loewner_apply(sym_eigendecompose(spd_log(p0)), "exp", inner)
         residual = np.linalg.norm(forward.mat - y.mat) / np.linalg.norm(y.mat)
-        result.checks += 1
-        if residual > LYAPUNOV_REL:
-            result.fail(
-                _witness(
-                    seed, trial, f"forward residual (alpha={alpha:.3f})",
-                    f"{residual:.3e} P0={np.array2string(p0.mat, precision=4)}",
-                )
-            )
+        result.check(residual <= LYAPUNOV_REL, trial, f"forward residual (alpha={alpha:.3f})",
+                     lambda: f"{residual:.3e} P0={_show(p0)}")
         h_half = solve_general_lyapunov(p0, y, 0.5)
-        res_half = np.linalg.norm(
-            h_half.mat @ p0.mat + p0.mat @ h_half.mat - y.mat
-        ) / np.linalg.norm(y.mat)
-        result.checks += 1
-        if res_half > LYAPUNOV_HALF_REL:
-            result.fail(_witness(seed, trial, "alpha=1/2 Lyapunov", f"{res_half:.3e}"))
+        res_half = np.linalg.norm(h_half.mat @ p0.mat + p0.mat @ h_half.mat - y.mat)
+        res_half /= np.linalg.norm(y.mat)
+        result.check(res_half <= LYAPUNOV_HALF_REL, trial, "alpha=1/2 Lyapunov",
+                     lambda: f"{res_half:.3e}")
     return result
 
 
@@ -289,26 +238,20 @@ def geodesic_suite(seed: int, trials: int) -> SuiteResult:
     evaluations, and a handful of curves already exercises the construction.
     """
     rng = np.random.default_rng(seed + 4)
-    result = SuiteResult("geodesic-length")
+    result = SuiteResult("geodesic-length", seed)
     alphas = (0.25, 0.5, 1.0)
     for trial in range(min(trials, 9)):
         n = int(rng.integers(2, 6))
         alpha = alphas[trial % len(alphas)]
         curve = GeodesicCurve(rand_spd(rng, n), rand_spd(rng, n), alpha)
-        result.checks += 2
         res = geodesic_endpoints_residual(curve)
-        if res > GEODESIC_ENDPOINT_REL:
-            result.fail(_witness(seed, trial, "endpoint residual", f"{res:.3e}"))
+        result.check(res <= GEODESIC_ENDPOINT_REL, trial, "endpoint residual",
+                     lambda: f"{res:.3e}")
         d_closed = alpha_procrustes(curve.a, curve.b, alpha).value
         d_num = geodesic_length_numeric(curve, GEODESIC_STEPS)
-        rel = abs(d_num - d_closed) / d_closed
-        if rel > GEODESIC_LENGTH_REL:
-            result.fail(
-                _witness(
-                    seed, trial, f"length mismatch (alpha={alpha})",
-                    f"numeric={d_num} closed={d_closed}",
-                )
-            )
+        result.check(abs(d_num - d_closed) / d_closed <= GEODESIC_LENGTH_REL, trial,
+                     f"length mismatch (alpha={alpha})",
+                     lambda: f"numeric={d_num} closed={d_closed}")
     return result
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,15 @@ class TestDist:
         code, _, err = run_cli(["dist", matrices[0], bad, "--alpha", "1"])
         assert code == 2
         assert "symmetric" in err
+
+    def test_infinite_off_diagonal_exits_2_without_warning(self, matrices, tmp_path):
+        bad = write_matrix(tmp_path / "inf.csv", np.array([[1.0, np.inf], [np.inf, 1.0]]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["dist", bad, matrices[0], "--alpha", "1"])
+        assert code == 2
+        assert out == "" and "NaN or infinite" in err and str(bad) in err
+        assert caught == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_exits_2_without_traceback(self, tmp_path):
@@ -403,12 +413,14 @@ class TestRkhsDist:
         assert out == "" and "gamma must be positive and finite" in err
 
     @pytest.mark.parametrize(
-        "kernel", ["rbf:sigma=nan", "rbf:sigma=inf", "poly:d=2,c=nan", "poly:d=2,c=inf"]
+        "kernel",
+        ["rbf:sigma=nan", "rbf:sigma=inf", "poly:d=2,c=nan", "poly:d=2,c=inf", "rbf:sgima=0.5"],
     )
     def test_non_finite_kernel_parameter_exits_3(self, datasets, kernel):
         code, out, err = run_cli(["rkhs-dist", *datasets, "--kernel", kernel, "--alpha", "1"])
         assert code == 3
-        assert out == "" and "must be finite" in err
+        expected = "kernel parameter 'sgima'" if "sgima" in kernel else "must be finite"
+        assert out == "" and expected in err
 
     def test_gram_overflow_exits_2_naming_the_kernel(self, datasets):
         code, out, err = run_cli(

@@ -155,6 +155,10 @@ class TestKernelSpec:
             KernelSpec.parse("cubic")
         with pytest.raises(DomainError):
             KernelSpec.parse("poly:d=zero")
+        with pytest.raises(DomainError, match="'sgima'"):
+            KernelSpec.parse("rbf:sgima=0.5")
+        with pytest.raises(DomainError, match="'sigma'"):
+            KernelSpec.parse("poly:d=3,sigma=2")
 
     def test_invalid_parameters(self):
         with pytest.raises(DomainError):

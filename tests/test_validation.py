@@ -1,8 +1,11 @@
 """Every gate of the randomized suites can fail, and reports where it did."""
 
+import numpy as np
 import pytest
 
 from alphaproc import validation
+from alphaproc.linalg import AlphaParam, SymMatrix
+from alphaproc.metrics import DistanceResult
 
 SEED = 7
 
@@ -39,3 +42,41 @@ def test_impossible_gate_fails_only_its_suite(monkeypatch, gate):
         assert f"seed={SEED} " in message
         assert check in message
     assert all(r.passed for name, r in results.items() if name != suite)
+
+
+@pytest.mark.parametrize("trials", [1, 5, 10])
+def test_check_counts(trials):
+    counts = {r.name: r.checks for r in validation.run_all_suites(SEED, trials)}
+    assert counts == {
+        "metric-axioms": 12 * trials,
+        "alt-inequality": 3 * trials,
+        "limit-checks": 3 * trials,
+        "lyapunov-residual": 2 * trials,
+        "geodesic-length": 2 * min(trials, 9),
+    }
+
+
+def test_nan_fails_every_suite(monkeypatch):
+    """Every gate is the condition that must hold, so a NaN value fails it."""
+    nan = float("nan")
+    for name in (
+        "alpha_procrustes",
+        "alpha_procrustes_regularized",
+        "power_euclidean",
+        "log_euclidean",
+        "bures_wasserstein",
+    ):
+        monkeypatch.setattr(
+            validation, name, lambda *args, **kwargs: DistanceResult(nan, AlphaParam(0.5))
+        )
+    monkeypatch.setattr(validation, "gaussian_alpha_distance", lambda *args: nan)
+    monkeypatch.setattr(validation, "geodesic_length_numeric", lambda *args: nan)
+    loewner_apply = validation.loewner_apply
+
+    def nan_exp(p0_eig, f, s):
+        return SymMatrix(np.full(s.mat.shape, nan)) if f == "exp" else loewner_apply(p0_eig, f, s)
+
+    monkeypatch.setattr(validation, "loewner_apply", nan_exp)
+    for result in validation.run_all_suites(SEED, 3):
+        assert not result.passed, result.name
+        assert all(message.startswith(f"seed={SEED} trial=") for message in result.failures)
