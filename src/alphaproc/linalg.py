@@ -4,8 +4,8 @@ Every matrix function (log, exp, fractional power, square root) and every
 Frechet-derivative map in this package goes through one full symmetric
 eigendecomposition.  A single code path keeps log/exp/power/sqrt exactly
 consistent with each other, which the identity tests rely on.  This module
-also makes every LAPACK call of the package (eigensolves and singular
-values), each behind one guard that turns a failure into a typed error.
+also makes every LAPACK call of the package (eigensolves, singular
+values and QR), each behind one guard that turns a failure into a typed error.
 """
 
 from __future__ import annotations
@@ -134,17 +134,16 @@ class SpdMatrix:
     """Symmetric positive (semi-)definite operator, held as its spectrum.
 
     The spectrum sits on an n x k orthonormal basis ``eig.vectors``.  When
-    k < n, as for an operator built from a factor by ``_from_factor``, the
-    n - k directions outside that basis hold one eigenvalue, ``floor``; it
-    is 0.0 on a complete basis.  ``n``, ``min_eig``, ``require_strict``,
+    k < n, as for an RKHS covariance on a basis of its range, the n - k
+    directions outside that basis hold one eigenvalue, ``floor``; it is 0.0
+    on a complete basis.  ``n``, ``min_eig``, ``require_strict``,
     ``trace_power``, ``add_ridge``, ``spd_power``, ``spd_log`` and ``mat``
     account for those directions; code that reads ``eig`` directly needs a
     complete basis.  Every constructor clamps eigenvalues below psd_tol to
     zero (``_clamp_zero``); ``from_array`` first rejects anything below
-    -psd_tol, while spectra from kernels (``_from_gram``, ``_from_factor``)
-    are never rejected.  A formula that needs every eigenvalue above
-    psd_tol calls ``require_strict``.  ``mat`` is the symmetrized input
-    when there was one, else formed from the spectrum on first read.
+    -psd_tol, Gram spectra (``_from_gram``) never.  A formula that needs
+    every eigenvalue above psd_tol calls ``require_strict``.  ``mat`` is the
+    symmetrized input if any, else formed from the spectrum on first read.
     """
 
     eig: EigenDecomposition
@@ -165,7 +164,7 @@ class SpdMatrix:
 
     @classmethod
     def _from_gram(cls, mat: np.ndarray) -> "SpdMatrix":
-        """Spectrum of a symmetric kernel matrix (Gram block, factor product), never rejected."""
+        """Spectrum of a symmetric Gram matrix, never rejected."""
         w, v = sym_eigh(mat)
         return cls._from_eig(_clamp_zero(w), v)
 
@@ -175,30 +174,31 @@ class SpdMatrix:
     ) -> "SpdMatrix":
         """Build from a known nonnegative spectrum without re-validation.
 
+        ``vectors`` is n x k, k <= n; with k < n the other directions hold ``floor``.
         An ascending spectrum keeps its eigenvector array: ridges and
         positive powers share the basis instead of copying it.
         """
-        values = np.asarray(values, dtype=float)
+        values, vectors = np.asarray(values, dtype=float), np.asarray(vectors, dtype=float)
+        if vectors.shape[1] > vectors.shape[0]:
+            raise DimensionError(f"basis of shape {vectors.shape} has more vectors than rows")
         if np.any(values[1:] < values[:-1]):
             order = np.argsort(values)
-            values, vectors = values[order], np.asarray(vectors, dtype=float)[:, order]
+            values, vectors = values[order], vectors[:, order]
         return cls(EigenDecomposition(_freeze(values), _freeze(vectors)), floor)
 
     @classmethod
-    def _from_factor(cls, b: np.ndarray) -> "SpdMatrix":
-        """b b' for a factor b (n x k), decomposed on the smaller of b b' and b' b.
+    def _from_frame(cls, w: np.ndarray, f: np.ndarray) -> "SpdMatrix":
+        """F F' for coordinates F (n x k, k <= n) with F'F = diag(w) to roundoff of w's largest.
 
-        On the sample side (n > k), b' b = U diag(s) U', and the columns of
-        b U diag(s)^(-1/2) over the nonzero s are an orthonormal basis of the
-        range of b b' with eigenvalues s; the directions outside it hold 0.
+        F / sqrt(w) is orthonormal only to that roundoff, an error the ridge
+        held as ``floor`` keeps small where w is; a complete basis (k = n)
+        holds no floor, so it takes Q of F, largest w first.
         """
-        n, k = b.shape
-        if n <= k:
-            return cls._from_gram(b @ b.T)
-        eig = cls._from_gram(b.T @ b).eig
-        nz = eig.values > 0.0
-        s = eig.values[nz]
-        return cls._from_eig(s, (b @ eig.vectors[:, nz]) / np.sqrt(s))
+        if f.shape[1] != f.shape[0]:
+            return cls._from_eig(w, f / np.sqrt(w))
+        with _lapack_guard("QR factorization", f):
+            q = np.linalg.qr(f[:, ::-1])[0][:, ::-1]
+        return cls._from_eig(w, q)
 
     @cached_property
     def mat(self) -> np.ndarray:

@@ -3,24 +3,19 @@
 For datasets X (m points) and Y (n points) mapped into the RKHS of a kernel
 K, the empirical covariance operators are C_X = (1/m) F(X) J_m F(X)* with
 J_m the centering matrix.  Every distance between them reduces to finite
-matrices built from Gram matrices.
-
-The regularized family (alpha != 0) eigendecomposes the pooled Gram matrix
-of both datasets once.  Its range is the span of all features, r
-dimensions, where C_X = b b' with b the centered coordinates of X's
-features over sqrt(m); the ridge adds exactly zero on the orthogonal
-complement.  The distance is then ``alpha_procrustes_regularized`` on
-the two covariances, each an ``SpdMatrix`` decomposed on the smaller of
-b b' (r x r) and b' b (m x m), so sample counts may differ.  The
-log-limit and the unregularized family work on the centered Gram blocks
+matrices built from the centered Gram blocks
 
     aa = (1/m) J_m K[X] J_m,   bb = (1/n) J_n K[Y] J_n,
     ab = (1/sqrt(mn)) J_m K[X, Y] J_n,
 
 because nonzero eigenvalues transfer between an operator product and its
-Gram-side counterpart.  The Wasserstein distance is their alpha = 1/2
-member, tr aa + tr bb - 2 |ab|_*, with no eigensolve.  Only symmetric
-eigensolves and singular values are used.
+Gram-side counterpart; the cross block is taken in the eigenbases of aa
+and bb.  For the regularized family (alpha != 0) the three blocks there
+form the Gram matrix of the centered features of both datasets, whose
+eigensolve gives C_X and C_Y as finite matrices on the span of those
+features; the ridge adds exactly zero off it, and sample counts may
+differ.  The Wasserstein distance is the alpha = 1/2 member,
+tr aa + tr bb - 2 |ab|_*, with no eigensolve.
 """
 
 from __future__ import annotations
@@ -37,7 +32,7 @@ from .exceptions import (
     NonFiniteError,
     UnsupportedKernelError,
 )
-from .linalg import AlphaParam, SpdMatrix, as_alpha, nuclear_norm
+from .linalg import AlphaParam, SpdMatrix, as_alpha, nuclear_norm, psd_tolerance, sym_eigh
 from .metrics import _check_gamma, _trace_form, alpha_procrustes_regularized
 
 FEATURE_DIM_LIMIT = 10_000
@@ -84,7 +79,7 @@ class KernelSpec:
 
     @classmethod
     def parse(cls, text: str) -> "KernelSpec":
-        """Parse 'linear', 'poly:d=2,c=1' or 'rbf:sigma=0.5'; other parameter names raise."""
+        """Parse 'linear', 'poly:d=2,c=1' or 'rbf:sigma=0.5'; unknown or repeated names raise."""
         text = text.strip()
         if text == "linear":
             return cls.linear()
@@ -100,8 +95,9 @@ class KernelSpec:
                 key, eq, value = (part.strip() for part in item.partition("="))
                 if not eq:
                     raise DomainError(f"malformed kernel parameter {item!r}")
-                if key not in names:
-                    raise DomainError(f"unknown {head} kernel parameter {key!r}")
+                if key not in names or key in params:
+                    what = "repeated" if key in params else "unknown"
+                    raise DomainError(f"{what} {head} kernel parameter {key!r}")
                 params[key] = value
         try:
             if head == "poly":
@@ -247,8 +243,8 @@ def _covariance_distance(gb: GramBundle, alpha, gamma: float | None) -> float:
     """The one route choice of the RKHS family, from one set of Gram matrices.
 
     gamma None takes the operators themselves, which needs alpha >= 1/2;
-    otherwise gamma must be positive and finite, and the log-limit goes to
-    the centered Gram blocks, every other alpha to the pooled Gram matrix.
+    otherwise gamma must be positive and finite.  Every route takes the
+    centered Gram blocks.
     """
     al = as_alpha(alpha)
     if gamma is None:
@@ -259,28 +255,32 @@ def _covariance_distance(gb: GramBundle, alpha, gamma: float | None) -> float:
     _check_gamma(gamma)
     if al.is_log_limit:
         return _log_limit_distance(centered_gram(gb), gamma)
-    return _pooled_distance(gb, al, gamma)
+    return _regularized_distance(centered_gram(gb), al, gamma)
 
 
-def _pooled_distance(gb: GramBundle, al: AlphaParam, gamma: float) -> float:
-    """Regularized family distance from the Gram matrices, alpha off the log-limit.
+def _regularized_distance(cg: CenteredGram, al: AlphaParam, gamma: float) -> float:
+    """Regularized family distance from the centered Gram blocks, alpha off the log-limit.
 
-    The pooled Gram G = [[K[X], K[X,Y]], [K[Y,X], K[Y]]] = V diag(w) V'
-    gives R = diag(sqrt(w)) V' over the eigenvalues the zero-eigenvalue rule
-    keeps: the coordinates of all features in an orthonormal basis of
-    their span, r of them.  There C_X = b b' with b the centered columns of
-    X's coordinates over sqrt(m), and the value is the matrix family's on
-    C_X + gI and C_Y + gI, each held as the spectrum of its factor.
+    X's centered features (over sqrt(m)) rotated by Va, and Y's by Vb, have
+    Gram matrix W = [[diag(wa), M], [M', diag(wb)]] = E diag(w) E', so
+    F = diag(sqrt(w)) E' are their coordinates on their span, r dimensions,
+    where C_X = F_a F_a' has spectrum wa and C_Y = F_b F_b' spectrum wb.
+    One zero threshold cuts wa, wb and w; by interlacing W keeps at least
+    ra eigenvalues above min(wa), so r >= ra, rb.
     """
-    eig = SpdMatrix._from_gram(np.block([[gb.kxx, gb.kxy], [gb.kxy.T, gb.kyy]])).eig
-    keep = eig.values > 0.0
-    if not np.any(keep):
-        return 0.0  # every feature vanishes, so C_X = C_Y = 0
-    coords = np.sqrt(eig.values[keep])[:, None] * eig.vectors[:, keep].T
-    cx, cy = (
-        SpdMatrix._from_factor((c - c.mean(axis=1, keepdims=True)) / math.sqrt(c.shape[1]))
-        for c in (coords[:, : gb.m], coords[:, gb.m :])
-    )
+    wa, wb, m = _in_eigenbases(cg)
+    tol = psd_tolerance(max(wa[-1], wb[-1]))
+    ka, kb = wa >= tol, wb >= tol
+    wa, wb, m = wa[ka], wb[kb], m[ka][:, kb]
+    ra, rb = wa.shape[0], wb.shape[0]
+    if ra + rb == 0:
+        return 0.0  # every centered feature vanishes, so C_X = C_Y = 0
+    gram = np.diag(np.concatenate([wa, wb]))
+    gram[:ra, ra:], gram[ra:, :ra] = m, m.T
+    w, e = sym_eigh(gram)
+    r = max(ra, rb, int(np.sum(w >= tol)))
+    coords = np.sqrt(w[-r:])[:, None] * e[:, -r:].T
+    cx, cy = SpdMatrix._from_frame(wa, coords[:, :ra]), SpdMatrix._from_frame(wb, coords[:, ra:])
     return alpha_procrustes_regularized(cx, cy, gamma, al).value
 
 

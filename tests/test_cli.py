@@ -422,6 +422,14 @@ class TestRkhsDist:
         expected = "kernel parameter 'sgima'" if "sgima" in kernel else "must be finite"
         assert out == "" and expected in err
 
+    @pytest.mark.parametrize(
+        "kernel, key", [("rbf:sigma=1,sigma=2", "sigma"), ("poly:d=2,c=1,d=3", "d")]
+    )
+    def test_repeated_kernel_parameter_exits_3(self, datasets, kernel, key):
+        code, out, err = run_cli(["rkhs-dist", *datasets, "--kernel", kernel, "--alpha", "1"])
+        assert code == 3
+        assert out == "" and f"repeated {kernel[:kernel.index(':')]} kernel parameter '{key}'" in err
+
     def test_gram_overflow_exits_2_naming_the_kernel(self, datasets):
         code, out, err = run_cli(
             ["rkhs-dist", *datasets, "--kernel", "poly:d=100000,c=1", "--alpha", "1"]

@@ -14,6 +14,7 @@ from alphaproc import (
     AlphaParam,
     ConvergenceFailureError,
     Dataset,
+    DimensionError,
     DomainError,
     GaussianMeasure,
     KernelSpec,
@@ -101,6 +102,10 @@ class TestSpdConstruction:
             SpdMatrix.from_array(np.diag([1.0, 0.0])).require_strict("test")
 
 
+def _orthogonal(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+
 def _factors():
     rng = np.random.default_rng(31)
     return {
@@ -108,19 +113,33 @@ def _factors():
         "covariance-side": rng.standard_normal((5, 12)),
         "rank-deficient": rng.standard_normal((12, 3)) @ rng.standard_normal((3, 7)),
         "all-zero": np.zeros((6, 4)),
+        # b b' has eigenvalues down to 1e-10 of its largest on a complete basis
+        "graded-square": _orthogonal(rng, 6) @ np.diag(np.logspace(0, -5, 6)) @ _orthogonal(rng, 6),
     }
 
 
+def _on_range(b):
+    """b b' held on an n x k basis of its range, as the RKHS route builds it.
+
+    With b'b = U diag(s) U' over the nonzero s, the coordinates b U have
+    Gram matrix diag(s) to roundoff; ``_from_frame`` takes them as the RKHS
+    route takes the frame coordinates of a dataset's features.
+    """
+    eig = SpdMatrix._from_gram(b.T @ b).eig
+    nz = eig.values > 0.0
+    return SpdMatrix._from_frame(eig.values[nz], b @ eig.vectors[:, nz])
+
+
 class TestFromFactor:
-    """b b' held on the smaller side of b agrees with the dense matrix."""
+    """b b' held on a basis of its range (k <= n vectors) agrees with the dense matrix."""
 
     @pytest.mark.parametrize("name", list(_factors()))
     def test_matches_dense_ridged_matrix(self, name):
         b = _factors()[name]
         n, k = b.shape
-        factored = SpdMatrix._from_factor(b)
+        factored = _on_range(b)
         assert factored.n == n
-        if n > k:  # the sample side keeps at most k basis vectors
+        if n > k:  # the basis of the range has at most k vectors
             assert factored.eig.vectors.shape[1] <= k
         gamma = 0.1
         ridged = factored.add_ridge(gamma)
@@ -148,9 +167,13 @@ class TestFromFactor:
         b = _factors()[name]
         lam_max = max(np.linalg.eigvalsh(b @ b.T)[-1], 1.0)
         for gamma in (0.0, 1e-13 * lam_max, 1e-11 * lam_max, 0.1):
-            factored = SpdMatrix._from_factor(b).add_ridge(gamma)
+            factored = _on_range(b).add_ridge(gamma)
             dense = SpdMatrix.from_array(b @ b.T + gamma * np.eye(b.shape[0]))
             assert strict(factored) == strict(dense), gamma
+
+    def test_rejects_more_basis_vectors_than_rows(self):
+        with pytest.raises(DimensionError):
+            SpdMatrix._from_eig(np.ones(3), np.eye(3)[:2])
 
 
 _DIAG = np.diag([1.0, 2.0])

@@ -108,12 +108,13 @@ def mp_regularized_rbf(x, y, sigma, alphas, gamma, dps=40):
         return _mp_family(mp, covariance(range(m)), covariance(range(m, size)), alphas, gamma)
 
 
-def mp_unregularized_poly(x, y, degree, offset, alphas, dps=40):
-    """Unregularized polynomial-kernel family distances at ``dps`` digits.
+def mp_unregularized_poly(x, y, degree, offset, alphas, dps=40, gamma=0):
+    """Polynomial-kernel family distances at ``dps`` digits, ridged by ``gamma``.
 
     The covariances are those of the explicit multinomial features of
     (x'y + c)^d: one feature sqrt(d! / prod k_i!) prod z_i^k_i per multiset
-    of slots, with z = (sqrt(c), x).
+    of slots, with z = (sqrt(c), x).  gamma = 0 gives the unregularized
+    family.
     """
     mp = pytest.importorskip("mpmath")
     with mp.workdps(dps):
@@ -133,7 +134,7 @@ def mp_unregularized_poly(x, y, degree, offset, alphas, dps=40):
             f -= mp.ones(len(rows), 1) * (mp.ones(1, len(rows)) * f) / len(rows)
             return f.T * f / len(rows)
 
-        return _mp_family(mp, covariance(x), covariance(y), alphas, 0)
+        return _mp_family(mp, covariance(x), covariance(y), alphas, gamma)
 
 
 def feature_gaussians(x, y, kernel):
@@ -159,6 +160,10 @@ class TestKernelSpec:
             KernelSpec.parse("rbf:sgima=0.5")
         with pytest.raises(DomainError, match="'sigma'"):
             KernelSpec.parse("poly:d=3,sigma=2")
+        with pytest.raises(DomainError, match="repeated rbf kernel parameter 'sigma'"):
+            KernelSpec.parse("rbf:sigma=1,sigma=2")
+        with pytest.raises(DomainError, match="repeated poly kernel parameter 'c'"):
+            KernelSpec.parse("poly:c=1,d=2, c = 1")
 
     def test_invalid_parameters(self):
         with pytest.raises(DomainError):
@@ -373,23 +378,100 @@ class TestRegularizedDistance:
     @pytest.mark.parametrize("gamma", [0.01, 0.1, 1.0])
     @pytest.mark.parametrize("alpha", [-0.5, 0.25, 0.75, 2.0])
     def test_both_factor_sides_match_feature_oracle(self, eigh_orders, alpha, gamma):
-        # the linear features span r = 12 dimensions: X (m = 8 < r) takes its
-        # powers from the sample side, Y (n = 30 >= r) from the covariance side
+        # the linear features span 12 dimensions: X's centered block (m = 8)
+        # has rank 7 < m, Y's (n = 30) rank 12 < n, so the rotated features
+        # of both datasets have a Gram matrix of order 7 + 12
         x, y = datasets(43, m=8, n=30, dim=12)
         _, cx = explicit_feature_covariance(x, LINEAR)
         _, cy = explicit_feature_covariance(y, LINEAR)
         eigh_orders.clear()
         d_gram = rkhs_alpha_distance(x, y, LINEAR, alpha, gamma)
-        assert eigh_orders == [38, 8, 12]
+        assert eigh_orders == [8, 30, 19]
         d_feat = alpha_procrustes_regularized(cx, cy, gamma, alpha).value
         assert abs(d_gram - d_feat) <= 1e-10 * d_feat
 
-    def test_rbf_decomposes_the_pooled_gram_and_one_side_per_dataset(self, eigh_orders):
-        # the RBF features span r = m + n dimensions; each covariance is
-        # decomposed on its sample side, never as an r x r matrix
+    def test_rbf_decomposes_each_block_and_the_rotated_features(self, eigh_orders):
+        # the RBF features span m + n dimensions, less one per dataset after
+        # centering: aa, bb, then the rotated features' Gram of order 8 + 11
         x, y = datasets(44, m=9, n=12)
         rkhs_alpha_distance(x, y, RBF, 0.7, 0.1)
-        assert eigh_orders == [21, 9, 12]
+        assert eigh_orders == [9, 12, 19]
+
+    def test_low_rank_poly_solves_no_order_above_the_sample_counts(self, eigh_orders):
+        # poly:d=2,c=1 features of dim-5 data span 20 centered dimensions, so
+        # the only solves beyond aa and bb are of order 20 + 20 < max(m, n)
+        rng = np.random.default_rng(29)
+        x, y = (Dataset.from_array(_mixed_gaussian_sample(rng, m)) for m in (70, 50))
+        d_gram = rkhs_alpha_distance(x, y, POLY, 0.25, 0.1)
+        assert eigh_orders == [70, 50, 40]
+        _, cx = explicit_feature_covariance(x, POLY)
+        _, cy = explicit_feature_covariance(y, POLY)
+        d_feat = alpha_procrustes_regularized(cx, cy, 0.1, 0.25).value
+        assert abs(d_gram - d_feat) <= 1e-10 * d_feat
+
+    @pytest.mark.parametrize("scale", [4.0, 8.0])
+    @pytest.mark.parametrize("seed", [41, 44, 45, 46])
+    def test_small_ridge_negative_alpha_matches_50_digit_reference(self, seed, scale):
+        # covariance eigenvalues far below the largest uncentered Gram
+        # eigenvalue, at alpha < 0 with a small ridge (seed 41 at scale 8 is
+        # 1.547e-2): coordinates must come from the centered blocks
+        x, y = datasets(seed, m=21, n=23, dim=2)
+        xs, ys = x.points * scale, y.points * scale
+        expected = mp_unregularized_poly(xs, ys, 2, 1.0, [-1.0], dps=50, gamma=1e-3)[0]
+        d = rkhs_alpha_distance(Dataset.from_array(xs), Dataset.from_array(ys), POLY, -1.0, 1e-3)
+        assert abs(d - expected) <= 1e-10 * expected
+
+    @staticmethod
+    def _thin_and_line(seed, y_scale):
+        # X (m = 12): unit variance along e1, 1e-8 along e2 and e3; Y (n = 9)
+        # on the e1 axis, so its features lie in the span of X's
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((12, 3))
+        x = (x - x.mean(axis=0)) / x.std(axis=0) * [1.0, 1e-4, 1e-4]
+        y = np.zeros((9, 3))
+        y[:, 0] = rng.standard_normal(9) * y_scale
+        return Dataset.from_array(x), Dataset.from_array(y)
+
+    def test_datasets_of_very_different_scales_keep_each_basis_in_the_frame(self):
+        # Y's variance ~1e6 sets the zero threshold of the joint span above
+        # X's 1e-8 directions: they are cut from X's spectrum as from the
+        # rotated features' Gram matrix, so X's basis never has more vectors
+        # than the frame has dimensions
+        x, y = self._thin_and_line(3, 1e3)
+        _, cx = explicit_feature_covariance(x, LINEAR)
+        _, cy = explicit_feature_covariance(y, LINEAR)
+        for alpha in (0.25, 0.75, 2.0):
+            for gamma in (1e-3, 0.1, 1.0):
+                d_feat = alpha_procrustes_regularized(cx, cy, gamma, alpha).value
+                for p, q in ((x, y), (y, x)):
+                    d_gram = rkhs_alpha_distance(p, q, LINEAR, alpha, gamma)
+                    assert abs(d_gram - d_feat) <= 1e-10 * d_feat
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.25, 0.75, 2.0])
+    def test_complete_basis_is_orthonormal_on_small_covariance_directions(self, alpha):
+        # X's features span the frame (ra = r = 3), so C_X + gI holds no
+        # floor: the frame columns of X's 1e-8 directions, off unit length
+        # by ~1e-8, would carry that error at the full ridged power
+        x, y = self._thin_and_line(6, 1.0)
+        _, cx = explicit_feature_covariance(x, LINEAR)
+        _, cy = explicit_feature_covariance(y, LINEAR)
+        for gamma in (0.1, 1.0):
+            d_feat = alpha_procrustes_regularized(cx, cy, gamma, alpha).value
+            for p, q in ((x, y), (y, x)):
+                d_gram = rkhs_alpha_distance(p, q, LINEAR, alpha, gamma)
+                assert abs(d_gram - d_feat) <= 1e-10 * d_feat
+
+    def test_constant_dataset_has_zero_covariance(self):
+        # X's centered features vanish: C_X = 0 is held on no basis vectors
+        _, y = datasets(48, m=6, n=7, dim=3)
+        x0 = Dataset.from_array(np.ones((6, 3)))
+        _, cy = explicit_feature_covariance(y, POLY)
+        zero = SpdMatrix.from_array(np.zeros((cy.n, cy.n)))
+        for alpha in (-0.5, 0.75):
+            d_gram = rkhs_alpha_distance(x0, y, POLY, alpha, 0.1)
+            d_feat = alpha_procrustes_regularized(zero, cy, 0.1, alpha).value
+            assert abs(d_gram - d_feat) <= 1e-10 * d_feat
+        assert rkhs_alpha_distance(x0, x0, POLY, 0.75, 0.1) == 0.0
 
     def test_negative_alpha_needs_the_ridge_above_tolerance(self):
         # C + gI must be strictly positive on the span of the features, as
