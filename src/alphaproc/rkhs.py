@@ -10,18 +10,23 @@ matrices built from the centered Gram blocks
 
 because nonzero eigenvalues transfer between an operator product and its
 Gram-side counterpart; the cross block is taken in the eigenbases of aa
-and bb.  For the regularized family (alpha != 0) the three blocks there
-form the Gram matrix of the centered features of both datasets, whose
-eigensolve gives C_X and C_Y as finite matrices on the span of those
-features; the ridge adds exactly zero off it, and sample counts may
-differ.  The Wasserstein distance is the alpha = 1/2 member,
-tr aa + tr bb - 2 |ab|_*, with no eigensolve.
+and bb.  The routes read only invariants of the blocks under an orthogonal
+change of sample coordinates, so a finite feature map of dimension
+D <= min(m, n)/2 (linear, polynomial kernels) gives them, of order D, from
+the R factors of the centered, scaled features F_c = Q R: R_x R_x',
+R_y R_y', R_x R_y'.  For the regularized family (alpha != 0) the three
+blocks in the eigenbases form the Gram matrix of the centered features of
+both datasets, whose eigensolve gives C_X and C_Y as finite matrices on
+the span of those features; the ridge adds exactly zero off it, and
+sample counts may differ.  The Wasserstein distance is the alpha = 1/2
+member, tr aa + tr bb - 2 |ab|_*, with no eigensolve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -33,6 +38,7 @@ from .exceptions import (
     UnsupportedKernelError,
 )
 from .linalg import AlphaParam, SpdMatrix, as_alpha, nuclear_norm, psd_tolerance, sym_eigh
+from .linalg import _lapack_guard
 from .metrics import _check_gamma, _trace_form, alpha_procrustes_regularized
 
 FEATURE_DIM_LIMIT = 10_000
@@ -236,26 +242,56 @@ def rkhs_alpha_distance(
     |alpha| below the switch tolerance routes to the analytic log-limit
     (the Log-Hilbert-Schmidt distance of the regularized operators).
     """
-    return _covariance_distance(gram_bundle(x, y, kernel), alpha, gamma)
+    return _covariance_distance(_centered_blocks(x, y, kernel)[1], alpha, gamma)
 
 
-def _covariance_distance(gb: GramBundle, alpha, gamma: float | None) -> float:
-    """The one route choice of the RKHS family, from one set of Gram matrices.
+def _centered_blocks(x: Dataset, y: Dataset, kernel: KernelSpec) -> tuple[float, CenteredGram]:
+    """Mean discrepancy squared and the centered blocks; the one place their route is chosen.
+
+    Feature dimension D with 0 < 2D <= min(m, n): from the R factors of each dataset's centered
+    features over sqrt(m), the Gram blocks in other sample coordinates; else from the Grams.
+    """
+    if x.dim != y.dim:
+        raise DimensionError(f"sample dimensions differ: {x.dim} vs {y.dim}")
+    if not 0 < 2 * _feature_dim(kernel, x.dim) <= min(x.m, y.m):
+        gb = gram_bundle(x, y, kernel)
+        return mean_discrepancy_squared(gb), centered_gram(gb)
+    with np.errstate(all="ignore"):
+        (mx, rx), (my, ry) = (_feature_factor(ds, kernel) for ds in (x, y))
+        aa, bb = rx @ rx.T, ry @ ry.T
+        cg = CenteredGram((aa + aa.T) / 2.0, (bb + bb.T) / 2.0, rx @ ry.T)
+        mdd = float(np.sum((mx - my) ** 2))
+    if not (math.isfinite(mdd) and all(np.all(np.isfinite(b)) for b in (cg.aa, cg.bb, cg.ab))):
+        raise NonFiniteError(f"{kernel} gives NaN or infinite features on these datasets")
+    return mdd, cg
+
+
+def _feature_factor(ds: Dataset, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Feature mean and the R factor (D x D) of the centered features over sqrt(m)."""
+    features = _features(ds.points, kernel)
+    mean = features.mean(axis=0)
+    centered = (features - mean) / math.sqrt(ds.m)
+    with _lapack_guard(f"{kernel} centered features", centered):
+        return mean, np.linalg.qr(centered, mode="r")
+
+
+def _covariance_distance(cg: CenteredGram, alpha, gamma: float | None) -> float:
+    """The one route choice of the RKHS family, from one set of centered blocks.
 
     gamma None takes the operators themselves, which needs alpha >= 1/2;
-    otherwise gamma must be positive and finite.  Every route takes the
-    centered Gram blocks.
+    otherwise gamma must be positive and finite.  Every route reads only
+    invariants of the blocks under orthogonal changes of sample coordinates.
     """
     al = as_alpha(alpha)
     if gamma is None:
         if al.is_log_limit or al.value < 0.5:
             raise DomainError(f"unregularized family needs alpha >= 1/2, got {al.label()};"
                               " smaller alphas and the log-limit need a positive gamma")
-        return _unregularized_distance(centered_gram(gb), al.value)
+        return _unregularized_distance(cg, al.value)
     _check_gamma(gamma)
     if al.is_log_limit:
-        return _log_limit_distance(centered_gram(gb), gamma)
-    return _regularized_distance(centered_gram(gb), al, gamma)
+        return _log_limit_distance(cg, gamma)
+    return _regularized_distance(cg, al, gamma)
 
 
 def _regularized_distance(cg: CenteredGram, al: AlphaParam, gamma: float) -> float:
@@ -315,7 +351,7 @@ def rkhs_alpha_distance_unregularized(
     (needed at alpha = 1/2); the clamped kernel stays 0 under every positive
     power.  Sample counts may differ; alpha below 1/2 raises DomainError.
     """
-    return _covariance_distance(gram_bundle(x, y, kernel), alpha, None)
+    return _covariance_distance(_centered_blocks(x, y, kernel)[1], alpha, None)
 
 
 def _unregularized_distance(cg: CenteredGram, alpha: float) -> float:
@@ -353,10 +389,9 @@ def rkhs_gaussian_distance(
 def _rkhs_gaussian_terms(
     x: Dataset, y: Dataset, kernel: KernelSpec, alpha, gamma: float
 ) -> tuple[float, float, float]:
-    """(mean embedding distance, d_cov, distance) from one set of Gram matrices."""
-    gb = gram_bundle(x, y, kernel)
-    mdd = mean_discrepancy_squared(gb)
-    d_cov = _covariance_distance(gb, alpha, gamma or None)
+    """(mean embedding distance, d_cov, distance) from one set of centered blocks."""
+    mdd, cg = _centered_blocks(x, y, kernel)
+    d_cov = _covariance_distance(cg, alpha, gamma or None)
     return math.sqrt(mdd), d_cov, math.sqrt(mdd + 0.25 * d_cov**2)
 
 
@@ -372,53 +407,58 @@ def rkhs_wasserstein(x: Dataset, y: Dataset, kernel: KernelSpec) -> float:
     return rkhs_gaussian_distance(x, y, kernel, 0.5)
 
 
-def _polynomial_features(points: np.ndarray, degree: int, offset: float) -> np.ndarray:
-    """Explicit multinomial feature map of (x'y + c)^d.
+def _feature_dim(kernel: KernelSpec, p: int) -> float:
+    """Feature dimension on R^p: p, the multisets of d of p + 1 slots (p if c = 0), or inf (RBF)."""
+    if kernel.kind == "linear":
+        return p
+    if kernel.kind == "poly":
+        slots = p + 1 if kernel.offset > 0 else p
+        return math.comb(slots + kernel.degree - 1, kernel.degree)
+    return math.inf
 
-    Slot 0 carries sqrt(c); each multi-index (k0, ..., kp) with sum d maps to
-    sqrt(d!/(k0! ... kp!)) * c^(k0/2) * prod x_i^(k_i).
+
+@lru_cache(maxsize=16)
+def _monomials(slots: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only sorted rows of the multisets of ``degree`` slots, and sqrt(d! / prod k_i!)
+    for multiplicities k_i: the product over j of j / (j's place in its run of equal slots)."""
+    table = np.array(list(combinations_with_replacement(range(slots), degree)), dtype=np.intp)
+    run, coeff = np.ones(len(table)), np.ones(len(table))
+    for j in range(1, degree):
+        run = np.where(table[:, j] == table[:, j - 1], run + 1.0, 1.0)
+        coeff *= (j + 1) / run
+    weight = np.sqrt(coeff)
+    table.flags.writeable = weight.flags.writeable = False
+    return table, weight
+
+
+def _features(points: np.ndarray, kernel: KernelSpec) -> np.ndarray:
+    """Explicit feature map (m x D) of a linear or polynomial kernel, by d column products.
+
+    With z = (sqrt(c), x) (z = x when c = 0), the multiset of slots (j_1, ..., j_d)
+    of (x'y + c)^d maps to sqrt(d! / prod k_i!) z_j1 ... z_jd.
     """
-    m, p = points.shape
-    slots = p + 1 if offset > 0 else p
-    columns = []
-    for combo in combinations_with_replacement(range(slots), degree):
-        counts = np.bincount(combo, minlength=slots)
-        coeff = math.factorial(degree)
-        for c in counts:
-            coeff //= math.factorial(int(c))
-        if offset > 0:
-            k0, ks = counts[0], counts[1:]
-            weight = math.sqrt(coeff * offset**k0)
-        else:
-            ks = counts
-            weight = math.sqrt(coeff)
-        feature = np.full(m, weight)
-        for i, k in enumerate(ks):
-            if k:
-                feature = feature * points[:, i] ** int(k)
-        columns.append(feature)
-        if len(columns) > FEATURE_DIM_LIMIT:
-            raise UnsupportedKernelError(
-                f"feature dimension exceeds {FEATURE_DIM_LIMIT}"
-            )
-    return np.column_stack(columns)
+    if kernel.kind == "linear":
+        return points
+    m = len(points)
+    z = np.column_stack([np.full(m, math.sqrt(kernel.offset)), points]) if kernel.offset else points
+    with np.errstate(all="ignore"):
+        table, weight = _monomials(z.shape[1], kernel.degree)
+        features = np.repeat(weight[None, :], m, axis=0)
+        for column in table.T:
+            features *= z[:, column]
+    return features
 
 
-def explicit_feature_covariance(
-    x: Dataset, kernel: KernelSpec
-) -> tuple[np.ndarray, SpdMatrix]:
+def explicit_feature_covariance(x: Dataset, kernel: KernelSpec) -> tuple[np.ndarray, SpdMatrix]:
     """Empirical mean and covariance in the explicit finite feature space.
 
     Test oracle for the Gram formulas: only linear and polynomial kernels
-    have a finite feature map.
+    have a finite feature map, and its dimension is checked before it is built.
     """
-    if kernel.kind == "linear":
-        features = x.points
-    elif kernel.kind == "poly":
-        features = _polynomial_features(x.points, kernel.degree, kernel.offset)
-    else:
-        raise UnsupportedKernelError("Gaussian RBF has no finite feature map")
+    dim = _feature_dim(kernel, x.dim)
+    if dim > FEATURE_DIM_LIMIT:
+        raise UnsupportedKernelError(f"{kernel} has feature dimension {dim} > {FEATURE_DIM_LIMIT}")
+    features = _features(x.points, kernel)
     mean = features.mean(axis=0)
     centered = features - mean
-    cov = centered.T @ centered / x.m
-    return mean, SpdMatrix.from_array(cov)
+    return mean, SpdMatrix.from_array(centered.T @ centered / x.m)

@@ -437,6 +437,18 @@ class TestRkhsDist:
         assert code == 2
         assert out == "" and "degree=100000" in err
 
+    @pytest.mark.parametrize("scale", [1e7, 1e10], ids=["blocks", "features"])
+    def test_feature_overflow_exits_2_naming_the_kernel(self, tmp_path, scale):
+        # D = 41 features of 1-D data, m = 90 >= 2D: the feature route
+        rng = np.random.default_rng(5)
+        x = write_matrix(tmp_path / "x.csv", rng.standard_normal((90, 1)) * scale)
+        y = write_matrix(tmp_path / "y.csv", rng.standard_normal((90, 1)) * scale)
+        code, out, err = run_cli(
+            ["rkhs-dist", x, y, "--kernel", "poly:d=40,c=1", "--alpha", "1"]
+        )
+        assert code == 2
+        assert out == "" and "degree=40" in err
+
     def test_linear_matches_gauss_dist_on_moments(self, datasets, tmp_path):
         from alphaproc import Dataset, KernelSpec, explicit_feature_covariance
 

@@ -34,6 +34,7 @@ from alphaproc import (
     wasserstein_gaussian,
 )
 from alphaproc.linalg import SpdMatrix
+from alphaproc.rkhs import _covariance_distance, _feature_dim
 
 POLY = KernelSpec.polynomial(2, 1.0)
 LINEAR = KernelSpec.linear()
@@ -141,6 +142,24 @@ def feature_gaussians(x, y, kernel):
     mx, cx = explicit_feature_covariance(x, kernel)
     my, cy = explicit_feature_covariance(y, kernel)
     return GaussianMeasure.from_arrays(mx, cx), GaussianMeasure.from_arrays(my, cy)
+
+
+def gram_route(x, y, kernel, alpha, gamma=None):
+    """Covariance distance on the centered Gram blocks, whichever blocks the library builds.
+
+    Linear and polynomial inputs with 2D <= min(m, n) take the feature
+    factors' blocks in the library; this keeps the Gram route covered on them.
+    """
+    return _covariance_distance(centered_gram(gram_bundle(x, y, kernel)), alpha, gamma)
+
+
+def both_routes(x, y, kernel, alpha, gamma=None):
+    """The library's covariance distance (gamma None: unregularized), then the Gram route's."""
+    if gamma is None:
+        lib = rkhs_alpha_distance_unregularized(x, y, kernel, alpha)
+    else:
+        lib = rkhs_alpha_distance(x, y, kernel, alpha, gamma)
+    return lib, gram_route(x, y, kernel, alpha, gamma)
 
 
 class TestKernelSpec:
@@ -251,10 +270,10 @@ class TestGramBundle:
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-def _features(ds):
-    from alphaproc.rkhs import _polynomial_features
+def _features(ds, kernel=POLY):
+    from alphaproc.rkhs import _features as feature_map
 
-    return _polynomial_features(ds.points, POLY.degree, POLY.offset)
+    return feature_map(ds.points, kernel)
 
 
 class TestMeanDiscrepancy:
@@ -314,6 +333,71 @@ class TestExplicitFeatures:
         with pytest.raises(UnsupportedKernelError):
             explicit_feature_covariance(x, RBF)
 
+    @pytest.mark.parametrize(
+        "kernel,p,width",
+        [
+            (LINEAR, 4, 4),
+            (KernelSpec.polynomial(1, 0.0), 3, 3),
+            (KernelSpec.polynomial(3, 0.0), 4, 20),
+            (KernelSpec.polynomial(3, 0.5), 4, 35),
+            (POLY, 5, 21),
+            (KernelSpec.polynomial(7, 2.0), 1, 8),
+        ],
+    )
+    def test_feature_width_is_the_feature_dimension(self, kernel, p, width):
+        # D counts the multisets of d slots out of p + 1 (p when c = 0); the
+        # map must have exactly D columns and reproduce the kernel
+        x = Dataset.from_array(np.random.default_rng(11).standard_normal((6, p)))
+        features = _features(x, kernel)
+        assert _feature_dim(kernel, p) == width == features.shape[1]
+        k = kernel.gram(x.points, x.points)
+        assert np.max(np.abs(features @ features.T - k)) <= 1e-13 * np.max(np.abs(k))
+
+    def test_feature_dimension_is_checked_before_the_map_is_built(self, monkeypatch):
+        import alphaproc.rkhs as rkhs_mod
+
+        def refuse(*args):
+            raise AssertionError("feature map built")
+
+        monkeypatch.setattr(rkhs_mod, "_features", refuse)
+        x = Dataset.from_array(np.ones((3, 200)))
+        with pytest.raises(UnsupportedKernelError, match="dimension 1373701 > 10000"):
+            explicit_feature_covariance(x, KernelSpec.polynomial(3, 1.0))
+
+
+class TestFeatureRouteErrors:
+    def test_dimension_mismatch_before_any_feature(self, monkeypatch):
+        import alphaproc.rkhs as rkhs_mod
+
+        def refuse(*args):
+            raise AssertionError("feature map built")
+
+        monkeypatch.setattr(rkhs_mod, "_features", refuse)
+        rng = np.random.default_rng(3)
+        x = Dataset.from_array(rng.standard_normal((20, 2)))
+        y = Dataset.from_array(rng.standard_normal((20, 3)))
+        for kernel in (LINEAR, POLY):
+            with pytest.raises(DimensionError):
+                rkhs_alpha_distance(x, y, kernel, 0.5, 0.1)
+            with pytest.raises(DimensionError):
+                rkhs_alpha_distance_unregularized(x, y, kernel, 0.75)
+            with pytest.raises(DimensionError):
+                rkhs_wasserstein(x, y, kernel)
+
+    @pytest.mark.parametrize("scale", [1e7, 1e10], ids=["blocks", "features"])
+    def test_overflow_is_a_typed_error(self, scale):
+        # poly:d=40,c=1 on 1-D data has D = 41 <= min(m, n)/2: at scale 1e7
+        # the features are finite and their blocks overflow, at 1e10 the
+        # features themselves do; the suite turns numpy warnings into errors
+        kernel = KernelSpec.parse("poly:d=40,c=1")
+        rng = np.random.default_rng(4)
+        x, y = (Dataset.from_array(rng.standard_normal((k, 1)) * scale) for k in (90, 85))
+        assert 2 * _feature_dim(kernel, 1) <= min(x.m, y.m)
+        with pytest.raises(NonFiniteError, match="degree=40"):
+            rkhs_gaussian_distance(x, y, kernel, 0.5)
+        with pytest.raises(NonFiniteError, match="degree=40"):
+            rkhs_alpha_distance(x, y, kernel, 0.25, 0.1)
+
 
 class TestRegularizedDistance:
     def test_same_dataset_zero(self):
@@ -327,29 +411,29 @@ class TestRegularizedDistance:
         y = Dataset.from_array(rng.standard_normal((12, 5)) + 0.2)
         _, cx = explicit_feature_covariance(x, LINEAR)
         _, cy = explicit_feature_covariance(y, LINEAR)
-        d_gram = rkhs_alpha_distance(x, y, LINEAR, alpha, gamma)
         d_feat = alpha_procrustes_regularized(cx, cy, gamma, alpha).value
-        assert abs(d_gram - d_feat) <= 1e-8 * max(1.0, d_feat)
+        for d_gram in both_routes(x, y, LINEAR, alpha, gamma):
+            assert abs(d_gram - d_feat) <= 1e-8 * max(1.0, d_feat)
 
     def test_polynomial_feature_oracle(self):
         x, y = datasets(13)
         _, cx = explicit_feature_covariance(x, POLY)
         _, cy = explicit_feature_covariance(y, POLY)
         for alpha, gamma in ((0.6, 0.1), (1.0, 0.05)):
-            d_gram = rkhs_alpha_distance(x, y, POLY, alpha, gamma)
             d_feat = alpha_procrustes_regularized(cx, cy, gamma, alpha).value
-            assert abs(d_gram - d_feat) <= 1e-8 * max(1.0, d_feat)
+            for d_gram in both_routes(x, y, POLY, alpha, gamma):
+                assert abs(d_gram - d_feat) <= 1e-8 * max(1.0, d_feat)
 
     def test_log_limit_matches_feature_oracle(self):
         x, y = datasets(14)
         _, cx = explicit_feature_covariance(x, POLY)
         _, cy = explicit_feature_covariance(y, POLY)
         gamma = 0.2
-        d_gram = rkhs_alpha_distance(x, y, POLY, 0.0, gamma)
         d_feat = alpha_procrustes_regularized(
             cx, cy, gamma, AlphaParam.log_limit()
         ).value
-        assert abs(d_gram - d_feat) <= 1e-8 * max(1.0, d_feat)
+        for d_gram in both_routes(x, y, POLY, 0.0, gamma):
+            assert abs(d_gram - d_feat) <= 1e-8 * max(1.0, d_feat)
 
     @pytest.mark.parametrize("alpha", ["-0.5", "0.25", "0.75", "log-limit"])
     @pytest.mark.parametrize("kernel", [LINEAR, POLY], ids=["linear", "poly"])
@@ -357,9 +441,9 @@ class TestRegularizedDistance:
         x, y = datasets(15, m=8, n=9)
         al, gamma = AlphaParam.parse(alpha), 0.1
         gx, gy = feature_gaussians(x, y, kernel)
-        d_gram = rkhs_alpha_distance(x, y, kernel, al, gamma)
         d_feat = alpha_procrustes_regularized(gx.covariance, gy.covariance, gamma, al).value
-        assert abs(d_gram - d_feat) <= 1e-8 * d_feat
+        for d_gram in both_routes(x, y, kernel, al, gamma):
+            assert abs(d_gram - d_feat) <= 1e-8 * d_feat
         # gamma > 0 takes the regularized covariance term at every alpha
         d_rkhs = rkhs_gaussian_distance(x, y, kernel, al, gamma)
         d_gauss = gaussian_alpha_distance_regularized(gx, gy, al, gamma)
@@ -398,16 +482,48 @@ class TestRegularizedDistance:
         assert eigh_orders == [9, 12, 19]
 
     def test_low_rank_poly_solves_no_order_above_the_sample_counts(self, eigh_orders):
-        # poly:d=2,c=1 features of dim-5 data span 20 centered dimensions, so
-        # the only solves beyond aa and bb are of order 20 + 20 < max(m, n)
+        # poly:d=2,c=1 features of dim-5 data are D = 21 wide and span 20
+        # centered dimensions: 2D <= min(m, n) takes the blocks of order D
+        # from the feature factors, then the rotated features of order 20 + 20
         rng = np.random.default_rng(29)
         x, y = (Dataset.from_array(_mixed_gaussian_sample(rng, m)) for m in (70, 50))
-        d_gram = rkhs_alpha_distance(x, y, POLY, 0.25, 0.1)
-        assert eigh_orders == [70, 50, 40]
+        d_lib = rkhs_alpha_distance(x, y, POLY, 0.25, 0.1)
+        assert eigh_orders == [21, 21, 40]
+        d_gram = gram_route(x, y, POLY, 0.25, 0.1)
+        assert eigh_orders[3:] == [70, 50, 40]
         _, cx = explicit_feature_covariance(x, POLY)
         _, cy = explicit_feature_covariance(y, POLY)
         d_feat = alpha_procrustes_regularized(cx, cy, 0.1, 0.25).value
-        assert abs(d_gram - d_feat) <= 1e-10 * d_feat
+        for d in (d_lib, d_gram):
+            assert abs(d - d_feat) <= 1e-10 * d_feat
+
+    @pytest.mark.parametrize("m,expected", [(41, [41, 41, 40]), (42, [21, 21, 40])])
+    def test_feature_route_starts_at_twice_the_feature_dimension(self, eigh_orders, m, expected):
+        # D = 21 for poly:d=2,c=1 on dim-5 data: the Gram route up to
+        # min(m, n) = 41, the feature factors' blocks from 42
+        rng = np.random.default_rng(30)
+        x, y = (Dataset.from_array(_mixed_gaussian_sample(rng, m)) for _ in range(2))
+        assert _feature_dim(POLY, 5) == 21
+        d_lib = rkhs_alpha_distance(x, y, POLY, 0.25, 0.1)
+        assert eigh_orders == expected
+        d_gram = gram_route(x, y, POLY, 0.25, 0.1)
+        assert abs(d_lib - d_gram) <= 1e-12 * d_gram
+
+    @pytest.mark.parametrize("m", [40, 120])
+    @pytest.mark.parametrize("kernel", [LINEAR, POLY], ids=["linear", "poly"])
+    def test_feature_factors_match_the_gram_route(self, kernel, m):
+        # the two routes build one triple of blocks up to an orthogonal change
+        # of sample coordinates; poly at m = 40 (n = 30 < 2D) is the Gram
+        # route on both sides
+        rng = np.random.default_rng(31)
+        x, y = (Dataset.from_array(_mixed_gaussian_sample(rng, k)) for k in (m, 3 * m // 4))
+        regularized = [(0.25, 0.1), (-0.5, 0.1), (AlphaParam.log_limit(), 0.1)]
+        for alpha, gamma in regularized + [(0.5, None), (0.75, None), (1.0, None)]:
+            d_lib, d_gram = both_routes(x, y, kernel, alpha, gamma)
+            assert abs(d_lib - d_gram) <= 1e-12 * d_gram
+        gb = gram_bundle(x, y, kernel)
+        w_gram = math.sqrt(mean_discrepancy_squared(gb) + gram_route(x, y, kernel, 0.5) ** 2 / 4)
+        assert abs(rkhs_wasserstein(x, y, kernel) - w_gram) <= 1e-12 * w_gram
 
     @pytest.mark.parametrize("scale", [4.0, 8.0])
     @pytest.mark.parametrize("seed", [41, 44, 45, 46])
@@ -418,8 +534,9 @@ class TestRegularizedDistance:
         x, y = datasets(seed, m=21, n=23, dim=2)
         xs, ys = x.points * scale, y.points * scale
         expected = mp_unregularized_poly(xs, ys, 2, 1.0, [-1.0], dps=50, gamma=1e-3)[0]
-        d = rkhs_alpha_distance(Dataset.from_array(xs), Dataset.from_array(ys), POLY, -1.0, 1e-3)
-        assert abs(d - expected) <= 1e-10 * expected
+        x, y = Dataset.from_array(xs), Dataset.from_array(ys)
+        for d in both_routes(x, y, POLY, -1.0, 1e-3):
+            assert abs(d - expected) <= 1e-10 * expected
 
     @staticmethod
     def _thin_and_line(seed, y_scale):
@@ -444,8 +561,8 @@ class TestRegularizedDistance:
             for gamma in (1e-3, 0.1, 1.0):
                 d_feat = alpha_procrustes_regularized(cx, cy, gamma, alpha).value
                 for p, q in ((x, y), (y, x)):
-                    d_gram = rkhs_alpha_distance(p, q, LINEAR, alpha, gamma)
-                    assert abs(d_gram - d_feat) <= 1e-10 * d_feat
+                    for d_gram in both_routes(p, q, LINEAR, alpha, gamma):
+                        assert abs(d_gram - d_feat) <= 1e-10 * d_feat
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.25, 0.75, 2.0])
     def test_complete_basis_is_orthonormal_on_small_covariance_directions(self, alpha):
@@ -458,8 +575,8 @@ class TestRegularizedDistance:
         for gamma in (0.1, 1.0):
             d_feat = alpha_procrustes_regularized(cx, cy, gamma, alpha).value
             for p, q in ((x, y), (y, x)):
-                d_gram = rkhs_alpha_distance(p, q, LINEAR, alpha, gamma)
-                assert abs(d_gram - d_feat) <= 1e-10 * d_feat
+                for d_gram in both_routes(p, q, LINEAR, alpha, gamma):
+                    assert abs(d_gram - d_feat) <= 1e-10 * d_feat
 
     def test_constant_dataset_has_zero_covariance(self):
         # X's centered features vanish: C_X = 0 is held on no basis vectors
@@ -532,13 +649,18 @@ class TestRegularizedDistance:
         _, cy = explicit_feature_covariance(y, LINEAR)
         log_limit = AlphaParam.log_limit()
         expected = alpha_procrustes_regularized(cx, cy, gamma, log_limit).value
-        assert rkhs_alpha_distance(x, y, LINEAR, log_limit, gamma) == pytest.approx(
-            expected, rel=1e-9
-        )
+        for d in both_routes(x, y, LINEAR, log_limit, gamma):
+            assert d == pytest.approx(expected, rel=1e-9)
 
     def test_all_zero_features_give_zero(self):
         z = Dataset.from_array(np.zeros((4, 2)))
         assert rkhs_alpha_distance(z, z, LINEAR, 0.3, 0.1) == 0.0
+        # points in R^0 have D = 0 features for linear and poly with c = 0:
+        # there are no feature factors to take, so the Gram route serves them
+        x, y = Dataset.from_array(np.ones((5, 0))), Dataset.from_array(np.ones((6, 0)))
+        for kernel in (LINEAR, KernelSpec.polynomial(2), POLY):
+            assert rkhs_alpha_distance(x, y, kernel, 0.3, 0.1) == 0.0
+            assert rkhs_alpha_distance_unregularized(x, y, kernel, 1.0) == 0.0
 
     def test_permutation_invariance(self):
         x, y = datasets(16)
@@ -566,19 +688,19 @@ class TestUnregularizedDistance:
 
     def test_half_alpha_is_twice_bw(self):
         x, y = datasets(19)
-        d = rkhs_alpha_distance_unregularized(x, y, LINEAR, 0.5)
         _, cx = explicit_feature_covariance(x, LINEAR)
         _, cy = explicit_feature_covariance(y, LINEAR)
-        assert d == pytest.approx(2.0 * bures_wasserstein(cx, cy).value, rel=1e-8)
+        for d in both_routes(x, y, LINEAR, 0.5):
+            assert d == pytest.approx(2.0 * bures_wasserstein(cx, cy).value, rel=1e-8)
 
     @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
     def test_polynomial_feature_oracle(self, alpha):
         x, y = datasets(20)
         _, cx = explicit_feature_covariance(x, POLY)
         _, cy = explicit_feature_covariance(y, POLY)
-        d = rkhs_alpha_distance_unregularized(x, y, POLY, alpha)
         d_feat = alpha_procrustes(cx, cy, alpha).value
-        assert abs(d - d_feat) <= 1e-8 * max(1.0, d_feat)
+        for d in both_routes(x, y, POLY, alpha):
+            assert abs(d - d_feat) <= 1e-8 * max(1.0, d_feat)
 
     def test_gamma_sweep_convergence(self):
         for kernel, (x, y) in ((POLY, datasets(21)), (RBF, datasets(21, m=12, n=17))):
@@ -601,10 +723,9 @@ class TestUnregularizedDistance:
         rng = np.random.default_rng(28)
         x, y = (_mixed_gaussian_sample(rng, m) for m in (120, 90))
         expected = mp_unregularized_poly(x, y, 2, 1.0, [alpha])[0]
-        d = rkhs_alpha_distance_unregularized(
-            Dataset.from_array(x), Dataset.from_array(y), POLY, alpha
-        )
-        assert abs(d - expected) <= 1e-10 * expected
+        x, y = Dataset.from_array(x), Dataset.from_array(y)
+        for d in both_routes(x, y, POLY, alpha):
+            assert abs(d - expected) <= 1e-10 * expected
 
     def test_small_alpha_rejected(self):
         x, y = datasets(23)
