@@ -14,12 +14,14 @@ and bb.  The routes read only invariants of the blocks under an orthogonal
 change of sample coordinates, so a finite feature map of dimension
 D <= min(m, n)/2 (linear, polynomial kernels) gives them, of order D, from
 the R factors of the centered, scaled features F_c = Q R: R_x R_x',
-R_y R_y', R_x R_y'.  For the regularized family (alpha != 0) the three
-blocks in the eigenbases form the Gram matrix of the centered features of
-both datasets, whose eigensolve gives C_X and C_Y as finite matrices on
-the span of those features; the ridge adds exactly zero off it, and
-sample counts may differ.  The Wasserstein distance is the alpha = 1/2
-member, tr aa + tr bb - 2 |ab|_*, with no eigensolve.
+R_y R_y', R_x R_y'.  For the regularized family (alpha != 0) C_X and C_Y
+become finite matrices on the span of the centered features of both
+datasets: the eigenbasis of the dataset of larger rank, and the remainders
+of the other's features off it, from a Schur complement of order
+min(rank aa, rank bb), so the eigensolves are of order m, n and that
+minimum.  The ridge adds exactly zero off the span, and sample counts may
+differ.  The Wasserstein distance is the alpha = 1/2 member,
+tr aa + tr bb - 2 |ab|_*, with no eigensolve.
 """
 
 from __future__ import annotations
@@ -297,12 +299,18 @@ def _covariance_distance(cg: CenteredGram, alpha, gamma: float | None) -> float:
 def _regularized_distance(cg: CenteredGram, al: AlphaParam, gamma: float) -> float:
     """Regularized family distance from the centered Gram blocks, alpha off the log-limit.
 
-    X's centered features (over sqrt(m)) rotated by Va, and Y's by Vb, have
-    Gram matrix W = [[diag(wa), M], [M', diag(wb)]] = E diag(w) E', so
-    F = diag(sqrt(w)) E' are their coordinates on their span, r dimensions,
-    where C_X = F_a F_a' has spectrum wa and C_Y = F_b F_b' spectrum wb.
-    One zero threshold cuts wa, wb and w; by interlacing W keeps at least
-    ra eigenvalues above min(wa), so r >= ra, rb.
+    One dataset, A, goes first: its centered features (over sqrt(m)) rotated
+    by its eigenvectors are orthogonal with squared lengths wa, so over
+    sqrt(wa) they are an orthonormal basis of their span, where
+    C_A = diag(wa).  The other dataset's rotated features have coordinates
+    C = diag(wa)^-1/2 M in it, and the Gram matrix of their remainders off
+    that span is the Schur complement S = diag(wb) - C'C = E diag(s) E'.
+    So F = [C; diag(sqrt(s)) E'] holds them in r = ra + r_perp dimensions,
+    where C_B = F F' has spectrum wb.  One zero threshold cuts wa, wb and s.
+    A is the dataset of larger rank, so r >= ra >= rb and S has order
+    min(ra, rb); on a tie, the one of smaller largest eigenvalue, so the
+    threshold, which the larger sets, cuts the larger one's remainders and
+    not the smaller one's.  The rule reads the data, not the argument order.
     """
     wa, wb, m = _in_eigenbases(cg)
     tol = psd_tolerance(max(wa[-1], wb[-1]))
@@ -311,13 +319,15 @@ def _regularized_distance(cg: CenteredGram, al: AlphaParam, gamma: float) -> flo
     ra, rb = wa.shape[0], wb.shape[0]
     if ra + rb == 0:
         return 0.0  # every centered feature vanishes, so C_X = C_Y = 0
-    gram = np.diag(np.concatenate([wa, wb]))
-    gram[:ra, ra:], gram[ra:, :ra] = m, m.T
-    w, e = sym_eigh(gram)
-    r = max(ra, rb, int(np.sum(w >= tol)))
-    coords = np.sqrt(w[-r:])[:, None] * e[:, -r:].T
-    cx, cy = SpdMatrix._from_frame(wa, coords[:, :ra]), SpdMatrix._from_frame(wb, coords[:, ra:])
-    return alpha_procrustes_regularized(cx, cy, gamma, al).value
+    if rb > ra or (rb == ra and wb[-1] < wa[-1]):
+        wa, wb, m = wb, wa, m.T
+    c = m / np.sqrt(wa)[:, None]
+    s, e = sym_eigh(np.diag(wb) - c.T @ c)
+    keep = s >= tol
+    frame = np.vstack([c, np.sqrt(s[keep])[:, None] * e[:, keep].T])
+    ca = SpdMatrix._from_eig(wa, np.eye(frame.shape[0])[:, : wa.shape[0]])
+    cb = SpdMatrix._from_frame(wb, frame)
+    return alpha_procrustes_regularized(ca, cb, gamma, al).value
 
 
 def _log_limit_distance(cg: CenteredGram, gamma: float) -> float:
@@ -459,6 +469,8 @@ def explicit_feature_covariance(x: Dataset, kernel: KernelSpec) -> tuple[np.ndar
     if dim > FEATURE_DIM_LIMIT:
         raise UnsupportedKernelError(f"{kernel} has feature dimension {dim} > {FEATURE_DIM_LIMIT}")
     features = _features(x.points, kernel)
+    if not np.all(np.isfinite(features)):
+        raise NonFiniteError(f"{kernel} gives NaN or infinite features on this dataset")
     mean = features.mean(axis=0)
     centered = features - mean
     return mean, SpdMatrix.from_array(centered.T @ centered / x.m)

@@ -33,7 +33,7 @@ from alphaproc import (
     spd_power,
     wasserstein_gaussian,
 )
-from alphaproc.linalg import SpdMatrix
+from alphaproc.linalg import SpdMatrix, psd_tolerance
 from alphaproc.rkhs import _covariance_distance, _feature_dim
 
 POLY = KernelSpec.polynomial(2, 1.0)
@@ -364,6 +364,13 @@ class TestExplicitFeatures:
         with pytest.raises(UnsupportedKernelError, match="dimension 1373701 > 10000"):
             explicit_feature_covariance(x, KernelSpec.polynomial(3, 1.0))
 
+    def test_overflowing_features_are_a_typed_error_alone(self):
+        # the features overflow before they are centered; the suite turns
+        # numpy warnings into errors, so the typed error must come alone
+        x = Dataset.from_array(np.random.default_rng(0).standard_normal((90, 1)) * 1e10)
+        with pytest.raises(NonFiniteError, match="degree=40"):
+            explicit_feature_covariance(x, KernelSpec.parse("poly:d=40,c=1"))
+
 
 class TestFeatureRouteErrors:
     def test_dimension_mismatch_before_any_feature(self, monkeypatch):
@@ -463,41 +470,59 @@ class TestRegularizedDistance:
     @pytest.mark.parametrize("alpha", [-0.5, 0.25, 0.75, 2.0])
     def test_both_factor_sides_match_feature_oracle(self, eigh_orders, alpha, gamma):
         # the linear features span 12 dimensions: X's centered block (m = 8)
-        # has rank 7 < m, Y's (n = 30) rank 12 < n, so the rotated features
-        # of both datasets have a Gram matrix of order 7 + 12
+        # has rank 7 < m, Y's (n = 30) rank 12 < n, so Y's eigenbasis comes
+        # first and X's remainders off it have a Schur complement of order 7
         x, y = datasets(43, m=8, n=30, dim=12)
         _, cx = explicit_feature_covariance(x, LINEAR)
         _, cy = explicit_feature_covariance(y, LINEAR)
         eigh_orders.clear()
         d_gram = rkhs_alpha_distance(x, y, LINEAR, alpha, gamma)
-        assert eigh_orders == [8, 30, 19]
+        assert eigh_orders == [8, 30, 7]
         d_feat = alpha_procrustes_regularized(cx, cy, gamma, alpha).value
         assert abs(d_gram - d_feat) <= 1e-10 * d_feat
 
     def test_rbf_decomposes_each_block_and_the_rotated_features(self, eigh_orders):
         # the RBF features span m + n dimensions, less one per dataset after
-        # centering: aa, bb, then the rotated features' Gram of order 8 + 11
+        # centering: aa, bb, then the Schur complement of order min(8, 11)
         x, y = datasets(44, m=9, n=12)
         rkhs_alpha_distance(x, y, RBF, 0.7, 0.1)
-        assert eigh_orders == [9, 12, 19]
+        assert eigh_orders == [9, 12, 8]
 
     def test_low_rank_poly_solves_no_order_above_the_sample_counts(self, eigh_orders):
         # poly:d=2,c=1 features of dim-5 data are D = 21 wide and span 20
         # centered dimensions: 2D <= min(m, n) takes the blocks of order D
-        # from the feature factors, then the rotated features of order 20 + 20
+        # from the feature factors, then the Schur complement of order 20
         rng = np.random.default_rng(29)
         x, y = (Dataset.from_array(_mixed_gaussian_sample(rng, m)) for m in (70, 50))
         d_lib = rkhs_alpha_distance(x, y, POLY, 0.25, 0.1)
-        assert eigh_orders == [21, 21, 40]
+        assert eigh_orders == [21, 21, 20]
         d_gram = gram_route(x, y, POLY, 0.25, 0.1)
-        assert eigh_orders[3:] == [70, 50, 40]
+        assert eigh_orders[3:] == [70, 50, 20]
         _, cx = explicit_feature_covariance(x, POLY)
         _, cy = explicit_feature_covariance(y, POLY)
         d_feat = alpha_procrustes_regularized(cx, cy, 0.1, 0.25).value
         for d in (d_lib, d_gram):
             assert abs(d - d_feat) <= 1e-10 * d_feat
 
-    @pytest.mark.parametrize("m,expected", [(41, [41, 41, 40]), (42, [21, 21, 40])])
+    @pytest.mark.parametrize("m,n", [(12, 9), (9, 12), (11, 11)], ids=["ra>rb", "ra<rb", "ra=rb"])
+    def test_rbf_is_symmetric_and_solves_the_smaller_rank(self, eigh_orders, m, n):
+        # the dataset that goes first is chosen by rank (on a tie, by largest
+        # eigenvalue), never by argument order: aa, bb, then the Schur
+        # complement of order min(ra, rb)
+        x, y = datasets(49, m=m, n=n, dim=3)
+        cg = centered_gram(gram_bundle(x, y, RBF))
+        wa, wb = np.linalg.eigvalsh(cg.aa), np.linalg.eigvalsh(cg.bb)
+        tol = psd_tolerance(max(wa[-1], wb[-1]))
+        ra, rb = int(np.sum(wa >= tol)), int(np.sum(wb >= tol))
+        assert np.sign(ra - rb) == np.sign(m - n)
+        for alpha in (-0.5, 0.25, 2.0):
+            eigh_orders.clear()
+            d_xy = rkhs_alpha_distance(x, y, RBF, alpha, 0.1)
+            d_yx = rkhs_alpha_distance(y, x, RBF, alpha, 0.1)
+            assert eigh_orders == [m, n, min(ra, rb), n, m, min(ra, rb)]
+            assert abs(d_xy - d_yx) <= 1e-12 * d_xy
+
+    @pytest.mark.parametrize("m,expected", [(41, [41, 41, 20]), (42, [21, 21, 20])])
     def test_feature_route_starts_at_twice_the_feature_dimension(self, eigh_orders, m, expected):
         # D = 21 for poly:d=2,c=1 on dim-5 data: the Gram route up to
         # min(m, n) = 41, the feature factors' blocks from 42
@@ -550,25 +575,28 @@ class TestRegularizedDistance:
         return Dataset.from_array(x), Dataset.from_array(y)
 
     def test_datasets_of_very_different_scales_keep_each_basis_in_the_frame(self):
-        # Y's variance ~1e6 sets the zero threshold of the joint span above
-        # X's 1e-8 directions: they are cut from X's spectrum as from the
-        # rotated features' Gram matrix, so X's basis never has more vectors
-        # than the frame has dimensions
+        # Y's variance ~1e6 sets the zero threshold above X's 1e-8
+        # directions: they are cut from X's spectrum, so X's basis never has
+        # more vectors than the frame has dimensions.  Equal ranks put X, of
+        # the smaller largest eigenvalue, first, so the threshold set by Y's
+        # scale cuts Y's remainder off X's span, never X's off Y's (~1e-8,
+        # which decides alpha -0.5).  alpha -0.5 at gamma 1e-3 is still
+        # ~2.5e-8 off.
         x, y = self._thin_and_line(3, 1e3)
         _, cx = explicit_feature_covariance(x, LINEAR)
         _, cy = explicit_feature_covariance(y, LINEAR)
-        for alpha in (0.25, 0.75, 2.0):
-            for gamma in (1e-3, 0.1, 1.0):
-                d_feat = alpha_procrustes_regularized(cx, cy, gamma, alpha).value
-                for p, q in ((x, y), (y, x)):
-                    for d_gram in both_routes(p, q, LINEAR, alpha, gamma):
-                        assert abs(d_gram - d_feat) <= 1e-10 * d_feat
+        cases = [(alpha, gamma) for alpha in (0.25, 0.75, 2.0) for gamma in (1e-3, 0.1, 1.0)]
+        for alpha, gamma in cases + [(-0.5, 0.1), (-0.5, 1.0)]:
+            d_feat = alpha_procrustes_regularized(cx, cy, gamma, alpha).value
+            for p, q in ((x, y), (y, x)):
+                for d_gram in both_routes(p, q, LINEAR, alpha, gamma):
+                    assert abs(d_gram - d_feat) <= 1e-11 * d_feat
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.25, 0.75, 2.0])
     def test_complete_basis_is_orthonormal_on_small_covariance_directions(self, alpha):
         # X's features span the frame (ra = r = 3), so C_X + gI holds no
-        # floor: the frame columns of X's 1e-8 directions, off unit length
-        # by ~1e-8, would carry that error at the full ridged power
+        # floor: a basis of X's 1e-8 directions off unit length by ~1e-8
+        # would carry that error at the full ridged power
         x, y = self._thin_and_line(6, 1.0)
         _, cx = explicit_feature_covariance(x, LINEAR)
         _, cy = explicit_feature_covariance(y, LINEAR)
