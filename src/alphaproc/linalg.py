@@ -4,13 +4,13 @@ Every matrix function (log, exp, fractional power, square root) and every
 Frechet-derivative map in this package goes through one full symmetric
 eigendecomposition.  A single code path keeps log/exp/power/sqrt exactly
 consistent with each other, which the identity tests rely on.  This module
-also makes every LAPACK call of the package (eigensolves, singular
-values and QR), each behind one guard that turns a failure into a typed error.
+also makes every eigensolve and singular value decomposition of the
+package, behind the one guard that turns a failure into a typed error;
+``rkhs`` puts its QR factorizations behind the same guard.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -87,8 +87,8 @@ class SymMatrix:
     @classmethod
     def from_array(cls, arr) -> "SymMatrix":
         a = np.asarray(arr, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+            raise DimensionError(f"expected a non-empty square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise NonFiniteError("matrix contains NaN or infinite entries")
         return cls(_freeze((a + a.T) / 2.0))
@@ -131,23 +131,17 @@ def sym_eigendecompose(s: SymMatrix) -> EigenDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class SpdMatrix:
-    """Symmetric positive (semi-)definite operator, held as its spectrum.
+    """Symmetric positive (semi-)definite matrix, held as its spectrum.
 
-    The spectrum sits on an n x k orthonormal basis ``eig.vectors``.  When
-    k < n, as for an RKHS covariance on a basis of its range, the n - k
-    directions outside that basis hold one eigenvalue, ``floor``; it is 0.0
-    on a complete basis.  ``n``, ``min_eig``, ``require_strict``,
-    ``trace_power``, ``add_ridge``, ``spd_power``, ``spd_log`` and ``mat``
-    account for those directions; code that reads ``eig`` directly needs a
-    complete basis.  Every constructor clamps eigenvalues below psd_tol to
-    zero (``_clamp_zero``); ``from_array`` first rejects anything below
-    -psd_tol, Gram spectra (``_from_gram``) never.  A formula that needs
-    every eigenvalue above psd_tol calls ``require_strict``.  ``mat`` is the
-    symmetrized input if any, else formed from the spectrum on first read.
+    The spectrum sits on a square orthonormal basis ``eig.vectors``.  Every
+    constructor clamps eigenvalues below psd_tol to zero (``_clamp_zero``);
+    ``from_array`` first rejects anything below -psd_tol, Gram spectra
+    (``_from_gram``) never.  A formula that needs every eigenvalue above
+    psd_tol calls ``require_strict``.  ``mat`` is the symmetrized input if
+    any, else formed from the spectrum on first read.
     """
 
     eig: EigenDecomposition
-    floor: float = 0.0
     _input: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
@@ -169,36 +163,19 @@ class SpdMatrix:
         return cls._from_eig(_clamp_zero(w), v)
 
     @classmethod
-    def _from_eig(
-        cls, values: np.ndarray, vectors: np.ndarray, floor: float = 0.0
-    ) -> "SpdMatrix":
-        """Build from a known nonnegative spectrum without re-validation.
+    def _from_eig(cls, values: np.ndarray, vectors: np.ndarray) -> "SpdMatrix":
+        """Build from a known nonnegative spectrum on a square orthonormal basis.
 
-        ``vectors`` is n x k, k <= n; with k < n the other directions hold ``floor``.
         An ascending spectrum keeps its eigenvector array: ridges and
         positive powers share the basis instead of copying it.
         """
         values, vectors = np.asarray(values, dtype=float), np.asarray(vectors, dtype=float)
-        if vectors.shape[1] > vectors.shape[0]:
-            raise DimensionError(f"basis of shape {vectors.shape} has more vectors than rows")
+        if vectors.shape != (values.shape[0],) * 2:
+            raise DimensionError(f"{values.shape[0]} eigenvalues on a basis {vectors.shape}")
         if np.any(values[1:] < values[:-1]):
             order = np.argsort(values)
             values, vectors = values[order], vectors[:, order]
-        return cls(EigenDecomposition(_freeze(values), _freeze(vectors)), floor)
-
-    @classmethod
-    def _from_frame(cls, w: np.ndarray, f: np.ndarray) -> "SpdMatrix":
-        """F F' for coordinates F (n x k, k <= n) with F'F = diag(w) to roundoff of w's largest.
-
-        F / sqrt(w) is orthonormal only to that roundoff, an error the ridge
-        held as ``floor`` keeps small where w is; a complete basis (k = n)
-        holds no floor, so it takes Q of F, largest w first.
-        """
-        if f.shape[1] != f.shape[0]:
-            return cls._from_eig(w, f / np.sqrt(w))
-        with _lapack_guard("QR factorization", f):
-            q = np.linalg.qr(f[:, ::-1])[0][:, ::-1]
-        return cls._from_eig(w, q)
+        return cls(EigenDecomposition(_freeze(values), _freeze(vectors)))
 
     @cached_property
     def mat(self) -> np.ndarray:
@@ -208,7 +185,7 @@ class SpdMatrix:
         # in: BLAS rounds the product by operand layout, so this keeps the
         # bits of the dense form independent of how the basis was built
         v = np.asfortranarray(self.eig.vectors)
-        mat = _dense(v, self.eig.values, self.floor)
+        mat = _dense(v, self.eig.values)
         return _freeze((mat + mat.T) / 2.0)
 
     @property
@@ -216,52 +193,40 @@ class SpdMatrix:
         return self.eig.vectors.shape[0]
 
     @property
-    def _rest(self) -> int:
-        """Number of directions outside the basis, each holding ``floor``."""
-        return self.n - self.eig.values.shape[0]
-
-    def _bounds(self) -> tuple[float, float]:
-        """Smallest and largest eigenvalue, ``floor`` included."""
-        w = np.append(self.eig.values, self.floor) if self._rest else self.eig.values
-        return float(w.min()), float(w.max())
-
-    @property
     def min_eig(self) -> float:
-        return self._bounds()[0]
+        return self.eig.min
 
     def require_strict(self, what: str) -> None:
-        lo, hi = self._bounds()
-        if not lo > psd_tolerance(hi):
-            raise SingularBaseError(
-                f"{what} requires a strictly positive definite matrix "
-                f"(min eigenvalue {lo:.3e})"
-            )
+        _require_strict(self.eig.values, what)
 
     def trace_power(self, p: float) -> float:
         """tr(A^p) from the spectrum."""
         if p < 0:
             self.require_strict(f"power {p}")
-        total = float(np.sum(self.eig.values**p))
-        if self._rest:
-            total += self._rest * self.floor**p
-        return total
+        return float(np.sum(self.eig.values**p))
 
     def _map(self, fn) -> "SpdMatrix":
-        """fn applied to every eigenvalue, those outside the basis included."""
-        floor = fn(self.floor) if self._rest else 0.0
-        return SpdMatrix._from_eig(fn(self.eig.values), self.eig.vectors, floor)
+        """fn applied to every eigenvalue, on the same basis."""
+        return SpdMatrix._from_eig(fn(self.eig.values), self.eig.vectors)
 
     def add_ridge(self, gamma: float) -> "SpdMatrix":
         """A + gamma*I, sharing the eigenbasis."""
         return self._map(lambda w: w + gamma)
 
 
-def _dense(v: np.ndarray, values: np.ndarray, floor: float) -> np.ndarray:
-    """V diag(values) V' plus ``floor`` on the directions outside V's columns."""
-    mat = (v * (values - floor)) @ v.T
-    if v.shape[1] < v.shape[0]:
-        mat[np.diag_indices_from(mat)] += floor
-    return mat
+def _require_strict(w: np.ndarray, what: str) -> None:
+    """The strictness rule: every eigenvalue in ``w`` above psd_tolerance of the largest."""
+    lo, hi = float(w.min()), float(w.max())
+    if not lo > psd_tolerance(hi):
+        raise SingularBaseError(
+            f"{what} requires a strictly positive definite matrix "
+            f"(min eigenvalue {lo:.3e})"
+        )
+
+
+def _dense(v: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """V diag(values) V'."""
+    return (v * values) @ v.T
 
 
 @dataclass(frozen=True)
@@ -314,8 +279,7 @@ def spd_power(a: SpdMatrix, p: float) -> SpdMatrix:
 def spd_log(a: SpdMatrix) -> SymMatrix:
     """Principal matrix logarithm of a strictly SPD matrix."""
     a.require_strict("matrix logarithm")
-    floor = math.log(a.floor) if a._rest else 0.0
-    return SymMatrix.from_array(_dense(a.eig.vectors, np.log(a.eig.values), floor))
+    return SymMatrix.from_array(_dense(a.eig.vectors, np.log(a.eig.values)))
 
 
 def sym_exp(s: SymMatrix) -> SpdMatrix:
@@ -327,11 +291,18 @@ def sym_exp(s: SymMatrix) -> SpdMatrix:
 def trace_sqrt_triple(a: SpdMatrix, b: SpdMatrix, alpha: float) -> float:
     """tr[(A^a B^{2a} A^a)^{1/2}], the cross term of the distance family.
 
-    The sum of square roots of the eigenvalues of sym(A^a B^{2a} A^a), with
-    roundoff negatives clamped at zero.
+    ``trace_sqrt`` of A^a B^{2a} A^a.
     """
     p = spd_power(a, alpha).mat
-    m = p @ spd_power(b, 2.0 * alpha).mat @ p
+    return trace_sqrt(p @ spd_power(b, 2.0 * alpha).mat @ p)
+
+
+def trace_sqrt(m: np.ndarray) -> float:
+    """tr[M^(1/2)] for M symmetric PSD up to roundoff.
+
+    The sum of square roots of the eigenvalues of sym(M), with roundoff
+    negatives clamped at zero: the cross term of every dense trace form.
+    """
     sym = (m + m.T) / 2.0
     with _lapack_guard("cross-term eigensolve", sym):
         w = np.linalg.eigvalsh(sym)

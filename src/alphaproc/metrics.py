@@ -18,6 +18,7 @@ import numpy as np
 from .exceptions import (
     DimensionError,
     DomainError,
+    NonFiniteError,
     NumericalInconsistencyError,
 )
 from .linalg import (
@@ -167,6 +168,7 @@ def power_euclidean(a: SpdMatrix, b: SpdMatrix, alpha) -> DistanceResult:
     pairs.  Exact alpha = 0 raises DomainError, and so does
     ``AlphaParam.log_limit()`` (the CLI's ``--alpha log-limit``), whose
     value is 0; 0 < |alpha| < 1e-7 routes to the log-Euclidean distance.
+    A power or a norm that overflows raises NonFiniteError.
     """
     _check_dims(a, b)
     al = as_alpha(alpha)
@@ -175,8 +177,11 @@ def power_euclidean(a: SpdMatrix, b: SpdMatrix, alpha) -> DistanceResult:
     if al.is_log_limit:
         return replace(log_euclidean(a, b), alpha=al)
     _require_strict_unridged(a, b, al)
-    diff = spd_power(a, al.value).mat - spd_power(b, al.value).mat
-    value = float(np.linalg.norm(diff)) / abs(al.value)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = spd_power(a, al.value).mat - spd_power(b, al.value).mat
+        value = float(np.linalg.norm(diff)) / abs(al.value)
+    if not math.isfinite(value):
+        raise NonFiniteError(f"power Euclidean distance overflows at alpha {al.value}")
     return DistanceResult(value, al, 0.0, (a, b))
 
 

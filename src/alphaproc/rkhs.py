@@ -19,8 +19,9 @@ become finite matrices on the span of the centered features of both
 datasets: the eigenbasis of the dataset of larger rank, and the remainders
 of the other's features off it, from a Schur complement of order
 min(rank aa, rank bb), so the eigensolves are of order m, n and that
-minimum.  The ridge adds exactly zero off the span, and sample counts may
-differ.  The Wasserstein distance is the alpha = 1/2 member,
+minimum.  C_X + gI is diagonal there, and the family's cross term is formed
+in that frame.  The ridge adds exactly zero off the span, and sample counts
+may differ.  The Wasserstein distance is the alpha = 1/2 member,
 tr aa + tr bb - 2 |ab|_*, with no eigensolve.
 """
 
@@ -40,8 +41,8 @@ from .exceptions import (
     UnsupportedKernelError,
 )
 from .linalg import AlphaParam, SpdMatrix, as_alpha, nuclear_norm, psd_tolerance, sym_eigh
-from .linalg import _lapack_guard
-from .metrics import _check_gamma, _trace_form, alpha_procrustes_regularized
+from .linalg import _lapack_guard, _require_strict, trace_sqrt
+from .metrics import _check_gamma, _trace_form
 
 FEATURE_DIM_LIMIT = 10_000
 
@@ -311,6 +312,14 @@ def _regularized_distance(cg: CenteredGram, al: AlphaParam, gamma: float) -> flo
     min(ra, rb); on a tie, the one of smaller largest eigenvalue, so the
     threshold, which the larger sets, cuts the larger one's remainders and
     not the smaller one's.  The rule reads the data, not the argument order.
+
+    In the frame C_A + gI = diag(la), la = [wa, 0...] + g, and C_B + gI has
+    spectrum lb = [wb, 0...] + g.  With F = V diag(sqrt(wb)),
+    (C_B + gI)^2a = V diag(h) V' + f I, h = (wb + g)^2a - g^2a, f = g^2a,
+    so the cross term is trace_sqrt(D V diag(h) V' D + f diag(la)^2a) with
+    D = diag(la)^a.  F / sqrt(wb) is orthonormal only to roundoff of wb's
+    largest, an error that f I keeps small where wb is; a complete frame
+    (rb = r) has f = 0 and takes V as the Q factor of F, largest wb first.
     """
     wa, wb, m = _in_eigenbases(cg)
     tol = psd_tolerance(max(wa[-1], wb[-1]))
@@ -325,9 +334,21 @@ def _regularized_distance(cg: CenteredGram, al: AlphaParam, gamma: float) -> flo
     s, e = sym_eigh(np.diag(wb) - c.T @ c)
     keep = s >= tol
     frame = np.vstack([c, np.sqrt(s[keep])[:, None] * e[:, keep].T])
-    ca = SpdMatrix._from_eig(wa, np.eye(frame.shape[0])[:, : wa.shape[0]])
-    cb = SpdMatrix._from_frame(wb, frame)
-    return alpha_procrustes_regularized(ca, cb, gamma, al).value
+    r, a, a2 = frame.shape[0], al.value, 2.0 * al.value
+    la, lb = (np.concatenate([w, np.zeros(r - w.shape[0])]) + gamma for w in (wa, wb))
+    if a < 0:
+        for lam in (la, lb):
+            _require_strict(lam, f"power {a2}")
+    g2a = gamma**a2
+    if wb.shape[0] < r:
+        v, h, f = frame / np.sqrt(wb), (wb + gamma) ** a2 - g2a, g2a
+    else:
+        with _lapack_guard("QR factorization", frame):
+            v = np.linalg.qr(frame[:, ::-1])[0][:, ::-1]
+        h, f = (wb + gamma) ** a2, 0.0
+    dv = la[:, None] ** a * v
+    cross = trace_sqrt((dv * h) @ dv.T + np.diag(la**a2 * f))
+    return _trace_form(float(np.sum(la**a2)), float(np.sum(lb**a2)), cross, a)
 
 
 def _log_limit_distance(cg: CenteredGram, gamma: float) -> float:

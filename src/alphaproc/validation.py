@@ -49,7 +49,7 @@ GEODESIC_STEPS = 600
 
 
 # Gates of the randomized suites.  IDENTITY_TOL sits above the sqrt(eps)
-# cancellation floor of the trace formula at identical arguments; distinct
+# cancellation level of the trace formula at identical arguments; distinct
 # pairs must clear SEPARATION_MIN, which enforces that zero implies equal.
 TRIANGLE_SLACK = -1e-9
 SYMMETRY_REL = 1e-9

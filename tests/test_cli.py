@@ -145,6 +145,18 @@ class TestDist:
         assert code == 2
         assert out == "" and err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("alpha", ["1000", "-1000"])
+    def test_power_euclidean_overflow_exits_2_without_warning(self, tmp_path, alpha):
+        a = write_matrix(tmp_path / "A.csv", np.diag([1.0, 2.0]))
+        b = write_matrix(tmp_path / "B.csv", np.diag([3.0, 0.5]))
+        argv = ["dist", "--metric", "power-euclidean", "--alpha", alpha, a, b]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "overflows" in err
+        assert caught == []
+
     def test_singular_with_negative_alpha_exits_3(self, matrices, tmp_path):
         singular = write_matrix(tmp_path / "sing.csv", np.diag([1.0, 0.0]))
         code, _, _ = run_cli(["dist", matrices[0], singular, "--alpha", "-1"])

@@ -101,79 +101,19 @@ class TestSpdConstruction:
         with pytest.raises(SingularBaseError):
             SpdMatrix.from_array(np.diag([1.0, 0.0])).require_strict("test")
 
-
-def _orthogonal(rng, n):
-    return np.linalg.qr(rng.standard_normal((n, n)))[0]
-
-
-def _factors():
-    rng = np.random.default_rng(31)
-    return {
-        "sample-side": rng.standard_normal((12, 5)),
-        "covariance-side": rng.standard_normal((5, 12)),
-        "rank-deficient": rng.standard_normal((12, 3)) @ rng.standard_normal((3, 7)),
-        "all-zero": np.zeros((6, 4)),
-        # b b' has eigenvalues down to 1e-10 of its largest on a complete basis
-        "graded-square": _orthogonal(rng, 6) @ np.diag(np.logspace(0, -5, 6)) @ _orthogonal(rng, 6),
-    }
-
-
-def _on_range(b):
-    """b b' held on an n x k basis of its range, as the RKHS route builds it.
-
-    With b'b = U diag(s) U' over the nonzero s, the coordinates b U have
-    Gram matrix diag(s) to roundoff; ``_from_frame`` takes them as the RKHS
-    route takes the frame coordinates of a dataset's features.
-    """
-    eig = SpdMatrix._from_gram(b.T @ b).eig
-    nz = eig.values > 0.0
-    return SpdMatrix._from_frame(eig.values[nz], b @ eig.vectors[:, nz])
-
-
-class TestFromFactor:
-    """b b' held on a basis of its range (k <= n vectors) agrees with the dense matrix."""
-
-    @pytest.mark.parametrize("name", list(_factors()))
-    def test_matches_dense_ridged_matrix(self, name):
-        b = _factors()[name]
-        n, k = b.shape
-        factored = _on_range(b)
-        assert factored.n == n
-        if n > k:  # the basis of the range has at most k vectors
-            assert factored.eig.vectors.shape[1] <= k
-        gamma = 0.1
-        ridged = factored.add_ridge(gamma)
-        dense = SpdMatrix.from_array(b @ b.T + gamma * np.eye(n))
-        scale = np.linalg.norm(dense.mat)
-        assert np.linalg.norm(ridged.mat - dense.mat) <= 1e-13 * scale
-        assert ridged.min_eig == pytest.approx(dense.min_eig, rel=1e-12)
-        for p in (-1.0, -0.5, 0.5, 2.0):
-            assert ridged.trace_power(p) == pytest.approx(dense.trace_power(p), rel=1e-12)
-            expected = spd_power(dense, p).mat
-            got = spd_power(ridged, p).mat
-            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
-        expected = spd_log(dense).mat
-        assert np.linalg.norm(spd_log(ridged).mat - expected) <= 1e-12 * np.linalg.norm(expected)
-
-    @pytest.mark.parametrize("name", list(_factors()))
-    def test_strict_at_the_same_ridge(self, name):
-        def strict(a):
-            try:
-                a.require_strict("test")
-            except SingularBaseError:
-                return False
-            return True
-
-        b = _factors()[name]
-        lam_max = max(np.linalg.eigvalsh(b @ b.T)[-1], 1.0)
-        for gamma in (0.0, 1e-13 * lam_max, 1e-11 * lam_max, 0.1):
-            factored = _on_range(b).add_ridge(gamma)
-            dense = SpdMatrix.from_array(b @ b.T + gamma * np.eye(b.shape[0]))
-            assert strict(factored) == strict(dense), gamma
-
-    def test_rejects_more_basis_vectors_than_rows(self):
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)], ids=["k>n", "k<n"])
+    def test_rejects_a_basis_that_is_not_square(self, shape):
         with pytest.raises(DimensionError):
-            SpdMatrix._from_eig(np.ones(3), np.eye(3)[:2])
+            SpdMatrix._from_eig(np.ones(min(shape)), np.eye(*shape))
+
+    @pytest.mark.parametrize("build", [
+        lambda: SymMatrix.from_array(np.zeros((0, 0))),
+        lambda: SpdMatrix.from_array(np.zeros((0, 0))),
+        lambda: GaussianMeasure.from_arrays([], np.zeros((0, 0))),
+    ], ids=["SymMatrix", "SpdMatrix", "GaussianMeasure"])
+    def test_rejects_an_empty_matrix(self, build):
+        with pytest.raises(DimensionError):
+            build()
 
 
 _DIAG = np.diag([1.0, 2.0])

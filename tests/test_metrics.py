@@ -19,6 +19,7 @@ from alphaproc import (
     DomainError,
     DimensionError,
     KernelSpec,
+    NonFiniteError,
     NumericalInconsistencyError,
     SingularBaseError,
     SpdMatrix,
@@ -172,6 +173,14 @@ class TestPowerEuclidean:
         with pytest.raises(DomainError):
             power_euclidean(DIAG_A, DIAG_B, 0.0)
 
+    @pytest.mark.parametrize("alpha", [1000.0, -1000.0])
+    def test_overflow_raises_typed_error_without_warning(self, alpha):
+        # 3^1000 overflows the power; at -1000 every power is finite, but the
+        # norm of the ~1e301 difference overflows (pytest errors on RuntimeWarning)
+        a, b = (SpdMatrix.from_array(np.diag(d)) for d in ([1.0, 2.0], [3.0, 0.5]))
+        with pytest.raises(NonFiniteError):
+            power_euclidean(a, b, alpha)
+
     def test_tiny_alpha_routes_to_log(self):
         rng = np.random.default_rng(11)
         a, b = rand_spd(rng, 3), rand_spd(rng, 3)
@@ -321,7 +330,8 @@ class TestDistanceResult:
         "call",
         [
             lambda: alpha_procrustes(DIAG_A, DIAG_B, 0.5),
-            # the regularized RKHS family is evaluated by the same function
+            # the regularized RKHS family forms its cross term in its own frame
+            # and shares trace_sqrt and the clamp with the matrix family
             lambda: rkhs_alpha_distance(
                 Dataset.from_array(np.arange(8.0).reshape(4, 2)),
                 Dataset.from_array(np.arange(8.0).reshape(4, 2) ** 1.5),
@@ -333,11 +343,11 @@ class TestDistanceResult:
         ids=["matrix", "rkhs"],
     )
     def test_negative_clamp_raises_beyond_threshold(self, monkeypatch, call):
-        import alphaproc.metrics as metrics_mod
+        import alphaproc.linalg as linalg_mod
+        import alphaproc.rkhs as rkhs_mod
 
-        monkeypatch.setattr(
-            metrics_mod, "trace_sqrt_triple", lambda a, b, al: 1e9
-        )
+        for module in (linalg_mod, rkhs_mod):
+            monkeypatch.setattr(module, "trace_sqrt", lambda m: 1e9)
         with pytest.raises(NumericalInconsistencyError):
             call()
 

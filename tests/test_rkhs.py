@@ -690,6 +690,31 @@ class TestRegularizedDistance:
             assert rkhs_alpha_distance(x, y, kernel, 0.3, 0.1) == 0.0
             assert rkhs_alpha_distance_unregularized(x, y, kernel, 1.0) == 0.0
 
+    @pytest.mark.parametrize("t", [1e-2, 1e2])
+    @pytest.mark.parametrize(
+        "kernel, degree, m, n, dim",
+        [
+            # ranks 3 and 3 span r = 3: the frame is complete (rb = r)
+            (LINEAR, 1, 10, 12, 3),
+            (KernelSpec.polynomial(2, 0.0), 2, 10, 12, 2),
+            # ranks 4 and 3 of 6 (linear) and 5 and 3 of 10 (poly) features: rb < r
+            (LINEAR, 1, 4, 5, 6),
+            (KernelSpec.polynomial(2, 0.0), 2, 4, 6, 4),
+        ],
+        ids=["linear-complete", "poly-complete", "linear-partial", "poly-partial"],
+    )
+    def test_homogeneous_in_the_scale_of_the_points(self, kernel, degree, m, n, dim, t):
+        # points times t scale a degree-d kernel's covariances by s = t^(2d),
+        # so with the ridge scaled alike the distance scales by s^alpha
+        x, y = datasets(49, m=m, n=n, dim=dim)
+        tx, ty = (Dataset.from_array(t * ds.points) for ds in (x, y))
+        s = t ** (2 * degree)
+        for alpha in (-0.5, 0.25, 0.75, 2.0):
+            for gamma in (1e-2, 0.1, 1.0):
+                d = rkhs_alpha_distance(x, y, kernel, alpha, gamma)
+                d_scaled = rkhs_alpha_distance(tx, ty, kernel, alpha, s * gamma)
+                assert abs(d_scaled - s**alpha * d) <= 1e-9 * s**alpha * d
+
     def test_permutation_invariance(self):
         x, y = datasets(16)
         rng = np.random.default_rng(17)
