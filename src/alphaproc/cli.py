@@ -27,7 +27,7 @@ from .exceptions import (
 )
 from .gaussian import GaussianMeasure, MeanMetricSpec, _gaussian_terms
 from .geometry import GeodesicCurve, geodesic_length_numeric
-from .linalg import AlphaParam, SpdMatrix
+from .linalg import AlphaParam, SpdMatrix, _finite
 from .metrics import _family, bures_wasserstein, log_euclidean, power_euclidean
 from .rkhs import Dataset, KernelSpec, _rkhs_gaussian_terms
 from .validation import run_all_suites
@@ -64,8 +64,7 @@ def _read_matrix(path: str) -> SpdMatrix:
     arr = _read_rows(path)
     if arr.shape[0] != arr.shape[1]:
         raise CliInputError(f"{path}: matrix is not square ({arr.shape})")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"{path}: matrix contains NaN or infinite entries")
+    _finite(f"matrix {path}", arr)
     asym = float(np.max(np.abs(arr - arr.T)))
     if asym > MATRIX_SYM_TOL * max(1.0, float(np.max(np.abs(arr)))):
         raise CliInputError(f"{path}: matrix is not symmetric (max deviation {asym:.3e})")

@@ -6,7 +6,7 @@ class AlphaProcError(Exception):
 
 
 class NonFiniteError(AlphaProcError):
-    """Input contains NaN or infinite entries."""
+    """A NaN or infinite value, in an input or in an intermediate that overflows."""
 
 
 class ConvergenceFailureError(AlphaProcError):

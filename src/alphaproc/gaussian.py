@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import DimensionError, DomainError, NonFiniteError
-from .linalg import SpdMatrix
+from .exceptions import DimensionError, DomainError
+from .linalg import SpdMatrix, _finite
 from .metrics import _family
 
 
@@ -34,8 +34,7 @@ class GaussianMeasure:
         m = np.atleast_1d(np.asarray(mean, dtype=float))
         if m.ndim != 1:
             raise DimensionError(f"expected a 1-D mean vector, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise NonFiniteError("mean contains NaN or infinite entries")
+        _finite("mean", m)
         cov = covariance if isinstance(covariance, SpdMatrix) else SpdMatrix.from_array(covariance)
         if m.shape[0] != cov.n:
             raise DimensionError(
@@ -68,12 +67,13 @@ class MeanMetricSpec:
             object.__setattr__(self, "weights", w)
 
     def distance(self, m1: np.ndarray, m2: np.ndarray) -> float:
-        diff = m1 - m2
-        if self.weights is not None:
-            if self.weights.shape[0] != diff.shape[0]:
-                raise DimensionError("weight vector length does not match means")
-            return math.sqrt(float(np.sum(self.weights * diff**2)))
-        return float(np.linalg.norm(diff))
+        with np.errstate(over="ignore"):
+            diff = m1 - m2
+            if self.weights is not None:
+                if self.weights.shape[0] != diff.shape[0]:
+                    raise DimensionError("weight vector length does not match means")
+                diff = np.sqrt(self.weights) * diff
+        return math.hypot(*diff)
 
 
 EUCLIDEAN_MEAN = MeanMetricSpec()
@@ -88,7 +88,9 @@ def _gaussian_terms(
         raise DimensionError(f"Gaussian dimensions differ: {g1.dim} vs {g2.dim}")
     d_mean = mean_metric.distance(g1.mean, g2.mean)
     d_cov = _family(g1.covariance, g2.covariance, alpha, gamma).value
-    return d_mean, d_cov, math.sqrt(d_mean**2 + 0.25 * d_cov**2)
+    total = math.hypot(d_mean, d_cov / 2.0)
+    _finite("Gaussian distance", total)
+    return d_mean, d_cov, total
 
 
 def gaussian_alpha_distance(

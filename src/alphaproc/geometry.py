@@ -23,18 +23,9 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import DomainError, NonSpdIntermediateError
-from .linalg import (
-    DIVIDED_DIFF_TOL,
-    AlphaParam,
-    SpdMatrix,
-    SymMatrix,
-    _check_dims,
-    _log_divided_difference,
-    as_alpha,
-    psd_tolerance,
-    spd_power,
-    sym_eigh,
-)
+from .linalg import DIVIDED_DIFF_TOL, AlphaParam, SpdMatrix, SymMatrix, as_alpha, psd_tolerance
+from .linalg import _check_dims, _finite, _log_divided_difference, _require_strict
+from .linalg import spd_power, sym_eigh
 
 # Largest stack, in float64 entries, that one quadrature eigensolve takes
 # (256 KB); a block holds at least three grid points whatever the order n.
@@ -82,8 +73,9 @@ def solve_general_lyapunov(p0: SpdMatrix, y: SymMatrix, alpha) -> SymMatrix:
     p0.require_strict("generalized Lyapunov solve")
     _check_dims(p0, y)
     v = p0.eig.vectors
-    h_tilde = _eigenbasis_solve(v, y.mat, _lyapunov_factor(p0.eig.values, al))
-    return SymMatrix.from_array(v @ h_tilde @ v.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_tilde = _eigenbasis_solve(v, y.mat, _lyapunov_factor(p0.eig.values, al))
+        return SymMatrix.from_array(v @ h_tilde @ v.T)
 
 
 def _eigenbasis_inner(lam, vecs, y, z, al: AlphaParam) -> np.ndarray:
@@ -94,11 +86,14 @@ def _eigenbasis_inner(lam, vecs, y, z, al: AlphaParam) -> np.ndarray:
     4 sum_ij Ht_ij Hz_ji lam_j^2a: neither H nor P^2a is rebuilt.  The
     log-limit takes P^0 = I.
     """
-    f = _lyapunov_factor(lam, al)
-    hy = _eigenbasis_solve(vecs, y, f)
-    hz = hy if z is y else _eigenbasis_solve(vecs, z, f)
-    p2a = lam ** (0.0 if al.is_log_limit else 2.0 * al.value)
-    return 4.0 * np.einsum("kij,kji,kj->k", hy, hz, p2a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = _lyapunov_factor(lam, al)
+        hy = _eigenbasis_solve(vecs, y, f)
+        hz = hy if z is y else _eigenbasis_solve(vecs, z, f)
+        p2a = lam ** (0.0 if al.is_log_limit else 2.0 * al.value)
+        inner = 4.0 * np.einsum("kij,kji,kj->k", hy, hz, p2a)
+    _finite("metric inner product", inner)
+    return inner
 
 
 def metric_inner(p0: SpdMatrix, y: SymMatrix, z: SymMatrix, alpha) -> float:
@@ -137,15 +132,19 @@ class GeodesicCurve:
     def _closed_form(self):
         """A^2a, B^2a and the symmetrized non-symmetric square root, built once."""
         alpha = self.alpha.value
-        a2 = spd_power(self.a, 2.0 * alpha).mat
-        b2 = spd_power(self.b, 2.0 * alpha).mat
-        a_pow = spd_power(self.a, alpha).mat
-        a_inv = spd_power(self.a, -alpha).mat
-        # (A^2a B^2a)^(1/2) = A^a (A^a B^2a A^a)^(1/2) A^-a; its transpose is
-        # (B^2a A^2a)^(1/2), so the geodesic bracket needs s + s.T
-        inner = SpdMatrix.from_array(a_pow @ b2 @ a_pow)
-        s = a_pow @ spd_power(inner, 0.5).mat @ a_inv
-        return a2, b2, s + s.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            a2 = spd_power(self.a, 2.0 * alpha).mat
+            b2 = spd_power(self.b, 2.0 * alpha).mat
+            a_pow = spd_power(self.a, alpha).mat
+            a_inv = spd_power(self.a, -alpha).mat
+            # (A^2a B^2a)^(1/2) = A^a (A^a B^2a A^a)^(1/2) A^-a; its transpose is
+            # (B^2a A^2a)^(1/2), so the geodesic bracket needs s + s.T
+            inner = a_pow @ b2 @ a_pow
+            _finite("geodesic cross term", inner)
+            s = a_pow @ spd_power(SpdMatrix.from_array(inner), 0.5).mat @ a_inv
+            cross = s + s.T
+        _finite("geodesic cross term", cross)
+        return a2, b2, cross
 
     def _spectra(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Eigenpairs of g(t) for a 1-D array of k values of t, no range check.
@@ -210,8 +209,7 @@ def geodesic_length_numeric(curve: GeodesicCurve, steps: int = 1000) -> float:
         mid_lam, mid_vecs = lam[1:-1], vecs[1:-1]
         strict = mid_lam.min(axis=1) > psd_tolerance(mid_lam.max(axis=1))
         if not strict.all():
-            i = int(np.argmin(strict))
-            SpdMatrix._from_eig(mid_lam[i], mid_vecs[i]).require_strict("metric inner product")
+            _require_strict(mid_lam[int(np.argmin(strict))], "metric inner product")
         velocity = (mats[2:] - mats[:-2]) / (2.0 * dt)
         speed_sq = _eigenbasis_inner(mid_lam, mid_vecs, velocity, velocity, curve.alpha)
         total += float(np.sum(np.sqrt(np.maximum(speed_sq, 0.0)))) * dt

@@ -6,11 +6,14 @@ eigendecomposition.  A single code path keeps log/exp/power/sqrt exactly
 consistent with each other, which the identity tests rely on.  This module
 also makes every eigensolve and singular value decomposition of the
 package, behind the one guard that turns a failure into a typed error;
-``rkhs`` puts its QR factorizations behind the same guard.
+``rkhs`` puts its QR factorizations behind the same guard.  ``_finite`` is
+the one rule that turns a NaN or an infinity into NonFiniteError; code that
+may overflow runs under ``np.errstate``, so no numpy warning comes first.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -55,11 +58,19 @@ def _clamp_zero(w: np.ndarray) -> np.ndarray:
     return np.where(w < psd_tolerance(w[-1]), 0.0, w)
 
 
+def _finite(what: str, *values) -> None:
+    """NonFiniteError naming the stage ``what`` on a NaN or an infinity in any of ``values``."""
+    for v in values:
+        if not (math.isfinite(v) if isinstance(v, float) else np.isfinite(v).all()):
+            raise NonFiniteError(
+                f"{what}: NaN or infinite values (a non-finite input, or a value that overflows)"
+            )
+
+
 @contextmanager
 def _lapack_guard(what: str, mat: np.ndarray):
     """The one guard around every LAPACK call: finite input, typed failure."""
-    if not np.all(np.isfinite(mat)):
-        raise NonFiniteError(f"{what}: matrix contains NaN or infinite entries")
+    _finite(what, mat)
     try:
         yield
     except np.linalg.LinAlgError as exc:
@@ -89,8 +100,7 @@ class SymMatrix:
         a = np.asarray(arr, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise DimensionError(f"expected a non-empty square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise NonFiniteError("matrix contains NaN or infinite entries")
+        _finite("matrix", a)
         return cls(_freeze((a + a.T) / 2.0))
 
     @property
@@ -205,13 +215,9 @@ class SpdMatrix:
             self.require_strict(f"power {p}")
         return float(np.sum(self.eig.values**p))
 
-    def _map(self, fn) -> "SpdMatrix":
-        """fn applied to every eigenvalue, on the same basis."""
-        return SpdMatrix._from_eig(fn(self.eig.values), self.eig.vectors)
-
     def add_ridge(self, gamma: float) -> "SpdMatrix":
         """A + gamma*I, sharing the eigenbasis."""
-        return self._map(lambda w: w + gamma)
+        return SpdMatrix._from_eig(self.eig.values + gamma, self.eig.vectors)
 
 
 def _require_strict(w: np.ndarray, what: str) -> None:
@@ -269,11 +275,14 @@ def spd_power(a: SpdMatrix, p: float) -> SpdMatrix:
     """Fractional matrix power A^p through the spectrum.
 
     PSD input is fine for p > 0 (zero eigenvalues map to zero); p < 0
-    requires a strictly positive matrix.
+    requires a strictly positive matrix.  An overflow raises NonFiniteError.
     """
     if p < 0:
         a.require_strict(f"power {p}")
-    return a._map(lambda w: w**p)
+    w = a.eig.values**p
+    # w is ascending and nonnegative: w**p can only overflow, first at its largest
+    _finite(f"power {p}", w[0] if p < 0 else w[-1])
+    return SpdMatrix._from_eig(w, a.eig.vectors)
 
 
 def spd_log(a: SpdMatrix) -> SymMatrix:
@@ -285,7 +294,10 @@ def spd_log(a: SpdMatrix) -> SymMatrix:
 def sym_exp(s: SymMatrix) -> SpdMatrix:
     """Matrix exponential of a symmetric matrix; always strictly SPD."""
     eig = sym_eigendecompose(s)
-    return SpdMatrix._from_eig(np.exp(eig.values), eig.vectors)
+    with np.errstate(over="ignore"):
+        w = np.exp(eig.values)
+    _finite("matrix exponential", w)
+    return SpdMatrix._from_eig(w, eig.vectors)
 
 
 def trace_sqrt_triple(a: SpdMatrix, b: SpdMatrix, alpha: float) -> float:
@@ -358,11 +370,10 @@ def loewner_apply(p0_eig: EigenDecomposition, f: str, s: SymMatrix) -> SymMatrix
     else:
         scale = np.maximum(1.0, np.abs(lam))
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         quot = divided(lam[:, None], lam[None, :])
-    near = np.abs(lam[:, None] - lam[None, :]) < DIVIDED_DIFF_TOL * scale[:, None]
-    coeff = np.where(near, fprime(lam)[:, None], quot)
-
-    v = p0_eig.vectors
-    s_tilde = v.T @ s.mat @ v
-    return SymMatrix.from_array(v @ (coeff * s_tilde) @ v.T)
+        near = np.abs(lam[:, None] - lam[None, :]) < DIVIDED_DIFF_TOL * scale[:, None]
+        coeff = np.where(near, fprime(lam)[:, None], quot)
+        v = p0_eig.vectors
+        s_tilde = v.T @ s.mat @ v
+        return SymMatrix.from_array(v @ (coeff * s_tilde) @ v.T)

@@ -15,21 +15,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import (
-    DimensionError,
-    DomainError,
-    NonFiniteError,
-    NumericalInconsistencyError,
-)
-from .linalg import (
-    AlphaParam,
-    SpdMatrix,
-    _check_dims,
-    as_alpha,
-    spd_log,
-    spd_power,
-    trace_sqrt_triple,
-)
+from .exceptions import DimensionError, DomainError, NumericalInconsistencyError
+from .linalg import AlphaParam, SpdMatrix, as_alpha, spd_log, spd_power, trace_sqrt_triple
+from .linalg import _check_dims, _finite
 
 # The trace argument of the square root may dip below zero by roundoff; clamp
 # when |negative| < NEG_TRACE_RTOL * (|tr A^2a| + |tr B^2a|), else raise.
@@ -77,8 +65,10 @@ def _trace_form(ta: float, tb: float, cross: float, alpha: float) -> float:
     """(1/|a|) sqrt(ta + tb - 2 cross): every trace-form value, matrix or Gram side.
 
     The log-limit passes alpha = 1; a negative argument is clamped per NEG_TRACE_RTOL.
+    The argument is finite only if all three terms are, so one check covers them.
     """
     arg = ta + tb - 2.0 * cross
+    _finite("trace form", arg)
     if arg < 0.0:
         scale = abs(ta) + abs(tb)
         if -arg >= NEG_TRACE_RTOL * max(scale, 1.0e-300):
@@ -103,6 +93,7 @@ def _require_strict_unridged(a: SpdMatrix, b: SpdMatrix, al: AlphaParam) -> None
         b.require_strict(what)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as a decorator it costs half a with block
 def _family(a: SpdMatrix, b: SpdMatrix, alpha, gamma: float | None = None) -> DistanceResult:
     """The one evaluator of the family: each of its special cases calls it.
 
@@ -168,7 +159,7 @@ def power_euclidean(a: SpdMatrix, b: SpdMatrix, alpha) -> DistanceResult:
     pairs.  Exact alpha = 0 raises DomainError, and so does
     ``AlphaParam.log_limit()`` (the CLI's ``--alpha log-limit``), whose
     value is 0; 0 < |alpha| < 1e-7 routes to the log-Euclidean distance.
-    A power or a norm that overflows raises NonFiniteError.
+    An overflowing power or distance raises NonFiniteError; an overflowing norm is rescaled.
     """
     _check_dims(a, b)
     al = as_alpha(alpha)
@@ -179,9 +170,12 @@ def power_euclidean(a: SpdMatrix, b: SpdMatrix, alpha) -> DistanceResult:
     _require_strict_unridged(a, b, al)
     with np.errstate(over="ignore", invalid="ignore"):
         diff = spd_power(a, al.value).mat - spd_power(b, al.value).mat
-        value = float(np.linalg.norm(diff)) / abs(al.value)
-    if not math.isfinite(value):
-        raise NonFiniteError(f"power Euclidean distance overflows at alpha {al.value}")
+        norm = float(np.linalg.norm(diff))
+        if not math.isfinite(norm):
+            top = float(np.max(np.abs(diff)))
+            norm = top * float(np.linalg.norm(diff / top))
+        value = norm / abs(al.value)
+    _finite(f"power Euclidean distance at alpha {al.value}", value)
     return DistanceResult(value, al, 0.0, (a, b))
 
 

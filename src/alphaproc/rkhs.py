@@ -34,14 +34,9 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .exceptions import (
-    DimensionError,
-    DomainError,
-    NonFiniteError,
-    UnsupportedKernelError,
-)
+from .exceptions import DimensionError, DomainError, UnsupportedKernelError
 from .linalg import AlphaParam, SpdMatrix, as_alpha, nuclear_norm, psd_tolerance, sym_eigh
-from .linalg import _lapack_guard, _require_strict, trace_sqrt
+from .linalg import _finite, _lapack_guard, _require_strict, trace_sqrt
 from .metrics import _check_gamma, _trace_form
 
 FEATURE_DIM_LIMIT = 10_000
@@ -142,8 +137,7 @@ class Dataset:
         a = np.atleast_2d(np.asarray(arr, dtype=float))
         if a.ndim != 2:
             raise DimensionError(f"expected a 2-D sample matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise NonFiniteError("dataset contains NaN or infinite entries")
+        _finite("dataset", a)
         if a.shape[0] < 2:
             raise DimensionError("dataset needs at least two samples")
         a = a.copy()
@@ -202,8 +196,7 @@ def gram_bundle(x: Dataset, y: Dataset, kernel: KernelSpec) -> GramBundle:
         kyy = kernel.gram(y.points, y.points)
         kxy = kernel.gram(x.points, y.points)
         gb = GramBundle((kxx + kxx.T) / 2.0, (kyy + kyy.T) / 2.0, kxy)
-    if not all(np.all(np.isfinite(k)) for k in (gb.kxx, gb.kyy, gb.kxy)):
-        raise NonFiniteError(f"{kernel} gives NaN or infinite Gram entries on these datasets")
+    _finite(f"{kernel} Gram matrices on these datasets", gb.kxx, gb.kyy, gb.kxy)
     return gb
 
 
@@ -256,16 +249,15 @@ def _centered_blocks(x: Dataset, y: Dataset, kernel: KernelSpec) -> tuple[float,
     """
     if x.dim != y.dim:
         raise DimensionError(f"sample dimensions differ: {x.dim} vs {y.dim}")
-    if not 0 < 2 * _feature_dim(kernel, x.dim) <= min(x.m, y.m):
-        gb = gram_bundle(x, y, kernel)
-        return mean_discrepancy_squared(gb), centered_gram(gb)
     with np.errstate(all="ignore"):
+        if not 0 < 2 * _feature_dim(kernel, x.dim) <= min(x.m, y.m):
+            gb = gram_bundle(x, y, kernel)
+            return mean_discrepancy_squared(gb), centered_gram(gb)
         (mx, rx), (my, ry) = (_feature_factor(ds, kernel) for ds in (x, y))
         aa, bb = rx @ rx.T, ry @ ry.T
         cg = CenteredGram((aa + aa.T) / 2.0, (bb + bb.T) / 2.0, rx @ ry.T)
         mdd = float(np.sum((mx - my) ** 2))
-    if not (math.isfinite(mdd) and all(np.all(np.isfinite(b)) for b in (cg.aa, cg.bb, cg.ab))):
-        raise NonFiniteError(f"{kernel} gives NaN or infinite features on these datasets")
+    _finite(f"{kernel} feature blocks on these datasets", mdd, cg.aa, cg.bb, cg.ab)
     return mdd, cg
 
 
@@ -286,15 +278,16 @@ def _covariance_distance(cg: CenteredGram, alpha, gamma: float | None) -> float:
     invariants of the blocks under orthogonal changes of sample coordinates.
     """
     al = as_alpha(alpha)
-    if gamma is None:
-        if al.is_log_limit or al.value < 0.5:
-            raise DomainError(f"unregularized family needs alpha >= 1/2, got {al.label()};"
-                              " smaller alphas and the log-limit need a positive gamma")
-        return _unregularized_distance(cg, al.value)
-    _check_gamma(gamma)
-    if al.is_log_limit:
-        return _log_limit_distance(cg, gamma)
-    return _regularized_distance(cg, al, gamma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if gamma is None:
+            if al.is_log_limit or al.value < 0.5:
+                raise DomainError(f"unregularized family needs alpha >= 1/2, got {al.label()};"
+                                  " smaller alphas and the log-limit need a positive gamma")
+            return _unregularized_distance(cg, al.value)
+        _check_gamma(gamma)
+        if al.is_log_limit:
+            return _log_limit_distance(cg, gamma)
+        return _regularized_distance(cg, al, gamma)
 
 
 def _regularized_distance(cg: CenteredGram, al: AlphaParam, gamma: float) -> float:
@@ -339,7 +332,7 @@ def _regularized_distance(cg: CenteredGram, al: AlphaParam, gamma: float) -> flo
     if a < 0:
         for lam in (la, lb):
             _require_strict(lam, f"power {a2}")
-    g2a = gamma**a2
+    g2a = np.power(gamma, a2)  # a float power would raise OverflowError
     if wb.shape[0] < r:
         v, h, f = frame / np.sqrt(wb), (wb + gamma) ** a2 - g2a, g2a
     else:
@@ -422,8 +415,10 @@ def _rkhs_gaussian_terms(
 ) -> tuple[float, float, float]:
     """(mean embedding distance, d_cov, distance) from one set of centered blocks."""
     mdd, cg = _centered_blocks(x, y, kernel)
-    d_cov = _covariance_distance(cg, alpha, gamma or None)
-    return math.sqrt(mdd), d_cov, math.sqrt(mdd + 0.25 * d_cov**2)
+    d_mean, d_cov = math.sqrt(mdd), _covariance_distance(cg, alpha, gamma or None)
+    total = math.hypot(d_mean, d_cov / 2.0)
+    _finite("Gaussian distance", total)
+    return d_mean, d_cov, total
 
 
 def rkhs_wasserstein(x: Dataset, y: Dataset, kernel: KernelSpec) -> float:
@@ -490,8 +485,8 @@ def explicit_feature_covariance(x: Dataset, kernel: KernelSpec) -> tuple[np.ndar
     if dim > FEATURE_DIM_LIMIT:
         raise UnsupportedKernelError(f"{kernel} has feature dimension {dim} > {FEATURE_DIM_LIMIT}")
     features = _features(x.points, kernel)
-    if not np.all(np.isfinite(features)):
-        raise NonFiniteError(f"{kernel} gives NaN or infinite features on this dataset")
+    _finite(f"{kernel} features on this dataset", features)
     mean = features.mean(axis=0)
     centered = features - mean
-    return mean, SpdMatrix.from_array(centered.T @ centered / x.m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return mean, SpdMatrix.from_array(centered.T @ centered / x.m)

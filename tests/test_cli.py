@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 from conftest import CHILD_ENV, rand_spd
 
-from alphaproc import SpdMatrix, alpha_procrustes
+from alphaproc import (
+    Dataset,
+    GeodesicCurve,
+    KernelSpec,
+    NonFiniteError,
+    SpdMatrix,
+    alpha_procrustes,
+    alpha_procrustes_regularized,
+    rkhs_gaussian_distance,
+)
 from alphaproc.cli import _matrix_block, main
 
 
@@ -145,16 +154,25 @@ class TestDist:
         assert code == 2
         assert out == "" and err.startswith("error:") and "Traceback" not in err
 
-    @pytest.mark.parametrize("alpha", ["1000", "-1000"])
-    def test_power_euclidean_overflow_exits_2_without_warning(self, tmp_path, alpha):
+    @pytest.mark.parametrize(
+        "alpha, expected", [("1000", None), ("-1000", 2.0**1000 / 1000)], ids=["1000", "-1000"]
+    )
+    def test_power_euclidean_overflow_exits_2_without_warning(self, tmp_path, alpha, expected):
+        # 3^1000 overflows the power, so 1000 exits 2; at -1000 the powers are
+        # finite and only the squares of the norm overflow, so the rescaled
+        # norm gives (0.5^-1000 - 3^-1000) / 1000
         a = write_matrix(tmp_path / "A.csv", np.diag([1.0, 2.0]))
         b = write_matrix(tmp_path / "B.csv", np.diag([3.0, 0.5]))
         argv = ["dist", "--metric", "power-euclidean", "--alpha", alpha, a, b]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(argv)
-        assert code == 2
-        assert out == "" and err.startswith("error:") and "overflows" in err
+        if expected is None:
+            assert code == 2
+            assert out == "" and err.startswith("error:") and "overflows" in err
+        else:
+            assert code == 0 and err == ""
+            assert json.loads(out)["distance"] == pytest.approx(expected, rel=1e-11)
         assert caught == []
 
     def test_singular_with_negative_alpha_exits_3(self, matrices, tmp_path):
@@ -355,6 +373,26 @@ class TestGaussDist:
         )
         assert code == 3
         assert out == "" and "positive and finite" in err
+
+    @pytest.mark.parametrize(
+        "weights, expected",
+        [([], 1e160), (["--mean-weights", "4,1,9"], 2e160)],
+        ids=["unweighted", "weighted"],
+    )
+    def test_mean_term_beyond_the_square_range(self, tmp_path, weights, expected):
+        cov = write_matrix(tmp_path / "C.csv", np.eye(3))
+        m1 = write_matrix(tmp_path / "m1.csv", np.array([[1e160, 0.0, 0.0]]))
+        m2 = write_matrix(tmp_path / "m2.csv", np.zeros((1, 3)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run_cli(
+                ["gauss-dist", "--mean-a", m1, "--cov-a", cov, "--mean-b", m2, "--cov-b", cov,
+                 "--alpha", "0.5", *weights]
+            )
+        # 1e160 squared overflows; the hypot of sqrt(w) * diff does not
+        assert code == 0 and caught == []
+        payload = json.loads(out)
+        assert payload["mean_term"] == payload["distance"] == expected
 
 
 class TestRkhsDist:
@@ -593,3 +631,95 @@ class TestExitCodeMapping:
         assert json.loads(proc.stdout)["distance"] == pytest.approx(
             5.656854249492, abs=1e-9
         )
+
+
+def _pair_3x3():
+    """3x3 SPD pair with eigenvalues in [0.4, 3] on random bases."""
+    from conftest import rand_orthogonal
+
+    rng = np.random.default_rng(0)
+    mats = []
+    for eigs in ([0.4, 1.5, 3.0], [0.5, 2.0, 2.9]):
+        q = rand_orthogonal(rng, 3)
+        mats.append((q * eigs) @ q.T)
+    return mats
+
+
+def _samples(rows, dim, scale, shift=0.0):
+    return np.random.default_rng(rows).standard_normal((rows, dim)) * scale + shift
+
+
+# One case per input that used to print numpy RuntimeWarnings (or Infinity)
+# before its error: (argv after the two files, the two inputs, the library
+# call on them, the stage the error names).
+_DIAGS = (np.diag([1.0, 2.0]), np.diag([3.0, 0.5]))
+_LINEAR_1E153 = (_samples(6, 2, 1e153), _samples(5, 2, 1e153))
+_POLY_10 = (_samples(30, 3, 10.0), _samples(25, 3, 10.0, 1.0))
+NON_FINITE_CASES = {
+    "geodesic-1000": (
+        ["geodesic", "--alpha", "1000", "--t-steps", "3"], _DIAGS,
+        lambda a, b: GeodesicCurve(SpdMatrix.from_array(a), SpdMatrix.from_array(b), 1000).at(0.5),
+        "power 2000.0",
+    ),
+    "geodesic-200": (
+        ["geodesic", "--alpha", "200", "--t-steps", "3"], _pair_3x3(),
+        lambda a, b: GeodesicCurve(SpdMatrix.from_array(a), SpdMatrix.from_array(b), 200).at(0.5),
+        "geodesic cross term",
+    ),
+    "dist-200": (
+        ["dist", "--alpha", "200"], _pair_3x3(),
+        lambda a, b: alpha_procrustes(SpdMatrix.from_array(a), SpdMatrix.from_array(b), 200),
+        "cross-term eigensolve",
+    ),
+    "dist-100-gamma-10": (
+        ["dist", "--alpha", "100", "--gamma", "10"], _pair_3x3(),
+        lambda a, b: alpha_procrustes_regularized(
+            SpdMatrix.from_array(a), SpdMatrix.from_array(b), 10.0, 100
+        ),
+        "cross-term eigensolve",
+    ),
+    "rkhs-linear-1e153": (
+        ["rkhs-dist", "--kernel", "linear", "--alpha", "1"], _LINEAR_1E153,
+        lambda x, y: rkhs_gaussian_distance(
+            Dataset.from_array(x), Dataset.from_array(y), KernelSpec.linear(), 1.0
+        ),
+        "singular values",
+    ),
+    "rkhs-poly-60": (
+        ["rkhs-dist", "--kernel", "poly:d=3,c=1", "--alpha", "60", "--gamma", "0.1"], _POLY_10,
+        lambda x, y: rkhs_gaussian_distance(
+            Dataset.from_array(x), Dataset.from_array(y), KernelSpec.polynomial(3, 1.0), 60, 0.1
+        ),
+        "cross-term eigensolve",
+    ),
+    "dist-60-scaled": (
+        ["dist", "--alpha", "60"], (np.diag([1e3, 2e3]), np.diag([1e-3, 2e-3])),
+        lambda a, b: alpha_procrustes(SpdMatrix.from_array(a), SpdMatrix.from_array(b), 60),
+        "trace form",
+    ),
+}
+
+
+class TestNonFiniteRule:
+    """Each overflow is one NonFiniteError naming its stage, with no numpy warning."""
+
+    @pytest.mark.parametrize("case", NON_FINITE_CASES)
+    def test_library_call_raises_typed_error(self, case):
+        # the suite turns a RuntimeWarning into an error
+        _, inputs, call, stage = NON_FINITE_CASES[case]
+        with pytest.raises(NonFiniteError, match=f"^{stage}: NaN or infinite"):
+            call(*inputs)
+
+    @pytest.mark.parametrize("case", NON_FINITE_CASES)
+    def test_cli_child_exits_2_with_one_error_line(self, tmp_path, case):
+        argv, inputs, _, stage = NON_FINITE_CASES[case]
+        paths = [write_matrix(tmp_path / f"{name}.csv", arr) for name, arr in zip("ab", inputs)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "alphaproc", argv[0], *paths, *argv[1:]],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith(f"error: {stage}: NaN or infinite")

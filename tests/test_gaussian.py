@@ -10,6 +10,7 @@ from alphaproc import (
     DomainError,
     GaussianMeasure,
     MeanMetricSpec,
+    NonFiniteError,
     SingularBaseError,
     alpha_procrustes,
     alpha_procrustes_regularized,
@@ -112,6 +113,22 @@ class TestAlphaDistance:
         g2 = GaussianMeasure.from_arrays([0.0, 0.0], np.eye(2))
         mm = MeanMetricSpec(weights=[4.0, 1.0])
         assert gaussian_alpha_distance(g1, g2, 1.0, mm) == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("weights", [None, [4.0, 1.0, 9.0]], ids=["unweighted", "weighted"])
+    def test_mean_term_beyond_the_square_range(self, weights):
+        # 1e160 squared overflows; the hypot combination never squares it
+        g1 = GaussianMeasure.from_arrays([1e160, 0.0, 0.0], np.eye(3))
+        g2 = GaussianMeasure.from_arrays([0.0, 0.0, 0.0], 2.0 * np.eye(3))
+        mm = MeanMetricSpec(weights=weights)
+        expected = 1e160 * (1.0 if weights is None else 2.0)
+        assert mm.distance(g1.mean, g2.mean) == pytest.approx(expected, rel=1e-15)
+        assert gaussian_alpha_distance(g1, g2, 0.5, mm) == pytest.approx(expected, rel=1e-15)
+
+    def test_distance_beyond_the_float_range_is_a_typed_error(self):
+        g1 = GaussianMeasure.from_arrays([1.5e308, 0.0], np.eye(2))
+        g2 = GaussianMeasure.from_arrays([-1.5e308, 0.0], np.eye(2))
+        with pytest.raises(NonFiniteError, match="^Gaussian distance: "):
+            gaussian_alpha_distance(g1, g2, 0.5)
 
 
 class TestWassersteinGaussian:

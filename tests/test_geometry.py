@@ -10,6 +10,7 @@ from alphaproc import (
     DimensionError,
     DomainError,
     GeodesicCurve,
+    NonFiniteError,
     NonSpdIntermediateError,
     SingularBaseError,
     SpdMatrix,
@@ -358,6 +359,22 @@ class TestGeodesicLength:
         for steps in (50, 100.5):
             with pytest.raises(DomainError):
                 geodesic_length_numeric(curve, steps)
+
+
+class TestOverflow:
+    """A metric power beyond the float range is one typed error, with no RuntimeWarning."""
+
+    P0 = SpdMatrix.from_array(np.diag([10.0, 20.0]))
+    Y = SymMatrix.from_array([[1.0, 0.5], [0.5, 2.0]])
+
+    def test_metric_inner(self):
+        # 10^400 overflows the Lyapunov factor's powers
+        with pytest.raises(NonFiniteError, match="^metric inner product: "):
+            metric_inner(self.P0, self.Y, self.Y, 200.0)
+
+    def test_lyapunov_solve(self):
+        with pytest.raises(NonFiniteError, match="^matrix: "):
+            solve_general_lyapunov(self.P0, self.Y, 200.0)
 
 
 SCALES = [1e-30, 1e-12, 1e-9, 1e-6, 1e3, 1e30]

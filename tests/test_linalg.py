@@ -229,6 +229,20 @@ class TestLogExp:
         assert np.linalg.norm(back.mat - s.mat) <= 1e-10 * max(1.0, np.linalg.norm(s.mat))
 
 
+class TestExpOverflow:
+    """exp(800) is beyond the float range: one typed error (the suite errors on RuntimeWarning)."""
+
+    S = SymMatrix.from_array(np.diag([800.0, 1.0]))
+
+    def test_matrix_exponential(self):
+        with pytest.raises(NonFiniteError, match="^matrix exponential: "):
+            sym_exp(self.S)
+
+    def test_exp_derivative(self):
+        with pytest.raises(NonFiniteError, match="^matrix: "):
+            loewner_apply(sym_eigendecompose(self.S), "exp", SymMatrix.from_array(np.eye(2)))
+
+
 class TestPsdSqrt:
     def test_diagonal(self):
         out = spd_power(SpdMatrix.from_array(np.diag([4.0, 16.0])), 0.5)
@@ -473,3 +487,39 @@ class TestSingleLapackPath:
         monkeypatch.setattr(np.linalg, name, fail)
         with pytest.raises(ConvergenceFailureError, match="synthetic"):
             call()
+
+
+def _raise_sites(tree: ast.AST, exc_name: str) -> list[str]:
+    """Name of the innermost function around each ``raise exc_name(...)`` (module level: "")."""
+    sites = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if ast.unparse(target) == exc_name:
+                sites.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "")
+    return sites
+
+
+class TestSingleNonFiniteRule:
+    def test_non_finite_error_raised_only_by_the_rule(self):
+        sites = []
+        for path in sorted(Path(alphaproc.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            sites += [f"{path.name}:{owner}" for owner in _raise_sites(tree, "NonFiniteError")]
+        assert sites == ["linalg.py:_finite"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rule_names_the_stage(self, bad):
+        from alphaproc.linalg import _finite
+
+        _finite("stage", 1.0, np.ones(3), np.float64(2.0))
+        for values in ([bad], (1.0, np.array([1.0, bad]))):
+            with pytest.raises(NonFiniteError, match="^stage: NaN or infinite"):
+                _finite("stage", *values)

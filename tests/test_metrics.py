@@ -173,13 +173,17 @@ class TestPowerEuclidean:
         with pytest.raises(DomainError):
             power_euclidean(DIAG_A, DIAG_B, 0.0)
 
-    @pytest.mark.parametrize("alpha", [1000.0, -1000.0])
-    def test_overflow_raises_typed_error_without_warning(self, alpha):
-        # 3^1000 overflows the power; at -1000 every power is finite, but the
-        # norm of the ~1e301 difference overflows (pytest errors on RuntimeWarning)
+    def test_overflow_raises_typed_error_without_warning(self):
+        # 3^1000 overflows the power (pytest errors on RuntimeWarning)
         a, b = (SpdMatrix.from_array(np.diag(d)) for d in ([1.0, 2.0], [3.0, 0.5]))
-        with pytest.raises(NonFiniteError):
-            power_euclidean(a, b, alpha)
+        with pytest.raises(NonFiniteError, match="power 1000.0: .* overflows"):
+            power_euclidean(a, b, 1000.0)
+
+    def test_norm_that_overflows_is_rescaled(self):
+        # at -1000 every power is finite, but the squares of the ~1e301
+        # difference overflow: the value is 0.5^-1000 / 1000 to roundoff
+        a, b = (SpdMatrix.from_array(np.diag(d)) for d in ([1.0, 2.0], [3.0, 0.5]))
+        assert power_euclidean(a, b, -1000.0).value == pytest.approx(2.0**1000 / 1000, rel=1e-14)
 
     def test_tiny_alpha_routes_to_log(self):
         rng = np.random.default_rng(11)

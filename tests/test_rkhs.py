@@ -915,3 +915,29 @@ class TestDataset:
 
         with pytest.raises(NonFiniteError):
             Dataset.from_array([[1.0, np.nan], [0.0, 1.0]])
+
+
+class TestOverflow:
+    def test_ridge_power_that_overflows_is_a_typed_error(self):
+        # 0.1^-800 is beyond the float range; a Python float power would
+        # raise a bare OverflowError (the suite errors on RuntimeWarning)
+        rng = np.random.default_rng(1)
+        x = Dataset.from_array(rng.standard_normal((30, 3)))
+        y = Dataset.from_array(rng.standard_normal((25, 3)) + 1.0)
+        with pytest.raises(NonFiniteError, match="^cross-term eigensolve: "):
+            rkhs_alpha_distance(x, y, KernelSpec.gaussian_rbf(1.0), -400.0, 0.1)
+
+    def test_feature_covariance_that_overflows_is_a_typed_error(self):
+        # finite features whose covariance overflows (the suite errors on RuntimeWarning)
+        x = Dataset.from_array(np.random.default_rng(0).standard_normal((10, 2)) * 1e160)
+        with pytest.raises(NonFiniteError, match="^matrix: "):
+            explicit_feature_covariance(x, KernelSpec.linear())
+
+    def test_mean_embedding_sums_that_overflow_are_a_typed_error(self):
+        # 4 x 3 points near 3e153 (1, 1, 1) take the Gram route: each Gram entry
+        # and each row sum is finite, the sums over all 16 entries are not
+        rng = np.random.default_rng(0)
+        x, y = (Dataset.from_array(3e153 * (1.0 + 0.1 * rng.standard_normal((4, 3))))
+                for _ in range(2))
+        with pytest.raises(NonFiniteError, match="^Gaussian distance: "):
+            rkhs_gaussian_distance(x, y, KernelSpec.linear(), 0.5)
