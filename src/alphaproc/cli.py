@@ -5,10 +5,11 @@ Subcommands: dist, sweep, geodesic, gauss-dist, rkhs-dist, validate.
 Matrix CSV files are plain comma-separated rows with no header; matrices
 must be symmetric within 1e-8 (they are then symmetrized exactly).  Dataset
 CSV files hold one sample per row, with an optional header skipped by
---header.  Exit codes: 0 success, 2 parse/input errors (dimension mismatch
-and non-finite values included), 3 domain errors, 4 complex spectrum,
-5 validation failure.  Distances print with 12
-significant digits, so output is byte-stable for fixed inputs and seed.
+--header.  --output, --gamma and the matrix_a matrix_b pair are declared once
+and shared.  Exit codes: 0 success, 2 parse/input errors (dimension mismatch
+and non-finite values included), 3 other domain errors, 4 complex spectrum,
+5 validation failure.  Distances print with 12 significant digits, so output
+is byte-stable for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -19,12 +20,7 @@ import sys
 
 import numpy as np
 
-from .exceptions import (
-    AlphaProcError,
-    ComplexSpectrumError,
-    DimensionError,
-    NonFiniteError,
-)
+from .exceptions import AlphaProcError, ComplexSpectrumError, DimensionError, NonFiniteError
 from .gaussian import GaussianMeasure, MeanMetricSpec, _gaussian_terms
 from .geometry import GeodesicCurve, geodesic_length_numeric
 from .linalg import AlphaParam, SpdMatrix, _finite
@@ -97,13 +93,16 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _json_dump(payload: dict) -> str:
-    return json.dumps(payload) + "\n"
+def _emit_json(output: str | None, **fields) -> None:
+    _emit(json.dumps({"schema": 1, **fields}) + "\n", output)
+
+
+def _pair(args) -> tuple[SpdMatrix, SpdMatrix]:
+    return _read_matrix(args.matrix_a), _read_matrix(args.matrix_b)
 
 
 def _cmd_dist(args) -> int:
-    a = _read_matrix(args.matrix_a)
-    b = _read_matrix(args.matrix_b)
+    a, b = _pair(args)
     metric = args.metric
     needs_alpha = metric in ("alpha-procrustes", "power-euclidean")
     if needs_alpha and args.alpha is None:
@@ -121,21 +120,13 @@ def _cmd_dist(args) -> int:
     else:
         result = power_euclidean(a, b, alpha)
 
-    payload = {
-        "schema": 1,
-        "metric": metric,
-        "alpha": result.alpha.label() if needs_alpha else None,
-        "gamma": result.gamma,
-        "distance": _fmt(result.value),
-    }
+    label = result.alpha.label() if needs_alpha else None
+    distance = _fmt(result.value)
     if args.format == "json":
-        _emit(_json_dump(payload), args.output)
+        _emit_json(args.output, metric=metric, alpha=label, gamma=result.gamma, distance=distance)
     else:
-        alpha_cell = "" if payload["alpha"] is None else payload["alpha"]
-        _emit(
-            f"{metric},{alpha_cell},{payload['gamma']:.12g},{payload['distance']:.12g}\n",
-            args.output,
-        )
+        alpha_cell = "" if label is None else label
+        _emit(f"{metric},{alpha_cell},{result.gamma:.12g},{distance:.12g}\n", args.output)
     return 0
 
 
@@ -160,22 +151,13 @@ def _sweep_alphas(args) -> list[AlphaParam]:
 
 
 def _cmd_sweep(args) -> int:
-    a = _read_matrix(args.matrix_a)
-    b = _read_matrix(args.matrix_b)
+    a, b = _pair(args)
     rows = []
     for alpha in _sweep_alphas(args):
         rows.append((alpha.label(), _fmt(_family(a, b, alpha, args.gamma or None).value)))
     if args.format == "json":
-        _emit(
-            _json_dump(
-                {
-                    "schema": 1,
-                    "gamma": args.gamma,
-                    "rows": [{"alpha": al, "distance": d} for al, d in rows],
-                }
-            ),
-            args.output,
-        )
+        rows_json = [{"alpha": al, "distance": d} for al, d in rows]
+        _emit_json(args.output, gamma=args.gamma, rows=rows_json)
     else:
         lines = ["alpha,distance"]
         for al, d in rows:
@@ -191,8 +173,7 @@ def _matrix_block(mat: np.ndarray) -> str:
 
 
 def _cmd_geodesic(args) -> int:
-    a = _read_matrix(args.matrix_a)
-    b = _read_matrix(args.matrix_b)
+    a, b = _pair(args)
     alpha = _parse_alpha(args.alpha)
     if args.t_steps < 1:
         raise CliInputError("--t-steps must be >= 1")
@@ -203,17 +184,11 @@ def _cmd_geodesic(args) -> int:
         geodesic_length_numeric(curve, args.length_steps) if args.report_length else None
     )
     if args.format == "json":
-        payload = {
-            "schema": 1,
-            "alpha": alpha.label(),
-            "points": [
-                {"t": _fmt(t), "matrix": [[_fmt(v) for v in row] for row in mat]}
-                for t, mat in points
-            ],
-        }
-        if length is not None:
-            payload["length"] = _fmt(length)
-        _emit(_json_dump(payload), args.output)
+        points_json = [
+            {"t": _fmt(t), "matrix": [[_fmt(v) for v in row] for row in mat]} for t, mat in points
+        ]
+        tail = {} if length is None else {"length": _fmt(length)}
+        _emit_json(args.output, alpha=alpha.label(), points=points_json, **tail)
     else:
         blocks = [f"# t={t:.12g}\n{_matrix_block(mat)}" for t, mat in points]
         text = "\n\n".join(blocks) + "\n"
@@ -234,17 +209,8 @@ def _cmd_gauss_dist(args) -> int:
     g1 = GaussianMeasure.from_arrays(_read_vector(args.mean_a), _read_matrix(args.cov_a))
     g2 = GaussianMeasure.from_arrays(_read_vector(args.mean_b), _read_matrix(args.cov_b))
     alpha = _parse_alpha(args.alpha)
-    mean_term, cov_term, total = _gaussian_terms(g1, g2, alpha, args.gamma or None, mean_metric)
-    payload = {
-        "schema": 1,
-        "alpha": alpha.label(),
-        "gamma": args.gamma,
-        "mean_term": _fmt(mean_term),
-        "cov_term": _fmt(cov_term),
-        "distance": _fmt(total),
-    }
-    _emit(_json_dump(payload), args.output)
-    return 0
+    terms = _gaussian_terms(g1, g2, alpha, args.gamma or None, mean_metric)
+    return _emit_gaussian(args, alpha, terms)
 
 
 def _cmd_rkhs_dist(args) -> int:
@@ -252,17 +218,17 @@ def _cmd_rkhs_dist(args) -> int:
     y = _read_dataset(args.data_y, skip_header=args.header)
     kernel = KernelSpec.parse(args.kernel)
     alpha = _parse_alpha(args.alpha)
-    mean_term, cov_term, total = _rkhs_gaussian_terms(x, y, kernel, alpha, args.gamma)
-    payload = {
-        "schema": 1,
-        "kernel": args.kernel,
-        "alpha": alpha.label(),
-        "gamma": args.gamma,
-        "mean_term": _fmt(mean_term),
-        "cov_term": _fmt(cov_term),
-        "distance": _fmt(total),
-    }
-    _emit(_json_dump(payload), args.output)
+    terms = _rkhs_gaussian_terms(x, y, kernel, alpha, args.gamma)
+    return _emit_gaussian(args, alpha, terms, kernel=args.kernel)
+
+
+def _emit_gaussian(args, alpha: AlphaParam, terms: tuple[float, float, float], **head) -> int:
+    """Print (mean term, covariance term, distance) after the ``head`` fields."""
+    mean_term, cov_term, total = terms
+    _emit_json(
+        args.output, **head, alpha=alpha.label(), gamma=args.gamma,
+        mean_term=_fmt(mean_term), cov_term=_fmt(cov_term), distance=_fmt(total),
+    )
     return 0
 
 
@@ -291,86 +257,74 @@ def build_parser() -> argparse.ArgumentParser:
         description="Distances on SPD matrices, Gaussian measures, and RKHS covariance operators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("matrix_a")
+    pair.add_argument("matrix_b")
+    gamma = argparse.ArgumentParser(add_help=False)
+    gamma.add_argument(
+        "--gamma", type=float, default=0.0, help="ridge for the regularized distance"
+    )
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", default=None)
 
-    p = sub.add_parser("dist", help="distance between two SPD matrices")
-    p.add_argument("matrix_a")
-    p.add_argument("matrix_b")
+    def command(name, func, help_text, *parents):
+        p = sub.add_parser(name, parents=parents, help=help_text)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("dist", _cmd_dist, "distance between two SPD matrices", pair, gamma, output)
     p.add_argument(
         "--metric",
         default="alpha-procrustes",
         choices=["alpha-procrustes", "bures-wasserstein", "log-euclidean", "power-euclidean"],
     )
     p.add_argument("--alpha", help="family parameter, a float or 'log-limit'")
-    p.add_argument("--gamma", type=float, default=0.0, help="ridge for the regularized distance")
     p.add_argument("--format", default="json", choices=["json", "csv"])
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_dist)
 
-    p = sub.add_parser("sweep", help="family distance over a grid of alphas")
-    p.add_argument("matrix_a")
-    p.add_argument("matrix_b")
+    p = command("sweep", _cmd_sweep, "family distance over a grid of alphas", pair, gamma, output)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--alphas", help="comma-separated alphas, 'log-limit' allowed")
     group.add_argument("--alpha-range", help="lo:hi:steps uniform grid")
-    p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--format", default="csv", choices=["json", "csv"])
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("geodesic", help="sample the geodesic between two SPD matrices")
-    p.add_argument("matrix_a")
-    p.add_argument("matrix_b")
+    p = command("geodesic", _cmd_geodesic, "sample the geodesic between two SPD matrices",
+                pair, output)
     p.add_argument("--alpha", required=True)
     p.add_argument("--t-steps", type=int, required=True)
     p.add_argument("--report-length", action="store_true")
     p.add_argument("--length-steps", type=int, default=1000)
     p.add_argument("--format", default="csv", choices=["json", "csv"])
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_geodesic)
 
-    p = sub.add_parser("gauss-dist", help="distance between two Gaussian measures")
-    p.add_argument("--mean-a", required=True)
-    p.add_argument("--cov-a", required=True)
-    p.add_argument("--mean-b", required=True)
-    p.add_argument("--cov-b", required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--gamma", type=float, default=0.0)
+    p = command("gauss-dist", _cmd_gauss_dist, "distance between two Gaussian measures",
+                gamma, output)
+    for name in ("--mean-a", "--cov-a", "--mean-b", "--cov-b", "--alpha"):
+        p.add_argument(name, required=True)
     p.add_argument("--mean-weights", default=None, help="comma-separated positive weights")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_gauss_dist)
 
-    p = sub.add_parser("rkhs-dist", help="distance between RKHS Gaussians of two datasets")
+    p = command("rkhs-dist", _cmd_rkhs_dist, "distance between RKHS Gaussians of two datasets",
+                gamma, output)
     p.add_argument("data_x")
     p.add_argument("data_y")
     p.add_argument("--kernel", required=True, help="linear | poly:d=2,c=1 | rbf:sigma=0.5")
     p.add_argument("--alpha", required=True)
-    p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--header", action="store_true", help="skip a header row in the CSVs")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_rkhs_dist)
 
-    p = sub.add_parser("validate", help="run the randomized property suites")
+    p = command("validate", _cmd_validate, "run the randomized property suites")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=50)
-    p.set_defaults(func=_cmd_validate)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliInputError, DimensionError, NonFiniteError) as exc:
+    except (CliInputError, AlphaProcError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ComplexSpectrumError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
-    except AlphaProcError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
+        if isinstance(exc, ComplexSpectrumError):
+            return 4
+        return 2 if isinstance(exc, (CliInputError, DimensionError, NonFiniteError)) else 3
 
 
 def run() -> None:

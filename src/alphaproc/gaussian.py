@@ -79,6 +79,13 @@ class MeanMetricSpec:
 EUCLIDEAN_MEAN = MeanMetricSpec()
 
 
+def _combine(d_mean: float, d_cov: float) -> tuple[float, float, float]:
+    """(d_mean, d_cov, sqrt(d_mean^2 + d_cov^2 / 4)), the last checked finite."""
+    total = math.hypot(d_mean, d_cov / 2.0)
+    _finite("Gaussian distance", total)
+    return d_mean, d_cov, total
+
+
 def _gaussian_terms(
     g1: GaussianMeasure, g2: GaussianMeasure, alpha, gamma: Optional[float],
     mean_metric: MeanMetricSpec,
@@ -87,10 +94,7 @@ def _gaussian_terms(
     if g1.dim != g2.dim:
         raise DimensionError(f"Gaussian dimensions differ: {g1.dim} vs {g2.dim}")
     d_mean = mean_metric.distance(g1.mean, g2.mean)
-    d_cov = _family(g1.covariance, g2.covariance, alpha, gamma).value
-    total = math.hypot(d_mean, d_cov / 2.0)
-    _finite("Gaussian distance", total)
-    return d_mean, d_cov, total
+    return _combine(d_mean, _family(g1.covariance, g2.covariance, alpha, gamma).value)
 
 
 def gaussian_alpha_distance(

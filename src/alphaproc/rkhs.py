@@ -35,6 +35,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .exceptions import DimensionError, DomainError, UnsupportedKernelError
+from .gaussian import _combine
 from .linalg import AlphaParam, SpdMatrix, as_alpha, nuclear_norm, psd_tolerance, sym_eigh
 from .linalg import _finite, _lapack_guard, _require_strict, trace_sqrt
 from .metrics import _check_gamma, _trace_form
@@ -66,8 +67,14 @@ class KernelSpec:
                 raise DomainError("polynomial degree must be an integer >= 1")
             if self.offset < 0:
                 raise DomainError("polynomial offset must be >= 0")
+            object.__setattr__(self, "degree", int(self.degree))
         if self.kind == "rbf" and self.sigma <= 0:
             raise DomainError("RBF bandwidth must be > 0")
+        # gram divides by 2 sigma^2; the product, unlike **, reads inf on overflow
+        if self.kind == "rbf" and not 0 < 2.0 * (self.sigma * self.sigma) < math.inf:
+            raise DomainError(
+                f"RBF bandwidth 2 sigma^2 must be a positive finite float, got sigma={self.sigma}"
+            )
 
     @classmethod
     def linear(cls) -> "KernelSpec":
@@ -415,10 +422,7 @@ def _rkhs_gaussian_terms(
 ) -> tuple[float, float, float]:
     """(mean embedding distance, d_cov, distance) from one set of centered blocks."""
     mdd, cg = _centered_blocks(x, y, kernel)
-    d_mean, d_cov = math.sqrt(mdd), _covariance_distance(cg, alpha, gamma or None)
-    total = math.hypot(d_mean, d_cov / 2.0)
-    _finite("Gaussian distance", total)
-    return d_mean, d_cov, total
+    return _combine(math.sqrt(mdd), _covariance_distance(cg, alpha, gamma or None))
 
 
 def rkhs_wasserstein(x: Dataset, y: Dataset, kernel: KernelSpec) -> float:

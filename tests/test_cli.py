@@ -53,6 +53,74 @@ def datasets(tmp_path):
     return x, y
 
 
+# The exact stdout of every call that takes --output, on commuting diagonal
+# inputs whose values are exact at the printed precision.
+GOLDEN_STDOUT = {
+    "dist-json": (
+        ["dist", "--alpha", "0.5", "A.csv", "B.csv"],
+        '{"schema": 1, "metric": "alpha-procrustes", "alpha": 0.5, "gamma": 0.0,'
+        ' "distance": 5.65685424949}\n',
+    ),
+    "dist-csv": (
+        ["dist", "--alpha", "0.5", "A.csv", "B.csv", "--format", "csv"],
+        "alpha-procrustes,0.5,0,5.65685424949\n",
+    ),
+    "sweep-csv": (
+        ["sweep", "--alphas", "0.5,1,log-limit", "A.csv", "B.csv"],
+        "alpha,distance\n0.5,5.65685424949\n1,14.4222051019\nlog-limit,2.59800075037\n",
+    ),
+    "sweep-json": (
+        ["sweep", "--alphas", "0.5,1,log-limit", "A.csv", "B.csv", "--format", "json"],
+        '{"schema": 1, "gamma": 0.0, "rows": [{"alpha": 0.5, "distance": 5.65685424949},'
+        ' {"alpha": 1.0, "distance": 14.4222051019},'
+        ' {"alpha": "log-limit", "distance": 2.59800075037}]}\n',
+    ),
+    "geodesic-csv": (
+        ["geodesic", "--alpha", "0.5", "--t-steps", "2", "A.csv", "B.csv"],
+        "# t=0\n1,0\n0,4\n\n# t=0.5\n4,0\n0,9\n\n# t=1\n9,0\n0,16\n",
+    ),
+    "geodesic-json": (
+        ["geodesic", "--alpha", "0.5", "--t-steps", "2", "A.csv", "B.csv", "--format", "json"],
+        '{"schema": 1, "alpha": 0.5, "points": [{"t": 0.0, "matrix": [[1.0, 0.0], [0.0, 4.0]]},'
+        ' {"t": 0.5, "matrix": [[4.0, 0.0], [0.0, 9.0]]},'
+        ' {"t": 1.0, "matrix": [[9.0, 0.0], [0.0, 16.0]]}]}\n',
+    ),
+    "gauss-dist": (
+        ["gauss-dist", "--mean-a", "ma.csv", "--cov-a", "A.csv", "--mean-b", "mb.csv",
+         "--cov-b", "B.csv", "--alpha", "0.5"],
+        '{"schema": 1, "alpha": 0.5, "gamma": 0.0, "mean_term": 5.0,'
+        ' "cov_term": 5.65685424949, "distance": 5.74456264654}\n',
+    ),
+    "rkhs-dist": (
+        ["rkhs-dist", "X.csv", "Y.csv", "--kernel", "linear", "--alpha", "0.5"],
+        '{"schema": 1, "kernel": "linear", "alpha": 0.5, "gamma": 0.0,'
+        ' "mean_term": 2.2360679775, "cov_term": 2.0, "distance": 2.44948974278}\n',
+    ),
+}
+
+
+@pytest.fixture
+def golden_argv(tmp_path, matrices):
+    """argv of a GOLDEN_STDOUT case, its file names replaced by written files."""
+    files = {
+        "A.csv": matrices[0],
+        "B.csv": matrices[1],
+        "ma.csv": write_matrix(tmp_path / "ma.csv", [[1.0], [2.0]]),
+        "mb.csv": write_matrix(tmp_path / "mb.csv", [[4.0, 6.0]]),
+        # covariances diag(1, 1) and diag(4, 1), means 2 apart in x and 1 in y
+        "X.csv": write_matrix(tmp_path / "X.csv", [[0, 0], [2, 0], [0, 2], [2, 2]]),
+        "Y.csv": write_matrix(tmp_path / "Y.csv", [[1, 1], [5, 1], [1, 3], [5, 3]]),
+    }
+    return lambda case: [files.get(arg, arg) for arg in GOLDEN_STDOUT[case][0]]
+
+
+@pytest.mark.parametrize("case", GOLDEN_STDOUT)
+def test_golden_stdout(golden_argv, case):
+    code, out, err = run_cli(golden_argv(case))
+    assert (code, err) == (0, "")
+    assert out == GOLDEN_STDOUT[case][1]
+
+
 class TestDist:
     def test_alpha_procrustes_commuting(self, matrices):
         a, b = matrices
@@ -197,15 +265,15 @@ class TestDist:
         code, _, _ = run_cli(["dist", matrices[0], indefinite, "--alpha", "0.5"])
         assert code == 3
 
-    def test_output_file(self, matrices, tmp_path):
-        a, b = matrices
-        out_path = tmp_path / "result.json"
-        code, out, _ = run_cli(
-            ["dist", "--alpha", "1", a, b, "--output", str(out_path)]
-        )
-        assert code == 0
-        assert out == ""
-        assert json.loads(out_path.read_text())["schema"] == 1
+    @pytest.mark.parametrize("case", GOLDEN_STDOUT)
+    def test_output_file(self, golden_argv, tmp_path, case):
+        """--output writes exactly the bytes the same call prints, and prints nothing."""
+        argv = golden_argv(case)
+        _, printed, _ = run_cli(argv)
+        out_path = tmp_path / "result.txt"
+        code, out, err = run_cli([*argv, "--output", str(out_path)])
+        assert (code, out, err) == (0, "", "")
+        assert out_path.read_bytes() == printed.encode("utf-8")
 
 
 class TestSweep:
@@ -462,6 +530,19 @@ class TestRkhsDist:
         assert code == 3
         assert out == "" and "gamma must be positive and finite" in err
 
+    @pytest.mark.parametrize("sigma", ["1e200", "1e-200"])
+    def test_bandwidth_out_of_float_range_exits_3(self, datasets, sigma):
+        proc = subprocess.run(
+            [sys.executable, "-m", "alphaproc", "rkhs-dist", *datasets,
+             "--kernel", f"rbf:sigma={sigma}", "--alpha", "0.5", "--gamma", "0.1"],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+        )
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith("error: RBF bandwidth 2 sigma^2 must be a positive finite")
+
     @pytest.mark.parametrize(
         "kernel",
         ["rbf:sigma=nan", "rbf:sigma=inf", "poly:d=2,c=nan", "poly:d=2,c=inf", "rbf:sgima=0.5"],
@@ -618,6 +699,24 @@ class TestExitCodeMapping:
         )
         assert code == 4
         assert "synthetic" in err
+
+    @pytest.mark.parametrize(
+        "error, expected",
+        [("CliInputError", 2), ("DimensionError", 2), ("NonFiniteError", 2),
+         ("DomainError", 3), ("ConvergenceFailureError", 3), ("NotPsdError", 3)],
+    )
+    def test_one_rule_maps_each_error(self, monkeypatch, datasets, error, expected):
+        import alphaproc
+        import alphaproc.cli as cli_mod
+
+        cls = cli_mod.CliInputError if error == "CliInputError" else getattr(alphaproc, error)
+
+        def boom(*args, **kwargs):
+            raise cls("synthetic")
+
+        monkeypatch.setattr(cli_mod, "_rkhs_gaussian_terms", boom)
+        code, out, err = run_cli(["rkhs-dist", *datasets, "--kernel", "linear", "--alpha", "0.5"])
+        assert (code, out, err) == (expected, "", "error: synthetic\n")
 
     def test_subprocess_entry_point(self, matrices):
         a, b = matrices

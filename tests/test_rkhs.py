@@ -204,6 +204,23 @@ class TestKernelSpec:
         with pytest.raises(DomainError, match="must be finite"):
             make(value)
 
+    @pytest.mark.parametrize("sigma", ["1e200", "1e-200"])
+    def test_bandwidth_out_of_float_range_rejected(self, sigma):
+        # 2 sigma^2 overflows to inf, or underflows to 0, in the Gram's division
+        with pytest.raises(DomainError, match="2 sigma\\^2 must be a positive finite float"):
+            KernelSpec.parse(f"rbf:sigma={sigma}")
+
+    def test_integral_float_degree_is_stored_as_int(self):
+        spec = KernelSpec("poly", degree=2.0, offset=1.0)
+        assert spec == POLY and repr(spec) == repr(POLY) and type(spec.degree) is int
+        rng = np.random.default_rng(7)
+        x = Dataset.from_array(rng.standard_normal((9, 2)))
+        y = Dataset.from_array(rng.standard_normal((8, 2)))
+        assert rkhs_gaussian_distance(x, y, spec, 0.25, 0.1) == rkhs_gaussian_distance(
+            x, y, POLY, 0.25, 0.1
+        )
+        assert explicit_feature_covariance(x, spec)[1].n == 6
+
 
 class TestGramBundle:
     def test_overflow_is_a_typed_error(self):
