@@ -15,6 +15,7 @@ is byte-stable for fixed inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -316,8 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: the tree never changes between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (CliInputError, AlphaProcError) as exc:

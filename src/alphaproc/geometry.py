@@ -7,11 +7,10 @@ H is the unique symmetric solution of
 
 and <Y, Z>_P0 = 4 tr(H_Y P0^2a H_Z).  In the eigenbasis of P0 the composite
 operator diagonalizes, so the solve is a single elementwise division.  The
-connecting geodesic has the closed form
-
-    g(t) = [(1-t)^2 A^2a + t^2 B^2a + t(1-t)((A^2a B^2a)^1/2 + (B^2a A^2a)^1/2)]^(1/2a)
-
-whose length reproduces the closed-form distance; geodesic_length_numeric
+connecting geodesic is g(t) = (X X')^(1/2a), X = (1-t) A^a + t B^a U, with U
+the polar factor of B^a A^a that minimizes |A^a - B^a U|_F (the Procrustes
+form of the Bures-Wasserstein geodesic in Bhatia, Jain and Lim 2019).  Its
+length reproduces the closed-form distance; geodesic_length_numeric
 validates that numerically with an independent finite-difference speed.
 """
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .exceptions import DomainError, NonSpdIntermediateError
 from .linalg import DIVIDED_DIFF_TOL, AlphaParam, SpdMatrix, SymMatrix, as_alpha, psd_tolerance
-from .linalg import _check_dims, _finite, _log_divided_difference, _require_strict
+from .linalg import _check_dims, _finite, _log_divided_difference, _polar_factor, _require_strict
 from .linalg import spd_power, sym_eigh
 
 # Largest stack, in float64 entries, that one quadrature eigensolve takes
@@ -130,18 +129,17 @@ class GeodesicCurve:
 
     @cached_property
     def _closed_form(self):
-        """A^2a, B^2a and the symmetrized non-symmetric square root, built once."""
+        """A^2a, B^2a and the cross term S + S' of the bracket X X', built once.
+
+        S = B^a U A^a, with U = P Q' from the one SVD B^a A^a = P S0 Q'.
+        """
         alpha = self.alpha.value
         with np.errstate(over="ignore", invalid="ignore"):
             a2 = spd_power(self.a, 2.0 * alpha).mat
             b2 = spd_power(self.b, 2.0 * alpha).mat
             a_pow = spd_power(self.a, alpha).mat
-            a_inv = spd_power(self.a, -alpha).mat
-            # (A^2a B^2a)^(1/2) = A^a (A^a B^2a A^a)^(1/2) A^-a; its transpose is
-            # (B^2a A^2a)^(1/2), so the geodesic bracket needs s + s.T
-            inner = a_pow @ b2 @ a_pow
-            _finite("geodesic cross term", inner)
-            s = a_pow @ spd_power(SpdMatrix.from_array(inner), 0.5).mat @ a_inv
+            b_pow = spd_power(self.b, alpha).mat
+            s = b_pow @ _polar_factor(b_pow @ a_pow) @ a_pow
             cross = s + s.T
         _finite("geodesic cross term", cross)
         return a2, b2, cross
@@ -149,14 +147,14 @@ class GeodesicCurve:
     def _spectra(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Eigenpairs of g(t) for a 1-D array of k values of t, no range check.
 
-        One stacked eigensolve of the brackets; returns their eigenvectors
-        (k, n, n) and eigenvalues raised to 1/2a (k, n, descending when
-        alpha < 0).
+        One stacked eigensolve of the brackets (sums of exactly symmetric
+        terms, so exactly symmetric); returns their eigenvectors (k, n, n)
+        and eigenvalues raised to 1/2a (k, n, descending when alpha < 0).
         """
         a2, b2, cross = self._closed_form
         t = ts[:, None, None]
         bracket = (1.0 - t) ** 2 * a2 + t**2 * b2 + t * (1.0 - t) * cross
-        w, v = sym_eigh((bracket + np.swapaxes(bracket, -1, -2)) / 2.0)
+        w, v = sym_eigh(bracket)
         lost = w[:, 0] <= psd_tolerance(w[:, -1])
         if lost.any():
             i = int(np.argmax(lost))

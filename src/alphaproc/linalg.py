@@ -5,10 +5,12 @@ Frechet-derivative map in this package goes through one full symmetric
 eigendecomposition.  A single code path keeps log/exp/power/sqrt exactly
 consistent with each other, which the identity tests rely on.  This module
 also makes every eigensolve and singular value decomposition of the
-package, behind the one guard that turns a failure into a typed error;
-``rkhs`` puts its QR factorizations behind the same guard.  ``_finite`` is
-the one rule that turns a NaN or an infinity into NonFiniteError; code that
-may overflow runs under ``np.errstate``, so no numpy warning comes first.
+package, behind the one guard that turns a failure into a typed error:
+the SVDs are ``nuclear_norm`` (the unregularized RKHS cross term) and
+``_polar_factor`` (the geodesic's cross term).  ``rkhs`` puts its QR
+factorizations behind the same guard.  ``_finite`` is the one rule that
+turns a NaN or an infinity into NonFiniteError; code that may overflow
+runs under ``np.errstate``, so no numpy warning comes first.
 """
 
 from __future__ import annotations
@@ -325,6 +327,13 @@ def nuclear_norm(mat: np.ndarray) -> float:
     """tr[(M' M)^(1/2)] as the sum of singular values: no clamp at rank deficiency."""
     with _lapack_guard("singular values", mat):
         return float(np.sum(np.linalg.svd(mat, compute_uv=False)))
+
+
+def _polar_factor(mat: np.ndarray) -> np.ndarray:
+    """Orthogonal polar factor U = P Q' of M = P S Q', the U that maximizes tr(U' M)."""
+    with _lapack_guard("polar factor", mat):
+        p, _, qt = np.linalg.svd(mat)
+    return p @ qt
 
 
 def _log_divided_difference(li, lj):

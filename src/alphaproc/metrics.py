@@ -159,7 +159,7 @@ def power_euclidean(a: SpdMatrix, b: SpdMatrix, alpha) -> DistanceResult:
     pairs.  Exact alpha = 0 raises DomainError, and so does
     ``AlphaParam.log_limit()`` (the CLI's ``--alpha log-limit``), whose
     value is 0; 0 < |alpha| < 1e-7 routes to the log-Euclidean distance.
-    An overflowing power or distance raises NonFiniteError; an overflowing norm is rescaled.
+    An overflowing power or distance raises NonFiniteError; the norm is taken rescaled.
     """
     _check_dims(a, b)
     al = as_alpha(alpha)
@@ -170,11 +170,10 @@ def power_euclidean(a: SpdMatrix, b: SpdMatrix, alpha) -> DistanceResult:
     _require_strict_unridged(a, b, al)
     with np.errstate(over="ignore", invalid="ignore"):
         diff = spd_power(a, al.value).mat - spd_power(b, al.value).mat
-        norm = float(np.linalg.norm(diff))
-        if not math.isfinite(norm):
-            top = float(np.max(np.abs(diff)))
-            norm = top * float(np.linalg.norm(diff / top))
-        value = norm / abs(al.value)
+        # scaled by the exact power of two of its largest entry: the squares
+        # cannot overflow, and where they would not, the norm is bitwise equal
+        _, e = np.frexp(np.max(np.abs(diff)))
+        value = float(np.ldexp(np.linalg.norm(np.ldexp(diff, -e)), e)) / abs(al.value)
     _finite(f"power Euclidean distance at alpha {al.value}", value)
     return DistanceResult(value, al, 0.0, (a, b))
 

@@ -113,7 +113,7 @@ class KernelSpec:
         try:
             if head == "poly":
                 return cls.polynomial(
-                    degree=int(params.get("d", 2)), offset=float(params.get("c", 0.0))
+                    degree=float(params.get("d", 2)), offset=float(params.get("c", 0.0))
                 )
             return cls.gaussian_rbf(sigma=float(params.get("sigma", 1.0)))
         except ValueError as exc:

@@ -12,6 +12,7 @@ from alphaproc import (
     GeodesicCurve,
     KernelSpec,
     NonFiniteError,
+    NonSpdIntermediateError,
     SpdMatrix,
     alpha_procrustes,
     alpha_procrustes_regularized,
@@ -119,6 +120,20 @@ def test_golden_stdout(golden_argv, case):
     code, out, err = run_cli(golden_argv(case))
     assert (code, err) == (0, "")
     assert out == GOLDEN_STDOUT[case][1]
+
+
+def test_parser_built_once_per_process(monkeypatch, golden_argv):
+    import alphaproc.cli as cli_mod
+
+    original, built = cli_mod.build_parser, []
+    monkeypatch.setattr(cli_mod, "build_parser", lambda: built.append(1) or original())
+    cli_mod._parser.cache_clear()
+    try:
+        for case in ("dist-json", "geodesic-csv"):
+            assert run_cli(golden_argv(case)) == (0, GOLDEN_STDOUT[case][1], "")
+    finally:
+        cli_mod._parser.cache_clear()
+    assert len(built) == 1
 
 
 class TestDist:
@@ -366,7 +381,7 @@ class TestGeodesic:
         assert out == "" and "no log-limit form" in err
 
     def test_curve_closed_form_built_once(self, tmp_path, eigh_orders):
-        # 2 endpoint reads + 5 points + 102 quadrature points + 1 cross root
+        # 2 endpoint reads + 5 points + 102 quadrature points
         rng = np.random.default_rng(20)
         a = write_matrix(tmp_path / "A.csv", rand_spd(rng, 3).mat)
         b = write_matrix(tmp_path / "B.csv", rand_spd(rng, 3).mat)
@@ -376,7 +391,7 @@ class TestGeodesic:
              "--length-steps", "100"]
         )
         assert code == 0
-        assert len(eigh_orders) == 110
+        assert len(eigh_orders) == 109
 
 
 class TestGaussDist:
@@ -506,6 +521,16 @@ class TestRkhsDist:
             assert code == 0
             distances.append(json.loads(out)["distance"])
         assert distances[0] != distances[1]
+
+    def test_integral_float_degree(self, datasets):
+        payloads = []
+        for degree in ("2", "2.0"):
+            code, out, err = run_cli(
+                ["rkhs-dist", *datasets, "--kernel", f"poly:d={degree},c=1", "--alpha", "0.75"]
+            )
+            assert (code, err) == (0, "")
+            payloads.append(json.loads(out))
+        assert payloads[0] == payloads[1] | {"kernel": payloads[0]["kernel"]}
 
     def test_log_limit_needs_gamma(self, datasets):
         x, y = datasets
@@ -760,11 +785,6 @@ NON_FINITE_CASES = {
         lambda a, b: GeodesicCurve(SpdMatrix.from_array(a), SpdMatrix.from_array(b), 1000).at(0.5),
         "power 2000.0",
     ),
-    "geodesic-200": (
-        ["geodesic", "--alpha", "200", "--t-steps", "3"], _pair_3x3(),
-        lambda a, b: GeodesicCurve(SpdMatrix.from_array(a), SpdMatrix.from_array(b), 200).at(0.5),
-        "geodesic cross term",
-    ),
     "dist-200": (
         ["dist", "--alpha", "200"], _pair_3x3(),
         lambda a, b: alpha_procrustes(SpdMatrix.from_array(a), SpdMatrix.from_array(b), 200),
@@ -822,3 +842,21 @@ class TestNonFiniteRule:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.splitlines() == [proc.stderr.strip()]
         assert proc.stderr.startswith(f"error: {stage}: NaN or infinite")
+
+
+def test_geodesic_alpha_200_is_a_typed_positivity_error(tmp_path):
+    # the cross term (~1e188) no longer overflows; the bracket's smallest
+    # eigenvalue (~0.4^400) is below the roundoff of its largest
+    a, b = _pair_3x3()
+    with pytest.raises(NonSpdIntermediateError, match="lost positivity at t=0.5 "):
+        GeodesicCurve(SpdMatrix.from_array(a), SpdMatrix.from_array(b), 200).at(0.5)
+    paths = [write_matrix(tmp_path / f"{name}.csv", arr) for name, arr in zip("ab", (a, b))]
+    proc = subprocess.run(
+        [sys.executable, "-m", "alphaproc", "geodesic", *paths, "--alpha", "200", "--t-steps", "3"],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("error: geodesic bracket lost positivity")

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import rand_spd, rand_sym
+from conftest import rand_orthogonal, rand_spd, rand_sym
 
 from alphaproc import (
     AlphaParam,
@@ -216,6 +216,38 @@ class TestMetricInner:
             assert abs(value - expected) <= 1e-12 * scale
 
 
+def ill_conditioned_pair(seed: int, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """A = Q diag(geomspace(1/c, 1, 4)) Q' of condition number c, and B = G G' + I/2."""
+    rng = np.random.default_rng(seed)
+    q = rand_orthogonal(rng, 4)
+    g = rng.standard_normal((4, 4))
+    return (q * np.geomspace(1.0 / c, 1.0, 4)) @ q.T, g @ g.T + 0.5 * np.eye(4)
+
+
+def mp_geodesic_points(a, b, alphas, ts, dps=50):
+    """{(alpha, t): g(t)} at ``dps`` digits, from the closed form whose cross
+    root is A^a (A^a B^2a A^a)^(1/2) A^-a; A and B are decomposed once."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        (la, ua), (lb, ub) = (mp.eigsy(mp.matrix(m.tolist())) for m in (a, b))
+
+        def power(lam, u, p):
+            return u * mp.diag([x**p for x in lam]) * u.T
+
+        points = {}
+        for alpha in alphas:
+            al = mp.mpf(alpha)
+            a_pow, a2, b2 = power(la, ua, al), power(la, ua, 2 * al), power(lb, ub, 2 * al)
+            inner = a_pow * b2 * a_pow
+            s = a_pow * power(*mp.eigsy((inner + inner.T) / 2), mp.mpf(0.5)) * power(la, ua, -al)
+            for t in ts:
+                tm = mp.mpf(t)
+                bracket = (1 - tm) ** 2 * a2 + tm**2 * b2 + tm * (1 - tm) * (s + s.T)
+                g = power(*mp.eigsy((bracket + bracket.T) / 2), 1 / (2 * al))
+                points[alpha, t] = np.array(g.tolist(), dtype=float)
+    return points
+
+
 class TestGeodesic:
     def test_endpoints(self):
         rng = np.random.default_rng(8)
@@ -263,6 +295,30 @@ class TestGeodesic:
         for t in (0.1, 0.45, 0.9):
             assert curve.at(t).min_eig > 0
 
+    @pytest.mark.parametrize("c", [1e4, 1e6, 1e10])
+    def test_ill_conditioned_points_match_mpmath(self, c):
+        # the cross term comes from a polar factor, not from A^-a, so the
+        # roundoff does not grow with cond(A); alpha < 0 still does
+        bounds = {1.0: 1e-11, 2.0: 1e-11} | ({-0.5: 1e-9} if c <= 1e6 else {})
+        ts = (0.1, 0.5, 0.9)
+        for seed in range(3):
+            a, b = ill_conditioned_pair(seed, c)
+            referee = mp_geodesic_points(a, b, bounds, ts)
+            for alpha, bound in bounds.items():
+                curve = GeodesicCurve(SpdMatrix.from_array(a), SpdMatrix.from_array(b), alpha)
+                for t in ts:
+                    ref = referee[alpha, t]
+                    err = np.linalg.norm(curve.at(t).mat - ref) / np.linalg.norm(ref)
+                    assert err <= bound, (seed, alpha, t, err)
+
+    def test_ill_conditioned_alpha_2_interior_point_exists(self):
+        # cond(A) = 1e10: a cross term conjugated by A^-a (entries ~1e20)
+        # makes this bracket indefinite on every seed
+        for seed in range(20):
+            a, b = ill_conditioned_pair(seed, 1e10)
+            curve = GeodesicCurve(SpdMatrix.from_array(a), SpdMatrix.from_array(b), 2.0)
+            assert curve.at(0.1).min_eig > 0
+
 
 class TestGeodesicLength:
     def test_degenerate_curve(self):
@@ -285,12 +341,12 @@ class TestGeodesicLength:
         assert length == pytest.approx(alpha_procrustes(a, b, 0.25).value, rel=1e-3)
 
     def test_each_grid_point_evaluated_once(self, eigh_orders):
-        # steps + 2 grid points plus one eigensolve for the cross root
+        # steps + 2 grid points; the cross term takes an SVD, not an eigensolve
         rng = np.random.default_rng(18)
         curve = GeodesicCurve(rand_spd(rng, 3), rand_spd(rng, 3), 0.7)
         eigh_orders.clear()
         geodesic_length_numeric(curve, 100)
-        assert len(eigh_orders) == 103
+        assert len(eigh_orders) == 102
 
     @pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.25, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("n, steps", [(2, 100), (5, 100), (48, 337)])

@@ -17,6 +17,7 @@ from alphaproc import (
     DimensionError,
     DomainError,
     GaussianMeasure,
+    GeodesicCurve,
     KernelSpec,
     MeanMetricSpec,
     NonFiniteError,
@@ -470,22 +471,26 @@ class TestSingleLapackPath:
         assert offenders == []
 
     @pytest.mark.parametrize(
-        "name, call",
+        "name, call, stage",
         [
-            ("eigh", lambda: sym_eigendecompose(SymMatrix.from_array(np.eye(3)))),
+            ("eigh", lambda: sym_eigendecompose(SymMatrix.from_array(np.eye(3))),
+             "eigendecomposition"),
             ("eigvalsh", lambda: trace_sqrt_triple(
                 SpdMatrix.from_array(np.eye(3)), SpdMatrix.from_array(np.eye(3)), 0.5
-            )),
-            ("svd", lambda: nuclear_norm(np.eye(3))),
+            ), "cross-term eigensolve"),
+            ("svd", lambda: nuclear_norm(np.eye(3)), "singular values"),
+            ("svd", lambda: GeodesicCurve(
+                SpdMatrix.from_array(np.eye(3)), SpdMatrix.from_array(2.0 * np.eye(3)), 0.5
+            ).at(0.5), "polar factor"),
         ],
-        ids=["eigh", "eigvalsh", "svd"],
+        ids=["eigh", "eigvalsh", "svd", "svd-geodesic"],
     )
-    def test_lapack_failure_is_typed(self, monkeypatch, name, call):
+    def test_lapack_failure_is_typed(self, monkeypatch, name, call, stage):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("synthetic")
 
         monkeypatch.setattr(np.linalg, name, fail)
-        with pytest.raises(ConvergenceFailureError, match="synthetic"):
+        with pytest.raises(ConvergenceFailureError, match=f"^{stage} failed: synthetic$"):
             call()
 
 

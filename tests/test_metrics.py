@@ -31,6 +31,7 @@ from alphaproc import (
     power_euclidean,
     procrustes_bruteforce_2x2,
     rkhs_alpha_distance,
+    spd_power,
 )
 
 DIAG_A = SpdMatrix.from_array(np.diag([1.0, 4.0]))
@@ -184,6 +185,24 @@ class TestPowerEuclidean:
         # difference overflow: the value is 0.5^-1000 / 1000 to roundoff
         a, b = (SpdMatrix.from_array(np.diag(d)) for d in ([1.0, 2.0], [3.0, 0.5]))
         assert power_euclidean(a, b, -1000.0).value == pytest.approx(2.0**1000 / 1000, rel=1e-14)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_norm_bitwise_equals_numpy_where_squares_are_finite(self, alpha):
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            n, scale = int(rng.integers(1, 13)), 10.0 ** rng.uniform(-150, 150)
+            a, b = (SpdMatrix.from_array(rand_spd(rng, n).mat * scale) for _ in range(2))
+            diff = spd_power(a, alpha).mat - spd_power(b, alpha).mat
+            assert power_euclidean(a, b, alpha).value == np.linalg.norm(diff) / alpha
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    def test_norm_whose_squares_overflow_matches_max_entry_rescaling(self, scale):
+        rng = np.random.default_rng(14)
+        a, b = (SpdMatrix.from_array(rand_spd(rng, 5).mat * scale) for _ in range(2))
+        diff = spd_power(a, 1.0).mat - spd_power(b, 1.0).mat
+        top = np.max(np.abs(diff))
+        expected = top * np.linalg.norm(diff / top)
+        assert power_euclidean(a, b, 1.0).value == pytest.approx(expected, rel=4e-16)
 
     def test_tiny_alpha_routes_to_log(self):
         rng = np.random.default_rng(11)

@@ -210,6 +210,11 @@ class TestKernelSpec:
         with pytest.raises(DomainError, match="2 sigma\\^2 must be a positive finite float"):
             KernelSpec.parse(f"rbf:sigma={sigma}")
 
+    def test_parse_takes_integral_float_degree(self):
+        assert KernelSpec.parse("poly:d=2.0,c=1") == KernelSpec.polynomial(2, 1.0)
+        with pytest.raises(DomainError, match="^polynomial degree must be an integer >= 1$"):
+            KernelSpec.parse("poly:d=2.5")
+
     def test_integral_float_degree_is_stored_as_int(self):
         spec = KernelSpec("poly", degree=2.0, offset=1.0)
         assert spec == POLY and repr(spec) == repr(POLY) and type(spec.degree) is int
