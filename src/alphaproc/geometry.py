@@ -22,9 +22,9 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import DomainError, NonSpdIntermediateError
-from .linalg import DIVIDED_DIFF_TOL, AlphaParam, SpdMatrix, SymMatrix, as_alpha, psd_tolerance
+from .linalg import DIVIDED_DIFF_TOL, AlphaParam, SpdMatrix, SymMatrix, as_alpha, spd_power
 from .linalg import _check_dims, _finite, _log_divided_difference, _polar_factor, _require_strict
-from .linalg import spd_power, sym_eigh
+from .linalg import _strict, sym_eigh
 
 # Largest stack, in float64 entries, that one quadrature eigensolve takes
 # (256 KB); a block holds at least three grid points whatever the order n.
@@ -155,12 +155,12 @@ class GeodesicCurve:
         t = ts[:, None, None]
         bracket = (1.0 - t) ** 2 * a2 + t**2 * b2 + t * (1.0 - t) * cross
         w, v = sym_eigh(bracket)
-        lost = w[:, 0] <= psd_tolerance(w[:, -1])
-        if lost.any():
-            i = int(np.argmax(lost))
+        strict = _strict(w)
+        if not strict.all():
+            i = int(np.argmin(strict))
             raise NonSpdIntermediateError(
                 f"geodesic bracket lost positivity at t={float(ts[i])} "
-                f"(min eig {float(w[i, 0]):.3e})"
+                f"(min eig {w[i, 0]:.3e}, max eig {w[i, -1]:.3e})"
             )
         return w ** (1.0 / (2.0 * self.alpha.value)), v
 
@@ -205,9 +205,7 @@ def geodesic_length_numeric(curve: GeodesicCurve, steps: int = 1000) -> float:
         carry = lam[-2:], vecs[-2:], mats[-2:]
         # the window's inner points are the midpoints, held to metric_inner's check
         mid_lam, mid_vecs = lam[1:-1], vecs[1:-1]
-        strict = mid_lam.min(axis=1) > psd_tolerance(mid_lam.max(axis=1))
-        if not strict.all():
-            _require_strict(mid_lam[int(np.argmin(strict))], "metric inner product")
+        _require_strict(mid_lam, "metric inner product")
         velocity = (mats[2:] - mats[:-2]) / (2.0 * dt)
         speed_sq = _eigenbasis_inner(mid_lam, mid_vecs, velocity, velocity, curve.alpha)
         total += float(np.sum(np.sqrt(np.maximum(speed_sq, 0.0)))) * dt

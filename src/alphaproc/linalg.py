@@ -10,7 +10,9 @@ the SVDs are ``nuclear_norm`` (the unregularized RKHS cross term) and
 ``_polar_factor`` (the geodesic's cross term).  ``rkhs`` puts its QR
 factorizations behind the same guard.  ``_finite`` is the one rule that
 turns a NaN or an infinity into NonFiniteError; code that may overflow
-runs under ``np.errstate``, so no numpy warning comes first.
+runs under ``np.errstate``, so no numpy warning comes first.  Past the
+reject check of ``SpdMatrix.from_array``, only the zero rule ``_clamp_zero``
+and the strictness rule ``_strict`` compare a spectrum with psd_tolerance.
 """
 
 from __future__ import annotations
@@ -52,12 +54,18 @@ def psd_tolerance(lam_max: float | np.ndarray) -> float | np.ndarray:
     return PSD_TOL_FACTOR * np.maximum(np.abs(lam_max), 1e-300)
 
 
-def _clamp_zero(w: np.ndarray) -> np.ndarray:
-    """The zero-eigenvalue rule: entries of ascending ``w`` below psd_tolerance(w[-1]) become 0.
+def _clamp_zero(w: np.ndarray, top: float | None = None) -> np.ndarray:
+    """The zero-eigenvalue rule: entries of ``w`` below psd_tolerance(top) become 0.
 
-    Every positive power keeps them at 0, so it is restricted to the range.
+    ``top`` defaults to ``w[-1]``, the largest of an ascending spectrum.
+    Every positive power keeps the zeros at 0, so it is restricted to the range.
     """
-    return np.where(w < psd_tolerance(w[-1]), 0.0, w)
+    return np.where(w < psd_tolerance(w[-1] if top is None else top), 0.0, w)
+
+
+def _strict(w: np.ndarray) -> np.ndarray:
+    """The strictness rule per spectrum (last axis): all above psd_tolerance of the largest."""
+    return w.min(axis=-1) > psd_tolerance(w.max(axis=-1))
 
 
 def _finite(what: str, *values) -> None:
@@ -147,10 +155,9 @@ class SpdMatrix:
 
     The spectrum sits on a square orthonormal basis ``eig.vectors``.  Every
     constructor clamps eigenvalues below psd_tol to zero (``_clamp_zero``);
-    ``from_array`` first rejects anything below -psd_tol, Gram spectra
-    (``_from_gram``) never.  A formula that needs every eigenvalue above
-    psd_tol calls ``require_strict``.  ``mat`` is the symmetrized input if
-    any, else formed from the spectrum on first read.
+    ``from_array`` first rejects anything below -psd_tol.  A formula that
+    needs every eigenvalue above psd_tol calls ``require_strict``.  ``mat``
+    is the symmetrized input if any, else formed from the spectrum on read.
     """
 
     eig: EigenDecomposition
@@ -167,12 +174,6 @@ class SpdMatrix:
             )
         values = _freeze(_clamp_zero(eig.values))
         return cls(EigenDecomposition(values, eig.vectors), _input=s.mat)
-
-    @classmethod
-    def _from_gram(cls, mat: np.ndarray) -> "SpdMatrix":
-        """Spectrum of a symmetric Gram matrix, never rejected."""
-        w, v = sym_eigh(mat)
-        return cls._from_eig(_clamp_zero(w), v)
 
     @classmethod
     def _from_eig(cls, values: np.ndarray, vectors: np.ndarray) -> "SpdMatrix":
@@ -223,12 +224,13 @@ class SpdMatrix:
 
 
 def _require_strict(w: np.ndarray, what: str) -> None:
-    """The strictness rule: every eigenvalue in ``w`` above psd_tolerance of the largest."""
-    lo, hi = float(w.min()), float(w.max())
-    if not lo > psd_tolerance(hi):
+    """SingularBaseError on the first spectrum in ``w`` (one, or a (k, n) stack) not ``_strict``."""
+    strict = np.atleast_1d(_strict(w))
+    if not strict.all():
+        bad = np.atleast_2d(w)[int(np.argmin(strict))]
         raise SingularBaseError(
             f"{what} requires a strictly positive definite matrix "
-            f"(min eigenvalue {lo:.3e})"
+            f"(min eigenvalue {bad.min():.3e}, max eigenvalue {bad.max():.3e})"
         )
 
 
@@ -371,7 +373,7 @@ def loewner_apply(p0_eig: EigenDecomposition, f: str, s: SymMatrix) -> SymMatrix
     divided, fprime = _LOEWNER_FUNCTIONS[f]
     lam = p0_eig.values
     if f == "log":
-        if lam[0] <= psd_tolerance(float(lam[-1])):
+        if not _strict(lam):
             raise DomainError(
                 f"log derivative undefined: eigenvalue {lam[0]:.3e} at or below zero"
             )

@@ -36,8 +36,8 @@ import numpy as np
 
 from .exceptions import DimensionError, DomainError, UnsupportedKernelError
 from .gaussian import _combine
-from .linalg import AlphaParam, SpdMatrix, as_alpha, nuclear_norm, psd_tolerance, sym_eigh
-from .linalg import _finite, _lapack_guard, _require_strict, trace_sqrt
+from .linalg import AlphaParam, SpdMatrix, as_alpha, nuclear_norm, sym_eigh, trace_sqrt
+from .linalg import _clamp_zero, _finite, _lapack_guard, _require_strict
 from .metrics import _check_gamma, _trace_form
 
 FEATURE_DIM_LIMIT = 10_000
@@ -322,8 +322,8 @@ def _regularized_distance(cg: CenteredGram, al: AlphaParam, gamma: float) -> flo
     (rb = r) has f = 0 and takes V as the Q factor of F, largest wb first.
     """
     wa, wb, m = _in_eigenbases(cg)
-    tol = psd_tolerance(max(wa[-1], wb[-1]))
-    ka, kb = wa >= tol, wb >= tol
+    top = max(wa[-1], wb[-1])
+    ka, kb = _clamp_zero(wa, top) > 0, _clamp_zero(wb, top) > 0
     wa, wb, m = wa[ka], wb[kb], m[ka][:, kb]
     ra, rb = wa.shape[0], wb.shape[0]
     if ra + rb == 0:
@@ -332,7 +332,7 @@ def _regularized_distance(cg: CenteredGram, al: AlphaParam, gamma: float) -> flo
         wa, wb, m = wb, wa, m.T
     c = m / np.sqrt(wa)[:, None]
     s, e = sym_eigh(np.diag(wb) - c.T @ c)
-    keep = s >= tol
+    keep = _clamp_zero(s, top) > 0
     frame = np.vstack([c, np.sqrt(s[keep])[:, None] * e[:, keep].T])
     r, a, a2 = frame.shape[0], al.value, 2.0 * al.value
     la, lb = (np.concatenate([w, np.zeros(r - w.shape[0])]) + gamma for w in (wa, wb))
@@ -368,8 +368,8 @@ def _log_limit_distance(cg: CenteredGram, gamma: float) -> float:
 
 def _in_eigenbases(cg: CenteredGram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Clamped spectra of aa = Va diag(wa) Va' and bb = Vb diag(wb) Vb', and M = Va' ab Vb."""
-    ea, eb = SpdMatrix._from_gram(cg.aa).eig, SpdMatrix._from_gram(cg.bb).eig
-    return ea.values, eb.values, ea.vectors.T @ cg.ab @ eb.vectors
+    (wa, va), (wb, vb) = sym_eigh(cg.aa), sym_eigh(cg.bb)
+    return _clamp_zero(wa), _clamp_zero(wb), va.T @ cg.ab @ vb
 
 
 def rkhs_alpha_distance_unregularized(

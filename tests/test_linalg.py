@@ -16,11 +16,13 @@ from alphaproc import (
     Dataset,
     DimensionError,
     DomainError,
+    EigenDecomposition,
     GaussianMeasure,
     GeodesicCurve,
     KernelSpec,
     MeanMetricSpec,
     NonFiniteError,
+    NonSpdIntermediateError,
     NotPsdError,
     SingularBaseError,
     SpdMatrix,
@@ -36,6 +38,7 @@ from alphaproc import (
     trace_sqrt_triple,
 )
 from alphaproc.linalg import PSD_TOL_FACTOR, nuclear_norm
+from alphaproc.rkhs import CenteredGram, _in_eigenbases
 
 
 @st.composite
@@ -387,11 +390,17 @@ class TestZeroEigenvalueRule:
     positive power keeps them at 0."""
 
     @staticmethod
-    def _spectra(mat):
-        return {
-            "from_array": SpdMatrix.from_array(mat),
-            "from_gram": SpdMatrix._from_gram(mat),
-        }
+    def _gram_spectra(mat):
+        """``mat`` as either block of a CenteredGram whose other blocks are I:
+        the cross block in the eigenbases is then the block's eigenbasis."""
+        eye = np.eye(mat.shape[0])
+        wa, _, ma = _in_eigenbases(CenteredGram(mat, eye, eye))
+        _, wb, mb = _in_eigenbases(CenteredGram(eye, mat, eye))
+        return {"gram aa": SpdMatrix._from_eig(wa, ma.T), "gram bb": SpdMatrix._from_eig(wb, mb)}
+
+    @classmethod
+    def _spectra(cls, mat):
+        return {"from_array": SpdMatrix.from_array(mat), **cls._gram_spectra(mat)}
 
     def test_sub_tolerance_eigenvalues_map_to_zero(self):
         q = np.linalg.qr(np.random.default_rng(13).standard_normal((4, 4)))[0]
@@ -426,7 +435,8 @@ class TestZeroEigenvalueRule:
         mat = np.diag([-0.5, 1.0, 3.0])
         with pytest.raises(NotPsdError):
             SpdMatrix.from_array(mat)
-        assert np.array_equal(SpdMatrix._from_gram(mat).eig.values, [0.0, 1.0, 3.0])
+        for name, a in self._gram_spectra(mat).items():
+            assert np.array_equal(a.eig.values, [0.0, 1.0, 3.0]), name
 
     def test_zero_spectrum_gives_zero(self):
         for name, a in self._spectra(np.zeros((3, 3))).items():
@@ -494,22 +504,45 @@ class TestSingleLapackPath:
             call()
 
 
-def _raise_sites(tree: ast.AST, exc_name: str) -> list[str]:
-    """Name of the innermost function around each ``raise exc_name(...)`` (module level: "")."""
+def _sites(tree: ast.AST, match) -> list[str]:
+    """Name of the innermost function around each node ``match`` accepts (module level: "")."""
     sites = []
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if isinstance(node, ast.Raise) and node.exc is not None:
-            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if ast.unparse(target) == exc_name:
-                sites.append(owner)
+        if match(node):
+            sites.append(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
     visit(tree, "")
     return sites
+
+
+def _raise_sites(tree: ast.AST, exc_name: str) -> list[str]:
+    """Owners of each ``raise exc_name(...)``."""
+
+    def match(node):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return ast.unparse(target) == exc_name
+
+    return _sites(tree, match)
+
+
+def _name_sites(tree: ast.AST, name: str) -> list[str]:
+    """Owners of each use of ``name``: a load, an attribute or an import."""
+
+    def match(node):
+        return (
+            (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.alias) and name in (node.name, node.asname))
+        )
+
+    return _sites(tree, match)
 
 
 class TestSingleNonFiniteRule:
@@ -528,3 +561,57 @@ class TestSingleNonFiniteRule:
         for values in ([bad], (1.0, np.array([1.0, bad]))):
             with pytest.raises(NonFiniteError, match="^stage: NaN or infinite"):
                 _finite("stage", *values)
+
+
+class TestSingleSpectralRule:
+    """psd_tolerance is read by two rules only: ``_clamp_zero`` (an eigenvalue
+    is zero) and ``_strict`` (a spectrum is strictly positive), besides the
+    reject check of ``SpdMatrix.from_array``."""
+
+    def test_psd_tolerance_read_only_by_the_rules(self):
+        sites = []
+        for path in sorted(Path(alphaproc.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            sites += [f"{path.name}:{owner}" for owner in _name_sites(tree, "psd_tolerance")]
+        assert sites == ["linalg.py:_clamp_zero", "linalg.py:_strict", "linalg.py:from_array"]
+
+    def test_stack_names_the_first_failing_spectrum(self):
+        from alphaproc.linalg import _require_strict
+
+        stack = np.array([[1.0, 2.0, 3.0], [1e-14, 1.0, 2.0], [1e-15, 1.0, 4.0]])
+        _require_strict(stack[:1], "stage")
+        message = (
+            "^stage requires a strictly positive definite matrix "
+            r"\(min eigenvalue 1\.000e-14, max eigenvalue 2\.000e\+00\)$"
+        )
+        for w in (stack, stack[1]):
+            with pytest.raises(SingularBaseError, match=message):
+                _require_strict(w, "stage")
+
+    def test_eigenvalue_at_the_tolerance_is_kept_but_not_strict(self):
+        from alphaproc.linalg import _clamp_zero, _require_strict, _strict, psd_tolerance
+
+        tol = psd_tolerance(4.0)
+        w = np.array([tol, 1.0, 4.0])
+        assert np.array_equal(_clamp_zero(w), w)
+        assert np.array_equal(_clamp_zero(w[:1], 4.0), [tol])
+        assert _clamp_zero(np.nextafter(w[:1], 0.0), 4.0)[0] == 0.0
+        assert not _strict(w)
+        assert _strict(np.array([np.nextafter(tol, 1.0), 1.0, 4.0]))
+        assert np.array_equal(_strict(np.stack([w, w + tol])), [False, True])
+        with pytest.raises(SingularBaseError):
+            _require_strict(w, "stage")
+        with pytest.raises(DomainError, match="log derivative undefined"):
+            loewner_apply(EigenDecomposition(w, np.eye(3)), "log", SymMatrix.from_array(np.eye(3)))
+
+    def test_geodesic_guard_reports_the_largest_eigenvalue(self):
+        # alpha = 2 and cond(A) = 1e4: the bracket at t = 0 is A^4, whose
+        # smallest eigenvalue is 1e-16 of its largest, a conditioning limit
+        a = SpdMatrix.from_array(np.diag([1e-4, 1.0]))
+        curve = GeodesicCurve(a, SpdMatrix.from_array(np.diag([2.0, 3.0])), 2.0)
+        message = (
+            r"^geodesic bracket lost positivity at t=0\.0 "
+            r"\(min eig 1\.000e-16, max eig 1\.000e\+00\)$"
+        )
+        with pytest.raises(NonSpdIntermediateError, match=message):
+            curve.at(0.0)
