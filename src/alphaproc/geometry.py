@@ -129,32 +129,28 @@ class GeodesicCurve:
 
     @cached_property
     def _closed_form(self):
-        """A^2a, B^2a and the cross term S + S' of the bracket X X', built once.
+        """The ends A^a and B^a U of X(t) = (1-t) A^a + t B^a U, built once.
 
-        S = B^a U A^a, with U = P Q' from the one SVD B^a A^a = P S0 Q'.
+        U = P Q' from the one SVD B^a A^a = P S0 Q' minimizes |A^a - B^a U|_F.
         """
-        alpha = self.alpha.value
         with np.errstate(over="ignore", invalid="ignore"):
-            a2 = spd_power(self.a, 2.0 * alpha).mat
-            b2 = spd_power(self.b, 2.0 * alpha).mat
-            a_pow = spd_power(self.a, alpha).mat
-            b_pow = spd_power(self.b, alpha).mat
-            s = b_pow @ _polar_factor(b_pow @ a_pow) @ a_pow
-            cross = s + s.T
-        _finite("geodesic cross term", cross)
-        return a2, b2, cross
+            a_pow = spd_power(self.a, self.alpha.value).mat
+            b_pow = spd_power(self.b, self.alpha.value).mat
+            return a_pow, b_pow @ _polar_factor(b_pow @ a_pow)
 
     def _spectra(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Eigenpairs of g(t) for a 1-D array of k values of t, no range check.
 
-        One stacked eigensolve of the brackets (sums of exactly symmetric
-        terms, so exactly symmetric); returns their eigenvectors (k, n, n)
-        and eigenvalues raised to 1/2a (k, n, descending when alpha < 0).
+        One stacked eigensolve of the brackets X X', which are PSD by
+        construction (eigh reads one triangle, so X X' need not be bitwise
+        symmetric); returns their eigenvectors (k, n, n) and eigenvalues
+        raised to 1/2a (k, n, descending when alpha < 0).
         """
-        a2, b2, cross = self._closed_form
+        p, q = self._closed_form
         t = ts[:, None, None]
-        bracket = (1.0 - t) ** 2 * a2 + t**2 * b2 + t * (1.0 - t) * cross
-        w, v = sym_eigh(bracket)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = (1.0 - t) * p + t * q
+            w, v = sym_eigh(x @ np.swapaxes(x, -1, -2))
         strict = _strict(w)
         if not strict.all():
             i = int(np.argmin(strict))

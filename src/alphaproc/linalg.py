@@ -7,7 +7,7 @@ consistent with each other, which the identity tests rely on.  This module
 also makes every eigensolve and singular value decomposition of the
 package, behind the one guard that turns a failure into a typed error:
 the SVDs are ``nuclear_norm`` (the unregularized RKHS cross term) and
-``_polar_factor`` (the geodesic's cross term).  ``rkhs`` puts its QR
+``_polar_factor`` (the geodesic's Procrustes factor).  ``rkhs`` puts its QR
 factorizations behind the same guard.  ``_finite`` is the one rule that
 turns a NaN or an infinity into NonFiniteError; code that may overflow
 runs under ``np.errstate``, so no numpy warning comes first.  Past the
@@ -375,7 +375,8 @@ def loewner_apply(p0_eig: EigenDecomposition, f: str, s: SymMatrix) -> SymMatrix
     if f == "log":
         if not _strict(lam):
             raise DomainError(
-                f"log derivative undefined: eigenvalue {lam[0]:.3e} at or below zero"
+                "log derivative undefined: not strictly positive definite "
+                f"(min eigenvalue {lam.min():.3e}, max eigenvalue {lam.max():.3e})"
             )
         scale = lam
     else:

@@ -777,13 +777,20 @@ def _samples(rows, dim, scale, shift=0.0):
 # before its error: (argv after the two files, the two inputs, the library
 # call on them, the stage the error names).
 _DIAGS = (np.diag([1.0, 2.0]), np.diag([3.0, 0.5]))
+# A^1000 and B^1000 A^1000 are finite (1.9^1000 ~ 1e278); the bracket X X' is not
+_BRACKET_DIAGS = (np.diag([1.0, 1.9]), np.diag([0.9, 0.5]))
 _LINEAR_1E153 = (_samples(6, 2, 1e153), _samples(5, 2, 1e153))
 _POLY_10 = (_samples(30, 3, 10.0), _samples(25, 3, 10.0, 1.0))
 NON_FINITE_CASES = {
     "geodesic-1000": (
         ["geodesic", "--alpha", "1000", "--t-steps", "3"], _DIAGS,
         lambda a, b: GeodesicCurve(SpdMatrix.from_array(a), SpdMatrix.from_array(b), 1000).at(0.5),
-        "power 2000.0",
+        "power 1000.0",
+    ),
+    "geodesic-1000-bracket": (
+        ["geodesic", "--alpha", "1000", "--t-steps", "3"], _BRACKET_DIAGS,
+        lambda a, b: GeodesicCurve(SpdMatrix.from_array(a), SpdMatrix.from_array(b), 1000).at(0.5),
+        "eigendecomposition",
     ),
     "dist-200": (
         ["dist", "--alpha", "200"], _pair_3x3(),

@@ -25,6 +25,7 @@ from alphaproc import (
     spd_power,
     sym_eigendecompose,
 )
+from alphaproc import geometry
 from alphaproc.geometry import QUADRATURE_BLOCK_ENTRIES, _lyapunov_factor
 
 
@@ -364,31 +365,51 @@ class TestGeodesicLength:
         assert geodesic_length_numeric(curve, steps) == pytest.approx(expected, rel=1e-12)
 
     def test_lost_positivity_names_first_failing_t(self):
-        # bracket I + t(1-t) diag(0, .., 0, -5): the last eigenvalue
-        # 1 - 5t(1-t) turns negative near t = 0.276, in the third block of 14
+        # X(t) = I except its last entry x(t) = 3.25e-6 (1-t) - 4.75e-6 t,
+        # which crosses zero at t = 0.406: x^2 is not above 1e-12 of the
+        # largest eigenvalue 1 for t in [0.281, 0.531], from the third block of 14
         n, steps = 48, 100
         rng = np.random.default_rng(25)
         curve = GeodesicCurve(rand_spd(rng, n), rand_spd(rng, n), 0.5)
-        cross = np.diag([2.0] * (n - 1) + [-3.0])
-        curve.__dict__["_closed_form"] = (np.eye(n), np.eye(n), cross)
+        ends = (np.diag([1.0] * (n - 1) + [3.25e-6]), np.diag([1.0] * (n - 1) + [-4.75e-6]))
+        curve.__dict__["_closed_form"] = ends
         dt = 1.0 / steps
         ts = [(j - 0.5) * dt for j in range(steps + 2)]
-        first = next(t for t in ts if 1.0 - 5.0 * t * (1.0 - t) <= 1e-12)
-        assert 0.276 < first < 0.3
+        first = next(t for t in ts if ((1.0 - t) * 3.25e-6 - t * 4.75e-6) ** 2 <= 1e-12)
+        assert 0.28 < first < 0.29
         with pytest.raises(NonSpdIntermediateError, match=re.escape(f"t={first} ")):
             geodesic_length_numeric(curve, steps)
         with pytest.raises(NonSpdIntermediateError, match=re.escape("t=0.5 ")):
             curve.at(0.5)
 
     def test_non_strict_midpoint_rejected(self):
-        # constant bracket diag(1, 1e-7) passes the positivity check, but at
-        # alpha = 1/4 the point diag(1, 1e-14) is not strictly positive
+        # constant X = diag(1, sqrt(1e-7)) gives the bracket diag(1, 1e-7),
+        # which passes the positivity check, but at alpha = 1/4 the point
+        # diag(1, 1e-14) is not strictly positive
         rng = np.random.default_rng(27)
         curve = GeodesicCurve(rand_spd(rng, 2), rand_spd(rng, 2), 0.25)
-        d = np.diag([1.0, 1e-7])
-        curve.__dict__["_closed_form"] = (d, d, 2.0 * d)
+        d = np.diag([1.0, math.sqrt(1e-7)])
+        curve.__dict__["_closed_form"] = (d, d)
         with pytest.raises(SingularBaseError, match="metric inner product"):
             geodesic_length_numeric(curve, 100)
+
+    def test_curve_takes_two_matrix_powers(self, monkeypatch):
+        # the ends A^a and B^a U of X(t); no A^2a, B^2a or A^-a
+        calls = []
+        original = geometry.spd_power
+
+        def recording(a, p):
+            calls.append(p)
+            return original(a, p)
+
+        monkeypatch.setattr(geometry, "spd_power", recording)
+        rng = np.random.default_rng(28)
+        for alpha in (0.7, -0.5):
+            calls.clear()
+            curve = GeodesicCurve(rand_spd(rng, 3), rand_spd(rng, 3), alpha)
+            geodesic_length_numeric(curve, 100)
+            curve.at(0.3)
+            assert calls == [alpha, alpha]
 
     def test_eigensolve_stacks_bounded(self, monkeypatch):
         n, steps = 192, 1000

@@ -601,7 +601,11 @@ class TestSingleSpectralRule:
         assert np.array_equal(_strict(np.stack([w, w + tol])), [False, True])
         with pytest.raises(SingularBaseError):
             _require_strict(w, "stage")
-        with pytest.raises(DomainError, match="log derivative undefined"):
+        message = (
+            r"^log derivative undefined: not strictly positive definite "
+            r"\(min eigenvalue 4\.000e-12, max eigenvalue 4\.000e\+00\)$"
+        )
+        with pytest.raises(DomainError, match=message):
             loewner_apply(EigenDecomposition(w, np.eye(3)), "log", SymMatrix.from_array(np.eye(3)))
 
     def test_geodesic_guard_reports_the_largest_eigenvalue(self):
