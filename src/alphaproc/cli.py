@@ -2,14 +2,14 @@
 
 Subcommands: dist, sweep, geodesic, gauss-dist, rkhs-dist, validate.
 
-Matrix CSV files are plain comma-separated rows with no header; matrices
-must be symmetric within 1e-8 (they are then symmetrized exactly).  Dataset
-CSV files hold one sample per row, with an optional header skipped by
---header.  --output, --gamma and the matrix_a matrix_b pair are declared once
-and shared.  Exit codes: 0 success, 2 parse/input errors (dimension mismatch
-and non-finite values included), 3 other domain errors, 4 complex spectrum,
-5 validation failure.  Distances print with 12 significant digits, so output
-is byte-stable for fixed inputs and seed.
+Matrix CSV files are plain comma-separated rows with no header; matrices must
+be symmetric within 1e-8 of their largest entry (they are then symmetrized
+exactly).  Dataset CSV files hold one sample per row, with an optional header
+skipped by --header.  --output, --gamma and the matrix_a matrix_b pair are
+declared once and shared.  Exit codes: 0 success, 2 parse/input errors
+(dimension mismatch and non-finite values included), 3 other domain errors, 4
+complex spectrum, 5 validation failure.  Distances print with 12 significant
+digits, so output is byte-stable for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def _read_matrix(path: str) -> SpdMatrix:
         raise CliInputError(f"{path}: matrix is not square ({arr.shape})")
     _finite(f"matrix {path}", arr)
     asym = float(np.max(np.abs(arr - arr.T)))
-    if asym > MATRIX_SYM_TOL * max(1.0, float(np.max(np.abs(arr)))):
+    if asym > MATRIX_SYM_TOL * float(np.max(np.abs(arr))):
         raise CliInputError(f"{path}: matrix is not symmetric (max deviation {asym:.3e})")
     return SpdMatrix.from_array(arr)
 

@@ -155,8 +155,8 @@ class GeodesicCurve:
         if not strict.all():
             i = int(np.argmin(strict))
             raise NonSpdIntermediateError(
-                f"geodesic bracket lost positivity at t={float(ts[i])} "
-                f"(min eig {w[i, 0]:.3e}, max eig {w[i, -1]:.3e})"
+                f"geodesic bracket at t={float(ts[i])} is not strictly positive definite "
+                f"(min eigenvalue {w[i, 0]:.3e}, max eigenvalue {w[i, -1]:.3e})"
             )
         return w ** (1.0 / (2.0 * self.alpha.value)), v
 

@@ -304,15 +304,6 @@ def sym_exp(s: SymMatrix) -> SpdMatrix:
     return SpdMatrix._from_eig(w, eig.vectors)
 
 
-def trace_sqrt_triple(a: SpdMatrix, b: SpdMatrix, alpha: float) -> float:
-    """tr[(A^a B^{2a} A^a)^{1/2}], the cross term of the distance family.
-
-    ``trace_sqrt`` of A^a B^{2a} A^a.
-    """
-    p = spd_power(a, alpha).mat
-    return trace_sqrt(p @ spd_power(b, 2.0 * alpha).mat @ p)
-
-
 def trace_sqrt(m: np.ndarray) -> float:
     """tr[M^(1/2)] for M symmetric PSD up to roundoff.
 

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import DimensionError, DomainError, NumericalInconsistencyError
-from .linalg import AlphaParam, SpdMatrix, as_alpha, spd_log, spd_power, trace_sqrt_triple
+from .linalg import AlphaParam, SpdMatrix, as_alpha, spd_log, spd_power, trace_sqrt
 from .linalg import _check_dims, _finite
 
 # The trace argument of the square root may dip below zero by roundoff; clamp
@@ -110,9 +110,10 @@ def _family(a: SpdMatrix, b: SpdMatrix, alpha, gamma: float | None = None) -> Di
     if al.is_log_limit:
         value = float(np.linalg.norm(spd_log(a).mat - spd_log(b).mat))
     else:
-        ta = a.trace_power(2.0 * al.value)
-        tb = b.trace_power(2.0 * al.value)
-        value = _trace_form(ta, tb, trace_sqrt_triple(a, b, al.value), al.value)
+        p = al.value
+        ta, tb = a.trace_power(2.0 * p), b.trace_power(2.0 * p)
+        pa = spd_power(a, p).mat
+        value = _trace_form(ta, tb, trace_sqrt(pa @ spd_power(b, 2.0 * p).mat @ pa), p)
     return DistanceResult(value, al, gamma or 0.0, (a, b))
 
 

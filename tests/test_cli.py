@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -213,11 +214,17 @@ class TestDist:
         assert code == 2
         assert out == "" and str(bad) in err and "Traceback" not in err
 
-    def test_asymmetric_matrix_exits_2(self, matrices, tmp_path):
-        bad = write_matrix(tmp_path / "asym.csv", np.array([[1.0, 0.5], [0.0, 1.0]]))
+    @pytest.mark.parametrize("scale", [1e-10, 1.0, 1e10])
+    def test_asymmetric_matrix_exits_2(self, matrices, tmp_path, scale):
+        # the tolerance is relative to the largest entry, so no scale slips through
+        bad = write_matrix(tmp_path / "asym.csv", scale * np.array([[1.0, 0.5], [0.0, 1.0]]))
         code, _, err = run_cli(["dist", matrices[0], bad, "--alpha", "1"])
         assert code == 2
-        assert "symmetric" in err
+        assert "not symmetric" in err
+
+    def test_zero_matrix_is_symmetric(self, matrices, tmp_path):
+        zero = write_matrix(tmp_path / "zero.csv", np.zeros((2, 2)))
+        assert run_cli(["dist", matrices[0], zero, "--alpha", "1"])[0] == 0
 
     def test_infinite_off_diagonal_exits_2_without_warning(self, matrices, tmp_path):
         bad = write_matrix(tmp_path / "inf.csv", np.array([[1.0, np.inf], [np.inf, 1.0]]))
@@ -852,10 +859,10 @@ class TestNonFiniteRule:
 
 
 def test_geodesic_alpha_200_is_a_typed_positivity_error(tmp_path):
-    # the cross term (~1e188) no longer overflows; the bracket's smallest
-    # eigenvalue (~0.4^400) is below the roundoff of its largest
+    # X(0.5) (~1e95) and the bracket X X' (~1e190) stay finite; the bracket's
+    # smallest eigenvalue is lost in the roundoff of its largest
     a, b = _pair_3x3()
-    with pytest.raises(NonSpdIntermediateError, match="lost positivity at t=0.5 "):
+    with pytest.raises(NonSpdIntermediateError, match="at t=0.5 is not strictly positive"):
         GeodesicCurve(SpdMatrix.from_array(a), SpdMatrix.from_array(b), 200).at(0.5)
     paths = [write_matrix(tmp_path / f"{name}.csv", arr) for name, arr in zip("ab", (a, b))]
     proc = subprocess.run(
@@ -866,4 +873,4 @@ def test_geodesic_alpha_200_is_a_typed_positivity_error(tmp_path):
     )
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.splitlines() == [proc.stderr.strip()]
-    assert proc.stderr.startswith("error: geodesic bracket lost positivity")
+    assert re.match(r"error: geodesic bracket at t=\S+ is not strictly positive definite ", proc.stderr)

@@ -35,7 +35,6 @@ from alphaproc import (
     spd_power,
     sym_eigendecompose,
     sym_exp,
-    trace_sqrt_triple,
 )
 from alphaproc.linalg import PSD_TOL_FACTOR, nuclear_norm
 from alphaproc.rkhs import CenteredGram, _in_eigenbases
@@ -262,34 +261,6 @@ class TestPsdSqrt:
         assert np.linalg.norm(root.mat @ root.mat - a.mat) <= 1e-9
 
 
-class TestTraceSqrtTriple:
-    def test_identity_pair(self):
-        eye = SpdMatrix.from_array(np.eye(2))
-        assert trace_sqrt_triple(eye, eye, 1.0) == pytest.approx(2.0, abs=1e-12)
-
-    def test_commuting_diagonal(self):
-        a = SpdMatrix.from_array(np.diag([1.0, 4.0]))
-        b = SpdMatrix.from_array(np.diag([9.0, 16.0]))
-        assert trace_sqrt_triple(a, b, 0.5) == pytest.approx(11.0, abs=1e-12)
-
-    def test_matches_product_eigenvalues(self):
-        # sum of sqrt eigenvalues of A^2a B^2a, via a general eigensolve
-        rng = np.random.default_rng(5)
-        for alpha in (0.5, 0.8, -0.6):
-            a, b = rand_spd(rng, 4), rand_spd(rng, 4)
-            prod = spd_power(a, 2 * alpha).mat @ spd_power(b, 2 * alpha).mat
-            w = np.linalg.eigvals(prod)
-            expected = np.sum(np.sqrt(np.maximum(w.real, 0.0)))
-            assert trace_sqrt_triple(a, b, alpha) == pytest.approx(expected, rel=1e-10)
-
-    def test_symmetric_in_arguments(self):
-        rng = np.random.default_rng(6)
-        a, b = rand_spd(rng, 5), rand_spd(rng, 5)
-        forward = trace_sqrt_triple(a, b, 0.7)
-        backward = trace_sqrt_triple(b, a, 0.7)
-        assert abs(forward - backward) <= 1e-9 * forward
-
-
 class TestLoewnerApply:
     def test_log_at_identity_is_identity_map(self):
         rng = np.random.default_rng(7)
@@ -485,7 +456,7 @@ class TestSingleLapackPath:
         [
             ("eigh", lambda: sym_eigendecompose(SymMatrix.from_array(np.eye(3))),
              "eigendecomposition"),
-            ("eigvalsh", lambda: trace_sqrt_triple(
+            ("eigvalsh", lambda: alpha_procrustes(
                 SpdMatrix.from_array(np.eye(3)), SpdMatrix.from_array(np.eye(3)), 0.5
             ), "cross-term eigensolve"),
             ("svd", lambda: nuclear_norm(np.eye(3)), "singular values"),
@@ -614,8 +585,8 @@ class TestSingleSpectralRule:
         a = SpdMatrix.from_array(np.diag([1e-4, 1.0]))
         curve = GeodesicCurve(a, SpdMatrix.from_array(np.diag([2.0, 3.0])), 2.0)
         message = (
-            r"^geodesic bracket lost positivity at t=0\.0 "
-            r"\(min eig 1\.000e-16, max eig 1\.000e\+00\)$"
+            r"^geodesic bracket at t=0\.0 is not strictly positive definite "
+            r"\(min eigenvalue 1\.000e-16, max eigenvalue 1\.000e\+00\)$"
         )
         with pytest.raises(NonSpdIntermediateError, match=message):
             curve.at(0.0)

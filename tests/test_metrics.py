@@ -116,6 +116,89 @@ class TestAlphaProcrustes:
         assert abs(d1 - d2) <= 1e-9 * max(1.0, d1)
 
 
+class TestCrossTerm:
+    # the cross term tr[(A^a B^2a A^a)^(1/2)], read through the value
+    # (1/|a|) sqrt(tr A^2a + tr B^2a - 2 cross) it gives
+
+    def test_identity_pair(self):
+        # cross term 2 against tr I^2 = 2 on each side
+        eye = SpdMatrix.from_array(np.eye(2))
+        assert alpha_procrustes(eye, eye, 1.0).value == pytest.approx(0.0, abs=1e-12)
+
+    def test_matches_product_eigenvalues(self):
+        # cross term: sum of sqrt eigenvalues of A^2a B^2a, via a general eigensolve
+        rng = np.random.default_rng(5)
+        for alpha in (0.5, 0.8, -0.6):
+            a, b = rand_spd(rng, 4), rand_spd(rng, 4)
+            prod = spd_power(a, 2 * alpha).mat @ spd_power(b, 2 * alpha).mat
+            w = np.linalg.eigvals(prod)
+            cross = np.sum(np.sqrt(np.maximum(w.real, 0.0)))
+            ta, tb = (np.sum(np.linalg.eigvalsh(m.mat) ** (2 * alpha)) for m in (a, b))
+            expected = math.sqrt(ta + tb - 2.0 * cross) / abs(alpha)
+            assert alpha_procrustes(a, b, alpha).value == pytest.approx(expected, rel=1e-10)
+
+    def test_symmetric_in_arguments(self):
+        rng = np.random.default_rng(6)
+        a, b = rand_spd(rng, 5), rand_spd(rng, 5)
+        forward = alpha_procrustes(a, b, 0.7).value
+        backward = alpha_procrustes(b, a, 0.7).value
+        assert abs(forward - backward) <= 1e-9 * forward
+
+
+def mp_family(a, b, alphas, gamma=0.0, dps=50):
+    """Family distances between A + gamma I and B + gamma I at ``dps`` digits.
+
+    Powers come from the eigendecompositions of A and B; the cross term is
+    the nuclear norm of B^a A^a, the sum of its singular values.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        (la, ua), (lb, ub) = (mp.eigsy(mp.matrix(m.tolist())) for m in (a, b))
+        la, lb = [x + mp.mpf(gamma) for x in la], [x + mp.mpf(gamma) for x in lb]
+        out = []
+        for alpha in alphas:
+            al = mp.mpf(alpha)
+            pa = ua * mp.diag([x**al for x in la]) * ua.T
+            pb = ub * mp.diag([x**al for x in lb]) * ub.T
+            cross = mp.fsum(mp.svd_r(pb * pa, compute_uv=False))
+            total = mp.fsum(x ** (2 * al) for x in la + lb) - 2 * cross
+            out.append(float(mp.sqrt(total) / abs(al)))
+    return out
+
+
+REFEREE_ALPHAS = (-1.0, -0.5, 0.25, 0.5, 1.0, 2.0)
+
+
+class TestHighPrecision:
+    # today's accuracy of the trace form: each bound is 2.5x the worst
+    # relative error over seeds 0-1, alpha in REFEREE_ALPHAS order
+    @pytest.mark.parametrize(
+        "c, gamma, bounds",
+        [
+            (1e6, None, (2.3e-9, 9.4e-11, 4.8e-13, 9.0e-12, 3.0e-8, 1.2e-8)),
+            (1e6, 1e-3, (6.5e-11, 1.2e-14, 6.2e-15, 1.2e-14, 1.0e-11, 3.9e-9)),
+            (1e10, None, (5.9e-7, 3.0e-7, 1.4e-11, 6.1e-9, 3.7e-10, 3.0e-8)),
+            (1e10, 1e-3, (1.2e-10, 2.9e-14, 1.1e-14, 3.0e-14, 1.9e-11, 2.2e-8)),
+        ],
+        ids=["cond1e6", "cond1e6-ridge", "cond1e10", "cond1e10-ridge"],
+    )
+    def test_ill_conditioned_pairs_match_mpmath(self, c, gamma, bounds):
+        # A and B share the spectrum geomspace(1/c, 1, 5) in two random bases
+        for seed in (0, 1):
+            rng = np.random.default_rng(seed)
+            qa, qb = rand_orthogonal(rng, 5), rand_orthogonal(rng, 5)
+            w = np.geomspace(1.0 / c, 1.0, 5)
+            an, bn = (qa * w) @ qa.T, (qb * w) @ qb.T
+            a, b = SpdMatrix.from_array(an), SpdMatrix.from_array(bn)
+            expected = mp_family(an, bn, REFEREE_ALPHAS, gamma or 0.0)
+            for alpha, ref, bound in zip(REFEREE_ALPHAS, expected, bounds):
+                if gamma is None:
+                    value = alpha_procrustes(a, b, alpha).value
+                else:
+                    value = alpha_procrustes_regularized(a, b, gamma, alpha).value
+                assert abs(value - ref) <= bound * ref, (seed, alpha)
+
+
 class TestBuresWasserstein:
     def test_identity_pair(self):
         eye = SpdMatrix.from_array(np.eye(2))
@@ -366,10 +449,10 @@ class TestDistanceResult:
         ids=["matrix", "rkhs"],
     )
     def test_negative_clamp_raises_beyond_threshold(self, monkeypatch, call):
-        import alphaproc.linalg as linalg_mod
+        import alphaproc.metrics as metrics_mod
         import alphaproc.rkhs as rkhs_mod
 
-        for module in (linalg_mod, rkhs_mod):
+        for module in (metrics_mod, rkhs_mod):
             monkeypatch.setattr(module, "trace_sqrt", lambda m: 1e9)
         with pytest.raises(NumericalInconsistencyError):
             call()
