@@ -7,9 +7,10 @@ be symmetric within 1e-8 of their largest entry (they are then symmetrized
 exactly).  Dataset CSV files hold one sample per row, with an optional header
 skipped by --header.  --output, --gamma and the matrix_a matrix_b pair are
 declared once and shared.  Exit codes: 0 success, 2 parse/input errors
-(dimension mismatch and non-finite values included), 3 other domain errors, 4
-complex spectrum, 5 validation failure.  Distances print with 12 significant
-digits, so output is byte-stable for fixed inputs and seed.
+(an unwritable --output, dimension mismatch and non-finite values included),
+3 other domain errors, 4 complex spectrum, 5 validation failure.  Distances
+print with 12 significant digits, so output is byte-stable for fixed inputs
+and seed.
 """
 
 from __future__ import annotations
@@ -88,8 +89,11 @@ def _parse_alpha(text: str) -> AlphaParam:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliInputError(f"cannot write {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -108,10 +112,14 @@ def _cmd_dist(args) -> int:
     needs_alpha = metric in ("alpha-procrustes", "power-euclidean")
     if needs_alpha and args.alpha is None:
         raise CliInputError(f"--alpha is required for metric {metric}")
+    if not needs_alpha and args.alpha is not None:
+        raise CliInputError(
+            "--alpha only applies to the alpha-procrustes and power-euclidean metrics"
+        )
     if args.gamma and metric != "alpha-procrustes":
         raise CliInputError("--gamma only applies to the alpha-procrustes metric")
 
-    alpha = _parse_alpha(args.alpha) if args.alpha is not None else None
+    alpha = _parse_alpha(args.alpha) if needs_alpha else None
     if metric == "alpha-procrustes":
         result = _family(a, b, alpha, args.gamma or None)
     elif metric == "bures-wasserstein":

@@ -212,12 +212,6 @@ class SpdMatrix:
     def require_strict(self, what: str) -> None:
         _require_strict(self.eig.values, what)
 
-    def trace_power(self, p: float) -> float:
-        """tr(A^p) from the spectrum."""
-        if p < 0:
-            self.require_strict(f"power {p}")
-        return float(np.sum(self.eig.values**p))
-
     def add_ridge(self, gamma: float) -> "SpdMatrix":
         """A + gamma*I, sharing the eigenbasis."""
         return SpdMatrix._from_eig(self.eig.values + gamma, self.eig.vectors)

@@ -85,14 +85,6 @@ def _check_gamma(gamma: float) -> None:
         raise DomainError(f"gamma must be positive and finite, got {gamma}")
 
 
-def _require_strict_unridged(a: SpdMatrix, b: SpdMatrix, al: AlphaParam) -> None:
-    """With no ridge, alpha < 0 and the log-limit need A and B strictly positive."""
-    if al.is_log_limit or al.value < 0:
-        what = "log-Euclidean distance" if al.is_log_limit else "negative alpha"
-        a.require_strict(what)
-        b.require_strict(what)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # as a decorator it costs half a with block
 def _family(a: SpdMatrix, b: SpdMatrix, alpha, gamma: float | None = None) -> DistanceResult:
     """The one evaluator of the family: each of its special cases calls it.
@@ -102,18 +94,16 @@ def _family(a: SpdMatrix, b: SpdMatrix, alpha, gamma: float | None = None) -> Di
     """
     _check_dims(a, b)
     al = as_alpha(alpha)
-    if gamma is None:
-        _require_strict_unridged(a, b, al)
-    else:
+    if gamma is not None:
         _check_gamma(gamma)
         a, b = a.add_ridge(gamma), b.add_ridge(gamma)
     if al.is_log_limit:
         value = float(np.linalg.norm(spd_log(a).mat - spd_log(b).mat))
     else:
         p = al.value
-        ta, tb = a.trace_power(2.0 * p), b.trace_power(2.0 * p)
-        pa = spd_power(a, p).mat
-        value = _trace_form(ta, tb, trace_sqrt(pa @ spd_power(b, 2.0 * p).mat @ pa), p)
+        pa, pb = spd_power(a, p).mat, spd_power(b, 2.0 * p).mat
+        ta, tb = (float(np.sum(x.eig.values ** (2.0 * p))) for x in (a, b))
+        value = _trace_form(ta, tb, trace_sqrt(pa @ pb @ pa), p)
     return DistanceResult(value, al, gamma or 0.0, (a, b))
 
 
@@ -168,7 +158,6 @@ def power_euclidean(a: SpdMatrix, b: SpdMatrix, alpha) -> DistanceResult:
         raise DomainError("power Euclidean distance needs alpha != 0")
     if al.is_log_limit:
         return replace(log_euclidean(a, b), alpha=al)
-    _require_strict_unridged(a, b, al)
     with np.errstate(over="ignore", invalid="ignore"):
         diff = spd_power(a, al.value).mat - spd_power(b, al.value).mat
         # scaled by the exact power of two of its largest entry: the squares
@@ -235,7 +224,6 @@ def procrustes_bruteforce_2x2(a: SpdMatrix, b: SpdMatrix, alpha) -> float:
     al = as_alpha(alpha)
     if al.is_log_limit:
         raise DomainError(f"brute-force oracle has no log-limit form, got alpha {al.value}")
-    _require_strict_unridged(a, b, al)
     a_pow = spd_power(a, al.value).mat
     b_pow = spd_power(b, al.value).mat
 

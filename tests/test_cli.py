@@ -297,6 +297,21 @@ class TestDist:
         assert (code, out, err) == (0, "", "")
         assert out_path.read_bytes() == printed.encode("utf-8")
 
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_output_exits_2(self, golden_argv, tmp_path, target):
+        path = tmp_path / "nope" / "out.json" if target == "missing-directory" else tmp_path
+        code, out, err = run_cli([*golden_argv("dist-json"), "--output", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("metric", ["bures-wasserstein", "log-euclidean"])
+    def test_alpha_on_metric_without_alpha_exits_2(self, matrices, metric):
+        code, out, err = run_cli(["dist", *matrices, "--metric", metric, "--alpha", "7"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --alpha only applies to the alpha-procrustes and power-euclidean metrics\n"
+        )
+
 
 class TestSweep:
     def test_three_alphas(self, matrices):

@@ -385,7 +385,7 @@ class TestZeroEigenvalueRule:
                 half = spd_power(a, 0.5)
             assert half.eig.values[0] == 0.0, name
             assert np.count_nonzero(half.eig.values) == 3, name
-            assert a.trace_power(2.0) == pytest.approx(16.25, rel=1e-14), name
+            assert np.sum(a.eig.values**2.0) == pytest.approx(16.25, rel=1e-14), name
 
     def test_negative_roundoff_is_clamped(self):
         for name, a in self._spectra(np.diag([-1e-13, 1.0, 3.0])).items():
@@ -413,7 +413,7 @@ class TestZeroEigenvalueRule:
         for name, a in self._spectra(np.zeros((3, 3))).items():
             with np.errstate(all="raise"):
                 out = spd_power(a, 0.25).mat
-                assert a.trace_power(1.5) == 0.0, name
+                assert np.sum(a.eig.values**1.5) == 0.0, name
             assert np.array_equal(out, np.zeros((3, 3))), name
 
 

@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
-from conftest import h_alpha
+from conftest import h_alpha, rand_orthogonal
 
 from alphaproc import (
     AlphaParam,
@@ -806,6 +806,68 @@ class TestUnregularizedDistance:
         x, y = datasets(23)
         with pytest.raises(DomainError):
             rkhs_alpha_distance_unregularized(x, y, POLY, 0.4)
+
+
+# Exact invariances of the covariance distances, checked on every route:
+# regularized (alpha, gamma) and unregularized (alpha, None).
+METAMORPHIC_ROUTES = [
+    *((alpha, gamma) for alpha in (-0.5, 0.25, 1.0, 2.0, AlphaParam.log_limit())
+      for gamma in (1e-3, 0.1)),
+    *((alpha, None) for alpha in (0.5, 1.0, 2.0)),
+]
+# Relative deviation bounds, about 2.5x the worst seen over seeds 0-9 (in
+# brackets).  RBF at alpha 2 and gamma 1e-3 loses digits to the cancellation
+# of the trace form tr A^2a + tr B^2a - 2 cross, so it has its own bound.
+METAMORPHIC_RTOL_REGULARIZED = 1.4e-11  # [5.65e-12, RBF translation, alpha 1, gamma 1e-3]
+METAMORPHIC_RTOL_UNREGULARIZED = 2.0e-14  # [8.14e-15, RBF translation, alpha 0.5]
+METAMORPHIC_RTOL_RBF_CANCELLING = 2.1e-8  # [8.55e-9, RBF orthogonal transform]
+
+
+def _metamorphic_rtol(kernel, alpha, gamma):
+    if gamma is None:
+        return METAMORPHIC_RTOL_UNREGULARIZED
+    if kernel.kind == "rbf" and alpha == 2.0 and gamma == 1e-3:
+        return METAMORPHIC_RTOL_RBF_CANCELLING
+    return METAMORPHIC_RTOL_REGULARIZED
+
+
+class TestMetamorphicRelations:
+    @staticmethod
+    def _distance(x, y, kernel, alpha, gamma):
+        x, y = Dataset.from_array(x), Dataset.from_array(y)
+        if gamma is None:
+            return rkhs_alpha_distance_unregularized(x, y, kernel, alpha)
+        return rkhs_alpha_distance(x, y, kernel, alpha, gamma)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_duplication_translation_and_rotation_leave_the_distance(self, seed):
+        # duplicating X keeps its empirical moments; a common translation keeps
+        # the linear covariances and the RBF Grams, and a common orthogonal
+        # transform rotates both linear covariances alike and keeps the RBF Grams
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((30, 3))
+        y = 1.3 * rng.standard_normal((25, 3)) + 0.4
+        v, q = 5.0 * rng.standard_normal(3), rand_orthogonal(rng, 3)
+        pooled = np.vstack([x, y])
+        pair_dists = np.linalg.norm(pooled[:, None] - pooled[None], axis=-1)
+        sigma = float(np.median(pair_dists[np.triu_indices(len(pooled), 1)]))
+        moved = {"duplication": (np.vstack([x, x]), y)}
+        rigid = {"translation": (x + v, y + v), "orthogonal": (x @ q, y @ q)}
+        relations = [
+            (LINEAR, {**moved, **rigid}),
+            (POLY, moved),
+            (KernelSpec.gaussian_rbf(sigma), {**moved, **rigid}),
+        ]
+        failures = []
+        for kernel, cases in relations:
+            for alpha, gamma in METAMORPHIC_ROUTES:
+                d = self._distance(x, y, kernel, alpha, gamma)
+                rtol = _metamorphic_rtol(kernel, alpha, gamma)
+                for name, (x2, y2) in cases.items():
+                    dev = abs(self._distance(x2, y2, kernel, alpha, gamma) - d) / d
+                    if not dev <= rtol:
+                        failures.append(f"{kernel} {name} alpha {alpha} gamma {gamma}: {dev:.2e}")
+        assert failures == []
 
 
 class TestGaussianDistance:
