@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import DimensionError, DomainError
-from .linalg import SpdMatrix, _finite
+from .linalg import SpdMatrix, _finite, _real_array
 from .metrics import _family
 
 
@@ -31,7 +31,7 @@ class GaussianMeasure:
 
     @classmethod
     def from_arrays(cls, mean, covariance) -> "GaussianMeasure":
-        m = np.atleast_1d(np.asarray(mean, dtype=float))
+        m = np.atleast_1d(_real_array(mean, "mean"))
         if m.ndim != 1:
             raise DimensionError(f"expected a 1-D mean vector, got shape {m.shape}")
         _finite("mean", m)
@@ -60,7 +60,7 @@ class MeanMetricSpec:
 
     def __post_init__(self):
         if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float).ravel()
+            w = _real_array(self.weights, "mean-metric weights").ravel()
             if not np.all((w > 0) & np.isfinite(w)):
                 raise DomainError("mean-metric weights must be strictly positive and finite")
             w.setflags(write=False)

@@ -64,11 +64,9 @@ def _eigenbasis_solve(vecs, s, f) -> np.ndarray:
 def solve_general_lyapunov(p0: SpdMatrix, y: SymMatrix, alpha) -> SymMatrix:
     """Unique symmetric H with Dexp(log P0) o Dlog(P0^2a)(H P0^2a + P0^2a H) = Y.
 
-    |alpha| < 1e-7 raises DomainError: the log-limit metric is metric_inner's.
+    |alpha| < 1e-7 gives the limit H = Dlog(P0)[Y] / 2, as metric_inner's log-limit does.
     """
     al = as_alpha(alpha)
-    if al.is_log_limit:
-        raise DomainError("alpha must be nonzero; use the log-limit metric instead")
     p0.require_strict("generalized Lyapunov solve")
     _check_dims(p0, y)
     v = p0.eig.vectors

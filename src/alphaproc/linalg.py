@@ -88,9 +88,23 @@ def _lapack_guard(what: str, mat: np.ndarray):
 
 
 def _check_dims(*ops) -> None:
-    """The one dimension check: square operands (SymMatrix, SpdMatrix) of one order."""
+    """The one dimension check: square operands (SymMatrix, SpdMatrix, spectra) of one order."""
     if len({op.n for op in ops}) > 1:
         raise DimensionError("matrix dimensions differ: " + " vs ".join(str(op.n) for op in ops))
+
+
+def _real_array(arr, what: str) -> np.ndarray:
+    """``arr`` as a float array; DomainError naming ``what`` on complex or non-numeric entries.
+
+    numpy would keep the real part of a complex array with only a warning.
+    """
+    try:
+        a = np.asarray(arr)
+        if not np.iscomplexobj(a):
+            return a.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what} must hold real numbers: {exc}") from exc
+    raise DomainError(f"{what} must hold real numbers, got complex entries")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -107,7 +121,7 @@ class SymMatrix:
 
     @classmethod
     def from_array(cls, arr) -> "SymMatrix":
-        a = np.asarray(arr, dtype=float)
+        a = _real_array(arr, "matrix")
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise DimensionError(f"expected a non-empty square matrix, got shape {a.shape}")
         _finite("matrix", a)
@@ -124,6 +138,10 @@ class EigenDecomposition:
 
     values: np.ndarray
     vectors: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.vectors.shape[0]
 
     @property
     def min(self) -> float:
@@ -203,7 +221,7 @@ class SpdMatrix:
 
     @property
     def n(self) -> int:
-        return self.eig.vectors.shape[0]
+        return self.eig.n
 
     @property
     def min_eig(self) -> float:
@@ -347,22 +365,20 @@ def loewner_apply(p0_eig: EigenDecomposition, f: str, s: SymMatrix) -> SymMatrix
     Parameters
     ----------
     p0_eig : EigenDecomposition
-        Spectrum of the base point P0.
+        Spectrum of the base point P0; "log" requires it strictly positive
+        (``_require_strict``, so SingularBaseError otherwise).
     f : str
         One of "exp", "log".
     s : SymMatrix
-        Direction of differentiation.
+        Direction of differentiation, of the order of P0 (else DimensionError).
     """
     if f not in _LOEWNER_FUNCTIONS:
         raise DomainError(f"unknown scalar function {f!r}")
+    _check_dims(p0_eig, s)
     divided, fprime = _LOEWNER_FUNCTIONS[f]
     lam = p0_eig.values
     if f == "log":
-        if not _strict(lam):
-            raise DomainError(
-                "log derivative undefined: not strictly positive definite "
-                f"(min eigenvalue {lam.min():.3e}, max eigenvalue {lam.max():.3e})"
-            )
+        _require_strict(lam, "log derivative")
         scale = lam
     else:
         scale = np.maximum(1.0, np.abs(lam))

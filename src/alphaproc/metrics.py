@@ -147,15 +147,13 @@ def power_euclidean(a: SpdMatrix, b: SpdMatrix, alpha) -> DistanceResult:
     """Power Euclidean distance |A^a - B^a|_F / |a|.
 
     Upper bound of the family distance, with equality exactly on commuting
-    pairs.  Exact alpha = 0 raises DomainError, and so does
-    ``AlphaParam.log_limit()`` (the CLI's ``--alpha log-limit``), whose
-    value is 0; 0 < |alpha| < 1e-7 routes to the log-Euclidean distance.
+    pairs.  |alpha| < 1e-7, exact 0 and ``AlphaParam.log_limit()`` (the
+    CLI's ``--alpha log-limit``) included, routes to its alpha -> 0 limit,
+    the log-Euclidean distance.
     An overflowing power or distance raises NonFiniteError; the norm is taken rescaled.
     """
     _check_dims(a, b)
     al = as_alpha(alpha)
-    if al.value == 0.0:
-        raise DomainError("power Euclidean distance needs alpha != 0")
     if al.is_log_limit:
         return replace(log_euclidean(a, b), alpha=al)
     with np.errstate(over="ignore", invalid="ignore"):

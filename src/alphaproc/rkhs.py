@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -37,7 +36,7 @@ import numpy as np
 from .exceptions import DimensionError, DomainError, UnsupportedKernelError
 from .gaussian import _combine
 from .linalg import AlphaParam, SpdMatrix, as_alpha, nuclear_norm, sym_eigh, trace_sqrt
-from .linalg import _clamp_zero, _finite, _lapack_guard, _require_strict
+from .linalg import _clamp_zero, _finite, _lapack_guard, _real_array, _require_strict
 from .metrics import _check_gamma, _trace_form
 
 FEATURE_DIM_LIMIT = 10_000
@@ -141,7 +140,7 @@ class Dataset:
 
     @classmethod
     def from_array(cls, arr) -> "Dataset":
-        a = np.atleast_2d(np.asarray(arr, dtype=float))
+        a = np.atleast_2d(_real_array(arr, "dataset"))
         if a.ndim != 2:
             raise DimensionError(f"expected a 2-D sample matrix, got shape {a.shape}")
         _finite("dataset", a)
@@ -447,18 +446,15 @@ def _feature_dim(kernel: KernelSpec, p: int) -> float:
     return math.inf
 
 
-@lru_cache(maxsize=16)
 def _monomials(slots: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only sorted rows of the multisets of ``degree`` slots, and sqrt(d! / prod k_i!)
+    """Sorted rows of the multisets of ``degree`` slots, and sqrt(d! / prod k_i!)
     for multiplicities k_i: the product over j of j / (j's place in its run of equal slots)."""
     table = np.array(list(combinations_with_replacement(range(slots), degree)), dtype=np.intp)
     run, coeff = np.ones(len(table)), np.ones(len(table))
     for j in range(1, degree):
         run = np.where(table[:, j] == table[:, j - 1], run + 1.0, 1.0)
         coeff *= (j + 1) / run
-    weight = np.sqrt(coeff)
-    table.flags.writeable = weight.flags.writeable = False
-    return table, weight
+    return table, np.sqrt(coeff)
 
 
 def _features(points: np.ndarray, kernel: KernelSpec) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 A float and the equal ``AlphaParam`` give bitwise-equal results, a
 non-finite alpha is a ``DomainError``, and an alpha inside the log-limit
-band (0 < |alpha| < 1e-7) either takes the function's documented log-limit
-route or raises ``DomainError``.
+band (|alpha| < 1e-7, exact 0 included) either takes the function's
+documented log-limit route or raises ``DomainError``.
 """
 
 import math
@@ -63,7 +63,10 @@ CASES = {
         lambda al: metric_inner(A, Y, Z, al),
         lambda: metric_inner(A, Y, Z, AlphaParam.log_limit()),
     ),
-    "solve_general_lyapunov": (lambda al: solve_general_lyapunov(A, Y, al).mat, None),
+    "solve_general_lyapunov": (
+        lambda al: solve_general_lyapunov(A, Y, al).mat,
+        lambda: solve_general_lyapunov(A, Y, AlphaParam.log_limit()).mat,
+    ),
     "GeodesicCurve.at": (lambda al: GeodesicCurve(A, B, al).at(0.3).mat, None),
     "gaussian_alpha_distance": (
         lambda al: gaussian_alpha_distance(G1, G2, al),
@@ -103,7 +106,7 @@ def test_non_finite_alpha_is_a_domain_error(name, alpha):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("sign", [1.0, -1.0, 0.0])
 def test_log_limit_band_takes_the_log_limit_route_or_raises(name, sign):
     call, log_limit = CASES[name]
     if log_limit is None:

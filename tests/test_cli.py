@@ -154,9 +154,10 @@ class TestDist:
         assert code == 0
         assert json.loads(out)["distance"] == 0.0
 
-    def test_log_limit_alpha_matches_log_euclidean(self, matrices):
+    @pytest.mark.parametrize("metric", ["alpha-procrustes", "power-euclidean"])
+    def test_log_limit_alpha_matches_log_euclidean(self, matrices, metric):
         a, b = matrices
-        code, out, _ = run_cli(["dist", "--alpha", "log-limit", a, b])
+        code, out, _ = run_cli(["dist", "--metric", metric, "--alpha", "log-limit", a, b])
         assert code == 0
         payload = json.loads(out)
         assert payload["alpha"] == "log-limit"
@@ -204,8 +205,10 @@ class TestDist:
 
     @pytest.mark.parametrize(
         "content",
-        ["1,2\n3\n", "", "\n  \n", "1,x\nx,1\n", "1,0,\n0,1,\n", "# c\n1,0\n0,1\n"],
-        ids=["ragged", "empty", "blank", "non-numeric", "trailing-comma", "hash-line"],
+        ["1,2\n3\n", "", "\n  \n", "1,x\nx,1\n", "1,0,\n0,1,\n", "# c\n1,0\n0,1\n",
+         "1,2,3\n4,5,6\n"],
+        ids=["ragged", "empty", "blank", "non-numeric", "trailing-comma", "hash-line",
+             "non-square"],
     )
     def test_bad_csv_exits_2(self, matrices, tmp_path, content):
         bad = tmp_path / "bad.csv"
@@ -336,11 +339,13 @@ class TestSweep:
         d_limit = float(rows[1].split(",")[1])
         assert abs(d_small - d_limit) <= 5e-3 * d_limit
 
-    def test_alpha_range_includes_log_limit(self, matrices):
+    @pytest.mark.parametrize("alpha_range", ["-0.5:0.5:5", "-1:1:4"], ids=["on-grid", "appended"])
+    def test_alpha_range_includes_log_limit(self, matrices, alpha_range):
+        # linspace(-1, 1, 4) misses 0, so the log-limit row is appended
         a, b = matrices
-        code, out, _ = run_cli(["sweep", "--alpha-range=-0.5:0.5:5", a, b])
+        code, out, _ = run_cli(["sweep", f"--alpha-range={alpha_range}", a, b])
         assert code == 0
-        assert "log-limit" in out
+        assert out.count("log-limit") == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_alpha_range_to_infinity_exits_3(self, matrices):
@@ -722,6 +727,27 @@ class TestValidate:
 
 
 class TestExitCodeMapping:
+    @pytest.mark.parametrize("argv, message", [
+        (["dist", "--alpha", "abc", "{a}", "{b}"], "bad alpha 'abc'"),
+        (["dist", "--metric", "bures-wasserstein", "--gamma", "0.1", "{a}", "{b}"],
+         "--gamma only applies to the alpha-procrustes metric"),
+        (["sweep", "--alpha-range=1:2", "{a}", "{b}"], "bad --alpha-range '1:2'"),
+        (["sweep", "--alpha-range=1:0:5", "{a}", "{b}"], "needs lo < hi and steps >= 2"),
+        (["geodesic", "--alpha", "0.5", "--t-steps", "0", "{a}", "{b}"],
+         "--t-steps must be >= 1"),
+        (["gauss-dist", "--mean-a", "{m}", "--cov-a", "{a}", "--mean-b", "{m}", "--cov-b", "{b}",
+          "--alpha", "1", "--mean-weights", "1,x"], "bad --mean-weights"),
+        (["gauss-dist", "--mean-a", "{a}", "--cov-a", "{a}", "--mean-b", "{m}", "--cov-b", "{b}",
+          "--alpha", "1"], "expected a single row or column vector"),
+    ], ids=["alpha", "gamma", "range-fields", "range-order", "t-steps", "mean-weights",
+            "mean-shape"])
+    def test_malformed_argument_exits_2(self, matrices, tmp_path, argv, message):
+        a, b = matrices
+        m = write_matrix(tmp_path / "m.csv", np.zeros((1, 2)))
+        code, out, err = run_cli([arg.format(a=a, b=b, m=m) for arg in argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", [["geodesic", "--alpha", "0.5", "--t-steps", "2"],
                                          ["dist", "--alpha", "0.5"]])
     def test_dimension_mismatch_exits_2(self, tmp_path, command):

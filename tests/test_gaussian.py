@@ -26,10 +26,19 @@ def rand_gaussian(rng, n, rank=None):
     return GaussianMeasure.from_arrays(rng.standard_normal(n), cov)
 
 
+_G2 = GaussianMeasure.from_arrays(np.zeros(2), np.eye(2))
+_G3 = GaussianMeasure.from_arrays(np.zeros(3), np.eye(3))
+
+
 class TestConstruction:
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("call", [
+        lambda: GaussianMeasure.from_arrays([1.0, 2.0, 3.0], np.eye(2)),
+        lambda: gaussian_alpha_distance(_G2, _G3, 0.5),
+        lambda: gaussian_alpha_distance(_G2, _G2, 0.5, MeanMetricSpec(weights=[1.0, 2.0, 3.0])),
+    ], ids=["mean-and-covariance", "two-gaussians", "mean-weights"])
+    def test_dimension_mismatch(self, call):
         with pytest.raises(DimensionError):
-            GaussianMeasure.from_arrays([1.0, 2.0, 3.0], np.eye(2))
+            call()
 
     def test_two_dimensional_mean_rejected(self):
         # not flattened into a 4-vector that happens to match the covariance

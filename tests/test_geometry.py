@@ -84,10 +84,16 @@ class TestLyapunovSolve:
         expected = loewner_apply(p0.eig, "log", y).mat / 2.0
         assert np.linalg.norm(h.mat - expected) <= 1e-5 * np.linalg.norm(expected)
 
-    def test_zero_alpha_rejected(self):
-        p0 = SpdMatrix.from_array(np.eye(2))
-        with pytest.raises(DomainError):
-            solve_general_lyapunov(p0, SymMatrix.from_array(np.eye(2)), 0.0)
+    @pytest.mark.parametrize(
+        "alpha", [0.0, AlphaParam.log_limit(), -5e-8], ids=["0", "log-limit", "-5e-8"]
+    )
+    def test_log_limit_is_half_the_log_derivative(self, alpha):
+        rng = np.random.default_rng(0)
+        p0 = rand_spd(rng, 4)
+        y = rand_sym(rng, 4)
+        h = solve_general_lyapunov(p0, y, alpha)
+        expected = loewner_apply(p0.eig, "log", y).mat / 2.0
+        assert np.linalg.norm(h.mat - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 class TestLyapunovFactor:

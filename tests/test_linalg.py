@@ -1,5 +1,6 @@
 import ast
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,25 @@ class TestSpdConstruction:
     def test_rejects_an_empty_matrix(self, build):
         with pytest.raises(DimensionError):
             build()
+
+    @pytest.mark.parametrize("build", [
+        SymMatrix.from_array,
+        SpdMatrix.from_array,
+        Dataset.from_array,
+        lambda bad: GaussianMeasure.from_arrays(bad[0], np.eye(2)),
+        lambda bad: MeanMetricSpec(weights=bad[0]),
+    ], ids=["SymMatrix", "SpdMatrix", "Dataset", "GaussianMeasure", "MeanMetricSpec"])
+    @pytest.mark.parametrize("bad", [
+        [[2.0, 1j], [-1j, 2.0]],
+        np.array([[2.0, 1j], [-1j, 2.0]]),
+        [["1", "x"], ["x", "1"]],
+    ], ids=["complex-list", "complex-array", "string"])
+    def test_rejects_complex_or_non_numeric_entries(self, build, bad):
+        # numpy would keep diag(2, 2) of the Hermitian [[2, i], [-i, 2]] (eigenvalues 1, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="must hold real numbers"):
+                build(bad)
 
 
 _DIAG = np.diag([1.0, 2.0])
@@ -300,8 +320,14 @@ class TestLoewnerApply:
     def test_log_rejects_singular_spectrum(self):
         a = SpdMatrix.from_array(np.diag([1.0, 0.0]))
         s = SymMatrix.from_array(np.eye(2))
-        with pytest.raises(DomainError):
+        with pytest.raises(SingularBaseError, match="^log derivative requires"):
             loewner_apply(a.eig, "log", s)
+
+    @pytest.mark.parametrize("f", ["exp", "log"])
+    def test_direction_of_another_order_is_a_dimension_error(self, f):
+        p0 = SpdMatrix.from_array(np.diag([1.0, 2.0]))
+        with pytest.raises(DimensionError, match="^matrix dimensions differ: 2 vs 3$"):
+            loewner_apply(p0.eig, f, SymMatrix.from_array(np.eye(3)))
 
     def test_unknown_function_rejected(self):
         a = SpdMatrix.from_array(np.eye(2))
@@ -573,11 +599,22 @@ class TestSingleSpectralRule:
         with pytest.raises(SingularBaseError):
             _require_strict(w, "stage")
         message = (
-            r"^log derivative undefined: not strictly positive definite "
+            r"^log derivative requires a strictly positive definite matrix "
             r"\(min eigenvalue 4\.000e-12, max eigenvalue 4\.000e\+00\)$"
         )
-        with pytest.raises(DomainError, match=message):
+        with pytest.raises(SingularBaseError, match=message):
             loewner_apply(EigenDecomposition(w, np.eye(3)), "log", SymMatrix.from_array(np.eye(3)))
+
+    def test_strictness_decided_only_by_the_rule(self):
+        # the geodesic guard calls it itself, because its message names t
+        def calls_strict(node):
+            return isinstance(node, ast.Call) and ast.unparse(node.func) == "_strict"
+
+        sites = []
+        for path in sorted(Path(alphaproc.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            sites += [f"{path.name}:{owner}" for owner in _sites(tree, calls_strict)]
+        assert sites == ["geometry.py:_spectra", "linalg.py:_require_strict"]
 
     def test_geodesic_guard_reports_the_largest_eigenvalue(self):
         # alpha = 2 and cond(A) = 1e4: the bracket at t = 0 is A^4, whose

@@ -253,9 +253,11 @@ class TestPowerEuclidean:
             4.0 * math.sqrt(2.0), abs=1e-12
         )
 
-    def test_zero_alpha_rejected(self):
-        with pytest.raises(DomainError):
-            power_euclidean(DIAG_A, DIAG_B, 0.0)
+    def test_zero_alpha_is_the_log_euclidean_distance(self):
+        # exact 0 is inside the log-limit band, like AlphaParam.log_limit()
+        expected = log_euclidean(DIAG_A, DIAG_B).value
+        for alpha in (0.0, AlphaParam.log_limit()):
+            assert power_euclidean(DIAG_A, DIAG_B, alpha).value == expected
 
     def test_overflow_raises_typed_error_without_warning(self):
         # 3^1000 overflows the power (pytest errors on RuntimeWarning)

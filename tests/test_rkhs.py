@@ -169,26 +169,31 @@ class TestKernelSpec:
         assert (poly.degree, poly.offset) == (2, 1.0)
         rbf = KernelSpec.parse("rbf:sigma=0.5")
         assert rbf.sigma == 0.5
+        # an empty item, as after a trailing comma, is skipped
+        assert KernelSpec.parse("poly:d=2,") == KernelSpec.polynomial(2)
 
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(DomainError):
-            KernelSpec.parse("cubic")
-        with pytest.raises(DomainError):
-            KernelSpec.parse("poly:d=zero")
-        with pytest.raises(DomainError, match="'sgima'"):
-            KernelSpec.parse("rbf:sgima=0.5")
-        with pytest.raises(DomainError, match="'sigma'"):
-            KernelSpec.parse("poly:d=3,sigma=2")
-        with pytest.raises(DomainError, match="repeated rbf kernel parameter 'sigma'"):
-            KernelSpec.parse("rbf:sigma=1,sigma=2")
-        with pytest.raises(DomainError, match="repeated poly kernel parameter 'c'"):
-            KernelSpec.parse("poly:c=1,d=2, c = 1")
+    @pytest.mark.parametrize("text, message", [
+        ("cubic", "unknown kernel spec 'cubic'"),
+        ("poly:d=zero", "malformed kernel spec 'poly:d=zero'"),
+        ("poly:d2", "malformed kernel parameter 'd2'"),
+        ("rbf:sgima=0.5", "'sgima'"),
+        ("poly:d=3,sigma=2", "'sigma'"),
+        ("rbf:sigma=1,sigma=2", "repeated rbf kernel parameter 'sigma'"),
+        ("poly:c=1,d=2, c = 1", "repeated poly kernel parameter 'c'"),
+        ("poly:d=2,c=-1", "polynomial offset must be >= 0"),
+    ])
+    def test_parse_rejects_garbage(self, text, message):
+        with pytest.raises(DomainError, match=message):
+            KernelSpec.parse(text)
 
-    def test_invalid_parameters(self):
-        with pytest.raises(DomainError):
-            KernelSpec.polynomial(0)
-        with pytest.raises(DomainError):
-            KernelSpec.gaussian_rbf(-1.0)
+    @pytest.mark.parametrize("make, message", [
+        (lambda: KernelSpec.polynomial(0), "polynomial degree"),
+        (lambda: KernelSpec.gaussian_rbf(-1.0), "RBF bandwidth must be > 0"),
+        (lambda: KernelSpec("foo"), "unknown kernel kind 'foo'"),
+    ], ids=["degree", "sigma", "kind"])
+    def test_invalid_parameters(self, make, message):
+        with pytest.raises(DomainError, match=message):
+            make()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
@@ -831,6 +836,26 @@ def _metamorphic_rtol(kernel, alpha, gamma):
     return METAMORPHIC_RTOL_REGULARIZED
 
 
+# Kernel scaling: the linear kernel on sqrt(c) X, and poly:d=3,c=0 on c^(1/6) X,
+# give c K, so d(cK; c gamma) = c^a d(K; gamma) on the regularized routes (the
+# log-limit reads c^0 = 1) and d(cK) = c^a d(K) on the unregularized ones.  At
+# c = 4^-3 and 4^3 both scalings are powers of two, so every step is exact; at
+# c = 10 the scaled data carry roundoff.  Relative bounds, about 2.5x the worst
+# seen over seeds 0-9 (in brackets); alpha 2 loses digits to trace-form cancellation.
+SCALING_RTOL_REGULARIZED = 1.0e-12  # [4.11e-13, poly, c 10, alpha 1, gamma 1e-3]
+SCALING_RTOL_CANCELLING = 3.8e-10  # [1.53e-10, poly, c 10, alpha 2, gamma 0.1]
+SCALING_RTOL_LOG_LIMIT = 5.1e-13  # [2.03e-13, linear, c 10, gamma 1e-3]
+SCALING_RTOL_UNREGULARIZED = 9.3e-15  # [3.70e-15, linear, c 10, alpha 0.5]
+
+
+def _scaling_rtol(alpha, gamma):
+    if gamma is None:
+        return SCALING_RTOL_UNREGULARIZED
+    if isinstance(alpha, AlphaParam):
+        return SCALING_RTOL_LOG_LIMIT
+    return SCALING_RTOL_CANCELLING if alpha == 2.0 else SCALING_RTOL_REGULARIZED
+
+
 class TestMetamorphicRelations:
     @staticmethod
     def _distance(x, y, kernel, alpha, gamma):
@@ -867,6 +892,24 @@ class TestMetamorphicRelations:
                     dev = abs(self._distance(x2, y2, kernel, alpha, gamma) - d) / d
                     if not dev <= rtol:
                         failures.append(f"{kernel} {name} alpha {alpha} gamma {gamma}: {dev:.2e}")
+        assert failures == []
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_kernel_scaling_scales_the_distance_by_c_to_the_alpha(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((30, 3))
+        y = 1.3 * rng.standard_normal((25, 3)) + 0.4
+        failures = []
+        for kernel, root in ((LINEAR, 2), (KernelSpec.polynomial(3, 0.0), 6)):
+            for alpha, gamma in METAMORPHIC_ROUTES:
+                d = self._distance(x, y, kernel, alpha, gamma)
+                a = alpha.value if isinstance(alpha, AlphaParam) else alpha
+                for c in (4.0**-3, 4.0**3, 10.0):
+                    s, c_gamma = c ** (1.0 / root), None if gamma is None else c * gamma
+                    scaled = self._distance(s * x, s * y, kernel, alpha, c_gamma)
+                    dev = abs(scaled - c**a * d) / (c**a * d)
+                    if not dev <= _scaling_rtol(alpha, gamma):
+                        failures.append(f"{kernel} c {c} alpha {alpha} gamma {gamma}: {dev:.2e}")
         assert failures == []
 
 
