@@ -21,14 +21,11 @@ from alphaproc import (
     GaussianMeasure,
     KernelSpec,
     alpha_procrustes_regularized,
-    centered_gram,
     explicit_feature_covariance,
     gaussian_alpha_distance,
-    gram_bundle,
-    mean_discrepancy_squared,
     wasserstein_gaussian,
 )
-from alphaproc.rkhs import _covariance_distance
+from alphaproc.rkhs import _covariance_distance, _gram_blocks
 
 
 def main() -> None:
@@ -46,8 +43,7 @@ def main() -> None:
     my, cy = explicit_feature_covariance(y, kernel)
     gx = GaussianMeasure.from_arrays(mx, cx)
     gy = GaussianMeasure.from_arrays(my, cy)
-    gb = gram_bundle(x, y, kernel)
-    cg, mdd = centered_gram(gb), mean_discrepancy_squared(gb)
+    mdd, cg = _gram_blocks(x, y, kernel)
 
     def gram_gaussian(alpha):
         return math.sqrt(mdd + 0.25 * _covariance_distance(cg, alpha, None) ** 2)

@@ -70,7 +70,7 @@ def solve_general_lyapunov(p0: SpdMatrix, y: SymMatrix, alpha) -> SymMatrix:
     p0.require_strict("generalized Lyapunov solve")
     _check_dims(p0, y)
     v = p0.eig.vectors
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         h_tilde = _eigenbasis_solve(v, y.mat, _lyapunov_factor(p0.eig.values, al))
         return SymMatrix.from_array(v @ h_tilde @ v.T)
 
@@ -83,7 +83,7 @@ def _eigenbasis_inner(lam, vecs, y, z, al: AlphaParam) -> np.ndarray:
     4 sum_ij Ht_ij Hz_ji lam_j^2a: neither H nor P^2a is rebuilt.  The
     log-limit takes P^0 = I.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         f = _lyapunov_factor(lam, al)
         hy = _eigenbasis_solve(vecs, y, f)
         hz = hy if z is y else _eigenbasis_solve(vecs, z, f)

@@ -10,11 +10,13 @@ matrices built from the centered Gram blocks
 
 because nonzero eigenvalues transfer between an operator product and its
 Gram-side counterpart; the cross block is taken in the eigenbases of aa
-and bb.  The routes read only invariants of the blocks under an orthogonal
-change of sample coordinates, so a finite feature map of dimension
-D <= min(m, n)/2 (linear, polynomial kernels) gives them, of order D, from
-the R factors of the centered, scaled features F_c = Q R: R_x R_x',
-R_y R_y', R_x R_y'.  For the regularized family (alpha != 0) C_X and C_Y
+and bb.  Without a small feature map they come from the three kernel
+matrices, each evaluated once and centered in place by its row, column and
+grand means; no J_m is formed.  The routes read only invariants of the
+blocks under an orthogonal change of sample coordinates, so a finite
+feature map of dimension D <= min(m, n)/2 (linear, polynomial kernels)
+gives them, of order D, from the R factors of the centered, scaled
+features F_c = Q R: R_x R_x', R_y R_y', R_x R_y'.  For the regularized family (alpha != 0) C_X and C_Y
 become finite matrices on the span of the centered features of both
 datasets: the eigenbasis of the dataset of larger rank, and the remainders
 of the other's features off it, from a Schur complement of order
@@ -124,12 +126,12 @@ class KernelSpec:
             return x @ y.T
         if self.kind == "poly":
             return (x @ y.T + self.offset) ** self.degree
-        sq = (
-            np.sum(x**2, axis=1)[:, None]
-            + np.sum(y**2, axis=1)[None, :]
-            - 2.0 * (x @ y.T)
-        )
-        return np.exp(-np.maximum(sq, 0.0) / (2.0 * self.sigma**2))
+        sq = np.sum(x**2, axis=1)[:, None] + np.sum(y**2, axis=1)[None, :]
+        sq -= 2.0 * (x @ y.T)
+        np.maximum(sq, 0.0, out=sq)
+        np.negative(sq, out=sq)
+        sq /= 2.0 * self.sigma**2
+        return np.exp(sq, out=sq)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,77 +162,12 @@ class Dataset:
 
 
 @dataclass(frozen=True, eq=False)
-class GramBundle:
-    """Raw Gram matrices K[X], K[Y], K[X, Y]."""
-
-    kxx: np.ndarray
-    kyy: np.ndarray
-    kxy: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.kxx.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.kyy.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class CenteredGram:
     """Doubly centered, sample-scaled Gram blocks aa, bb, ab."""
 
     aa: np.ndarray
     bb: np.ndarray
     ab: np.ndarray
-
-
-def centering(m: int) -> np.ndarray:
-    """J_m = I - (1/m) 1 1^T."""
-    return np.eye(m) - np.full((m, m), 1.0 / m)
-
-
-def gram_bundle(x: Dataset, y: Dataset, kernel: KernelSpec) -> GramBundle:
-    """Evaluate the three Gram matrices; the diagonal blocks are symmetrized.
-
-    A kernel value that overflows raises NonFiniteError naming the kernel.
-    """
-    if x.dim != y.dim:
-        raise DimensionError(f"sample dimensions differ: {x.dim} vs {y.dim}")
-    with np.errstate(all="ignore"):
-        kxx = kernel.gram(x.points, x.points)
-        kyy = kernel.gram(y.points, y.points)
-        kxy = kernel.gram(x.points, y.points)
-        gb = GramBundle((kxx + kxx.T) / 2.0, (kyy + kyy.T) / 2.0, kxy)
-    _finite(f"{kernel} Gram matrices on these datasets", gb.kxx, gb.kyy, gb.kxy)
-    return gb
-
-
-def _double_center(k: np.ndarray) -> np.ndarray:
-    """J_m K J_n: subtract the row means, the column means, add the grand mean."""
-    col = k.mean(axis=0, keepdims=True)
-    row = k.mean(axis=1, keepdims=True)
-    return k - row - col + col.mean()
-
-
-def centered_gram(gb: GramBundle) -> CenteredGram:
-    aa = _double_center(gb.kxx) / gb.m
-    bb = _double_center(gb.kyy) / gb.n
-    ab = _double_center(gb.kxy) / math.sqrt(gb.m * gb.n)
-    return CenteredGram((aa + aa.T) / 2.0, (bb + bb.T) / 2.0, ab)
-
-
-def mean_discrepancy_squared(gb: GramBundle) -> float:
-    """Squared RKHS distance between the empirical mean embeddings.
-
-    (1/m^2) 1'K[X]1 + (1/n^2) 1'K[Y]1 - (2/mn) 1'K[X,Y]1, clamped at zero.
-    """
-    value = (
-        float(np.sum(gb.kxx)) / gb.m**2
-        + float(np.sum(gb.kyy)) / gb.n**2
-        - 2.0 * float(np.sum(gb.kxy)) / (gb.m * gb.n)
-    )
-    return max(value, 0.0)
 
 
 def rkhs_alpha_distance(
@@ -255,16 +192,38 @@ def _centered_blocks(x: Dataset, y: Dataset, kernel: KernelSpec) -> tuple[float,
     """
     if x.dim != y.dim:
         raise DimensionError(f"sample dimensions differ: {x.dim} vs {y.dim}")
+    if not 0 < 2 * _feature_dim(kernel, x.dim) <= min(x.m, y.m):
+        return _gram_blocks(x, y, kernel)
     with np.errstate(all="ignore"):
-        if not 0 < 2 * _feature_dim(kernel, x.dim) <= min(x.m, y.m):
-            gb = gram_bundle(x, y, kernel)
-            return mean_discrepancy_squared(gb), centered_gram(gb)
         (mx, rx), (my, ry) = (_feature_factor(ds, kernel) for ds in (x, y))
         aa, bb = rx @ rx.T, ry @ ry.T
         cg = CenteredGram((aa + aa.T) / 2.0, (bb + bb.T) / 2.0, rx @ ry.T)
         mdd = float(np.sum((mx - my) ** 2))
     _finite(f"{kernel} feature blocks on these datasets", mdd, cg.aa, cg.bb, cg.ab)
     return mdd, cg
+
+
+def _gram_blocks(x: Dataset, y: Dataset, kernel: KernelSpec) -> tuple[float, CenteredGram]:
+    """Mean discrepancy squared and the centered blocks from K[X], K[Y] (symmetrized), K[X, Y].
+
+    The mean discrepancy is (1/m^2) 1'K[X]1 + (1/n^2) 1'K[Y]1 - (2/mn) 1'K[X,Y]1, clamped at
+    zero; each block is J K J (the row means, then the column means subtracted, the grand mean
+    added) over its scale.  A kernel value that overflows raises NonFiniteError naming the kernel.
+    """
+    m, n = x.m, y.m
+    with np.errstate(all="ignore"):
+        kxx, kyy, kxy = (kernel.gram(a.points, b.points) for a, b in ((x, x), (y, y), (x, y)))
+        kxx, kyy = (kxx + kxx.T) / 2.0, (kyy + kyy.T) / 2.0
+        _finite(f"{kernel} Gram matrices on these datasets", kxx, kyy, kxy)
+        mdd = (float(np.sum(kxx)) / m**2 + float(np.sum(kyy)) / n**2
+               - 2.0 * float(np.sum(kxy)) / (m * n))
+        for k, scale in ((kxx, m), (kyy, n), (kxy, math.sqrt(m * n))):
+            col = k.mean(axis=0, keepdims=True)
+            k -= k.mean(axis=1, keepdims=True)
+            k -= col
+            k += col.mean()
+            k /= scale
+        return max(mdd, 0.0), CenteredGram((kxx + kxx.T) / 2.0, (kyy + kyy.T) / 2.0, kxy)
 
 
 def _feature_factor(ds: Dataset, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray]:

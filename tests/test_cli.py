@@ -663,7 +663,7 @@ class TestRkhsDist:
         import alphaproc.rkhs as rkhs_mod
 
         calls = []
-        original = rkhs_mod.gram_bundle
+        original = rkhs_mod._gram_blocks
 
         def counting(*args):
             calls.append(args)
@@ -671,7 +671,7 @@ class TestRkhsDist:
 
         # a separate build in the CLI would go through its own binding
         for mod in (rkhs_mod, cli_mod):
-            monkeypatch.setattr(mod, "gram_bundle", counting, raising=False)
+            monkeypatch.setattr(mod, "_gram_blocks", counting, raising=False)
         x, y = datasets
         for alpha, gamma in (("0.75", "0"), ("0.3", "0.1"), ("log-limit", "0.1")):
             code, _, _ = run_cli(

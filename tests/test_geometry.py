@@ -444,20 +444,24 @@ class TestGeodesicLength:
                 geodesic_length_numeric(curve, steps)
 
 
+# 10^400 overflows the Lyapunov factor's powers; at diag(1e-22, 2e-22) and alpha 7
+# its off-diagonal entries underflow to 0, and the solve divides by them
+OUT_OF_RANGE = [(np.diag([10.0, 20.0]), 200.0), (np.diag([1e-22, 2e-22]), 7.0)]
+
+
+@pytest.mark.parametrize("p0,alpha", OUT_OF_RANGE, ids=["overflow", "underflow"])
 class TestOverflow:
     """A metric power beyond the float range is one typed error, with no RuntimeWarning."""
 
-    P0 = SpdMatrix.from_array(np.diag([10.0, 20.0]))
     Y = SymMatrix.from_array([[1.0, 0.5], [0.5, 2.0]])
 
-    def test_metric_inner(self):
-        # 10^400 overflows the Lyapunov factor's powers
+    def test_metric_inner(self, p0, alpha):
         with pytest.raises(NonFiniteError, match="^metric inner product: "):
-            metric_inner(self.P0, self.Y, self.Y, 200.0)
+            metric_inner(SpdMatrix.from_array(p0), self.Y, self.Y, alpha)
 
-    def test_lyapunov_solve(self):
+    def test_lyapunov_solve(self, p0, alpha):
         with pytest.raises(NonFiniteError, match="^matrix: "):
-            solve_general_lyapunov(self.P0, self.Y, 200.0)
+            solve_general_lyapunov(SpdMatrix.from_array(p0), self.Y, alpha)
 
 
 SCALES = [1e-30, 1e-12, 1e-9, 1e-6, 1e3, 1e30]

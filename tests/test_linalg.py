@@ -29,8 +29,6 @@ from alphaproc import (
     SpdMatrix,
     SymMatrix,
     alpha_procrustes,
-    centered_gram,
-    gram_bundle,
     loewner_apply,
     spd_log,
     spd_power,
@@ -38,7 +36,7 @@ from alphaproc import (
     sym_exp,
 )
 from alphaproc.linalg import PSD_TOL_FACTOR, nuclear_norm
-from alphaproc.rkhs import CenteredGram, _in_eigenbases
+from alphaproc.rkhs import CenteredGram, _gram_blocks, _in_eigenbases
 
 
 @st.composite
@@ -143,9 +141,9 @@ _DIAG = np.diag([1.0, 2.0])
 _POINTS = np.arange(6.0).reshape(3, 2)
 
 
-def _bundle():
+def _blocks():
     x = Dataset.from_array(_POINTS)
-    return gram_bundle(x, x, KernelSpec.linear())
+    return _gram_blocks(x, x, KernelSpec.linear())[1]
 
 
 # each builds a new object with the same content on every call
@@ -156,8 +154,7 @@ ARRAY_HOLDERS = {
     "GaussianMeasure": lambda: GaussianMeasure.from_arrays([0.0, 1.0], _DIAG),
     "MeanMetricSpec": lambda: MeanMetricSpec(weights=[1.0, 2.0]),
     "Dataset": lambda: Dataset.from_array(_POINTS),
-    "GramBundle": _bundle,
-    "CenteredGram": lambda: centered_gram(_bundle()),
+    "CenteredGram": _blocks,
 }
 
 

@@ -11,7 +11,6 @@ from alphaproc import (
     DimensionError,
     DomainError,
     GaussianMeasure,
-    GramBundle,
     KernelSpec,
     NonFiniteError,
     SingularBaseError,
@@ -19,13 +18,9 @@ from alphaproc import (
     alpha_procrustes,
     alpha_procrustes_regularized,
     bures_wasserstein,
-    centered_gram,
-    centering,
     explicit_feature_covariance,
     gaussian_alpha_distance,
     gaussian_alpha_distance_regularized,
-    gram_bundle,
-    mean_discrepancy_squared,
     rkhs_alpha_distance,
     rkhs_alpha_distance_unregularized,
     rkhs_gaussian_distance,
@@ -34,7 +29,7 @@ from alphaproc import (
     wasserstein_gaussian,
 )
 from alphaproc.linalg import SpdMatrix, psd_tolerance
-from alphaproc.rkhs import _covariance_distance, _feature_dim
+from alphaproc.rkhs import _covariance_distance, _feature_dim, _gram_blocks
 
 POLY = KernelSpec.polynomial(2, 1.0)
 LINEAR = KernelSpec.linear()
@@ -150,7 +145,7 @@ def gram_route(x, y, kernel, alpha, gamma=None):
     Linear and polynomial inputs with 2D <= min(m, n) take the feature
     factors' blocks in the library; this keeps the Gram route covered on them.
     """
-    return _covariance_distance(centered_gram(gram_bundle(x, y, kernel)), alpha, gamma)
+    return _covariance_distance(_gram_blocks(x, y, kernel)[1], alpha, gamma)
 
 
 def both_routes(x, y, kernel, alpha, gamma=None):
@@ -232,42 +227,92 @@ class TestKernelSpec:
         assert explicit_feature_covariance(x, spec)[1].n == 6
 
 
-class TestGramBundle:
+def reference_gram(kernel, x, y):
+    """K[i, j] = K(x_i, y_j), each kernel's formula evaluated out of place."""
+    if kernel.kind == "linear":
+        return x @ y.T
+    if kernel.kind == "poly":
+        return (x @ y.T + kernel.offset) ** kernel.degree
+    sq = np.sum(x**2, axis=1)[:, None] + np.sum(y**2, axis=1)[None, :] - 2.0 * (x @ y.T)
+    return np.exp(-np.maximum(sq, 0.0) / (2.0 * kernel.sigma**2))
+
+
+def centering(m):
+    """J_m = I - (1/m) 1 1^T."""
+    return np.eye(m) - np.full((m, m), 1.0 / m)
+
+
+def reference_blocks(x, y, kernel):
+    """Mean discrepancy squared and centered blocks, as three out-of-place stages.
+
+    The raw Grams with symmetrized diagonal blocks; the sums' mean
+    discrepancy, clamped at 0; each Gram less its row and column means plus
+    the grand mean, over its scale, the diagonal blocks symmetrized again.
+    """
+    m, n = x.m, y.m
+    pairs = ((x, x), (y, y), (x, y))
+    kxx, kyy, kxy = (reference_gram(kernel, a.points, b.points) for a, b in pairs)
+    kxx, kyy = (kxx + kxx.T) / 2.0, (kyy + kyy.T) / 2.0
+    mdd = float(np.sum(kxx)) / m**2 + float(np.sum(kyy)) / n**2 - 2.0 * float(np.sum(kxy)) / (m * n)
+
+    def double_center(k):
+        col = k.mean(axis=0, keepdims=True)
+        row = k.mean(axis=1, keepdims=True)
+        return k - row - col + col.mean()
+
+    aa = double_center(kxx) / m
+    bb = double_center(kyy) / n
+    ab = double_center(kxy) / math.sqrt(m * n)
+    return max(mdd, 0.0), (aa + aa.T) / 2.0, (bb + bb.T) / 2.0, ab
+
+
+class TestGramBlocks:
+    @pytest.mark.parametrize("kernel", [LINEAR, POLY, RBF], ids=["linear", "poly", "rbf"])
+    @pytest.mark.parametrize("m,n", [(9, 14), (23, 17), (40, 31)])
+    def test_match_the_staged_reference_bitwise(self, kernel, m, n):
+        x, y = datasets(47, m=m, n=n, dim=3)
+        for a, b in ((x, x), (y, y), (x, y)):
+            assert np.array_equal(kernel.gram(a.points, b.points),
+                                  reference_gram(kernel, a.points, b.points))
+        mdd, cg = _gram_blocks(x, y, kernel)
+        want = reference_blocks(x, y, kernel)
+        assert mdd == want[0]
+        for got, block in zip((cg.aa, cg.bb, cg.ab), want[1:]):
+            assert np.array_equal(got, block)
+
     def test_overflow_is_a_typed_error(self):
         # (x'y + 1)^100000 overflows; the suite turns numpy warnings into
         # errors, so this also checks that no RuntimeWarning escapes
         x, y = datasets(4)
         kernel = KernelSpec.polynomial(100_000, 1.0)
         with pytest.raises(NonFiniteError, match="degree=100000"):
-            gram_bundle(x, y, kernel)
+            _gram_blocks(x, y, kernel)
         with pytest.raises(NonFiniteError, match="degree=100000"):
             rkhs_gaussian_distance(x, y, kernel, 0.5, 0.1)
 
     def test_linear_orthonormal_points(self):
         x = Dataset.from_array([[1.0, 0.0], [0.0, 1.0]])
-        gb = gram_bundle(x, x, LINEAR)
-        assert np.allclose(gb.kxx, np.eye(2), atol=1e-14)
+        assert np.allclose(LINEAR.gram(x.points, x.points), np.eye(2), atol=1e-14)
 
     def test_rbf_unit_diagonal(self):
-        x, y = datasets(1)
-        gb = gram_bundle(x, y, RBF)
-        assert np.allclose(np.diag(gb.kxx), 1.0, atol=1e-14)
+        x, _ = datasets(1)
+        assert np.allclose(np.diag(RBF.gram(x.points, x.points)), 1.0, atol=1e-14)
 
     def test_poly_matches_feature_map(self):
         x, y = datasets(2, m=8, n=8)
-        gb = gram_bundle(x, y, POLY)
-        mx, _ = explicit_feature_covariance(x, POLY)
         fx = _features(x)
         fy = _features(y)
-        assert np.allclose(gb.kxx, fx @ fx.T, atol=1e-12)
-        assert np.allclose(gb.kxy, fx @ fy.T, atol=1e-12)
+        assert np.allclose(POLY.gram(x.points, x.points), fx @ fx.T, atol=1e-12)
+        assert np.allclose(POLY.gram(x.points, y.points), fx @ fy.T, atol=1e-12)
 
     def test_dimension_mismatch(self):
+        # RBF takes the Gram route, linear (D = 2 <= 5/2) the feature route
         rng = np.random.default_rng(3)
         x = Dataset.from_array(rng.standard_normal((5, 2)))
         y = Dataset.from_array(rng.standard_normal((5, 3)))
-        with pytest.raises(DimensionError):
-            gram_bundle(x, y, LINEAR)
+        for kernel in (RBF, LINEAR):
+            with pytest.raises(DimensionError):
+                rkhs_gaussian_distance(x, y, kernel, 0.5)
 
     def test_dataset_rejects_3d_array(self):
         with pytest.raises(DimensionError):
@@ -275,7 +320,7 @@ class TestGramBundle:
 
     def test_centered_blocks_have_zero_sums(self):
         x, y = datasets(4, m=9, n=7)
-        cg = centered_gram(gram_bundle(x, y, RBF))
+        cg = _gram_blocks(x, y, RBF)[1]
         assert np.max(np.abs(cg.aa.sum(axis=0))) <= 1e-10
         assert np.max(np.abs(cg.bb.sum(axis=1))) <= 1e-10
         assert np.max(np.abs(cg.ab.sum(axis=0))) <= 1e-10
@@ -284,13 +329,14 @@ class TestGramBundle:
     def test_centered_blocks_match_centering_products(self):
         # reference: J_m K J_n with the dense centering matrices
         x, y = datasets(5, m=13, n=8)
-        gb = gram_bundle(x, y, RBF)
-        cg = centered_gram(gb)
-        jm, jn = centering(gb.m), centering(gb.n)
+        m, n = x.m, y.m
+        cg = _gram_blocks(x, y, RBF)[1]
+        kxx, kyy = (RBF.gram(d.points, d.points) for d in (x, y))
+        jm, jn = centering(m), centering(n)
         for got, k, left, right, scale in (
-            (cg.aa, gb.kxx, jm, jm, gb.m),
-            (cg.bb, gb.kyy, jn, jn, gb.n),
-            (cg.ab, gb.kxy, jm, jn, np.sqrt(gb.m * gb.n)),
+            (cg.aa, (kxx + kxx.T) / 2.0, jm, jm, m),
+            (cg.bb, (kyy + kyy.T) / 2.0, jn, jn, n),
+            (cg.ab, RBF.gram(x.points, y.points), jm, jn, np.sqrt(m * n)),
         ):
             want = left @ k @ right / scale
             want = want if got is cg.ab else (want + want.T) / 2.0
@@ -306,27 +352,20 @@ def _features(ds, kernel=POLY):
 class TestMeanDiscrepancy:
     def test_same_dataset(self):
         x, _ = datasets(5)
-        assert mean_discrepancy_squared(gram_bundle(x, x, RBF)) == pytest.approx(
-            0.0, abs=1e-10
-        )
+        assert _gram_blocks(x, x, RBF)[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_single_points_linear(self):
-        # two one-point clouds: the mean embedding gap is |x - y|^2
+        # two clouds of one repeated point each: the mean embedding gap is |x - y|^2
         x = np.array([1.0, 2.0])
         y = np.array([-0.5, 1.0])
-        gb = GramBundle(
-            kxx=np.array([[x @ x]]), kyy=np.array([[y @ y]]), kxy=np.array([[x @ y]])
-        )
-        assert mean_discrepancy_squared(gb) == pytest.approx(
-            float(np.sum((x - y) ** 2)), abs=1e-12
-        )
+        mdd = _gram_blocks(Dataset.from_array([x, x]), Dataset.from_array([y, y]), LINEAR)[0]
+        assert mdd == pytest.approx(float(np.sum((x - y) ** 2)), abs=1e-12)
 
     def test_matches_feature_space_means(self):
         x, y = datasets(6, m=10, n=13)
-        gb = gram_bundle(x, y, POLY)
         mx, _ = explicit_feature_covariance(x, POLY)
         my, _ = explicit_feature_covariance(y, POLY)
-        assert mean_discrepancy_squared(gb) == pytest.approx(
+        assert _gram_blocks(x, y, POLY)[0] == pytest.approx(
             float(np.sum((mx - my) ** 2)), rel=1e-10
         )
 
@@ -352,8 +391,7 @@ class TestExplicitFeatures:
         x, _ = datasets(9, m=6)
         features = _features(x)
         assert features.shape == (6, 6)
-        gb = gram_bundle(x, x, POLY)
-        assert np.allclose(features @ features.T, gb.kxx, atol=1e-12)
+        assert np.allclose(features @ features.T, POLY.gram(x.points, x.points), atol=1e-12)
 
     def test_rbf_unsupported(self):
         x, _ = datasets(10)
@@ -537,7 +575,7 @@ class TestRegularizedDistance:
         # eigenvalue), never by argument order: aa, bb, then the Schur
         # complement of order min(ra, rb)
         x, y = datasets(49, m=m, n=n, dim=3)
-        cg = centered_gram(gram_bundle(x, y, RBF))
+        cg = _gram_blocks(x, y, RBF)[1]
         wa, wb = np.linalg.eigvalsh(cg.aa), np.linalg.eigvalsh(cg.bb)
         tol = psd_tolerance(max(wa[-1], wb[-1]))
         ra, rb = int(np.sum(wa >= tol)), int(np.sum(wb >= tol))
@@ -573,8 +611,8 @@ class TestRegularizedDistance:
         for alpha, gamma in regularized + [(0.5, None), (0.75, None), (1.0, None)]:
             d_lib, d_gram = both_routes(x, y, kernel, alpha, gamma)
             assert abs(d_lib - d_gram) <= 1e-12 * d_gram
-        gb = gram_bundle(x, y, kernel)
-        w_gram = math.sqrt(mean_discrepancy_squared(gb) + gram_route(x, y, kernel, 0.5) ** 2 / 4)
+        mdd = _gram_blocks(x, y, kernel)[0]
+        w_gram = math.sqrt(mdd + gram_route(x, y, kernel, 0.5) ** 2 / 4)
         assert abs(rkhs_wasserstein(x, y, kernel) - w_gram) <= 1e-12 * w_gram
 
     @pytest.mark.parametrize("scale", [4.0, 8.0])
@@ -981,9 +1019,9 @@ class TestGaussianDistance:
 
         def counting(*args):
             calls.append(args)
-            return gram_bundle(*args)
+            return _gram_blocks(*args)
 
-        monkeypatch.setattr(rkhs_mod, "gram_bundle", counting)
+        monkeypatch.setattr(rkhs_mod, "_gram_blocks", counting)
         x, y = datasets(29, m=9, n=11)
         rkhs_gaussian_distance(x, y, RBF, alpha, gamma)
         assert len(calls) == 1
@@ -1024,7 +1062,7 @@ class TestWasserstein:
 class TestBlockStructure:
     def test_h_identity_on_centered_gram(self):
         x, y = datasets(38)
-        cg = centered_gram(gram_bundle(x, y, RBF))
+        cg = _gram_blocks(x, y, RBF)[1]
         e = SpdMatrix.from_array(cg.aa)
         for alpha in (0.8, 1.6):
             lhs = e.mat @ h_alpha(e, 2 * alpha)
