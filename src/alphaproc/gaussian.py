@@ -19,7 +19,7 @@ import numpy as np
 
 from .exceptions import DimensionError, DomainError
 from .linalg import SpdMatrix, _finite, _real_array
-from .metrics import _family
+from .metrics import _check_gamma, _family
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,4 +133,5 @@ def gaussian_alpha_distance_regularized(
     Admissible for every alpha on PSD covariances since the ridge makes
     them strictly positive.
     """
+    _check_gamma(gamma)  # _gaussian_terms reads None as no ridge
     return _gaussian_terms(g1, g2, alpha, gamma, mean_metric)[2]

@@ -77,6 +77,14 @@ def _finite(what: str, *values) -> None:
             )
 
 
+def _finite_real(value) -> bool:
+    """math.isfinite, False for what it cannot read as one real number (str, None, complex)."""
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
 @contextmanager
 def _lapack_guard(what: str, mat: np.ndarray):
     """The one guard around every LAPACK call: finite input, typed failure."""
@@ -258,8 +266,8 @@ class AlphaParam:
     value: float
 
     def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise DomainError(f"alpha must be finite, got {self.value}")
+        if not _finite_real(self.value):
+            raise DomainError(f"alpha must be finite and real, got {self.value!r}")
 
     @property
     def is_log_limit(self) -> bool:
@@ -281,10 +289,14 @@ class AlphaParam:
 
 
 def as_alpha(alpha) -> AlphaParam:
-    """Coerce a float or AlphaParam to AlphaParam."""
+    """Coerce a float, or anything float() reads, to AlphaParam; other input raises DomainError."""
     if isinstance(alpha, AlphaParam):
         return alpha
-    return AlphaParam(float(alpha))
+    try:
+        alpha = float(alpha)
+    except (TypeError, ValueError, OverflowError):
+        pass  # AlphaParam rejects it by name
+    return AlphaParam(alpha)
 
 
 def spd_power(a: SpdMatrix, p: float) -> SpdMatrix:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .exceptions import DimensionError, DomainError, NumericalInconsistencyError
 from .linalg import AlphaParam, SpdMatrix, as_alpha, spd_log, spd_power, trace_sqrt
-from .linalg import _check_dims, _finite
+from .linalg import _check_dims, _finite, _finite_real
 
 # The trace argument of the square root may dip below zero by roundoff; clamp
 # when |negative| < NEG_TRACE_RTOL * (|tr A^2a| + |tr B^2a|), else raise.
@@ -81,8 +81,8 @@ def _trace_form(ta: float, tb: float, cross: float, alpha: float) -> float:
 
 
 def _check_gamma(gamma: float) -> None:
-    if not 0.0 < gamma < math.inf:
-        raise DomainError(f"gamma must be positive and finite, got {gamma}")
+    if not (_finite_real(gamma) and gamma > 0.0):
+        raise DomainError(f"gamma must be positive and finite, got {gamma!r}")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as a decorator it costs half a with block
@@ -175,6 +175,7 @@ def alpha_procrustes_regularized(
     operators; gamma > 0 makes both arguments strictly positive, so every
     alpha (including the log-limit) is admissible for PSD input.
     """
+    _check_gamma(gamma)  # _family reads None as no ridge
     return _family(a, b, alpha, gamma)
 
 

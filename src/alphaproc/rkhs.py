@@ -16,15 +16,16 @@ grand means; no J_m is formed.  The routes read only invariants of the
 blocks under an orthogonal change of sample coordinates, so a finite
 feature map of dimension D <= min(m, n)/2 (linear, polynomial kernels)
 gives them, of order D, from the R factors of the centered, scaled
-features F_c = Q R: R_x R_x', R_y R_y', R_x R_y'.  For the regularized family (alpha != 0) C_X and C_Y
-become finite matrices on the span of the centered features of both
-datasets: the eigenbasis of the dataset of larger rank, and the remainders
-of the other's features off it, from a Schur complement of order
-min(rank aa, rank bb), so the eigensolves are of order m, n and that
-minimum.  C_X + gI is diagonal there, and the family's cross term is formed
-in that frame.  The ridge adds exactly zero off the span, and sample counts
-may differ.  The Wasserstein distance is the alpha = 1/2 member,
-tr aa + tr bb - 2 |ab|_*, with no eigensolve.
+features F_c = Q R: R_x R_x', R_y R_y', R_x R_y'.  Either way the blocks
+travel as the plain tuple (aa, bb, ab), checked finite once.  For the
+regularized family (alpha != 0) C_X and C_Y become finite matrices on the
+span of the centered features of both datasets: the eigenbasis of the
+dataset of larger rank, and the remainders of the other's features off it,
+from a Schur complement of order min(rank aa, rank bb), so the eigensolves
+are of order m, n and that minimum.  C_X + gI is diagonal there, and the
+family's cross term is formed in that frame.  The ridge adds exactly zero
+off the span, and sample counts may differ.  The Wasserstein distance is
+the alpha = 1/2 member, tr aa + tr bb - 2 |ab|_*, with no eigensolve.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ import numpy as np
 from .exceptions import DimensionError, DomainError, UnsupportedKernelError
 from .gaussian import _combine
 from .linalg import AlphaParam, SpdMatrix, as_alpha, nuclear_norm, sym_eigh, trace_sqrt
-from .linalg import _clamp_zero, _finite, _lapack_guard, _real_array, _require_strict
+from .linalg import _clamp_zero, _finite, _finite_real, _lapack_guard, _real_array
+from .linalg import _require_strict
 from .metrics import _check_gamma, _trace_form
 
 FEATURE_DIM_LIMIT = 10_000
@@ -61,8 +63,8 @@ class KernelSpec:
             raise DomainError(f"unknown kernel kind {self.kind!r}")
         for name in ("degree", "offset", "sigma"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise DomainError(f"kernel {name} must be finite, got {value}")
+            if not _finite_real(value):
+                raise DomainError(f"kernel {name} must be finite and real, got {value!r}")
         if self.kind == "poly":
             if self.degree < 1 or int(self.degree) != self.degree:
                 raise DomainError("polynomial degree must be an integer >= 1")
@@ -161,15 +163,6 @@ class Dataset:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class CenteredGram:
-    """Doubly centered, sample-scaled Gram blocks aa, bb, ab."""
-
-    aa: np.ndarray
-    bb: np.ndarray
-    ab: np.ndarray
-
-
 def rkhs_alpha_distance(
     x: Dataset, y: Dataset, kernel: KernelSpec, alpha, gamma: float
 ) -> float:
@@ -181,40 +174,39 @@ def rkhs_alpha_distance(
     |alpha| below the switch tolerance routes to the analytic log-limit
     (the Log-Hilbert-Schmidt distance of the regularized operators).
     """
+    _check_gamma(gamma)  # _covariance_distance reads None as the unregularized family
     return _covariance_distance(_centered_blocks(x, y, kernel)[1], alpha, gamma)
 
 
-def _centered_blocks(x: Dataset, y: Dataset, kernel: KernelSpec) -> tuple[float, CenteredGram]:
-    """Mean discrepancy squared and the centered blocks; the one place their route is chosen.
+def _centered_blocks(x: Dataset, y: Dataset, kernel: KernelSpec) -> tuple[float, tuple]:
+    """Mean discrepancy squared and the blocks (aa, bb, ab); the one place their route is chosen.
 
     Feature dimension D with 0 < 2D <= min(m, n): from the R factors of each dataset's centered
     features over sqrt(m), the Gram blocks in other sample coordinates; else from the Grams.
+    A block that overflows on either route raises NonFiniteError naming the kernel.
     """
     if x.dim != y.dim:
         raise DimensionError(f"sample dimensions differ: {x.dim} vs {y.dim}")
-    if not 0 < 2 * _feature_dim(kernel, x.dim) <= min(x.m, y.m):
-        return _gram_blocks(x, y, kernel)
-    with np.errstate(all="ignore"):
-        (mx, rx), (my, ry) = (_feature_factor(ds, kernel) for ds in (x, y))
-        aa, bb = rx @ rx.T, ry @ ry.T
-        cg = CenteredGram((aa + aa.T) / 2.0, (bb + bb.T) / 2.0, rx @ ry.T)
-        mdd = float(np.sum((mx - my) ** 2))
-    _finite(f"{kernel} feature blocks on these datasets", mdd, cg.aa, cg.bb, cg.ab)
-    return mdd, cg
+    if 0 < 2 * _feature_dim(kernel, x.dim) <= min(x.m, y.m):
+        with np.errstate(all="ignore"):
+            (mx, rx), (my, ry) = (_feature_factor(ds, kernel) for ds in (x, y))
+            mdd, blocks = float(np.sum((mx - my) ** 2)), (rx @ rx.T, ry @ ry.T, rx @ ry.T)
+    else:
+        mdd, blocks = _gram_blocks(x, y, kernel)
+    _finite(f"{kernel} Gram blocks on these datasets", *blocks)
+    return mdd, blocks
 
 
-def _gram_blocks(x: Dataset, y: Dataset, kernel: KernelSpec) -> tuple[float, CenteredGram]:
-    """Mean discrepancy squared and the centered blocks from K[X], K[Y] (symmetrized), K[X, Y].
+def _gram_blocks(x: Dataset, y: Dataset, kernel: KernelSpec) -> tuple[float, tuple]:
+    """Mean discrepancy squared and the centered blocks from K[X], K[Y], K[X, Y].
 
     The mean discrepancy is (1/m^2) 1'K[X]1 + (1/n^2) 1'K[Y]1 - (2/mn) 1'K[X,Y]1, clamped at
     zero; each block is J K J (the row means, then the column means subtracted, the grand mean
-    added) over its scale.  A kernel value that overflows raises NonFiniteError naming the kernel.
+    added) over its scale, aa and bb symmetrized.
     """
     m, n = x.m, y.m
     with np.errstate(all="ignore"):
         kxx, kyy, kxy = (kernel.gram(a.points, b.points) for a, b in ((x, x), (y, y), (x, y)))
-        kxx, kyy = (kxx + kxx.T) / 2.0, (kyy + kyy.T) / 2.0
-        _finite(f"{kernel} Gram matrices on these datasets", kxx, kyy, kxy)
         mdd = (float(np.sum(kxx)) / m**2 + float(np.sum(kyy)) / n**2
                - 2.0 * float(np.sum(kxy)) / (m * n))
         for k, scale in ((kxx, m), (kyy, n), (kxy, math.sqrt(m * n))):
@@ -223,7 +215,7 @@ def _gram_blocks(x: Dataset, y: Dataset, kernel: KernelSpec) -> tuple[float, Cen
             k -= col
             k += col.mean()
             k /= scale
-        return max(mdd, 0.0), CenteredGram((kxx + kxx.T) / 2.0, (kyy + kyy.T) / 2.0, kxy)
+        return max(mdd, 0.0), ((kxx + kxx.T) / 2.0, (kyy + kyy.T) / 2.0, kxy)
 
 
 def _feature_factor(ds: Dataset, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -235,7 +227,7 @@ def _feature_factor(ds: Dataset, kernel: KernelSpec) -> tuple[np.ndarray, np.nda
         return mean, np.linalg.qr(centered, mode="r")
 
 
-def _covariance_distance(cg: CenteredGram, alpha, gamma: float | None) -> float:
+def _covariance_distance(blocks: tuple, alpha, gamma: float | None) -> float:
     """The one route choice of the RKHS family, from one set of centered blocks.
 
     gamma None takes the operators themselves, which needs alpha >= 1/2;
@@ -248,14 +240,14 @@ def _covariance_distance(cg: CenteredGram, alpha, gamma: float | None) -> float:
             if al.is_log_limit or al.value < 0.5:
                 raise DomainError(f"unregularized family needs alpha >= 1/2, got {al.label()};"
                                   " smaller alphas and the log-limit need a positive gamma")
-            return _unregularized_distance(cg, al.value)
+            return _unregularized_distance(blocks, al.value)
         _check_gamma(gamma)
         if al.is_log_limit:
-            return _log_limit_distance(cg, gamma)
-        return _regularized_distance(cg, al, gamma)
+            return _log_limit_distance(blocks, gamma)
+        return _regularized_distance(blocks, al, gamma)
 
 
-def _regularized_distance(cg: CenteredGram, al: AlphaParam, gamma: float) -> float:
+def _regularized_distance(blocks: tuple, al: AlphaParam, gamma: float) -> float:
     """Regularized family distance from the centered Gram blocks, alpha off the log-limit.
 
     One dataset, A, goes first: its centered features (over sqrt(m)) rotated
@@ -279,7 +271,7 @@ def _regularized_distance(cg: CenteredGram, al: AlphaParam, gamma: float) -> flo
     largest, an error that f I keeps small where wb is; a complete frame
     (rb = r) has f = 0 and takes V as the Q factor of F, largest wb first.
     """
-    wa, wb, m = _in_eigenbases(cg)
+    wa, wb, m = _in_eigenbases(blocks)
     top = max(wa[-1], wb[-1])
     ka, kb = _clamp_zero(wa, top) > 0, _clamp_zero(wb, top) > 0
     wa, wb, m = wa[ka], wb[kb], m[ka][:, kb]
@@ -309,7 +301,7 @@ def _regularized_distance(cg: CenteredGram, al: AlphaParam, gamma: float) -> flo
     return _trace_form(float(np.sum(la**a2)), float(np.sum(lb**a2)), cross, a)
 
 
-def _log_limit_distance(cg: CenteredGram, gamma: float) -> float:
+def _log_limit_distance(blocks: tuple, gamma: float) -> float:
     """Log-limit distance |log(C_X + gI) - log(C_Y + gI)| via Gram matrices.
 
     The squared norms are sums of log(1 + l/g)^2 over the centered Gram
@@ -317,17 +309,18 @@ def _log_limit_distance(cg: CenteredGram, gamma: float) -> float:
     to tr[f(aa) ab f(bb) ab'] with f(l) = log(1 + l/g)/l on the range and 0
     on the clamped kernel; with M = Va' ab Vb it is sum_ij f(a_i) M_ij^2 f(b_j).
     """
-    wa, wb, m = _in_eigenbases(cg)
+    wa, wb, m = _in_eigenbases(blocks)
     norm_a, norm_b = (float(np.sum(np.log1p(w / gamma) ** 2)) for w in (wa, wb))
     fa, fb = (np.log1p(w / gamma) / np.where(w > 0.0, w, 1.0) for w in (wa, wb))
     cross = float(np.sum((fa[:, None] * m) * (m * fb)))  # M_ij^2 alone may overflow
     return _trace_form(norm_a, norm_b, cross, 1.0)
 
 
-def _in_eigenbases(cg: CenteredGram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _in_eigenbases(blocks: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Clamped spectra of aa = Va diag(wa) Va' and bb = Vb diag(wb) Vb', and M = Va' ab Vb."""
-    (wa, va), (wb, vb) = sym_eigh(cg.aa), sym_eigh(cg.bb)
-    return _clamp_zero(wa), _clamp_zero(wb), va.T @ cg.ab @ vb
+    aa, bb, ab = blocks
+    (wa, va), (wb, vb) = sym_eigh(aa), sym_eigh(bb)
+    return _clamp_zero(wa), _clamp_zero(wb), va.T @ ab @ vb
 
 
 def rkhs_alpha_distance_unregularized(
@@ -343,13 +336,13 @@ def rkhs_alpha_distance_unregularized(
     return _covariance_distance(_centered_blocks(x, y, kernel)[1], alpha, None)
 
 
-def _unregularized_distance(cg: CenteredGram, alpha: float) -> float:
+def _unregularized_distance(blocks: tuple, alpha: float) -> float:
     if alpha == 0.5:
         # aa^0 and bb^0 are the range projections, and they leave ab unchanged
         # (its columns lie in range(aa), its rows in range(bb)): no eigensolve.
-        term_a, term_b, cross = float(np.trace(cg.aa)), float(np.trace(cg.bb)), cg.ab
+        term_a, term_b, cross = float(np.trace(blocks[0])), float(np.trace(blocks[1])), blocks[2]
     else:
-        wa, wb, m = _in_eigenbases(cg)
+        wa, wb, m = _in_eigenbases(blocks)
         term_a, term_b = (float(np.sum(w ** (2.0 * alpha))) for w in (wa, wb))
         # diag(wa)^(a-1/2) M diag(wb)^(a-1/2): 0**p = 0 keeps it on the range
         cross = wa[:, None] ** (alpha - 0.5) * m * wb ** (alpha - 0.5)
@@ -379,8 +372,8 @@ def _rkhs_gaussian_terms(
     x: Dataset, y: Dataset, kernel: KernelSpec, alpha, gamma: float
 ) -> tuple[float, float, float]:
     """(mean embedding distance, d_cov, distance) from one set of centered blocks."""
-    mdd, cg = _centered_blocks(x, y, kernel)
-    return _combine(math.sqrt(mdd), _covariance_distance(cg, alpha, gamma or None))
+    mdd, blocks = _centered_blocks(x, y, kernel)
+    return _combine(math.sqrt(mdd), _covariance_distance(blocks, alpha, gamma or None))
 
 
 def rkhs_wasserstein(x: Dataset, y: Dataset, kernel: KernelSpec) -> float:

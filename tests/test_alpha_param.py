@@ -3,7 +3,9 @@
 A float and the equal ``AlphaParam`` give bitwise-equal results, a
 non-finite alpha is a ``DomainError``, and an alpha inside the log-limit
 band (|alpha| < 1e-7, exact 0 included) either takes the function's
-documented log-limit route or raises ``DomainError``.
+documented log-limit route or raises ``DomainError``.  A scalar parameter
+(alpha, gamma, a kernel's) that is not one real number is a ``DomainError``
+naming it, and a regularized function needs a positive gamma.
 """
 
 import math
@@ -22,6 +24,7 @@ from alphaproc import (
     alpha_procrustes,
     alpha_procrustes_regularized,
     gaussian_alpha_distance,
+    gaussian_alpha_distance_regularized,
     log_euclidean,
     metric_inner,
     power_euclidean,
@@ -116,3 +119,55 @@ def test_log_limit_band_takes_the_log_limit_route_or_raises(name, sign):
         value = call(sign * LOG_LIMIT_BAND)
         assert np.all(np.isfinite(value))
         assert _bits(value) == _bits(log_limit())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_alpha_that_float_reads_keeps_working(name):
+    call = CASES[name][0]
+    assert _bits(call("0.75")) == _bits(call(0.75))
+
+
+# name -> call on a gamma
+REGULARIZED = {
+    "alpha_procrustes_regularized": lambda g: alpha_procrustes_regularized(A, B, g, 0.75).value,
+    "gaussian_alpha_distance_regularized": (
+        lambda g: gaussian_alpha_distance_regularized(G1, G2, 0.75, g)
+    ),
+    "rkhs_alpha_distance": lambda g: rkhs_alpha_distance(X_DATA, Y_DATA, RBF, 0.75, g),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGULARIZED))
+def test_gamma_none_is_a_domain_error_not_the_unregularized_distance(name):
+    # the private evaluators read None as no ridge; a public regularized function must not
+    with pytest.raises(DomainError, match="gamma must be positive"):
+        REGULARIZED[name](None)
+
+
+# site -> (the parameter its error names, call on a value)
+PARAMETER_SITES = {
+    **{name: ("alpha", call) for name, (call, _) in CASES.items()},
+    "AlphaParam": ("alpha", AlphaParam),
+    **{f"{name} gamma": ("gamma", call) for name, call in REGULARIZED.items()},
+    "KernelSpec degree": ("degree", lambda v: KernelSpec("poly", degree=v)),
+    "KernelSpec offset": ("offset", lambda v: KernelSpec("poly", offset=v)),
+    "KernelSpec sigma": ("sigma", lambda v: KernelSpec("rbf", sigma=v)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(PARAMETER_SITES))
+@pytest.mark.parametrize(
+    "value", ["x", None, 1j, np.array([0.5, 1.0])], ids=["str", "None", "complex", "array"]
+)
+def test_parameter_that_is_not_one_real_number_is_a_domain_error(site, value):
+    name, call = PARAMETER_SITES[site]
+    with pytest.raises(DomainError, match=f"{name} must be"):
+        call(value)
+
+
+@pytest.mark.parametrize("site", ["AlphaParam", "alpha_procrustes_regularized gamma",
+                                  "rkhs_alpha_distance gamma", "KernelSpec sigma"])
+def test_numeric_text_is_a_domain_error_where_no_float_is_taken(site):
+    name, call = PARAMETER_SITES[site]
+    with pytest.raises(DomainError, match=f"{name} must be"):
+        call("0.5")

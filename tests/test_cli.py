@@ -238,14 +238,16 @@ class TestDist:
         assert out == "" and "NaN or infinite" in err and str(bad) in err
         assert caught == []
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_exits_2_without_traceback(self, tmp_path):
         g, h = np.random.default_rng(5).standard_normal((2, 4, 6))
         a = write_matrix(tmp_path / "A.csv", g @ g.T * 1e100)
         b = write_matrix(tmp_path / "B.csv", h @ h.T * 1e100)
-        code, out, err = run_cli(["dist", "--alpha", "2", a, b])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["dist", "--alpha", "2", a, b])
         assert code == 2
         assert out == "" and err.startswith("error:") and "Traceback" not in err
+        assert caught == []
 
     @pytest.mark.parametrize(
         "alpha, expected", [("1000", None), ("-1000", 2.0**1000 / 1000)], ids=["1000", "-1000"]

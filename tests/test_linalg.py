@@ -36,7 +36,7 @@ from alphaproc import (
     sym_exp,
 )
 from alphaproc.linalg import PSD_TOL_FACTOR, nuclear_norm
-from alphaproc.rkhs import CenteredGram, _gram_blocks, _in_eigenbases
+from alphaproc.rkhs import _in_eigenbases
 
 
 @st.composite
@@ -141,11 +141,6 @@ _DIAG = np.diag([1.0, 2.0])
 _POINTS = np.arange(6.0).reshape(3, 2)
 
 
-def _blocks():
-    x = Dataset.from_array(_POINTS)
-    return _gram_blocks(x, x, KernelSpec.linear())[1]
-
-
 # each builds a new object with the same content on every call
 ARRAY_HOLDERS = {
     "SpdMatrix": lambda: SpdMatrix.from_array(_DIAG),
@@ -154,7 +149,6 @@ ARRAY_HOLDERS = {
     "GaussianMeasure": lambda: GaussianMeasure.from_arrays([0.0, 1.0], _DIAG),
     "MeanMetricSpec": lambda: MeanMetricSpec(weights=[1.0, 2.0]),
     "Dataset": lambda: Dataset.from_array(_POINTS),
-    "CenteredGram": _blocks,
 }
 
 
@@ -385,11 +379,11 @@ class TestZeroEigenvalueRule:
 
     @staticmethod
     def _gram_spectra(mat):
-        """``mat`` as either block of a CenteredGram whose other blocks are I:
+        """``mat`` as aa, then as bb, of blocks (aa, bb, ab) whose other blocks are I:
         the cross block in the eigenbases is then the block's eigenbasis."""
         eye = np.eye(mat.shape[0])
-        wa, _, ma = _in_eigenbases(CenteredGram(mat, eye, eye))
-        _, wb, mb = _in_eigenbases(CenteredGram(eye, mat, eye))
+        wa, _, ma = _in_eigenbases((mat, eye, eye))
+        _, wb, mb = _in_eigenbases((eye, mat, eye))
         return {"gram aa": SpdMatrix._from_eig(wa, ma.T), "gram bb": SpdMatrix._from_eig(wb, mb)}
 
     @classmethod

@@ -29,7 +29,8 @@ from alphaproc import (
     wasserstein_gaussian,
 )
 from alphaproc.linalg import SpdMatrix, psd_tolerance
-from alphaproc.rkhs import _covariance_distance, _feature_dim, _gram_blocks
+from alphaproc.rkhs import _centered_blocks, _covariance_distance, _feature_dim, _feature_factor
+from alphaproc.rkhs import _gram_blocks
 
 POLY = KernelSpec.polynomial(2, 1.0)
 LINEAR = KernelSpec.linear()
@@ -274,10 +275,10 @@ class TestGramBlocks:
         for a, b in ((x, x), (y, y), (x, y)):
             assert np.array_equal(kernel.gram(a.points, b.points),
                                   reference_gram(kernel, a.points, b.points))
-        mdd, cg = _gram_blocks(x, y, kernel)
+        mdd, blocks = _gram_blocks(x, y, kernel)
         want = reference_blocks(x, y, kernel)
         assert mdd == want[0]
-        for got, block in zip((cg.aa, cg.bb, cg.ab), want[1:]):
+        for got, block in zip(blocks, want[1:]):
             assert np.array_equal(got, block)
 
     def test_overflow_is_a_typed_error(self):
@@ -286,9 +287,25 @@ class TestGramBlocks:
         x, y = datasets(4)
         kernel = KernelSpec.polynomial(100_000, 1.0)
         with pytest.raises(NonFiniteError, match="degree=100000"):
-            _gram_blocks(x, y, kernel)
+            _centered_blocks(x, y, kernel)
         with pytest.raises(NonFiniteError, match="degree=100000"):
             rkhs_gaussian_distance(x, y, kernel, 0.5, 0.1)
+
+    @pytest.mark.parametrize("spec", ["linear", "poly:d=2,c=1", "poly:d=3,c=0", "rbf:sigma=0.8"])
+    def test_diagonal_products_are_exactly_symmetric(self, spec):
+        # numpy forms x x' by a symmetric rank-k update, and every kernel map
+        # is elementwise, so K[X] and R R' need no symmetrization of their own
+        kernel, rng = KernelSpec.parse(spec), np.random.default_rng(61)
+        for m in (2, 3, 7, 16, 33, 64, 129, 200, 320):
+            for dim in (1, 2, 5, 12):
+                x = rng.standard_normal((m, dim)) * 10.0 ** rng.uniform(-4, 2)
+                for points in (x, np.asfortranarray(x)):
+                    k = kernel.gram(points, points)
+                    assert np.array_equal(k, k.T), (m, dim)
+                if kernel.kind != "rbf":
+                    r = _feature_factor(Dataset.from_array(x), kernel)[1]
+                    rr = r @ r.T
+                    assert np.array_equal(rr, rr.T), (m, dim)
 
     def test_linear_orthonormal_points(self):
         x = Dataset.from_array([[1.0, 0.0], [0.0, 1.0]])
@@ -320,26 +337,26 @@ class TestGramBlocks:
 
     def test_centered_blocks_have_zero_sums(self):
         x, y = datasets(4, m=9, n=7)
-        cg = _gram_blocks(x, y, RBF)[1]
-        assert np.max(np.abs(cg.aa.sum(axis=0))) <= 1e-10
-        assert np.max(np.abs(cg.bb.sum(axis=1))) <= 1e-10
-        assert np.max(np.abs(cg.ab.sum(axis=0))) <= 1e-10
-        assert np.max(np.abs(cg.ab.sum(axis=1))) <= 1e-10
+        aa, bb, ab = _gram_blocks(x, y, RBF)[1]
+        assert np.max(np.abs(aa.sum(axis=0))) <= 1e-10
+        assert np.max(np.abs(bb.sum(axis=1))) <= 1e-10
+        assert np.max(np.abs(ab.sum(axis=0))) <= 1e-10
+        assert np.max(np.abs(ab.sum(axis=1))) <= 1e-10
 
     def test_centered_blocks_match_centering_products(self):
         # reference: J_m K J_n with the dense centering matrices
         x, y = datasets(5, m=13, n=8)
         m, n = x.m, y.m
-        cg = _gram_blocks(x, y, RBF)[1]
+        aa, bb, ab = _gram_blocks(x, y, RBF)[1]
         kxx, kyy = (RBF.gram(d.points, d.points) for d in (x, y))
         jm, jn = centering(m), centering(n)
         for got, k, left, right, scale in (
-            (cg.aa, (kxx + kxx.T) / 2.0, jm, jm, m),
-            (cg.bb, (kyy + kyy.T) / 2.0, jn, jn, n),
-            (cg.ab, RBF.gram(x.points, y.points), jm, jn, np.sqrt(m * n)),
+            (aa, (kxx + kxx.T) / 2.0, jm, jm, m),
+            (bb, (kyy + kyy.T) / 2.0, jn, jn, n),
+            (ab, RBF.gram(x.points, y.points), jm, jn, np.sqrt(m * n)),
         ):
             want = left @ k @ right / scale
-            want = want if got is cg.ab else (want + want.T) / 2.0
+            want = want if got is ab else (want + want.T) / 2.0
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -575,8 +592,8 @@ class TestRegularizedDistance:
         # eigenvalue), never by argument order: aa, bb, then the Schur
         # complement of order min(ra, rb)
         x, y = datasets(49, m=m, n=n, dim=3)
-        cg = _gram_blocks(x, y, RBF)[1]
-        wa, wb = np.linalg.eigvalsh(cg.aa), np.linalg.eigvalsh(cg.bb)
+        aa, bb, _ = _gram_blocks(x, y, RBF)[1]
+        wa, wb = np.linalg.eigvalsh(aa), np.linalg.eigvalsh(bb)
         tol = psd_tolerance(max(wa[-1], wb[-1]))
         ra, rb = int(np.sum(wa >= tol)), int(np.sum(wb >= tol))
         assert np.sign(ra - rb) == np.sign(m - n)
@@ -1062,8 +1079,7 @@ class TestWasserstein:
 class TestBlockStructure:
     def test_h_identity_on_centered_gram(self):
         x, y = datasets(38)
-        cg = _gram_blocks(x, y, RBF)[1]
-        e = SpdMatrix.from_array(cg.aa)
+        e = SpdMatrix.from_array(_gram_blocks(x, y, RBF)[1][0])
         for alpha in (0.8, 1.6):
             lhs = e.mat @ h_alpha(e, 2 * alpha)
             rhs = spd_power(e.add_ridge(1.0), 2 * alpha).mat - np.eye(e.n)
