@@ -11,8 +11,11 @@ matrices built from the centered Gram blocks
 because nonzero eigenvalues transfer between an operator product and its
 Gram-side counterpart; the cross block is taken in the eigenbases of aa
 and bb.  Without a small feature map they come from the three kernel
-matrices, each evaluated once and centered in place by its row, column and
-grand means; no J_m is formed.  The routes read only invariants of the
+matrices, each evaluated once and made a block in place: its row means
+come off, then the column means of that, and one multiply scales it; no
+J_m is formed.  aa and bb are then symmetric only to roundoff, and no copy
+symmetrizes them: every route reads one triangle (eigh) or the diagonal
+(the alpha = 1/2 trace).  The routes read only invariants of the
 blocks under an orthogonal change of sample coordinates, so a finite
 feature map of dimension D <= min(m, n)/2 (linear, polynomial kernels)
 gives them, of order D, from the R factors of the centered, scaled
@@ -73,7 +76,7 @@ class KernelSpec:
             object.__setattr__(self, "degree", int(self.degree))
         if self.kind == "rbf" and self.sigma <= 0:
             raise DomainError("RBF bandwidth must be > 0")
-        # gram divides by 2 sigma^2; the product, unlike **, reads inf on overflow
+        # the kernel divides by 2 sigma^2; the product, unlike **, reads inf on overflow
         if self.kind == "rbf" and not 0 < 2.0 * (self.sigma * self.sigma) < math.inf:
             raise DomainError(
                 f"RBF bandwidth 2 sigma^2 must be a positive finite float, got sigma={self.sigma}"
@@ -128,12 +131,12 @@ class KernelSpec:
             return x @ y.T
         if self.kind == "poly":
             return (x @ y.T + self.offset) ** self.degree
-        sq = np.sum(x**2, axis=1)[:, None] + np.sum(y**2, axis=1)[None, :]
-        sq -= 2.0 * (x @ y.T)
-        np.maximum(sq, 0.0, out=sq)
-        np.negative(sq, out=sq)
-        sq /= 2.0 * self.sigma**2
-        return np.exp(sq, out=sq)
+        half = (np.sum(x**2, axis=1) / 2.0)[:, None] + np.sum(y**2, axis=1) / 2.0
+        k = x @ y.T
+        k -= half  # norms summed first: K[X] stays exactly symmetric
+        np.minimum(k, 0.0, out=k)
+        k /= self.sigma**2  # halving is exact: the bits of -|x - y|^2 / (2 sigma^2)
+        return np.exp(k, out=k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,8 +204,9 @@ def _gram_blocks(x: Dataset, y: Dataset, kernel: KernelSpec) -> tuple[float, tup
     """Mean discrepancy squared and the centered blocks from K[X], K[Y], K[X, Y].
 
     The mean discrepancy is (1/m^2) 1'K[X]1 + (1/n^2) 1'K[Y]1 - (2/mn) 1'K[X,Y]1, clamped at
-    zero; each block is J K J (the row means, then the column means subtracted, the grand mean
-    added) over its scale, aa and bb symmetrized.
+    zero; each block is J K J over its scale, in place: the row means come off, then the column
+    means of that, then one multiply scales it.  aa and bb stay symmetric only to roundoff, which
+    no consumer sees: eigh reads one triangle, and the alpha = 1/2 route only the diagonal.
     """
     m, n = x.m, y.m
     with np.errstate(all="ignore"):
@@ -210,12 +214,10 @@ def _gram_blocks(x: Dataset, y: Dataset, kernel: KernelSpec) -> tuple[float, tup
         mdd = (float(np.sum(kxx)) / m**2 + float(np.sum(kyy)) / n**2
                - 2.0 * float(np.sum(kxy)) / (m * n))
         for k, scale in ((kxx, m), (kyy, n), (kxy, math.sqrt(m * n))):
-            col = k.mean(axis=0, keepdims=True)
             k -= k.mean(axis=1, keepdims=True)
-            k -= col
-            k += col.mean()
-            k /= scale
-        return max(mdd, 0.0), ((kxx + kxx.T) / 2.0, (kyy + kyy.T) / 2.0, kxy)
+            k -= k.mean(axis=0)
+            k *= 1.0 / scale
+        return max(mdd, 0.0), (kxx, kyy, kxy)
 
 
 def _feature_factor(ds: Dataset, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -360,10 +362,11 @@ def rkhs_gaussian_distance(
     """Family distance between the Gaussians N(mean_X, C_X) and N(mean_Y, C_Y) in the RKHS.
 
     sqrt(mean discrepancy squared + d_cov^2 / 4).  gamma > 0 selects the
-    regularized covariance distance at every alpha (gamma < 0 raises
-    DomainError).  gamma = 0 selects the unregularized pure-Gram formula,
-    which needs alpha >= 1/2; below 1/2 and at the log-limit it raises
-    DomainError.  Sample counts may differ.
+    regularized covariance distance at every alpha.  A real zero selects the
+    unregularized pure-Gram formula, which needs alpha >= 1/2; below 1/2 and
+    at the log-limit it raises DomainError.  Any other gamma (negative,
+    non-finite, None, complex, an array) raises DomainError.  Sample counts
+    may differ.
     """
     return _rkhs_gaussian_terms(x, y, kernel, alpha, gamma)[2]
 
@@ -372,8 +375,12 @@ def _rkhs_gaussian_terms(
     x: Dataset, y: Dataset, kernel: KernelSpec, alpha, gamma: float
 ) -> tuple[float, float, float]:
     """(mean embedding distance, d_cov, distance) from one set of centered blocks."""
+    if _finite_real(gamma) and gamma == 0.0:
+        gamma = None  # only a real zero selects the unregularized family, not None or 0j
+    else:
+        _check_gamma(gamma)
     mdd, blocks = _centered_blocks(x, y, kernel)
-    return _combine(math.sqrt(mdd), _covariance_distance(blocks, alpha, gamma or None))
+    return _combine(math.sqrt(mdd), _covariance_distance(blocks, alpha, gamma))
 
 
 def rkhs_wasserstein(x: Dataset, y: Dataset, kernel: KernelSpec) -> float:

@@ -149,6 +149,9 @@ PARAMETER_SITES = {
     **{name: ("alpha", call) for name, (call, _) in CASES.items()},
     "AlphaParam": ("alpha", AlphaParam),
     **{f"{name} gamma": ("gamma", call) for name, call in REGULARIZED.items()},
+    "rkhs_gaussian_distance gamma": (
+        "gamma", lambda g: rkhs_gaussian_distance(X_DATA, Y_DATA, RBF, 0.75, g)
+    ),
     "KernelSpec degree": ("degree", lambda v: KernelSpec("poly", degree=v)),
     "KernelSpec offset": ("offset", lambda v: KernelSpec("poly", offset=v)),
     "KernelSpec sigma": ("sigma", lambda v: KernelSpec("rbf", sigma=v)),
@@ -163,6 +166,14 @@ def test_parameter_that_is_not_one_real_number_is_a_domain_error(site, value):
     name, call = PARAMETER_SITES[site]
     with pytest.raises(DomainError, match=f"{name} must be"):
         call(value)
+
+
+def test_rkhs_gaussian_complex_zero_gamma_is_a_domain_error():
+    # only a real zero selects the unregularized family
+    call = PARAMETER_SITES["rkhs_gaussian_distance gamma"][1]
+    assert math.isfinite(call(0.0))
+    with pytest.raises(DomainError, match="gamma must be"):
+        call(0j)
 
 
 @pytest.mark.parametrize("site", ["AlphaParam", "alpha_procrustes_regularized gamma",

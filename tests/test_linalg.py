@@ -35,7 +35,7 @@ from alphaproc import (
     sym_eigendecompose,
     sym_exp,
 )
-from alphaproc.linalg import PSD_TOL_FACTOR, nuclear_norm
+from alphaproc.linalg import ALPHA_SWITCH_TOL, PSD_TOL_FACTOR, nuclear_norm, psd_tolerance
 from alphaproc.rkhs import _in_eigenbases
 
 
@@ -94,6 +94,13 @@ class TestSpdConstruction:
     def test_clamps_tiny_negatives(self):
         a = SpdMatrix.from_array(np.diag([1.0, -1e-14]))
         assert a.min_eig == 0.0
+
+    def test_negative_eigenvalue_boundary(self):
+        # exactly -psd_tolerance is clamped; the next float below it is rejected
+        tol = psd_tolerance(1.0)
+        assert SpdMatrix.from_array(np.diag([1.0, -tol])).min_eig == 0.0
+        with pytest.raises(NotPsdError):
+            SpdMatrix.from_array(np.diag([1.0, -math.nextafter(tol, math.inf)]))
 
     def test_rejects_genuine_negative(self):
         with pytest.raises(NotPsdError):
@@ -359,6 +366,11 @@ class TestAlphaParam:
         assert AlphaParam(1e-9).is_log_limit
         assert AlphaParam.log_limit().is_log_limit
         assert not AlphaParam(1e-3).is_log_limit
+
+    def test_switch_tolerance_itself_is_not_the_log_limit(self):
+        assert not AlphaParam(ALPHA_SWITCH_TOL).is_log_limit
+        assert not AlphaParam(-ALPHA_SWITCH_TOL).is_log_limit
+        assert AlphaParam(ALPHA_SWITCH_TOL / 2.0).is_log_limit
 
     def test_parse(self):
         assert AlphaParam.parse("log-limit").is_log_limit

@@ -33,6 +33,7 @@ from alphaproc import (
     rkhs_alpha_distance,
     spd_power,
 )
+from alphaproc.metrics import NEG_TRACE_RTOL, _trace_form
 
 DIAG_A = SpdMatrix.from_array(np.diag([1.0, 4.0]))
 DIAG_B = SpdMatrix.from_array(np.diag([9.0, 16.0]))
@@ -289,6 +290,9 @@ class TestPowerEuclidean:
         expected = top * np.linalg.norm(diff / top)
         assert power_euclidean(a, b, 1.0).value == pytest.approx(expected, rel=4e-16)
 
+    def test_result_records_no_ridge(self):
+        assert power_euclidean(DIAG_A, DIAG_B, 0.5).gamma == 0.0
+
     def test_tiny_alpha_routes_to_log(self):
         rng = np.random.default_rng(11)
         a, b = rand_spd(rng, 3), rand_spd(rng, 3)
@@ -313,6 +317,23 @@ class TestPowerEuclidean:
             d_pro = alpha_procrustes(a, b, alpha).value
             d_pow = power_euclidean(a, b, alpha).value
             assert abs(d_pro - d_pow) <= 1e-10 * max(1.0, d_pow)
+
+
+class TestTraceForm:
+    # scale |ta| + |tb| = 976562.5, far from 1, where NEG_TRACE_RTOL * scale is exactly 2^-10
+    TA = TB = 488281.25
+
+    def test_clamp_threshold_is_exact_at_this_scale(self):
+        assert NEG_TRACE_RTOL * (self.TA + self.TB) == 2.0**-10
+
+    def test_negative_argument_inside_the_threshold_is_clamped(self):
+        cross = (self.TA + self.TB + 2.0**-11) / 2.0  # argument -2^-11
+        assert _trace_form(self.TA, self.TB, cross, 1.0) == 0.0
+
+    def test_negative_argument_at_the_threshold_raises(self):
+        cross = (self.TA + self.TB + 2.0**-10) / 2.0  # argument -2^-10
+        with pytest.raises(NumericalInconsistencyError, match="beyond the roundoff clamp"):
+            _trace_form(self.TA, self.TB, cross, 1.0)
 
 
 class TestRegularized:

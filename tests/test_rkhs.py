@@ -168,6 +168,12 @@ class TestKernelSpec:
         # an empty item, as after a trailing comma, is skipped
         assert KernelSpec.parse("poly:d=2,") == KernelSpec.polynomial(2)
 
+    def test_parse_defaults(self):
+        # the CLI's --kernel poly and --kernel rbf read these
+        poly, rbf = KernelSpec.parse("poly"), KernelSpec.parse("rbf")
+        assert (poly.kind, poly.degree, poly.offset) == ("poly", 2, 0.0)
+        assert (rbf.kind, rbf.sigma) == ("rbf", 1.0)
+
     @pytest.mark.parametrize("text, message", [
         ("cubic", "unknown kernel spec 'cubic'"),
         ("poly:d=zero", "malformed kernel spec 'poly:d=zero'"),
@@ -244,27 +250,28 @@ def centering(m):
 
 
 def reference_blocks(x, y, kernel):
-    """Mean discrepancy squared and centered blocks, as three out-of-place stages.
+    """Mean discrepancy squared and centered blocks, as out-of-place stages.
 
-    The raw Grams with symmetrized diagonal blocks; the sums' mean
-    discrepancy, clamped at 0; each Gram less its row and column means plus
-    the grand mean, over its scale, the diagonal blocks symmetrized again.
+    The sums' mean discrepancy, clamped at 0; each raw Gram less its row
+    means, then less the column means of that, times one over its scale.
+    The diagonal blocks are not symmetrized: their consumers read one
+    triangle or the diagonal.
     """
     m, n = x.m, y.m
     pairs = ((x, x), (y, y), (x, y))
     kxx, kyy, kxy = (reference_gram(kernel, a.points, b.points) for a, b in pairs)
-    kxx, kyy = (kxx + kxx.T) / 2.0, (kyy + kyy.T) / 2.0
     mdd = float(np.sum(kxx)) / m**2 + float(np.sum(kyy)) / n**2 - 2.0 * float(np.sum(kxy)) / (m * n)
 
-    def double_center(k):
-        col = k.mean(axis=0, keepdims=True)
-        row = k.mean(axis=1, keepdims=True)
-        return k - row - col + col.mean()
+    def center(k, scale):
+        k = k - k.mean(axis=1, keepdims=True)
+        return (k - k.mean(axis=0)) * (1.0 / scale)
 
-    aa = double_center(kxx) / m
-    bb = double_center(kyy) / n
-    ab = double_center(kxy) / math.sqrt(m * n)
-    return max(mdd, 0.0), (aa + aa.T) / 2.0, (bb + bb.T) / 2.0, ab
+    return max(mdd, 0.0), center(kxx, m), center(kyy, n), center(kxy, math.sqrt(m * n))
+
+
+# 2.5x the worst relative Frobenius error measured against J K J (8.96e-16,
+# poly:d=2,c=1 at m = 280), which includes the explicit products' own roundoff
+EXPLICIT_CENTERING_RTOL = 2.2e-15
 
 
 class TestGramBlocks:
@@ -280,6 +287,19 @@ class TestGramBlocks:
         assert mdd == want[0]
         for got, block in zip(blocks, want[1:]):
             assert np.array_equal(got, block)
+
+    @pytest.mark.parametrize("kernel", [LINEAR, POLY, RBF], ids=["linear", "poly", "rbf"])
+    @pytest.mark.parametrize("m,n", [(9, 14), (40, 31), (120, 90), (280, 210)])
+    def test_match_the_explicit_centering_matrices(self, kernel, m, n):
+        # independent of the staging: J_m K J_n with the centering matrices formed
+        x, y = datasets(47, m=m, n=n, dim=3)
+        jm, jn = centering(m), centering(n)
+        pairs = ((x, x), (y, y), (x, y))
+        kxx, kyy, kxy = (reference_gram(kernel, a.points, b.points) for a, b in pairs)
+        want = (jm @ kxx @ jm / m, jn @ kyy @ jn / n, jm @ kxy @ jn / math.sqrt(m * n))
+        for got, block in zip(_gram_blocks(x, y, kernel)[1], want):
+            err = np.linalg.norm(got - block) / np.linalg.norm(block)
+            assert err <= EXPLICIT_CENTERING_RTOL
 
     def test_overflow_is_a_typed_error(self):
         # (x'y + 1)^100000 overflows; the suite turns numpy warnings into
