@@ -3,10 +3,10 @@
 For a degree-2 polynomial kernel on R^2 the feature space is 6-dimensional,
 so every operator distance can be computed both ways: from the centered
 Gram blocks (the route the library takes for every kernel without a small
-finite feature map) and from explicit feature-space means and covariances.
-The library itself takes the feature factors on these inputs (2D <= m), so
-the Gram column calls the Gram route directly.  Agreement is at machine
-precision.
+finite feature map) and from the means and covariances of the explicit
+features, built here from the library's private feature map.  The library
+itself takes the feature factors on these inputs (2D <= m), so the Gram
+column calls the Gram route directly.  Agreement is at machine precision.
 
 Usage: python scripts/rkhs_feature_check.py [--m 15] [--seed 0]
 """
@@ -20,12 +20,21 @@ from alphaproc import (
     Dataset,
     GaussianMeasure,
     KernelSpec,
+    SpdMatrix,
     alpha_procrustes_regularized,
-    explicit_feature_covariance,
     gaussian_alpha_distance,
     wasserstein_gaussian,
 )
-from alphaproc.rkhs import _covariance_distance, _gram_blocks
+from alphaproc.rkhs import _covariance_distance, _features, _gram_blocks
+
+
+def feature_moments(x, kernel):
+    """Mean and covariance of the explicit features of x."""
+    features = _features(x.points, kernel)
+    mean = features.mean(axis=0)
+    centered = features - mean
+    with np.errstate(over="ignore", invalid="ignore"):
+        return mean, SpdMatrix.from_array(centered.T @ centered / x.m)
 
 
 def main() -> None:
@@ -39,8 +48,8 @@ def main() -> None:
     y = Dataset.from_array(rng.standard_normal((args.m, 2)) * 1.3 + 0.4)
     kernel = KernelSpec.polynomial(2, 1.0)
 
-    mx, cx = explicit_feature_covariance(x, kernel)
-    my, cy = explicit_feature_covariance(y, kernel)
+    mx, cx = feature_moments(x, kernel)
+    my, cy = feature_moments(y, kernel)
     gx = GaussianMeasure.from_arrays(mx, cx)
     gy = GaussianMeasure.from_arrays(my, cy)
     mdd, cg = _gram_blocks(x, y, kernel)

@@ -41,9 +41,5 @@ class ComplexSpectrumError(AlphaProcError):
     """
 
 
-class UnsupportedKernelError(AlphaProcError):
-    """Kernel has no explicit finite-dimensional feature map."""
-
-
 class NonSpdIntermediateError(AlphaProcError):
     """An intermediate matrix expected to be SPD failed the positivity check."""

@@ -231,10 +231,6 @@ class SpdMatrix:
     def n(self) -> int:
         return self.eig.n
 
-    @property
-    def min_eig(self) -> float:
-        return self.eig.min
-
     def require_strict(self, what: str) -> None:
         _require_strict(self.eig.values, what)
 

@@ -39,14 +39,12 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .exceptions import DimensionError, DomainError, UnsupportedKernelError
+from .exceptions import DimensionError, DomainError
 from .gaussian import _combine
-from .linalg import AlphaParam, SpdMatrix, as_alpha, nuclear_norm, sym_eigh, trace_sqrt
+from .linalg import AlphaParam, as_alpha, nuclear_norm, sym_eigh, trace_sqrt
 from .linalg import _clamp_zero, _finite, _finite_real, _lapack_guard, _real_array
 from .linalg import _require_strict
 from .metrics import _check_gamma, _trace_form
-
-FEATURE_DIM_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -432,20 +430,3 @@ def _features(points: np.ndarray, kernel: KernelSpec) -> np.ndarray:
         for column in table.T:
             features *= z[:, column]
     return features
-
-
-def explicit_feature_covariance(x: Dataset, kernel: KernelSpec) -> tuple[np.ndarray, SpdMatrix]:
-    """Empirical mean and covariance in the explicit finite feature space.
-
-    Test oracle for the Gram formulas: only linear and polynomial kernels
-    have a finite feature map, and its dimension is checked before it is built.
-    """
-    dim = _feature_dim(kernel, x.dim)
-    if dim > FEATURE_DIM_LIMIT:
-        raise UnsupportedKernelError(f"{kernel} has feature dimension {dim} > {FEATURE_DIM_LIMIT}")
-    features = _features(x.points, kernel)
-    _finite(f"{kernel} features on this dataset", features)
-    mean = features.mean(axis=0)
-    centered = features - mean
-    with np.errstate(over="ignore", invalid="ignore"):
-        return mean, SpdMatrix.from_array(centered.T @ centered / x.m)

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alphaproc import SpdMatrix
+from alphaproc import Dataset, KernelSpec, SpdMatrix
+from alphaproc.rkhs import _features
 from alphaproc.validation import (  # noqa: F401  (shared with the test modules)
     commuting_pair,
     noncommuting_pair,
@@ -40,6 +41,17 @@ def h_alpha(e: SpdMatrix, alpha: float) -> np.ndarray:
     # is 0 where w is, so dividing by 1 there keeps the kernel at 0
     h = np.expm1(alpha * np.log1p(w)) / np.where(w > 0.0, w, 1.0)
     return (v * h) @ v.T
+
+
+def feature_covariance(x: Dataset, kernel: KernelSpec) -> tuple[np.ndarray, SpdMatrix]:
+    """Empirical mean and covariance in the explicit feature space of a linear
+    or polynomial kernel: the oracle the Gram-matrix formulas are checked against."""
+    assert kernel.kind != "rbf", "the RBF kernel has no finite feature map"
+    features = _features(x.points, kernel)
+    mean = features.mean(axis=0)
+    centered = features - mean
+    with np.errstate(over="ignore", invalid="ignore"):
+        return mean, SpdMatrix.from_array(centered.T @ centered / x.m)
 
 
 @pytest.fixture

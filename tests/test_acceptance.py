@@ -11,7 +11,14 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import CHILD_ENV, commuting_pair, noncommuting_pair, rand_spd, rand_sym
+from conftest import (
+    CHILD_ENV,
+    commuting_pair,
+    feature_covariance,
+    noncommuting_pair,
+    rand_spd,
+    rand_sym,
+)
 
 from alphaproc import (
     AlphaParam,
@@ -23,7 +30,6 @@ from alphaproc import (
     alpha_procrustes,
     alpha_procrustes_regularized,
     bures_wasserstein,
-    explicit_feature_covariance,
     gaussian_alpha_distance,
     gaussian_alpha_distance_regularized,
     geodesic_length_numeric,
@@ -223,8 +229,8 @@ def test_criterion_09_rkhs_feature_map_oracle():
     poly = KernelSpec.polynomial(2, 1.0)
     x = Dataset.from_array(rng.standard_normal((15, 2)))
     y = Dataset.from_array(rng.standard_normal((15, 2)) * 1.2 + 0.4)
-    mx, cx = explicit_feature_covariance(x, poly)
-    my, cy = explicit_feature_covariance(y, poly)
+    mx, cx = feature_covariance(x, poly)
+    my, cy = feature_covariance(y, poly)
     assert cx.n == 6
 
     alpha, gamma = 0.75, 0.1
@@ -249,8 +255,8 @@ def test_criterion_09_rkhs_feature_map_oracle():
     linear = KernelSpec.linear()
     x5 = Dataset.from_array(rng.standard_normal((14, 5)))
     y5 = Dataset.from_array(rng.standard_normal((14, 5)) + 0.2)
-    mx5, cx5 = explicit_feature_covariance(x5, linear)
-    my5, cy5 = explicit_feature_covariance(y5, linear)
+    mx5, cx5 = feature_covariance(x5, linear)
+    my5, cy5 = feature_covariance(y5, linear)
     d_lin = rkhs_alpha_distance(x5, y5, linear, alpha, gamma)
     d_lin_feat = alpha_procrustes_regularized(cx5, cy5, gamma, alpha).value
     assert abs(d_lin - d_lin_feat) <= 1e-8 * d_lin_feat
@@ -268,8 +274,8 @@ def test_criterion_10_rkhs_wasserstein_unequal_counts():
     x = Dataset.from_array(rng.standard_normal((10, 2)))
     y = Dataset.from_array(rng.standard_normal((14, 2)) * 1.4 + 0.3)
     d_gram = rkhs_wasserstein(x, y, poly)
-    mx, cx = explicit_feature_covariance(x, poly)
-    my, cy = explicit_feature_covariance(y, poly)
+    mx, cx = feature_covariance(x, poly)
+    my, cy = feature_covariance(y, poly)
     d_feat = wasserstein_gaussian(
         GaussianMeasure.from_arrays(mx, cx), GaussianMeasure.from_arrays(my, cy)
     )

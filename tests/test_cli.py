@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import CHILD_ENV, rand_spd
+from conftest import CHILD_ENV, feature_covariance, rand_spd
 
 from alphaproc import (
     Dataset,
@@ -635,13 +635,13 @@ class TestRkhsDist:
         assert out == "" and "degree=40" in err
 
     def test_linear_matches_gauss_dist_on_moments(self, datasets, tmp_path):
-        from alphaproc import Dataset, KernelSpec, explicit_feature_covariance
+        from alphaproc import Dataset, KernelSpec
 
         x_path, y_path = datasets
         x = Dataset.from_array(np.loadtxt(x_path, delimiter=","))
         y = Dataset.from_array(np.loadtxt(y_path, delimiter=","))
-        mx, cx = explicit_feature_covariance(x, KernelSpec.linear())
-        my, cy = explicit_feature_covariance(y, KernelSpec.linear())
+        mx, cx = feature_covariance(x, KernelSpec.linear())
+        my, cy = feature_covariance(y, KernelSpec.linear())
         mean_a = write_matrix(tmp_path / "ma.csv", mx.reshape(1, -1))
         mean_b = write_matrix(tmp_path / "mb.csv", my.reshape(1, -1))
         cov_a = write_matrix(tmp_path / "ca.csv", cx.mat)

@@ -27,6 +27,8 @@ from alphaproc import (
 )
 from alphaproc import geometry
 from alphaproc.geometry import QUADRATURE_BLOCK_ENTRIES, _lyapunov_factor
+from alphaproc.geometry import geodesic_endpoints_residual
+from alphaproc.validation import GEODESIC_ENDPOINT_REL
 
 
 def kron_lyapunov_solve(p0: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -300,7 +302,7 @@ class TestGeodesic:
         rng = np.random.default_rng(12)
         curve = GeodesicCurve(rand_spd(rng, 4), rand_spd(rng, 4), 0.6)
         for t in (0.1, 0.45, 0.9):
-            assert curve.at(t).min_eig > 0
+            assert curve.at(t).eig.min > 0
 
     @pytest.mark.parametrize("c", [1e4, 1e6, 1e10])
     def test_ill_conditioned_points_match_mpmath(self, c):
@@ -324,7 +326,7 @@ class TestGeodesic:
         for seed in range(20):
             a, b = ill_conditioned_pair(seed, 1e10)
             curve = GeodesicCurve(SpdMatrix.from_array(a), SpdMatrix.from_array(b), 2.0)
-            assert curve.at(0.1).min_eig > 0
+            assert curve.at(0.1).eig.min > 0
 
 
 class TestGeodesicLength:
@@ -504,6 +506,14 @@ class TestScaleCovariance:
             200,
         )
         assert abs(scaled / s**alpha - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+    def test_endpoint_residual_is_relative(self, s):
+        # validate's gate reads this residual; each end's error is divided
+        # by that end's norm, so it is scale-free
+        rng = np.random.default_rng(44)
+        a, b = (SpdMatrix.from_array(s * rand_spd(rng, 4).mat) for _ in range(2))
+        assert geodesic_endpoints_residual(GeodesicCurve(a, b, 0.5)) <= GEODESIC_ENDPOINT_REL
 
     @pytest.mark.parametrize("s", SCALES)
     def test_log_derivative(self, s):

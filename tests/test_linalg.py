@@ -93,12 +93,12 @@ class TestEigendecompose:
 class TestSpdConstruction:
     def test_clamps_tiny_negatives(self):
         a = SpdMatrix.from_array(np.diag([1.0, -1e-14]))
-        assert a.min_eig == 0.0
+        assert a.eig.min == 0.0
 
     def test_negative_eigenvalue_boundary(self):
         # exactly -psd_tolerance is clamped; the next float below it is rejected
         tol = psd_tolerance(1.0)
-        assert SpdMatrix.from_array(np.diag([1.0, -tol])).min_eig == 0.0
+        assert SpdMatrix.from_array(np.diag([1.0, -tol])).eig.min == 0.0
         with pytest.raises(NotPsdError):
             SpdMatrix.from_array(np.diag([1.0, -math.nextafter(tol, math.inf)]))
 

@@ -440,10 +440,22 @@ class TestDistanceResult:
             assert len(calls) == k
             assert result.formula_path == "general"
             assert len(calls) == k
-        assert calls[1][0].min_eig == a.min_eig + 0.1  # the ridged pair
+        assert calls[1][0].eig.min == a.eig.min + 0.1  # the ridged pair
         assert alpha_procrustes(a, b, AlphaParam.log_limit()).formula_path == "log-limit"
         assert log_euclidean(a, b).formula_path == "log-limit"
         assert len(calls) == len(results)
+
+    @pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+    def test_commuting_diagnostic_is_scale_free(self, s):
+        # the commutator is compared with |A|_F |B|_F, so scaling both ends
+        # moves neither pair across the threshold
+        rng = np.random.default_rng(23)
+        for pair, path in (
+            (commuting_pair(rng, 4), "commuting"),
+            (noncommuting_pair(rng, 4), "general"),
+        ):
+            a, b = (SpdMatrix.from_array(s * end.mat) for end in pair)
+            assert alpha_procrustes(a, b, 0.5).formula_path == path
 
     def test_ridged_endpoints_form_no_matrix_until_read(self):
         # the distance needs only the ridged spectra; the dense A + gamma*I

@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
-from conftest import h_alpha, rand_orthogonal
+from conftest import feature_covariance, h_alpha, rand_orthogonal
 
 from alphaproc import (
     AlphaParam,
@@ -14,11 +14,9 @@ from alphaproc import (
     KernelSpec,
     NonFiniteError,
     SingularBaseError,
-    UnsupportedKernelError,
     alpha_procrustes,
     alpha_procrustes_regularized,
     bures_wasserstein,
-    explicit_feature_covariance,
     gaussian_alpha_distance,
     gaussian_alpha_distance_regularized,
     rkhs_alpha_distance,
@@ -78,8 +76,8 @@ def mp_regularized_rbf(x, y, sigma, alphas, gamma, dps=40):
     """Regularized RBF family distances at ``dps`` digits, one per alpha.
 
     The pooled Gram G = V diag(w) V' gives the feature coordinates
-    diag(sqrt(w)) V' (every eigenvalue kept); C_X and C_Y are the sample
-    covariances of those coordinates.
+    diag(sqrt(w)) V' (every eigenvalue kept, roundoff negatives clamped
+    at 0); C_X and C_Y are the sample covariances of those coordinates.
     """
     mp = pytest.importorskip("mpmath")
     with mp.workdps(dps):
@@ -92,7 +90,7 @@ def mp_regularized_rbf(x, y, sigma, alphas, gamma, dps=40):
                 sq = mp.fsum((a - b) ** 2 for a, b in zip(rows[i], rows[j]))
                 gram[i, j] = mp.exp(-sq / scale)
         w, v = mp.eigsy(gram)
-        coords = mp.diag([mp.sqrt(wi) for wi in w]) * v.T
+        coords = mp.diag([mp.sqrt(max(wi, 0)) for wi in w]) * v.T
 
         def covariance(cols):
             b = mp.matrix(size, len(cols))
@@ -135,8 +133,8 @@ def mp_unregularized_poly(x, y, degree, offset, alphas, dps=40, gamma=0):
 
 
 def feature_gaussians(x, y, kernel):
-    mx, cx = explicit_feature_covariance(x, kernel)
-    my, cy = explicit_feature_covariance(y, kernel)
+    mx, cx = feature_covariance(x, kernel)
+    my, cy = feature_covariance(y, kernel)
     return GaussianMeasure.from_arrays(mx, cx), GaussianMeasure.from_arrays(my, cy)
 
 
@@ -231,7 +229,7 @@ class TestKernelSpec:
         assert rkhs_gaussian_distance(x, y, spec, 0.25, 0.1) == rkhs_gaussian_distance(
             x, y, POLY, 0.25, 0.1
         )
-        assert explicit_feature_covariance(x, spec)[1].n == 6
+        assert feature_covariance(x, spec)[1].n == 6
 
 
 def reference_gram(kernel, x, y):
@@ -400,8 +398,8 @@ class TestMeanDiscrepancy:
 
     def test_matches_feature_space_means(self):
         x, y = datasets(6, m=10, n=13)
-        mx, _ = explicit_feature_covariance(x, POLY)
-        my, _ = explicit_feature_covariance(y, POLY)
+        mx, _ = feature_covariance(x, POLY)
+        my, _ = feature_covariance(y, POLY)
         assert _gram_blocks(x, y, POLY)[0] == pytest.approx(
             float(np.sum((mx - my) ** 2)), rel=1e-10
         )
@@ -410,15 +408,15 @@ class TestMeanDiscrepancy:
 class TestExplicitFeatures:
     def test_linear_is_sample_moments(self):
         x, _ = datasets(7, m=9, dim=3)
-        mean, cov = explicit_feature_covariance(x, LINEAR)
+        mean, cov = feature_covariance(x, LINEAR)
         assert np.allclose(mean, x.points.mean(axis=0))
         centered = x.points - x.points.mean(axis=0)
         assert np.allclose(cov.mat, centered.T @ centered / x.m, atol=1e-12)
 
     def test_degree_one_no_offset_equals_linear(self):
         x, _ = datasets(8, m=7, dim=3)
-        mean_lin, cov_lin = explicit_feature_covariance(x, LINEAR)
-        mean_poly, cov_poly = explicit_feature_covariance(
+        mean_lin, cov_lin = feature_covariance(x, LINEAR)
+        mean_poly, cov_poly = feature_covariance(
             x, KernelSpec.polynomial(1, 0.0)
         )
         assert np.allclose(mean_lin, mean_poly)
@@ -429,11 +427,6 @@ class TestExplicitFeatures:
         features = _features(x)
         assert features.shape == (6, 6)
         assert np.allclose(features @ features.T, POLY.gram(x.points, x.points), atol=1e-12)
-
-    def test_rbf_unsupported(self):
-        x, _ = datasets(10)
-        with pytest.raises(UnsupportedKernelError):
-            explicit_feature_covariance(x, RBF)
 
     @pytest.mark.parametrize(
         "kernel,p,width",
@@ -454,24 +447,6 @@ class TestExplicitFeatures:
         assert _feature_dim(kernel, p) == width == features.shape[1]
         k = kernel.gram(x.points, x.points)
         assert np.max(np.abs(features @ features.T - k)) <= 1e-13 * np.max(np.abs(k))
-
-    def test_feature_dimension_is_checked_before_the_map_is_built(self, monkeypatch):
-        import alphaproc.rkhs as rkhs_mod
-
-        def refuse(*args):
-            raise AssertionError("feature map built")
-
-        monkeypatch.setattr(rkhs_mod, "_features", refuse)
-        x = Dataset.from_array(np.ones((3, 200)))
-        with pytest.raises(UnsupportedKernelError, match="dimension 1373701 > 10000"):
-            explicit_feature_covariance(x, KernelSpec.polynomial(3, 1.0))
-
-    def test_overflowing_features_are_a_typed_error_alone(self):
-        # the features overflow before they are centered; the suite turns
-        # numpy warnings into errors, so the typed error must come alone
-        x = Dataset.from_array(np.random.default_rng(0).standard_normal((90, 1)) * 1e10)
-        with pytest.raises(NonFiniteError, match="degree=40"):
-            explicit_feature_covariance(x, KernelSpec.parse("poly:d=40,c=1"))
 
 
 class TestFeatureRouteErrors:
@@ -518,16 +493,16 @@ class TestRegularizedDistance:
         rng = np.random.default_rng(12)
         x = Dataset.from_array(rng.standard_normal((12, 5)))
         y = Dataset.from_array(rng.standard_normal((12, 5)) + 0.2)
-        _, cx = explicit_feature_covariance(x, LINEAR)
-        _, cy = explicit_feature_covariance(y, LINEAR)
+        _, cx = feature_covariance(x, LINEAR)
+        _, cy = feature_covariance(y, LINEAR)
         d_feat = alpha_procrustes_regularized(cx, cy, gamma, alpha).value
         for d_gram in both_routes(x, y, LINEAR, alpha, gamma):
             assert abs(d_gram - d_feat) <= 1e-8 * max(1.0, d_feat)
 
     def test_polynomial_feature_oracle(self):
         x, y = datasets(13)
-        _, cx = explicit_feature_covariance(x, POLY)
-        _, cy = explicit_feature_covariance(y, POLY)
+        _, cx = feature_covariance(x, POLY)
+        _, cy = feature_covariance(y, POLY)
         for alpha, gamma in ((0.6, 0.1), (1.0, 0.05)):
             d_feat = alpha_procrustes_regularized(cx, cy, gamma, alpha).value
             for d_gram in both_routes(x, y, POLY, alpha, gamma):
@@ -535,8 +510,8 @@ class TestRegularizedDistance:
 
     def test_log_limit_matches_feature_oracle(self):
         x, y = datasets(14)
-        _, cx = explicit_feature_covariance(x, POLY)
-        _, cy = explicit_feature_covariance(y, POLY)
+        _, cx = feature_covariance(x, POLY)
+        _, cy = feature_covariance(y, POLY)
         gamma = 0.2
         d_feat = alpha_procrustes_regularized(
             cx, cy, gamma, AlphaParam.log_limit()
@@ -562,8 +537,8 @@ class TestRegularizedDistance:
         # covariance spectra up to ~8e6 against gamma = 1e-3
         x, y = datasets(42, m=10, n=10, dim=3)
         x, y = Dataset.from_array(x.points * 30), Dataset.from_array(y.points * 30)
-        _, cx = explicit_feature_covariance(x, POLY)
-        _, cy = explicit_feature_covariance(y, POLY)
+        _, cx = feature_covariance(x, POLY)
+        _, cy = feature_covariance(y, POLY)
         d_gram = rkhs_alpha_distance(x, y, POLY, -0.5, 1e-3)
         d_feat = alpha_procrustes_regularized(cx, cy, 1e-3, -0.5).value
         assert abs(d_gram - d_feat) <= 1e-8 * d_feat
@@ -575,8 +550,8 @@ class TestRegularizedDistance:
         # has rank 7 < m, Y's (n = 30) rank 12 < n, so Y's eigenbasis comes
         # first and X's remainders off it have a Schur complement of order 7
         x, y = datasets(43, m=8, n=30, dim=12)
-        _, cx = explicit_feature_covariance(x, LINEAR)
-        _, cy = explicit_feature_covariance(y, LINEAR)
+        _, cx = feature_covariance(x, LINEAR)
+        _, cy = feature_covariance(y, LINEAR)
         eigh_orders.clear()
         d_gram = rkhs_alpha_distance(x, y, LINEAR, alpha, gamma)
         assert eigh_orders == [8, 30, 7]
@@ -600,8 +575,8 @@ class TestRegularizedDistance:
         assert eigh_orders == [21, 21, 20]
         d_gram = gram_route(x, y, POLY, 0.25, 0.1)
         assert eigh_orders[3:] == [70, 50, 20]
-        _, cx = explicit_feature_covariance(x, POLY)
-        _, cy = explicit_feature_covariance(y, POLY)
+        _, cx = feature_covariance(x, POLY)
+        _, cy = feature_covariance(y, POLY)
         d_feat = alpha_procrustes_regularized(cx, cy, 0.1, 0.25).value
         for d in (d_lib, d_gram):
             assert abs(d - d_feat) <= 1e-10 * d_feat
@@ -685,8 +660,8 @@ class TestRegularizedDistance:
         # which decides alpha -0.5).  alpha -0.5 at gamma 1e-3 is still
         # ~2.5e-8 off.
         x, y = self._thin_and_line(3, 1e3)
-        _, cx = explicit_feature_covariance(x, LINEAR)
-        _, cy = explicit_feature_covariance(y, LINEAR)
+        _, cx = feature_covariance(x, LINEAR)
+        _, cy = feature_covariance(y, LINEAR)
         cases = [(alpha, gamma) for alpha in (0.25, 0.75, 2.0) for gamma in (1e-3, 0.1, 1.0)]
         for alpha, gamma in cases + [(-0.5, 0.1), (-0.5, 1.0)]:
             d_feat = alpha_procrustes_regularized(cx, cy, gamma, alpha).value
@@ -700,8 +675,8 @@ class TestRegularizedDistance:
         # floor: a basis of X's 1e-8 directions off unit length by ~1e-8
         # would carry that error at the full ridged power
         x, y = self._thin_and_line(6, 1.0)
-        _, cx = explicit_feature_covariance(x, LINEAR)
-        _, cy = explicit_feature_covariance(y, LINEAR)
+        _, cx = feature_covariance(x, LINEAR)
+        _, cy = feature_covariance(y, LINEAR)
         for gamma in (0.1, 1.0):
             d_feat = alpha_procrustes_regularized(cx, cy, gamma, alpha).value
             for p, q in ((x, y), (y, x)):
@@ -712,7 +687,7 @@ class TestRegularizedDistance:
         # X's centered features vanish: C_X = 0 is held on no basis vectors
         _, y = datasets(48, m=6, n=7, dim=3)
         x0 = Dataset.from_array(np.ones((6, 3)))
-        _, cy = explicit_feature_covariance(y, POLY)
+        _, cy = feature_covariance(y, POLY)
         zero = SpdMatrix.from_array(np.zeros((cy.n, cy.n)))
         for alpha in (-0.5, 0.75):
             d_gram = rkhs_alpha_distance(x0, y, POLY, alpha, 0.1)
@@ -724,8 +699,8 @@ class TestRegularizedDistance:
         # C + gI must be strictly positive on the span of the features, as
         # for the matrix family: g below 1e-12 lambda_max is singular there
         x, y = datasets(45, m=6, n=7, dim=8)
-        _, cx = explicit_feature_covariance(x, LINEAR)
-        _, cy = explicit_feature_covariance(y, LINEAR)
+        _, cx = feature_covariance(x, LINEAR)
+        _, cy = feature_covariance(y, LINEAR)
         gamma = 1e-13 * cy.eig.max
         with pytest.raises(SingularBaseError):
             alpha_procrustes_regularized(cx, cy, gamma, -0.5)
@@ -733,17 +708,32 @@ class TestRegularizedDistance:
             rkhs_alpha_distance(x, y, LINEAR, -0.5, gamma)
         # full-rank covariances on the span keep their own smallest eigenvalue
         x, y = datasets(46, m=20, n=25, dim=3)
-        _, cx = explicit_feature_covariance(x, LINEAR)
-        _, cy = explicit_feature_covariance(y, LINEAR)
+        _, cx = feature_covariance(x, LINEAR)
+        _, cy = feature_covariance(y, LINEAR)
         gamma = 1e-13 * cy.eig.max
         d_feat = alpha_procrustes_regularized(cx, cy, gamma, -0.5).value
         d_gram = rkhs_alpha_distance(x, y, LINEAR, -0.5, gamma)
         assert abs(d_gram - d_feat) <= 1e-10 * d_feat
 
-    @pytest.mark.parametrize("sigma", [1.0, 3.0])
-    def test_rbf_matches_40_digit_reference(self, sigma):
-        x, y = datasets(47, m=7, n=6, dim=3)
-        alphas = (-0.5, 0.25, 2.0)
+    @pytest.mark.parametrize(
+        "sigma,shared",
+        [
+            pytest.param(1.0, False, id="1.0"),
+            pytest.param(3.0, False, id="3.0"),
+            pytest.param(0.8, True, id="0.8-shared-point"),
+        ],
+    )
+    def test_rbf_matches_40_digit_reference(self, sigma, shared):
+        if shared:
+            # 1-D data with one point in both sets: the pooled Gram is
+            # singular, and its 40-digit eigenvalues include a roundoff negative
+            x, y = datasets(0, m=8, n=10, dim=1)
+            points = y.points.copy()
+            points[0] = x.points[0]
+            y = Dataset.from_array(points)
+        else:
+            x, y = datasets(47, m=7, n=6, dim=3)
+        alphas = (-0.5, 0.25, 1.0, 2.0)
         reference = mp_regularized_rbf(x.points, y.points, sigma, alphas, 0.1)
         kernel = KernelSpec.gaussian_rbf(sigma)
         for alpha, ref in zip(alphas, reference):
@@ -775,8 +765,8 @@ class TestRegularizedDistance:
         # overflow nor lose the answer to the scale of its factors
         rng = np.random.default_rng(1)
         x, y = (Dataset.from_array(rng.standard_normal((m, 2)) * 1e153) for m in (6, 5))
-        _, cx = explicit_feature_covariance(x, LINEAR)
-        _, cy = explicit_feature_covariance(y, LINEAR)
+        _, cx = feature_covariance(x, LINEAR)
+        _, cy = feature_covariance(y, LINEAR)
         log_limit = AlphaParam.log_limit()
         expected = alpha_procrustes_regularized(cx, cy, gamma, log_limit).value
         for d in both_routes(x, y, LINEAR, log_limit, gamma):
@@ -843,16 +833,16 @@ class TestUnregularizedDistance:
 
     def test_half_alpha_is_twice_bw(self):
         x, y = datasets(19)
-        _, cx = explicit_feature_covariance(x, LINEAR)
-        _, cy = explicit_feature_covariance(y, LINEAR)
+        _, cx = feature_covariance(x, LINEAR)
+        _, cy = feature_covariance(y, LINEAR)
         for d in both_routes(x, y, LINEAR, 0.5):
             assert d == pytest.approx(2.0 * bures_wasserstein(cx, cy).value, rel=1e-8)
 
     @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
     def test_polynomial_feature_oracle(self, alpha):
         x, y = datasets(20)
-        _, cx = explicit_feature_covariance(x, POLY)
-        _, cy = explicit_feature_covariance(y, POLY)
+        _, cx = feature_covariance(x, POLY)
+        _, cy = feature_covariance(y, POLY)
         d_feat = alpha_procrustes(cx, cy, alpha).value
         for d in both_routes(x, y, POLY, alpha):
             assert abs(d - d_feat) <= 1e-8 * max(1.0, d_feat)
@@ -866,8 +856,8 @@ class TestUnregularizedDistance:
     def test_unequal_counts_supported(self):
         x, y = datasets(22, m=9, n=12)
         d = rkhs_alpha_distance_unregularized(x, y, POLY, 0.75)
-        _, cx = explicit_feature_covariance(x, POLY)
-        _, cy = explicit_feature_covariance(y, POLY)
+        _, cx = feature_covariance(x, POLY)
+        _, cy = feature_covariance(y, POLY)
         assert d == pytest.approx(alpha_procrustes(cx, cy, 0.75).value, rel=1e-8)
 
     @pytest.mark.parametrize("alpha", [0.55, 0.75])
@@ -1127,12 +1117,6 @@ class TestOverflow:
         y = Dataset.from_array(rng.standard_normal((25, 3)) + 1.0)
         with pytest.raises(NonFiniteError, match="^cross-term eigensolve: "):
             rkhs_alpha_distance(x, y, KernelSpec.gaussian_rbf(1.0), -400.0, 0.1)
-
-    def test_feature_covariance_that_overflows_is_a_typed_error(self):
-        # finite features whose covariance overflows (the suite errors on RuntimeWarning)
-        x = Dataset.from_array(np.random.default_rng(0).standard_normal((10, 2)) * 1e160)
-        with pytest.raises(NonFiniteError, match="^matrix: "):
-            explicit_feature_covariance(x, KernelSpec.linear())
 
     def test_mean_embedding_sums_that_overflow_are_a_typed_error(self):
         # 4 x 3 points near 3e153 (1, 1, 1) take the Gram route: each Gram entry
