@@ -22,6 +22,16 @@ from .linalg import SpdMatrix, _finite, _real_array
 from .metrics import _check_gamma, _family
 
 
+def _vector(arr, what: str) -> np.ndarray:
+    """A read-only 1-D float copy of ``arr``, so later edits by the caller do not reach it."""
+    v = np.atleast_1d(_real_array(arr, what))
+    if v.ndim != 1:
+        raise DimensionError(f"expected a 1-D {what} vector, got shape {v.shape}")
+    v = v.copy()
+    v.setflags(write=False)
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianMeasure:
     """Mean vector plus PSD covariance."""
@@ -31,16 +41,13 @@ class GaussianMeasure:
 
     @classmethod
     def from_arrays(cls, mean, covariance) -> "GaussianMeasure":
-        m = np.atleast_1d(_real_array(mean, "mean"))
-        if m.ndim != 1:
-            raise DimensionError(f"expected a 1-D mean vector, got shape {m.shape}")
+        m = _vector(mean, "mean")
         _finite("mean", m)
         cov = covariance if isinstance(covariance, SpdMatrix) else SpdMatrix.from_array(covariance)
         if m.shape[0] != cov.n:
             raise DimensionError(
                 f"mean has length {m.shape[0]} but covariance is {cov.n}x{cov.n}"
             )
-        m.setflags(write=False)
         return cls(m, cov)
 
     @property
@@ -60,10 +67,9 @@ class MeanMetricSpec:
 
     def __post_init__(self):
         if self.weights is not None:
-            w = _real_array(self.weights, "mean-metric weights").ravel()
+            w = _vector(self.weights, "mean-metric weights")
             if not np.all((w > 0) & np.isfinite(w)):
                 raise DomainError("mean-metric weights must be strictly positive and finite")
-            w.setflags(write=False)
             object.__setattr__(self, "weights", w)
 
     def distance(self, m1: np.ndarray, m2: np.ndarray) -> float:

@@ -179,64 +179,37 @@ def alpha_procrustes_regularized(
     return _family(a, b, alpha, gamma)
 
 
-def _rotation(theta: float, reflect: bool) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    u = np.array([[c, -s], [s, c]])
-    if reflect:
-        u = u @ np.diag([1.0, -1.0])
-    return u
-
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 BRUTEFORCE_GRID = 720
-GOLDEN_TOL = 1e-10
-
-
-def _golden_section(fn, lo: float, hi: float) -> float:
-    """Minimize a unimodal scalar function on [lo, hi] to width GOLDEN_TOL."""
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    while hi - lo > GOLDEN_TOL:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = fn(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = fn(x2)
-    return min(f1, f2)
+BRUTEFORCE_TOL = 1e-10
 
 
 def procrustes_bruteforce_2x2(a: SpdMatrix, b: SpdMatrix, alpha) -> float:
     """Direct minimization of |A^a - B^a U|_F / |a| over the full group O(2).
 
-    Verification oracle for the closed form: both connected components of
-    O(2) (rotations, and rotations composed with diag(1, -1)) are scanned on
-    a uniform theta grid of BRUTEFORCE_GRID points, then the best bracket is
-    refined by golden-section search to GOLDEN_TOL in theta.  It has no
-    log-limit form: |alpha| < 1e-7 raises DomainError.
+    Verification oracle for the closed form.  On each connected component of
+    O(2), U = [[c, -f s], [s, f c]] with f = +1 or -1, the cost is scored on
+    BRUTEFORCE_GRID steps of theta spanning 2 pi, then again across the two
+    steps around the best angle (not wrapped into [0, 2 pi]), until that
+    bracket is narrower than BRUTEFORCE_TOL.  It has no log-limit form:
+    |alpha| < 1e-7 raises DomainError.
     """
     if a.n != 2 or b.n != 2:
         raise DimensionError("brute-force oracle is 2x2 only")
     al = as_alpha(alpha)
     if al.is_log_limit:
         raise DomainError(f"brute-force oracle has no log-limit form, got alpha {al.value}")
-    a_pow = spd_power(a, al.value).mat
-    b_pow = spd_power(b, al.value).mat
-
+    a_pow, b_pow = (spd_power(x, al.value).mat for x in (a, b))
     best = math.inf
-    thetas = np.linspace(0.0, 2.0 * math.pi, BRUTEFORCE_GRID, endpoint=False)
-    step = 2.0 * math.pi / BRUTEFORCE_GRID
-    for reflect in (False, True):
-        cost = lambda t: float(  # noqa: E731
-            np.linalg.norm(a_pow - b_pow @ _rotation(t, reflect))
-        )
-        values = [cost(t) for t in thetas]
-        k = int(np.argmin(values))
-        refined = _golden_section(cost, thetas[k] - step, thetas[k] + step)
-        best = min(best, refined)
+    for f in (1.0, -1.0):
+        center, half = math.pi, math.pi
+        while 2.0 * half > BRUTEFORCE_TOL:
+            t = np.linspace(center - half, center + half, BRUTEFORCE_GRID, endpoint=False)
+            c, s = np.cos(t), np.sin(t)
+            u = np.array([[c, -f * s], [s, f * c]]).transpose(2, 0, 1)
+            cost = np.linalg.norm(a_pow - b_pow @ u, axis=(1, 2))
+            k = int(np.argmin(cost))
+            center, half = t[k], t[1] - t[0]
+        best = min(best, float(cost[k]))
     return best / abs(al.value)
 
 

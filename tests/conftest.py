@@ -54,6 +54,34 @@ def feature_covariance(x: Dataset, kernel: KernelSpec) -> tuple[np.ndarray, SpdM
         return mean, SpdMatrix.from_array(centered.T @ centered / x.m)
 
 
+def mp_family(cov_a, cov_b, alphas, gamma=0, dps=50):
+    """Family distances between cov_a + gamma I and cov_b + gamma I at ``dps`` digits.
+
+    The high-precision referee: one value per alpha, for arrays or mpmath
+    matrices.  Ridged powers come from the eigendecompositions (roundoff
+    negatives clamped at 0), the cross term from the eigenvalues of
+    A^a B^2a A^a.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+
+        def spectrum(c):
+            s, u = mp.eigsy(mp.matrix(c))
+            return [max(si, 0) + mp.mpf(gamma) for si in s], u
+
+        (sa, ua), (sb, ub) = spectrum(cov_a), spectrum(cov_b)
+        out = []
+        for alpha in alphas:
+            a = mp.mpf(alpha)
+            pa = ua * mp.diag([si**a for si in sa]) * ua.T
+            cross = pa * ub * mp.diag([si ** (2 * a) for si in sb]) * ub.T * pa
+            eigs = mp.eigsy((cross + cross.T) / 2, eigvals_only=True)
+            total = mp.fsum(si ** (2 * a) for si in sa + sb)
+            total -= 2 * mp.fsum(mp.sqrt(max(e, 0)) for e in eigs)
+            out.append(float(mp.sqrt(total) / abs(a)))
+    return out
+
+
 @pytest.fixture
 def eigh_orders(monkeypatch):
     """Order of every matrix decomposed by np.linalg.eigh while the test runs.

@@ -54,6 +54,26 @@ class TestConstruction:
         with pytest.raises(DomainError, match="finite"):
             MeanMetricSpec(weights=[value, 1.0])
 
+    def test_two_dimensional_weights_rejected(self):
+        with pytest.raises(DimensionError):
+            MeanMetricSpec(weights=np.ones((1, 2)))
+
+    def test_mean_is_a_copy(self):
+        m = np.array([1.0, 0.0])
+        g = GaussianMeasure.from_arrays(m, np.eye(2))
+        m[0] = 3.0  # the caller's array stays writable
+        assert g.mean.tolist() == [1.0, 0.0]
+        assert not g.mean.flags.writeable
+
+    @pytest.mark.parametrize("edit", [-1.0, 100.0], ids=["negative", "large"])
+    def test_weights_are_a_copy(self, edit):
+        w = np.array([4.0, 1.0])
+        mm = MeanMetricSpec(weights=w)
+        g1 = GaussianMeasure.from_arrays([1.0, 0.0], np.eye(2))
+        w[0] = edit
+        assert gaussian_alpha_distance(g1, _G2, 0.5, mm) == pytest.approx(2.0, rel=1e-15)
+        assert not mm.weights.flags.writeable
+
 
 class TestAlphaDistance:
     @pytest.mark.parametrize("alpha", [-1.0, 0.0, 0.5, 1.0, 2.0])

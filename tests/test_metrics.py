@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import (
     commuting_pair,
+    mp_family,
     noncommuting_pair,
     rand_orthogonal,
     rand_psd_rank_deficient,
@@ -33,7 +34,7 @@ from alphaproc import (
     rkhs_alpha_distance,
     spd_power,
 )
-from alphaproc.metrics import NEG_TRACE_RTOL, _trace_form
+from alphaproc.metrics import BRUTEFORCE_GRID, NEG_TRACE_RTOL, _trace_form
 
 DIAG_A = SpdMatrix.from_array(np.diag([1.0, 4.0]))
 DIAG_B = SpdMatrix.from_array(np.diag([9.0, 16.0]))
@@ -144,27 +145,6 @@ class TestCrossTerm:
         forward = alpha_procrustes(a, b, 0.7).value
         backward = alpha_procrustes(b, a, 0.7).value
         assert abs(forward - backward) <= 1e-9 * forward
-
-
-def mp_family(a, b, alphas, gamma=0.0, dps=50):
-    """Family distances between A + gamma I and B + gamma I at ``dps`` digits.
-
-    Powers come from the eigendecompositions of A and B; the cross term is
-    the nuclear norm of B^a A^a, the sum of its singular values.
-    """
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(dps):
-        (la, ua), (lb, ub) = (mp.eigsy(mp.matrix(m.tolist())) for m in (a, b))
-        la, lb = [x + mp.mpf(gamma) for x in la], [x + mp.mpf(gamma) for x in lb]
-        out = []
-        for alpha in alphas:
-            al = mp.mpf(alpha)
-            pa = ua * mp.diag([x**al for x in la]) * ua.T
-            pb = ub * mp.diag([x**al for x in lb]) * ub.T
-            cross = mp.fsum(mp.svd_r(pb * pa, compute_uv=False))
-            total = mp.fsum(x ** (2 * al) for x in la + lb) - 2 * cross
-            out.append(float(mp.sqrt(total) / abs(al)))
-    return out
 
 
 REFEREE_ALPHAS = (-1.0, -0.5, 0.25, 0.5, 1.0, 2.0)
@@ -403,6 +383,38 @@ class TestBruteforce:
         a = rand_spd(np.random.default_rng(19), 3)
         with pytest.raises(DimensionError):
             procrustes_bruteforce_2x2(a, a, 0.5)
+
+    # values of the earlier per-angle grid plus golden-section oracle
+    PINNED = {
+        # best rotation angle a third of a grid step below 2 pi
+        "best-angle-below-2pi": (
+            [[2.0, 0.3], [0.3, 1.0]], [[2.0, 0.25], [0.25, 1.0]], 0.5, 0.05886104443823925
+        ),
+        "negative-alpha": (
+            [[1.5, -0.4], [-0.4, 0.8]], [[0.6, 0.2], [0.2, 2.5]], -1.0, 1.551131693256739
+        ),
+        "cond-1e4": (
+            [[1.0, 0.0], [0.0, 1e-4]], [[0.5, 0.49], [0.49, 0.4804]], 0.7, 1.0728510849502007
+        ),
+    }
+
+    @pytest.mark.parametrize("case", PINNED)
+    def test_pinned_values(self, case):
+        a, b, alpha, expected = self.PINNED[case]
+        value = procrustes_bruteforce_2x2(
+            SpdMatrix.from_array(a), SpdMatrix.from_array(b), alpha
+        )
+        assert value == pytest.approx(expected, rel=1e-11, abs=0.0)
+
+    def test_pinned_best_angle_is_just_below_two_pi(self):
+        # the optimal U is the polar factor of B^a A^a, a rotation here
+        a, b, alpha, _ = self.PINNED["best-angle-below-2pi"]
+        pa, pb = (spd_power(SpdMatrix.from_array(x), alpha).mat for x in (a, b))
+        left, _, right = np.linalg.svd(pb @ pa)
+        u = left @ right
+        theta = math.atan2(u[1, 0], u[0, 0]) % (2.0 * math.pi)
+        step = 2.0 * math.pi / BRUTEFORCE_GRID
+        assert 2.0 * math.pi - step / 2.0 < theta < 2.0 * math.pi
 
 
 class TestDistanceResult:

@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
-from conftest import feature_covariance, h_alpha, rand_orthogonal
+from conftest import feature_covariance, h_alpha, mp_family, rand_orthogonal
 
 from alphaproc import (
     AlphaParam,
@@ -48,30 +48,6 @@ def datasets(seed=0, m=15, n=15, dim=2, shift=0.4):
     return x, y
 
 
-def _mp_family(mp, cov_x, cov_y, alphas, gamma):
-    """Family distances between cov_x + gamma I and cov_y + gamma I, one per alpha.
-
-    Ridged powers come from the eigendecompositions (roundoff negatives
-    clamped at 0), the cross term from the eigenvalues of A^a B^2a A^a.
-    """
-
-    def spectrum(c):
-        s, u = mp.eigsy(c)
-        return [max(si, 0) + mp.mpf(gamma) for si in s], u
-
-    (sx, ux), (sy, uy) = spectrum(cov_x), spectrum(cov_y)
-    out = []
-    for alpha in alphas:
-        a = mp.mpf(alpha)
-        pa = ux * mp.diag([si**a for si in sx]) * ux.T
-        cross = pa * uy * mp.diag([si ** (2 * a) for si in sy]) * uy.T * pa
-        eigs = mp.eigsy((cross + cross.T) / 2, eigvals_only=True)
-        total = mp.fsum(si ** (2 * a) for si in sx + sy)
-        total -= 2 * mp.fsum(mp.sqrt(max(e, 0)) for e in eigs)
-        out.append(float(mp.sqrt(total) / abs(a)))
-    return out
-
-
 def mp_regularized_rbf(x, y, sigma, alphas, gamma, dps=40):
     """Regularized RBF family distances at ``dps`` digits, one per alpha.
 
@@ -100,7 +76,7 @@ def mp_regularized_rbf(x, y, sigma, alphas, gamma, dps=40):
                     b[i, k] = (coords[i, c] - mean) / mp.sqrt(len(cols))
             return b * b.T
 
-        return _mp_family(mp, covariance(range(m)), covariance(range(m, size)), alphas, gamma)
+        return mp_family(covariance(range(m)), covariance(range(m, size)), alphas, gamma, dps)
 
 
 def mp_unregularized_poly(x, y, degree, offset, alphas, dps=40, gamma=0):
@@ -129,7 +105,7 @@ def mp_unregularized_poly(x, y, degree, offset, alphas, dps=40, gamma=0):
             f -= mp.ones(len(rows), 1) * (mp.ones(1, len(rows)) * f) / len(rows)
             return f.T * f / len(rows)
 
-        return _mp_family(mp, covariance(x), covariance(y), alphas, gamma)
+        return mp_family(covariance(x), covariance(y), alphas, gamma, dps)
 
 
 def feature_gaussians(x, y, kernel):
