@@ -6,7 +6,8 @@ Matrix CSV files are plain comma-separated rows with no header; matrices must
 be symmetric within 1e-8 of their largest entry (they are then symmetrized
 exactly).  Dataset CSV files hold one sample per row, with an optional header
 skipped by --header.  --output, --gamma and the matrix_a matrix_b pair are
-declared once and shared.  Exit codes: 0 success, 2 parse/input errors
+declared once and shared.  Each subcommand checks the flags it parses before
+it reads any file.  Exit codes: 0 success, 2 parse/input errors
 (an unwritable --output, dimension mismatch and non-finite values included),
 3 other domain errors, 4 complex spectrum, 5 validation failure.  Distances
 print with 12 significant digits, so output is byte-stable for fixed inputs
@@ -107,7 +108,6 @@ def _pair(args) -> tuple[SpdMatrix, SpdMatrix]:
 
 
 def _cmd_dist(args) -> int:
-    a, b = _pair(args)
     metric = args.metric
     needs_alpha = metric in ("alpha-procrustes", "power-euclidean")
     if needs_alpha and args.alpha is None:
@@ -120,6 +120,7 @@ def _cmd_dist(args) -> int:
         raise CliInputError("--gamma only applies to the alpha-procrustes metric")
 
     alpha = _parse_alpha(args.alpha) if needs_alpha else None
+    a, b = _pair(args)
     if metric == "alpha-procrustes":
         result = _family(a, b, alpha, args.gamma or None)
     elif metric == "bures-wasserstein":
@@ -160,9 +161,10 @@ def _sweep_alphas(args) -> list[AlphaParam]:
 
 
 def _cmd_sweep(args) -> int:
+    alphas = _sweep_alphas(args)
     a, b = _pair(args)
     rows = []
-    for alpha in _sweep_alphas(args):
+    for alpha in alphas:
         rows.append((alpha.label(), _fmt(_family(a, b, alpha, args.gamma or None).value)))
     if args.format == "json":
         rows_json = [{"alpha": al, "distance": d} for al, d in rows]
@@ -182,10 +184,10 @@ def _matrix_block(mat: np.ndarray) -> str:
 
 
 def _cmd_geodesic(args) -> int:
-    a, b = _pair(args)
     alpha = _parse_alpha(args.alpha)
     if args.t_steps < 1:
         raise CliInputError("--t-steps must be >= 1")
+    a, b = _pair(args)
     curve = GeodesicCurve(a, b, alpha)
     ts = [k / args.t_steps for k in range(args.t_steps + 1)]
     points = [(t, curve.at(t).mat) for t in ts]
@@ -215,18 +217,18 @@ def _cmd_gauss_dist(args) -> int:
         except ValueError as exc:
             raise CliInputError(f"bad --mean-weights: {exc}") from exc
         mean_metric = MeanMetricSpec(weights=weights)
+    alpha = _parse_alpha(args.alpha)
     g1 = GaussianMeasure.from_arrays(_read_vector(args.mean_a), _read_matrix(args.cov_a))
     g2 = GaussianMeasure.from_arrays(_read_vector(args.mean_b), _read_matrix(args.cov_b))
-    alpha = _parse_alpha(args.alpha)
     terms = _gaussian_terms(g1, g2, alpha, args.gamma or None, mean_metric)
     return _emit_gaussian(args, alpha, terms)
 
 
 def _cmd_rkhs_dist(args) -> int:
-    x = _read_dataset(args.data_x, skip_header=args.header)
-    y = _read_dataset(args.data_y, skip_header=args.header)
     kernel = KernelSpec.parse(args.kernel)
     alpha = _parse_alpha(args.alpha)
+    x = _read_dataset(args.data_x, skip_header=args.header)
+    y = _read_dataset(args.data_y, skip_header=args.header)
     terms = _rkhs_gaussian_terms(x, y, kernel, alpha, args.gamma)
     return _emit_gaussian(args, alpha, terms, kernel=args.kernel)
 

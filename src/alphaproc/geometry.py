@@ -23,8 +23,8 @@ import numpy as np
 
 from .exceptions import DomainError, NonSpdIntermediateError
 from .linalg import DIVIDED_DIFF_TOL, AlphaParam, SpdMatrix, SymMatrix, as_alpha, spd_power
-from .linalg import _check_dims, _finite, _log_divided_difference, _polar_factor, _require_strict
-from .linalg import _strict, sym_eigh
+from .linalg import _check_dims, _dense, _finite, _log_divided_difference, _polar_factor
+from .linalg import _require_strict, _strict, sym_eigh
 
 # Largest stack, in float64 entries, that one quadrature eigensolve takes
 # (256 KB); a block holds at least three grid points whatever the order n.
@@ -56,9 +56,8 @@ def _lyapunov_factor(lam: np.ndarray, al: AlphaParam) -> np.ndarray:
 
 
 def _eigenbasis_solve(vecs, s, f) -> np.ndarray:
-    """Lyapunov solve in the eigenbasis, one matrix or a stack: sym part of (V^T S V) / f."""
-    h = (np.swapaxes(vecs, -1, -2) @ s @ vecs) / f
-    return (h + np.swapaxes(h, -1, -2)) / 2.0
+    """Lyapunov solve in the eigenbasis, one matrix or a stack: (V^T S V) / f."""
+    return (np.swapaxes(vecs, -1, -2) @ s @ vecs) / f
 
 
 def solve_general_lyapunov(p0: SpdMatrix, y: SymMatrix, alpha) -> SymMatrix:
@@ -193,7 +192,7 @@ def geodesic_length_numeric(curve: GeodesicCurve, steps: int = 1000) -> float:
     carry = None
     for lo in range(0, steps + 2, block):
         lam, vecs = curve._spectra(ts[lo : lo + block])
-        mats = (vecs * lam[:, None, :]) @ np.swapaxes(vecs, -1, -2)
+        mats = _dense(vecs, lam)
         if carry is not None:
             lam, vecs, mats = (np.concatenate(pair) for pair in zip(carry, (lam, vecs, mats)))
         carry = lam[-2:], vecs[-2:], mats[-2:]

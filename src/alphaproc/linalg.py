@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -179,27 +179,23 @@ def sym_eigendecompose(s: SymMatrix) -> EigenDecomposition:
 class SpdMatrix:
     """Symmetric positive (semi-)definite matrix, held as its spectrum.
 
-    The spectrum sits on a square orthonormal basis ``eig.vectors``.  Every
-    constructor clamps eigenvalues below psd_tol to zero (``_clamp_zero``);
-    ``from_array`` first rejects anything below -psd_tol.  A formula that
-    needs every eigenvalue above psd_tol calls ``require_strict``.  ``mat``
-    is the symmetrized input if any, else formed from the spectrum on read.
+    The spectrum sits on a square orthonormal basis ``eig.vectors``; every
+    constructor ends in ``_from_eig``.  Eigenvalues below psd_tol are clamped
+    to zero (``_clamp_zero``); ``from_array`` first rejects anything below
+    -psd_tol.  A formula that needs every eigenvalue above psd_tol calls
+    ``require_strict``.  ``mat`` is the dense form of the held spectrum,
+    formed on first read, so it and ``eig`` always describe one matrix.
     """
 
     eig: EigenDecomposition
-    _input: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def from_array(cls, arr) -> "SpdMatrix":
-        s = SymMatrix.from_array(arr)
-        eig = sym_eigendecompose(s)
-        tol = psd_tolerance(eig.max)
-        if eig.min < -tol:
-            raise NotPsdError(
-                f"matrix has eigenvalue {eig.min:.3e} below -{tol:.3e}"
-            )
-        values = _freeze(_clamp_zero(eig.values))
-        return cls(EigenDecomposition(values, eig.vectors), _input=s.mat)
+        w, v = sym_eigh(SymMatrix.from_array(arr).mat)
+        tol = psd_tolerance(w[-1])
+        if w[0] < -tol:
+            raise NotPsdError(f"matrix has eigenvalue {w[0]:.3e} below -{tol:.3e}")
+        return cls._from_eig(_clamp_zero(w), v)
 
     @classmethod
     def _from_eig(cls, values: np.ndarray, vectors: np.ndarray) -> "SpdMatrix":
@@ -218,8 +214,6 @@ class SpdMatrix:
 
     @cached_property
     def mat(self) -> np.ndarray:
-        if self._input is not None:
-            return self._input
         # one layout, column-major, whatever layout the eigenvectors arrive
         # in: BLAS rounds the product by operand layout, so this keeps the
         # bits of the dense form independent of how the basis was built
@@ -251,8 +245,8 @@ def _require_strict(w: np.ndarray, what: str) -> None:
 
 
 def _dense(v: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """V diag(values) V'."""
-    return (v * values) @ v.T
+    """V diag(values) V' of one spectrum, or of a stack: (k, n, n) bases with (k, n) values."""
+    return (v * values[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
 @dataclass(frozen=True)

@@ -184,16 +184,17 @@ def _centered_blocks(x: Dataset, y: Dataset, kernel: KernelSpec) -> tuple[float,
 
     Feature dimension D with 0 < 2D <= min(m, n): from the R factors of each dataset's centered
     features over sqrt(m), the Gram blocks in other sample coordinates; else from the Grams.
-    A block that overflows on either route raises NonFiniteError naming the kernel.
+    Both routes run under one np.errstate, so a block that overflows on either raises
+    NonFiniteError naming the kernel, with no numpy warning first.
     """
     if x.dim != y.dim:
         raise DimensionError(f"sample dimensions differ: {x.dim} vs {y.dim}")
-    if 0 < 2 * _feature_dim(kernel, x.dim) <= min(x.m, y.m):
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        if 0 < 2 * _feature_dim(kernel, x.dim) <= min(x.m, y.m):
             (mx, rx), (my, ry) = (_feature_factor(ds, kernel) for ds in (x, y))
             mdd, blocks = float(np.sum((mx - my) ** 2)), (rx @ rx.T, ry @ ry.T, rx @ ry.T)
-    else:
-        mdd, blocks = _gram_blocks(x, y, kernel)
+        else:
+            mdd, blocks = _gram_blocks(x, y, kernel)
     _finite(f"{kernel} Gram blocks on these datasets", *blocks)
     return mdd, blocks
 
@@ -205,17 +206,17 @@ def _gram_blocks(x: Dataset, y: Dataset, kernel: KernelSpec) -> tuple[float, tup
     zero; each block is J K J over its scale, in place: the row means come off, then the column
     means of that, then one multiply scales it.  aa and bb stay symmetric only to roundoff, which
     no consumer sees: eigh reads one triangle, and the alpha = 1/2 route only the diagonal.
+    An overflow is left to the caller's np.errstate.
     """
     m, n = x.m, y.m
-    with np.errstate(all="ignore"):
-        kxx, kyy, kxy = (kernel.gram(a.points, b.points) for a, b in ((x, x), (y, y), (x, y)))
-        mdd = (float(np.sum(kxx)) / m**2 + float(np.sum(kyy)) / n**2
-               - 2.0 * float(np.sum(kxy)) / (m * n))
-        for k, scale in ((kxx, m), (kyy, n), (kxy, math.sqrt(m * n))):
-            k -= k.mean(axis=1, keepdims=True)
-            k -= k.mean(axis=0)
-            k *= 1.0 / scale
-        return max(mdd, 0.0), (kxx, kyy, kxy)
+    kxx, kyy, kxy = (kernel.gram(a.points, b.points) for a, b in ((x, x), (y, y), (x, y)))
+    mdd = (float(np.sum(kxx)) / m**2 + float(np.sum(kyy)) / n**2
+           - 2.0 * float(np.sum(kxy)) / (m * n))
+    for k, scale in ((kxx, m), (kyy, n), (kxy, math.sqrt(m * n))):
+        k -= k.mean(axis=1, keepdims=True)
+        k -= k.mean(axis=0)
+        k *= 1.0 / scale
+    return max(mdd, 0.0), (kxx, kyy, kxy)
 
 
 def _feature_factor(ds: Dataset, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -418,15 +419,15 @@ def _features(points: np.ndarray, kernel: KernelSpec) -> np.ndarray:
     """Explicit feature map (m x D) of a linear or polynomial kernel, by d column products.
 
     With z = (sqrt(c), x) (z = x when c = 0), the multiset of slots (j_1, ..., j_d)
-    of (x'y + c)^d maps to sqrt(d! / prod k_i!) z_j1 ... z_jd.
+    of (x'y + c)^d maps to sqrt(d! / prod k_i!) z_j1 ... z_jd.  An overflow is left to the
+    caller's np.errstate.
     """
     if kernel.kind == "linear":
         return points
     m = len(points)
     z = np.column_stack([np.full(m, math.sqrt(kernel.offset)), points]) if kernel.offset else points
-    with np.errstate(all="ignore"):
-        table, weight = _monomials(z.shape[1], kernel.degree)
-        features = np.repeat(weight[None, :], m, axis=0)
-        for column in table.T:
-            features *= z[:, column]
+    table, weight = _monomials(z.shape[1], kernel.degree)
+    features = np.repeat(weight[None, :], m, axis=0)
+    for column in table.T:
+        features *= z[:, column]
     return features

@@ -94,8 +94,7 @@ def rand_spd(rng: np.random.Generator, n: int, lo: float = 0.3, hi: float = 3.0)
 
 def rand_sym(rng: np.random.Generator, n: int) -> SymMatrix:
     """Random symmetric matrix with standard normal entries before symmetrizing."""
-    m = rng.standard_normal((n, n))
-    return SymMatrix.from_array((m + m.T) / 2.0)
+    return SymMatrix.from_array(rng.standard_normal((n, n)))
 
 
 def commuting_pair(rng: np.random.Generator, n: int) -> tuple[SpdMatrix, SpdMatrix]:
@@ -203,6 +202,14 @@ def limit_checks_suite(seed: int, trials: int) -> SuiteResult:
     return result
 
 
+def lyapunov_forward_map(p0: SpdMatrix, h: SymMatrix, alpha: float) -> SymMatrix:
+    """Dexp(log P0) o Dlog(P0^2a) (H P0^2a + P0^2a H): the map solve_general_lyapunov inverts."""
+    p2a = spd_power(p0, 2.0 * alpha)
+    w = SymMatrix.from_array(h.mat @ p2a.mat + p2a.mat @ h.mat)
+    inner = loewner_apply(p2a.eig, "log", w)
+    return loewner_apply(sym_eigendecompose(spd_log(p0)), "exp", inner)
+
+
 def lyapunov_suite(seed: int, trials: int) -> SuiteResult:
     """Forward-map residual of the generalized Lyapunov solve, plus the plain
     Lyapunov identity at alpha = 1/2."""
@@ -215,11 +222,7 @@ def lyapunov_suite(seed: int, trials: int) -> SuiteResult:
         alpha = float(rng.uniform(-2.0, 2.0))
         if abs(alpha) < 0.05:
             alpha = 0.25
-        h = solve_general_lyapunov(p0, y, alpha)
-        p2a = spd_power(p0, 2.0 * alpha)
-        w = SymMatrix.from_array(h.mat @ p2a.mat + p2a.mat @ h.mat)
-        inner = loewner_apply(p2a.eig, "log", w)
-        forward = loewner_apply(sym_eigendecompose(spd_log(p0)), "exp", inner)
+        forward = lyapunov_forward_map(p0, solve_general_lyapunov(p0, y, alpha), alpha)
         residual = np.linalg.norm(forward.mat - y.mat) / np.linalg.norm(y.mat)
         result.check(residual <= LYAPUNOV_REL, trial, f"forward residual (alpha={alpha:.3f})",
                      lambda: f"{residual:.3e} P0={_show(p0)}")

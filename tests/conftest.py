@@ -8,6 +8,7 @@ from alphaproc import Dataset, KernelSpec, SpdMatrix
 from alphaproc.rkhs import _features
 from alphaproc.validation import (  # noqa: F401  (shared with the test modules)
     commuting_pair,
+    lyapunov_forward_map,
     noncommuting_pair,
     rand_spd,
     rand_sym,

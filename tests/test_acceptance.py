@@ -15,6 +15,7 @@ from conftest import (
     CHILD_ENV,
     commuting_pair,
     feature_covariance,
+    lyapunov_forward_map,
     noncommuting_pair,
     rand_spd,
     rand_sym,
@@ -26,7 +27,6 @@ from alphaproc import (
     GaussianMeasure,
     GeodesicCurve,
     KernelSpec,
-    SymMatrix,
     alpha_procrustes,
     alpha_procrustes_regularized,
     bures_wasserstein,
@@ -34,7 +34,6 @@ from alphaproc import (
     gaussian_alpha_distance_regularized,
     geodesic_length_numeric,
     log_euclidean,
-    loewner_apply,
     power_euclidean,
     procrustes_bruteforce_2x2,
     rkhs_alpha_distance,
@@ -42,9 +41,6 @@ from alphaproc import (
     rkhs_gaussian_distance,
     rkhs_wasserstein,
     solve_general_lyapunov,
-    spd_log,
-    spd_power,
-    sym_eigendecompose,
     wasserstein_gaussian,
 )
 from alphaproc.cli import main as cli_main
@@ -164,11 +160,7 @@ def test_criterion_06_generalized_lyapunov():
         alpha = float(rng.uniform(-2.0, 2.0))
         if abs(alpha) < 0.05:
             alpha = 0.25
-        h = solve_general_lyapunov(p0, y, alpha)
-        p2a = spd_power(p0, 2.0 * alpha)
-        w = SymMatrix.from_array(h.mat @ p2a.mat + p2a.mat @ h.mat)
-        inner = loewner_apply(p2a.eig, "log", w)
-        forward = loewner_apply(sym_eigendecompose(spd_log(p0)), "exp", inner)
+        forward = lyapunov_forward_map(p0, solve_general_lyapunov(p0, y, alpha), alpha)
         residual = np.linalg.norm(forward.mat - y.mat) / np.linalg.norm(y.mat)
         worst = max(worst, residual)
         assert residual <= 1e-9

@@ -750,6 +750,30 @@ class TestExitCodeMapping:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("files", ["missing", "present"])
+    @pytest.mark.parametrize("argv, message, expected", [
+        (["dist", "--metric", "log-euclidean", "--alpha", "7", "{a}", "{b}"],
+         "--alpha only applies to", 2),
+        (["sweep", "--alpha-range=1:0:5", "{a}", "{b}"], "needs lo < hi and steps >= 2", 2),
+        (["geodesic", "--alpha", "0.5", "--t-steps", "0", "{a}", "{b}"],
+         "--t-steps must be >= 1", 2),
+        (["gauss-dist", "--mean-a", "{m}", "--cov-a", "{a}", "--mean-b", "{m}", "--cov-b", "{b}",
+          "--alpha", "abc"], "bad alpha 'abc'", 2),
+        (["rkhs-dist", "{a}", "{b}", "--kernel", "bogus", "--alpha", "0.5"],
+         "unknown kernel spec 'bogus'", 3),
+    ], ids=["dist", "sweep", "geodesic", "gauss-dist", "rkhs-dist"])
+    def test_flags_are_checked_before_any_file_is_read(
+        self, matrices, tmp_path, eigh_orders, files, argv, message, expected
+    ):
+        if files == "missing":
+            a, b, m = (str(tmp_path / f"missing-{name}.csv") for name in "abm")
+        else:
+            a, b = matrices
+            m = write_matrix(tmp_path / "m.csv", np.zeros((1, 2)))
+        code, out, err = run_cli([arg.format(a=a, b=b, m=m) for arg in argv])
+        assert (code, out, eigh_orders) == (expected, "", [])
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", [["geodesic", "--alpha", "0.5", "--t-steps", "2"],
                                          ["dist", "--alpha", "0.5"]])
     def test_dimension_mismatch_exits_2(self, tmp_path, command):

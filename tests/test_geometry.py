@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import rand_orthogonal, rand_spd, rand_sym
+from conftest import lyapunov_forward_map, rand_orthogonal, rand_spd, rand_sym
 
 from alphaproc import (
     AlphaParam,
@@ -21,9 +21,7 @@ from alphaproc import (
     loewner_apply,
     metric_inner,
     solve_general_lyapunov,
-    spd_log,
     spd_power,
-    sym_eigendecompose,
 )
 from alphaproc import geometry
 from alphaproc.geometry import QUADRATURE_BLOCK_ENTRIES, _lyapunov_factor
@@ -37,14 +35,6 @@ def kron_lyapunov_solve(p0: np.ndarray, y: np.ndarray) -> np.ndarray:
     eye = np.eye(n)
     system = np.kron(eye, p0) + np.kron(p0, eye)
     return np.linalg.solve(system, y.reshape(-1)).reshape(n, n)
-
-
-def forward_map(p0: SpdMatrix, h: SymMatrix, alpha: float) -> SymMatrix:
-    """Dexp(log P0) o Dlog(P0^2a) (H P0^2a + P0^2a H), via loewner_apply."""
-    p2a = spd_power(p0, 2.0 * alpha)
-    w = SymMatrix.from_array(h.mat @ p2a.mat + p2a.mat @ h.mat)
-    inner = loewner_apply(p2a.eig, "log", w)
-    return loewner_apply(sym_eigendecompose(spd_log(p0)), "exp", inner)
 
 
 class TestLyapunovSolve:
@@ -66,7 +56,7 @@ class TestLyapunovSolve:
         p0 = rand_spd(rng, 4)
         y = rand_sym(rng, 4)
         h = solve_general_lyapunov(p0, y, 0.8)
-        back = forward_map(p0, h, 0.8)
+        back = lyapunov_forward_map(p0, h, 0.8)
         assert np.linalg.norm(back.mat - y.mat) <= 1e-9 * np.linalg.norm(y.mat)
 
     def test_half_alpha_matches_kronecker_oracle(self):

@@ -423,6 +423,13 @@ class TestZeroEigenvalueRule:
                 out = spd_power(a, 0.5).mat
             assert np.array_equal(out, np.diag([0.0, 1.0, math.sqrt(3.0)])), name
 
+    def test_dense_form_is_the_clamped_spectrum(self):
+        # .mat and .eig describe one matrix: the input's roundoff negative is gone from both
+        a = SpdMatrix.from_array(np.diag([-1e-13, 1.0, 3.0]))
+        want = SpdMatrix._from_eig(a.eig.values, a.eig.vectors).mat
+        assert a.mat.tobytes() == want.tobytes()
+        assert a.mat[0, 0] == 0.0
+
     def test_small_positive_power_is_range_projection(self):
         rng = np.random.default_rng(12)
         e = rand_psd_rank_deficient(rng, 4, 2)
