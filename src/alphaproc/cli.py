@@ -27,7 +27,7 @@ from .exceptions import AlphaProcError, ComplexSpectrumError, DimensionError, No
 from .gaussian import GaussianMeasure, MeanMetricSpec, _gaussian_terms
 from .geometry import GeodesicCurve, geodesic_length_numeric
 from .linalg import AlphaParam, SpdMatrix, _finite
-from .metrics import _family, bures_wasserstein, log_euclidean, power_euclidean
+from .metrics import _family, _optional_gamma, bures_wasserstein, log_euclidean, power_euclidean
 from .rkhs import Dataset, KernelSpec, _rkhs_gaussian_terms
 from .validation import run_all_suites
 
@@ -116,13 +116,14 @@ def _cmd_dist(args) -> int:
         raise CliInputError(
             "--alpha only applies to the alpha-procrustes and power-euclidean metrics"
         )
-    if args.gamma and metric != "alpha-procrustes":
+    gamma = _optional_gamma(args.gamma)
+    if gamma is not None and metric != "alpha-procrustes":
         raise CliInputError("--gamma only applies to the alpha-procrustes metric")
 
     alpha = _parse_alpha(args.alpha) if needs_alpha else None
     a, b = _pair(args)
     if metric == "alpha-procrustes":
-        result = _family(a, b, alpha, args.gamma or None)
+        result = _family(a, b, alpha, gamma)
     elif metric == "bures-wasserstein":
         result = bures_wasserstein(a, b)
     elif metric == "log-euclidean":
@@ -162,10 +163,11 @@ def _sweep_alphas(args) -> list[AlphaParam]:
 
 def _cmd_sweep(args) -> int:
     alphas = _sweep_alphas(args)
+    gamma = _optional_gamma(args.gamma)
     a, b = _pair(args)
     rows = []
     for alpha in alphas:
-        rows.append((alpha.label(), _fmt(_family(a, b, alpha, args.gamma or None).value)))
+        rows.append((alpha.label(), _fmt(_family(a, b, alpha, gamma).value)))
     if args.format == "json":
         rows_json = [{"alpha": al, "distance": d} for al, d in rows]
         _emit_json(args.output, gamma=args.gamma, rows=rows_json)
@@ -218,18 +220,20 @@ def _cmd_gauss_dist(args) -> int:
             raise CliInputError(f"bad --mean-weights: {exc}") from exc
         mean_metric = MeanMetricSpec(weights=weights)
     alpha = _parse_alpha(args.alpha)
+    gamma = _optional_gamma(args.gamma)
     g1 = GaussianMeasure.from_arrays(_read_vector(args.mean_a), _read_matrix(args.cov_a))
     g2 = GaussianMeasure.from_arrays(_read_vector(args.mean_b), _read_matrix(args.cov_b))
-    terms = _gaussian_terms(g1, g2, alpha, args.gamma or None, mean_metric)
+    terms = _gaussian_terms(g1, g2, alpha, gamma, mean_metric)
     return _emit_gaussian(args, alpha, terms)
 
 
 def _cmd_rkhs_dist(args) -> int:
     kernel = KernelSpec.parse(args.kernel)
     alpha = _parse_alpha(args.alpha)
+    gamma = _optional_gamma(args.gamma)
     x = _read_dataset(args.data_x, skip_header=args.header)
     y = _read_dataset(args.data_y, skip_header=args.header)
-    terms = _rkhs_gaussian_terms(x, y, kernel, alpha, args.gamma)
+    terms = _rkhs_gaussian_terms(x, y, kernel, alpha, gamma)
     return _emit_gaussian(args, alpha, terms, kernel=args.kernel)
 
 

@@ -4,7 +4,9 @@ Every member combines a mean metric with the matrix family on covariances:
 
     D^2 = d_mean(m1, m2)^2 + d_cov(C1, C2)^2 / 4
 
-where d_cov is the Alpha Procrustes distance (optionally ridge-regularized).
+where d_cov is the Alpha Procrustes distance between the ridged covariances
+C + gamma*I.  gamma = 0, the default, is the unregularized member; any
+other gamma must be positive and finite.
 At alpha = 1/2 with the Euclidean mean metric this is the L2-Wasserstein
 distance between the Gaussians.
 """
@@ -19,7 +21,7 @@ import numpy as np
 
 from .exceptions import DimensionError, DomainError
 from .linalg import SpdMatrix, _finite, _real_array
-from .metrics import _check_gamma, _family
+from .metrics import _family, _optional_gamma
 
 
 def _vector(arr, what: str) -> np.ndarray:
@@ -96,7 +98,7 @@ def _gaussian_terms(
     g1: GaussianMeasure, g2: GaussianMeasure, alpha, gamma: Optional[float],
     mean_metric: MeanMetricSpec,
 ) -> tuple[float, float, float]:
-    """(d_mean, d_cov, distance); gamma None leaves the covariances unridged, 0 raises."""
+    """(d_mean, d_cov, distance); gamma is None or a checked ridge."""
     if g1.dim != g2.dim:
         raise DimensionError(f"Gaussian dimensions differ: {g1.dim} vs {g2.dim}")
     d_mean = mean_metric.distance(g1.mean, g2.mean)
@@ -108,14 +110,17 @@ def gaussian_alpha_distance(
     g2: GaussianMeasure,
     alpha,
     mean_metric: MeanMetricSpec = EUCLIDEAN_MEAN,
+    gamma: float = 0.0,
 ) -> float:
     """Family distance between Gaussians: sqrt(d_mean^2 + d_cov^2 / 4).
 
-    The covariance part is the Alpha Procrustes distance, so strictly
+    The covariance part is the Alpha Procrustes distance between C1 + gamma*I
+    and C2 + gamma*I.  gamma = 0 leaves the covariances unridged, so strictly
     positive covariances are required for alpha <= 0 (including the
-    log-limit); PSD is fine for alpha > 0.
+    log-limit); PSD is fine for alpha > 0.  gamma > 0 admits every alpha on
+    PSD covariances.  Any other gamma raises DomainError.
     """
-    return _gaussian_terms(g1, g2, alpha, None, mean_metric)[2]
+    return _gaussian_terms(g1, g2, alpha, _optional_gamma(gamma), mean_metric)[2]
 
 
 def wasserstein_gaussian(g1: GaussianMeasure, g2: GaussianMeasure) -> float:
@@ -125,19 +130,3 @@ def wasserstein_gaussian(g1: GaussianMeasure, g2: GaussianMeasure) -> float:
     exactly 2 d_BW.
     """
     return gaussian_alpha_distance(g1, g2, 0.5)
-
-
-def gaussian_alpha_distance_regularized(
-    g1: GaussianMeasure,
-    g2: GaussianMeasure,
-    alpha,
-    gamma: float,
-    mean_metric: MeanMetricSpec = EUCLIDEAN_MEAN,
-) -> float:
-    """Family distance with ridge-regularized covariances C + gamma*I.
-
-    Admissible for every alpha on PSD covariances since the ridge makes
-    them strictly positive.
-    """
-    _check_gamma(gamma)  # _gaussian_terms reads None as no ridge
-    return _gaussian_terms(g1, g2, alpha, gamma, mean_metric)[2]

@@ -85,17 +85,27 @@ def _check_gamma(gamma: float) -> None:
         raise DomainError(f"gamma must be positive and finite, got {gamma!r}")
 
 
+def _optional_gamma(gamma) -> float | None:
+    """The one reader of a caller's ridge: a real zero is None, the unridged family.
+
+    Anything else must be positive and finite (None, 0j and arrays raise DomainError).
+    """
+    if _finite_real(gamma) and gamma == 0.0:
+        return None
+    _check_gamma(gamma)
+    return gamma
+
+
 @np.errstate(over="ignore", invalid="ignore")  # as a decorator it costs half a with block
 def _family(a: SpdMatrix, b: SpdMatrix, alpha, gamma: float | None = None) -> DistanceResult:
     """The one evaluator of the family: each of its special cases calls it.
 
-    gamma None evaluates A and B; gamma > 0 evaluates A + gamma*I and
-    B + gamma*I (any other gamma raises DomainError).
+    gamma None evaluates A and B; otherwise gamma is a ridge its caller
+    checked positive, and A + gamma*I and B + gamma*I are evaluated.
     """
     _check_dims(a, b)
     al = as_alpha(alpha)
     if gamma is not None:
-        _check_gamma(gamma)
         a, b = a.add_ridge(gamma), b.add_ridge(gamma)
     if al.is_log_limit:
         value = float(np.linalg.norm(spd_log(a).mat - spd_log(b).mat))

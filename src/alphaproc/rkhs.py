@@ -29,6 +29,10 @@ are of order m, n and that minimum.  C_X + gI is diagonal there, and the
 family's cross term is formed in that frame.  The ridge adds exactly zero
 off the span, and sample counts may differ.  The Wasserstein distance is
 the alpha = 1/2 member, tr aa + tr bb - 2 |ab|_*, with no eigensolve.
+
+Each distance takes a ridge gamma and compares C_X + gamma*I with
+C_Y + gamma*I.  gamma = 0, the default, is the unregularized family, which
+needs alpha >= 1/2; any other gamma must be positive and finite.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .gaussian import _combine
 from .linalg import AlphaParam, as_alpha, nuclear_norm, sym_eigh, trace_sqrt
 from .linalg import _clamp_zero, _finite, _finite_real, _lapack_guard, _real_array
 from .linalg import _require_strict
-from .metrics import _check_gamma, _trace_form
+from .metrics import _optional_gamma, _trace_form
 
 
 @dataclass(frozen=True)
@@ -165,17 +169,19 @@ class Dataset:
 
 
 def rkhs_alpha_distance(
-    x: Dataset, y: Dataset, kernel: KernelSpec, alpha, gamma: float
+    x: Dataset, y: Dataset, kernel: KernelSpec, alpha, gamma: float = 0.0
 ) -> float:
-    """Family distance between regularized covariance operators C_X + g*I, C_Y + g*I.
+    """Family distance between the covariance operators C_X + gamma*I and C_Y + gamma*I.
 
-    The matrix family's closed form on the span of the features of both
-    datasets, where C_X and C_Y are finite matrices; the ridge contributes
-    exactly zero on the orthogonal complement.  Sample counts may differ.
-    |alpha| below the switch tolerance routes to the analytic log-limit
-    (the Log-Hilbert-Schmidt distance of the regularized operators).
+    gamma > 0 admits every alpha: the matrix family's closed form on the span
+    of the features of both datasets, where C_X and C_Y are finite matrices;
+    the ridge contributes exactly zero on the orthogonal complement.  |alpha|
+    below the switch tolerance routes to the analytic log-limit (the
+    Log-Hilbert-Schmidt distance of the regularized operators).  gamma = 0
+    compares the operators themselves and needs alpha >= 1/2.  Any other
+    gamma raises DomainError.  Sample counts may differ.
     """
-    _check_gamma(gamma)  # _covariance_distance reads None as the unregularized family
+    gamma = _optional_gamma(gamma)
     return _covariance_distance(_centered_blocks(x, y, kernel)[1], alpha, gamma)
 
 
@@ -232,8 +238,8 @@ def _covariance_distance(blocks: tuple, alpha, gamma: float | None) -> float:
     """The one route choice of the RKHS family, from one set of centered blocks.
 
     gamma None takes the operators themselves, which needs alpha >= 1/2;
-    otherwise gamma must be positive and finite.  Every route reads only
-    invariants of the blocks under orthogonal changes of sample coordinates.
+    otherwise gamma is a ridge its caller checked positive.  Every route reads
+    only invariants of the blocks under orthogonal changes of sample coordinates.
     """
     al = as_alpha(alpha)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -242,7 +248,6 @@ def _covariance_distance(blocks: tuple, alpha, gamma: float | None) -> float:
                 raise DomainError(f"unregularized family needs alpha >= 1/2, got {al.label()};"
                                   " smaller alphas and the log-limit need a positive gamma")
             return _unregularized_distance(blocks, al.value)
-        _check_gamma(gamma)
         if al.is_log_limit:
             return _log_limit_distance(blocks, gamma)
         return _regularized_distance(blocks, al, gamma)
@@ -324,20 +329,13 @@ def _in_eigenbases(blocks: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _clamp_zero(wa), _clamp_zero(wb), va.T @ ab @ vb
 
 
-def rkhs_alpha_distance_unregularized(
-    x: Dataset, y: Dataset, kernel: KernelSpec, alpha
-) -> float:
-    """Family distance between the covariance operators themselves, alpha >= 1/2.
-
-    (1/a) tr[aa^2a + bb^2a - 2 (ba aa^(2a-1) ab bb^(2a-1))^(1/2)]^(1/2) with
-    spectral powers restricted to the range, so aa^0 is the range projection
-    (needed at alpha = 1/2); the clamped kernel stays 0 under every positive
-    power.  Sample counts may differ; alpha below 1/2 raises DomainError.
-    """
-    return _covariance_distance(_centered_blocks(x, y, kernel)[1], alpha, None)
-
-
 def _unregularized_distance(blocks: tuple, alpha: float) -> float:
+    """(1/a) tr[aa^2a + bb^2a - 2 (ba aa^(2a-1) ab bb^(2a-1))^(1/2)]^(1/2), alpha >= 1/2.
+
+    Spectral powers are restricted to the range, so aa^0 is the range
+    projection (needed at alpha = 1/2); the clamped kernel stays 0 under
+    every positive power.
+    """
     if alpha == 0.5:
         # aa^0 and bb^0 are the range projections, and they leave ab unchanged
         # (its columns lie in range(aa), its rows in range(bb)): no eigensolve.
@@ -360,24 +358,17 @@ def rkhs_gaussian_distance(
 ) -> float:
     """Family distance between the Gaussians N(mean_X, C_X) and N(mean_Y, C_Y) in the RKHS.
 
-    sqrt(mean discrepancy squared + d_cov^2 / 4).  gamma > 0 selects the
-    regularized covariance distance at every alpha.  A real zero selects the
-    unregularized pure-Gram formula, which needs alpha >= 1/2; below 1/2 and
-    at the log-limit it raises DomainError.  Any other gamma (negative,
-    non-finite, None, complex, an array) raises DomainError.  Sample counts
-    may differ.
+    sqrt(mean discrepancy squared + d_cov^2 / 4), with d_cov the
+    rkhs_alpha_distance of the same alpha and gamma (so gamma = 0 needs
+    alpha >= 1/2).  Sample counts may differ.
     """
-    return _rkhs_gaussian_terms(x, y, kernel, alpha, gamma)[2]
+    return _rkhs_gaussian_terms(x, y, kernel, alpha, _optional_gamma(gamma))[2]
 
 
 def _rkhs_gaussian_terms(
-    x: Dataset, y: Dataset, kernel: KernelSpec, alpha, gamma: float
+    x: Dataset, y: Dataset, kernel: KernelSpec, alpha, gamma: float | None
 ) -> tuple[float, float, float]:
-    """(mean embedding distance, d_cov, distance) from one set of centered blocks."""
-    if _finite_real(gamma) and gamma == 0.0:
-        gamma = None  # only a real zero selects the unregularized family, not None or 0j
-    else:
-        _check_gamma(gamma)
+    """(mean embedding distance, d_cov, distance); gamma is None or a checked ridge."""
     mdd, blocks = _centered_blocks(x, y, kernel)
     return _combine(math.sqrt(mdd), _covariance_distance(blocks, alpha, gamma))
 

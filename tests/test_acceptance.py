@@ -31,13 +31,11 @@ from alphaproc import (
     alpha_procrustes_regularized,
     bures_wasserstein,
     gaussian_alpha_distance,
-    gaussian_alpha_distance_regularized,
     geodesic_length_numeric,
     log_euclidean,
     power_euclidean,
     procrustes_bruteforce_2x2,
     rkhs_alpha_distance,
-    rkhs_alpha_distance_unregularized,
     rkhs_gaussian_distance,
     rkhs_wasserstein,
     solve_general_lyapunov,
@@ -210,7 +208,7 @@ def test_criterion_08_gamma_to_zero_convergence():
         np.random.default_rng(SEED + 9).standard_normal((12, 3)) + 0.3
     )
     kernel = KernelSpec.gaussian_rbf(1.0)
-    d_un = rkhs_alpha_distance_unregularized(x, y, kernel, 0.75)
+    d_un = rkhs_alpha_distance(x, y, kernel, 0.75)
     d_reg = rkhs_alpha_distance(x, y, kernel, 0.75, 1e-7)
     assert abs(d_reg - d_un) <= 1e-3 * d_un
     report(8, f"gamma=1e-7 matches unregularized within 1e-3 (worst matrix rel {worst:.2e})")
@@ -240,7 +238,7 @@ def test_criterion_09_rkhs_feature_map_oracle():
     d_g_feat = gaussian_alpha_distance(gx, gy, 0.75)
     assert abs(d_g - d_g_feat) <= 1e-8 * d_g_feat
     d_g_reg = rkhs_gaussian_distance(x, y, poly, 0.3, gamma)
-    d_g_reg_feat = gaussian_alpha_distance_regularized(gx, gy, 0.3, gamma)
+    d_g_reg_feat = gaussian_alpha_distance(gx, gy, 0.3, gamma=gamma)
     assert abs(d_g_reg - d_g_reg_feat) <= 1e-8 * d_g_reg_feat
 
     # linear-kernel reduction on R^5 data

@@ -5,7 +5,8 @@ non-finite alpha is a ``DomainError``, and an alpha inside the log-limit
 band (|alpha| < 1e-7, exact 0 included) either takes the function's
 documented log-limit route or raises ``DomainError``.  A scalar parameter
 (alpha, gamma, a kernel's) that is not one real number is a ``DomainError``
-naming it, and a regularized function needs a positive gamma.
+naming it.  Every gamma is read by one rule: a real zero is the unregularized
+family, anything else must be positive and finite.
 """
 
 import math
@@ -24,13 +25,11 @@ from alphaproc import (
     alpha_procrustes,
     alpha_procrustes_regularized,
     gaussian_alpha_distance,
-    gaussian_alpha_distance_regularized,
     log_euclidean,
     metric_inner,
     power_euclidean,
     procrustes_bruteforce_2x2,
     rkhs_alpha_distance,
-    rkhs_alpha_distance_unregularized,
     rkhs_gaussian_distance,
     solve_general_lyapunov,
 )
@@ -75,12 +74,16 @@ CASES = {
         lambda al: gaussian_alpha_distance(G1, G2, al),
         lambda: gaussian_alpha_distance(G1, G2, AlphaParam.log_limit()),
     ),
+    "gaussian_alpha_distance gamma=0.1": (
+        lambda al: gaussian_alpha_distance(G1, G2, al, gamma=0.1),
+        lambda: gaussian_alpha_distance(G1, G2, AlphaParam.log_limit(), gamma=0.1),
+    ),
     "rkhs_alpha_distance": (
         lambda al: rkhs_alpha_distance(X_DATA, Y_DATA, RBF, al, 0.1),
         lambda: rkhs_alpha_distance(X_DATA, Y_DATA, RBF, AlphaParam.log_limit(), 0.1),
     ),
-    "rkhs_alpha_distance_unregularized": (
-        lambda al: rkhs_alpha_distance_unregularized(X_DATA, Y_DATA, RBF, al),
+    "rkhs_alpha_distance gamma=0": (
+        lambda al: rkhs_alpha_distance(X_DATA, Y_DATA, RBF, al),
         None,
     ),
     "rkhs_gaussian_distance": (
@@ -127,31 +130,29 @@ def test_alpha_that_float_reads_keeps_working(name):
     assert _bits(call("0.75")) == _bits(call(0.75))
 
 
-# name -> call on a gamma
-REGULARIZED = {
+# name -> call on a gamma; every public function that takes one
+GAMMA_SITES = {
     "alpha_procrustes_regularized": lambda g: alpha_procrustes_regularized(A, B, g, 0.75).value,
-    "gaussian_alpha_distance_regularized": (
-        lambda g: gaussian_alpha_distance_regularized(G1, G2, 0.75, g)
-    ),
+    "gaussian_alpha_distance": lambda g: gaussian_alpha_distance(G1, G2, 0.75, gamma=g),
     "rkhs_alpha_distance": lambda g: rkhs_alpha_distance(X_DATA, Y_DATA, RBF, 0.75, g),
+    "rkhs_gaussian_distance": lambda g: rkhs_gaussian_distance(X_DATA, Y_DATA, RBF, 0.75, g),
 }
+# the sites whose real zero is the unregularized family
+ZERO_IS_UNRIDGED = sorted(set(GAMMA_SITES) - {"alpha_procrustes_regularized"})
 
 
-@pytest.mark.parametrize("name", sorted(REGULARIZED))
+@pytest.mark.parametrize("name", sorted(GAMMA_SITES))
 def test_gamma_none_is_a_domain_error_not_the_unregularized_distance(name):
-    # the private evaluators read None as no ridge; a public regularized function must not
+    # the private evaluators read None as no ridge; a public function must not
     with pytest.raises(DomainError, match="gamma must be positive"):
-        REGULARIZED[name](None)
+        GAMMA_SITES[name](None)
 
 
 # site -> (the parameter its error names, call on a value)
 PARAMETER_SITES = {
     **{name: ("alpha", call) for name, (call, _) in CASES.items()},
     "AlphaParam": ("alpha", AlphaParam),
-    **{f"{name} gamma": ("gamma", call) for name, call in REGULARIZED.items()},
-    "rkhs_gaussian_distance gamma": (
-        "gamma", lambda g: rkhs_gaussian_distance(X_DATA, Y_DATA, RBF, 0.75, g)
-    ),
+    **{f"{name} gamma": ("gamma", call) for name, call in GAMMA_SITES.items()},
     "KernelSpec degree": ("degree", lambda v: KernelSpec("poly", degree=v)),
     "KernelSpec offset": ("offset", lambda v: KernelSpec("poly", offset=v)),
     "KernelSpec sigma": ("sigma", lambda v: KernelSpec("rbf", sigma=v)),
@@ -168,16 +169,25 @@ def test_parameter_that_is_not_one_real_number_is_a_domain_error(site, value):
         call(value)
 
 
-def test_rkhs_gaussian_complex_zero_gamma_is_a_domain_error():
+@pytest.mark.parametrize("name", ZERO_IS_UNRIDGED)
+def test_complex_zero_gamma_is_a_domain_error(name):
     # only a real zero selects the unregularized family
-    call = PARAMETER_SITES["rkhs_gaussian_distance gamma"][1]
+    call = GAMMA_SITES[name]
     assert math.isfinite(call(0.0))
     with pytest.raises(DomainError, match="gamma must be"):
         call(0j)
 
 
+@pytest.mark.parametrize("name", ZERO_IS_UNRIDGED)
+@pytest.mark.parametrize("gamma", [-0.1, math.nan, math.inf])
+def test_gamma_off_zero_must_be_positive_and_finite(name, gamma):
+    with pytest.raises(DomainError, match="gamma must be positive and finite"):
+        GAMMA_SITES[name](gamma)
+
+
 @pytest.mark.parametrize("site", ["AlphaParam", "alpha_procrustes_regularized gamma",
-                                  "rkhs_alpha_distance gamma", "KernelSpec sigma"])
+                                  "gaussian_alpha_distance gamma", "rkhs_alpha_distance gamma",
+                                  "rkhs_gaussian_distance gamma", "KernelSpec sigma"])
 def test_numeric_text_is_a_domain_error_where_no_float_is_taken(site):
     name, call = PARAMETER_SITES[site]
     with pytest.raises(DomainError, match=f"{name} must be"):

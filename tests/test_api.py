@@ -34,7 +34,6 @@ PUBLIC = {
     "as_alpha",
     "bures_wasserstein",
     "gaussian_alpha_distance",
-    "gaussian_alpha_distance_regularized",
     "geodesic_length_numeric",
     "loewner_apply",
     "log_euclidean",
@@ -43,7 +42,6 @@ PUBLIC = {
     "power_euclidean",
     "procrustes_bruteforce_2x2",
     "rkhs_alpha_distance",
-    "rkhs_alpha_distance_unregularized",
     "rkhs_gaussian_distance",
     "rkhs_wasserstein",
     "solve_general_lyapunov",

@@ -728,6 +728,9 @@ class TestValidate:
         assert "FAIL" not in out
 
 
+NEGATIVE_GAMMA = "gamma must be positive and finite, got -0.1"
+
+
 class TestExitCodeMapping:
     @pytest.mark.parametrize("argv, message", [
         (["dist", "--alpha", "abc", "{a}", "{b}"], "bad alpha 'abc'"),
@@ -761,7 +764,14 @@ class TestExitCodeMapping:
           "--alpha", "abc"], "bad alpha 'abc'", 2),
         (["rkhs-dist", "{a}", "{b}", "--kernel", "bogus", "--alpha", "0.5"],
          "unknown kernel spec 'bogus'", 3),
-    ], ids=["dist", "sweep", "geodesic", "gauss-dist", "rkhs-dist"])
+        (["dist", "--alpha", "0.5", "--gamma=-0.1", "{a}", "{b}"], NEGATIVE_GAMMA, 3),
+        (["sweep", "--alphas", "0.5", "--gamma=-0.1", "{a}", "{b}"], NEGATIVE_GAMMA, 3),
+        (["gauss-dist", "--mean-a", "{m}", "--cov-a", "{a}", "--mean-b", "{m}", "--cov-b", "{b}",
+          "--alpha", "0.5", "--gamma=-0.1"], NEGATIVE_GAMMA, 3),
+        (["rkhs-dist", "{a}", "{b}", "--kernel", "linear", "--alpha", "0.5", "--gamma=-0.1"],
+         NEGATIVE_GAMMA, 3),
+    ], ids=["dist", "sweep", "geodesic", "gauss-dist", "rkhs-dist", "dist-gamma", "sweep-gamma",
+            "gauss-dist-gamma", "rkhs-dist-gamma"])
     def test_flags_are_checked_before_any_file_is_read(
         self, matrices, tmp_path, eigh_orders, files, argv, message, expected
     ):

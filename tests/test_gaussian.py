@@ -16,7 +16,6 @@ from alphaproc import (
     alpha_procrustes_regularized,
     bures_wasserstein,
     gaussian_alpha_distance,
-    gaussian_alpha_distance_regularized,
     wasserstein_gaussian,
 )
 
@@ -185,7 +184,7 @@ class TestWassersteinGaussian:
 class TestRegularized:
     def test_identical(self):
         g = rand_gaussian(np.random.default_rng(7), 3)
-        assert gaussian_alpha_distance_regularized(g, g, 0.5, 0.1) == pytest.approx(
+        assert gaussian_alpha_distance(g, g, 0.5, gamma=0.1) == pytest.approx(
             0.0, abs=1e-6
         )
 
@@ -194,14 +193,14 @@ class TestRegularized:
         g1 = rand_gaussian(rng, 3, rank=2)
         g2 = rand_gaussian(rng, 3, rank=2)
         d_w = wasserstein_gaussian(g1, g2)
-        d_reg = gaussian_alpha_distance_regularized(g1, g2, 0.5, 1e-7)
+        d_reg = gaussian_alpha_distance(g1, g2, 0.5, gamma=1e-7)
         assert abs(d_reg - d_w) <= 1e-3 * d_w
 
     def test_log_limit_separate_path(self):
         rng = np.random.default_rng(9)
         g1, g2 = rand_gaussian(rng, 3, rank=2), rand_gaussian(rng, 3, rank=2)
         gamma = 0.2
-        d = gaussian_alpha_distance_regularized(g1, g2, AlphaParam.log_limit(), gamma)
+        d = gaussian_alpha_distance(g1, g2, AlphaParam.log_limit(), gamma=gamma)
         d_cov = alpha_procrustes_regularized(
             g1.covariance, g2.covariance, gamma, AlphaParam.log_limit()
         ).value

@@ -457,7 +457,7 @@ class TestDistanceResult:
         assert log_euclidean(a, b).formula_path == "log-limit"
         assert len(calls) == len(results)
 
-    @pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("s", [1e-8, 1e-6, 1.0, 1e6, 1e8])
     def test_commuting_diagnostic_is_scale_free(self, s):
         # the commutator is compared with |A|_F |B|_F, so scaling both ends
         # moves neither pair across the threshold

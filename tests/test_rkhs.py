@@ -18,9 +18,7 @@ from alphaproc import (
     alpha_procrustes_regularized,
     bures_wasserstein,
     gaussian_alpha_distance,
-    gaussian_alpha_distance_regularized,
     rkhs_alpha_distance,
-    rkhs_alpha_distance_unregularized,
     rkhs_gaussian_distance,
     rkhs_wasserstein,
     spd_power,
@@ -125,10 +123,7 @@ def gram_route(x, y, kernel, alpha, gamma=None):
 
 def both_routes(x, y, kernel, alpha, gamma=None):
     """The library's covariance distance (gamma None: unregularized), then the Gram route's."""
-    if gamma is None:
-        lib = rkhs_alpha_distance_unregularized(x, y, kernel, alpha)
-    else:
-        lib = rkhs_alpha_distance(x, y, kernel, alpha, gamma)
+    lib = rkhs_alpha_distance(x, y, kernel, alpha, 0.0 if gamma is None else gamma)
     return lib, gram_route(x, y, kernel, alpha, gamma)
 
 
@@ -440,7 +435,7 @@ class TestFeatureRouteErrors:
             with pytest.raises(DimensionError):
                 rkhs_alpha_distance(x, y, kernel, 0.5, 0.1)
             with pytest.raises(DimensionError):
-                rkhs_alpha_distance_unregularized(x, y, kernel, 0.75)
+                rkhs_alpha_distance(x, y, kernel, 0.75)
             with pytest.raises(DimensionError):
                 rkhs_wasserstein(x, y, kernel)
 
@@ -506,7 +501,7 @@ class TestRegularizedDistance:
             assert abs(d_gram - d_feat) <= 1e-8 * d_feat
         # gamma > 0 takes the regularized covariance term at every alpha
         d_rkhs = rkhs_gaussian_distance(x, y, kernel, al, gamma)
-        d_gauss = gaussian_alpha_distance_regularized(gx, gy, al, gamma)
+        d_gauss = gaussian_alpha_distance(gx, gy, al, gamma=gamma)
         assert abs(d_rkhs - d_gauss) <= 1e-8 * d_gauss
 
     def test_ill_conditioned_negative_alpha_matches_feature_oracle(self):
@@ -732,7 +727,7 @@ class TestRegularizedDistance:
             assert abs(d_xy - d_feat) <= 1e-10 * d_feat
             assert abs(d_yx - d_xy) <= 1e-12 * d_xy
         d_feat = alpha_procrustes(gx.covariance, gy.covariance, 0.75).value
-        d_xy = rkhs_alpha_distance_unregularized(x, y, kernel, 0.75)
+        d_xy = rkhs_alpha_distance(x, y, kernel, 0.75)
         assert abs(d_xy - d_feat) <= 1e-10 * d_feat
 
     @pytest.mark.parametrize("gamma", [0.1, 1e300])
@@ -756,7 +751,7 @@ class TestRegularizedDistance:
         x, y = Dataset.from_array(np.ones((5, 0))), Dataset.from_array(np.ones((6, 0)))
         for kernel in (LINEAR, KernelSpec.polynomial(2), POLY):
             assert rkhs_alpha_distance(x, y, kernel, 0.3, 0.1) == 0.0
-            assert rkhs_alpha_distance_unregularized(x, y, kernel, 1.0) == 0.0
+            assert rkhs_alpha_distance(x, y, kernel, 1.0) == 0.0
 
     @pytest.mark.parametrize("t", [1e-2, 1e2])
     @pytest.mark.parametrize(
@@ -803,9 +798,7 @@ class TestRegularizedDistance:
 class TestUnregularizedDistance:
     def test_same_dataset_zero(self):
         x, _ = datasets(18)
-        assert rkhs_alpha_distance_unregularized(x, x, RBF, 0.75) == pytest.approx(
-            0.0, abs=1e-6
-        )
+        assert rkhs_alpha_distance(x, x, RBF, 0.75) == pytest.approx(0.0, abs=1e-6)
 
     def test_half_alpha_is_twice_bw(self):
         x, y = datasets(19)
@@ -825,13 +818,13 @@ class TestUnregularizedDistance:
 
     def test_gamma_sweep_convergence(self):
         for kernel, (x, y) in ((POLY, datasets(21)), (RBF, datasets(21, m=12, n=17))):
-            d_un = rkhs_alpha_distance_unregularized(x, y, kernel, 0.75)
+            d_un = rkhs_alpha_distance(x, y, kernel, 0.75)
             d_reg = rkhs_alpha_distance(x, y, kernel, 0.75, 1e-7)
             assert abs(d_reg - d_un) <= 1e-3 * d_un
 
     def test_unequal_counts_supported(self):
         x, y = datasets(22, m=9, n=12)
-        d = rkhs_alpha_distance_unregularized(x, y, POLY, 0.75)
+        d = rkhs_alpha_distance(x, y, POLY, 0.75)
         _, cx = feature_covariance(x, POLY)
         _, cy = feature_covariance(y, POLY)
         assert d == pytest.approx(alpha_procrustes(cx, cy, 0.75).value, rel=1e-8)
@@ -851,15 +844,15 @@ class TestUnregularizedDistance:
     def test_small_alpha_rejected(self):
         x, y = datasets(23)
         with pytest.raises(DomainError):
-            rkhs_alpha_distance_unregularized(x, y, POLY, 0.4)
+            rkhs_alpha_distance(x, y, POLY, 0.4)
 
 
 # Exact invariances of the covariance distances, checked on every route:
-# regularized (alpha, gamma) and unregularized (alpha, None).
+# regularized (alpha, gamma) and unregularized (alpha, 0.0).
 METAMORPHIC_ROUTES = [
     *((alpha, gamma) for alpha in (-0.5, 0.25, 1.0, 2.0, AlphaParam.log_limit())
       for gamma in (1e-3, 0.1)),
-    *((alpha, None) for alpha in (0.5, 1.0, 2.0)),
+    *((alpha, 0.0) for alpha in (0.5, 1.0, 2.0)),
 ]
 # Relative deviation bounds, about 2.5x the worst seen over seeds 0-9 (in
 # brackets).  RBF at alpha 2 and gamma 1e-3 loses digits to the cancellation
@@ -870,7 +863,7 @@ METAMORPHIC_RTOL_RBF_CANCELLING = 2.1e-8  # [8.55e-9, RBF orthogonal transform]
 
 
 def _metamorphic_rtol(kernel, alpha, gamma):
-    if gamma is None:
+    if gamma == 0.0:
         return METAMORPHIC_RTOL_UNREGULARIZED
     if kernel.kind == "rbf" and alpha == 2.0 and gamma == 1e-3:
         return METAMORPHIC_RTOL_RBF_CANCELLING
@@ -890,19 +883,29 @@ SCALING_RTOL_UNREGULARIZED = 9.3e-15  # [3.70e-15, linear, c 10, alpha 0.5]
 
 
 def _scaling_rtol(alpha, gamma):
-    if gamma is None:
+    if gamma == 0.0:
         return SCALING_RTOL_UNREGULARIZED
     if isinstance(alpha, AlphaParam):
         return SCALING_RTOL_LOG_LIMIT
     return SCALING_RTOL_CANCELLING if alpha == 2.0 else SCALING_RTOL_REGULARIZED
 
 
+def _median_rbf(x, y):
+    """RBF kernel whose sigma is the median distance between the pooled points."""
+    pooled = np.vstack([x, y])
+    pair_dists = np.linalg.norm(pooled[:, None] - pooled[None], axis=-1)
+    return KernelSpec.gaussian_rbf(float(np.median(pair_dists[np.triu_indices(len(pooled), 1)])))
+
+
+# (alpha, gamma) pairs for argument order and row permutation: both sides of
+# the gamma = 0 switch of rkhs_alpha_distance
+ORDER_ROUTES = [(0.75, 0.0), (1.0, 0.0), (-0.5, 0.1), (0.25, 0.1), (AlphaParam.log_limit(), 0.1)]
+
+
 class TestMetamorphicRelations:
     @staticmethod
     def _distance(x, y, kernel, alpha, gamma):
         x, y = Dataset.from_array(x), Dataset.from_array(y)
-        if gamma is None:
-            return rkhs_alpha_distance_unregularized(x, y, kernel, alpha)
         return rkhs_alpha_distance(x, y, kernel, alpha, gamma)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -914,19 +917,37 @@ class TestMetamorphicRelations:
         x = rng.standard_normal((30, 3))
         y = 1.3 * rng.standard_normal((25, 3)) + 0.4
         v, q = 5.0 * rng.standard_normal(3), rand_orthogonal(rng, 3)
-        pooled = np.vstack([x, y])
-        pair_dists = np.linalg.norm(pooled[:, None] - pooled[None], axis=-1)
-        sigma = float(np.median(pair_dists[np.triu_indices(len(pooled), 1)]))
         moved = {"duplication": (np.vstack([x, x]), y)}
         rigid = {"translation": (x + v, y + v), "orthogonal": (x @ q, y @ q)}
         relations = [
             (LINEAR, {**moved, **rigid}),
             (POLY, moved),
-            (KernelSpec.gaussian_rbf(sigma), {**moved, **rigid}),
+            (_median_rbf(x, y), {**moved, **rigid}),
         ]
         failures = []
         for kernel, cases in relations:
             for alpha, gamma in METAMORPHIC_ROUTES:
+                d = self._distance(x, y, kernel, alpha, gamma)
+                rtol = _metamorphic_rtol(kernel, alpha, gamma)
+                for name, (x2, y2) in cases.items():
+                    dev = abs(self._distance(x2, y2, kernel, alpha, gamma) - d) / d
+                    if not dev <= rtol:
+                        failures.append(f"{kernel} {name} alpha {alpha} gamma {gamma}: {dev:.2e}")
+        assert failures == []
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_argument_order_and_row_permutation_leave_the_distance(self, seed):
+        # d(X, Y) = d(Y, X), and the order of the rows of either sample is no
+        # part of its empirical moments
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((30, 3))
+        y = 1.3 * rng.standard_normal((25, 3)) + 0.4
+        px, py = rng.permutation(len(x)), rng.permutation(len(y))
+        cases = {"swapped": (y, x), "x permuted": (x[px], y), "y permuted": (x, y[py]),
+                 "swapped and permuted": (y[py], x[px])}
+        failures = []
+        for kernel in (LINEAR, POLY, _median_rbf(x, y)):
+            for alpha, gamma in ORDER_ROUTES:
                 d = self._distance(x, y, kernel, alpha, gamma)
                 rtol = _metamorphic_rtol(kernel, alpha, gamma)
                 for name, (x2, y2) in cases.items():
@@ -946,7 +967,7 @@ class TestMetamorphicRelations:
                 d = self._distance(x, y, kernel, alpha, gamma)
                 a = alpha.value if isinstance(alpha, AlphaParam) else alpha
                 for c in (4.0**-3, 4.0**3, 10.0):
-                    s, c_gamma = c ** (1.0 / root), None if gamma is None else c * gamma
+                    s, c_gamma = c ** (1.0 / root), c * gamma
                     scaled = self._distance(s * x, s * y, kernel, alpha, c_gamma)
                     dev = abs(scaled - c**a * d) / (c**a * d)
                     if not dev <= _scaling_rtol(alpha, gamma):
@@ -984,7 +1005,7 @@ class TestGaussianDistance:
         gx, gy = feature_gaussians(x, y, LINEAR)
         d_rkhs = rkhs_gaussian_distance(x, y, LINEAR, alpha, gamma)
         if gamma > 0:
-            d_feat = gaussian_alpha_distance_regularized(gx, gy, alpha, gamma)
+            d_feat = gaussian_alpha_distance(gx, gy, alpha, gamma=gamma)
         else:
             d_feat = gaussian_alpha_distance(gx, gy, alpha)
         assert abs(d_rkhs - d_feat) <= 1e-8 * max(1.0, d_feat)
