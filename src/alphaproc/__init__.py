@@ -37,7 +37,6 @@ from .linalg import (
     spd_log,
     spd_power,
     sym_eigendecompose,
-    sym_exp,
 )
 from .metrics import (
     DistanceResult,
@@ -101,6 +100,5 @@ __all__ = [
     "spd_log",
     "spd_power",
     "sym_eigendecompose",
-    "sym_exp",
     "wasserstein_gaussian",
 ]

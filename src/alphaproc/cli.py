@@ -170,7 +170,7 @@ def _cmd_sweep(args) -> int:
         rows.append((alpha.label(), _fmt(_family(a, b, alpha, gamma).value)))
     if args.format == "json":
         rows_json = [{"alpha": al, "distance": d} for al, d in rows]
-        _emit_json(args.output, gamma=args.gamma, rows=rows_json)
+        _emit_json(args.output, gamma=gamma or 0.0, rows=rows_json)
     else:
         lines = ["alpha,distance"]
         for al, d in rows:
@@ -224,7 +224,7 @@ def _cmd_gauss_dist(args) -> int:
     g1 = GaussianMeasure.from_arrays(_read_vector(args.mean_a), _read_matrix(args.cov_a))
     g2 = GaussianMeasure.from_arrays(_read_vector(args.mean_b), _read_matrix(args.cov_b))
     terms = _gaussian_terms(g1, g2, alpha, gamma, mean_metric)
-    return _emit_gaussian(args, alpha, terms)
+    return _emit_gaussian(args, alpha, gamma, terms)
 
 
 def _cmd_rkhs_dist(args) -> int:
@@ -234,14 +234,14 @@ def _cmd_rkhs_dist(args) -> int:
     x = _read_dataset(args.data_x, skip_header=args.header)
     y = _read_dataset(args.data_y, skip_header=args.header)
     terms = _rkhs_gaussian_terms(x, y, kernel, alpha, gamma)
-    return _emit_gaussian(args, alpha, terms, kernel=args.kernel)
+    return _emit_gaussian(args, alpha, gamma, terms, kernel=args.kernel)
 
 
-def _emit_gaussian(args, alpha: AlphaParam, terms: tuple[float, float, float], **head) -> int:
-    """Print (mean term, covariance term, distance) after the ``head`` fields."""
+def _emit_gaussian(args, alpha: AlphaParam, gamma: float | None, terms, **head) -> int:
+    """Print the (mean term, covariance term, distance) ``terms`` after the ``head`` fields."""
     mean_term, cov_term, total = terms
     _emit_json(
-        args.output, **head, alpha=alpha.label(), gamma=args.gamma,
+        args.output, **head, alpha=alpha.label(), gamma=gamma or 0.0,
         mean_term=_fmt(mean_term), cov_term=_fmt(cov_term), distance=_fmt(total),
     )
     return 0
@@ -307,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--t-steps", type=int, required=True)
     p.add_argument("--report-length", action="store_true")
-    p.add_argument("--length-steps", type=int, default=1000)
+    p.add_argument("--length-steps", type=int, default=1000,
+                   help="sets the length's difference step h = 1/LENGTH_STEPS (at least 100)")
     p.add_argument("--format", default="csv", choices=["json", "csv"])
 
     p = command("gauss-dist", _cmd_gauss_dist, "distance between two Gaussian measures",

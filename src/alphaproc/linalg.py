@@ -309,15 +309,6 @@ def spd_log(a: SpdMatrix) -> SymMatrix:
     return SymMatrix.from_array(_dense(a.eig.vectors, np.log(a.eig.values)))
 
 
-def sym_exp(s: SymMatrix) -> SpdMatrix:
-    """Matrix exponential of a symmetric matrix; always strictly SPD."""
-    eig = sym_eigendecompose(s)
-    with np.errstate(over="ignore"):
-        w = np.exp(eig.values)
-    _finite("matrix exponential", w)
-    return SpdMatrix._from_eig(w, eig.vectors)
-
-
 def trace_sqrt(m: np.ndarray) -> float:
     """tr[M^(1/2)] for M symmetric PSD up to roundoff.
 

@@ -44,10 +44,6 @@ METRIC_ALPHAS = (
     AlphaParam(-1.0), AlphaParam.log_limit(), AlphaParam(0.5), AlphaParam(1.0), AlphaParam(2.0)
 )
 
-# Quadrature steps of each numeric geodesic length in geodesic_suite.
-GEODESIC_STEPS = 600
-
-
 # Gates of the randomized suites.  IDENTITY_TOL sits above the sqrt(eps)
 # cancellation level of the trace formula at identical arguments; distinct
 # pairs must clear SEPARATION_MIN, which enforces that zero implies equal.
@@ -63,7 +59,7 @@ LIMIT_FINAL_REL = 1e-3
 LYAPUNOV_REL = 1e-9
 LYAPUNOV_HALF_REL = 1e-10
 GEODESIC_ENDPOINT_REL = 1e-9
-GEODESIC_LENGTH_REL = 1e-5
+GEODESIC_LENGTH_REL = 1e-11
 
 
 @dataclass
@@ -237,8 +233,8 @@ def lyapunov_suite(seed: int, trials: int) -> SuiteResult:
 def geodesic_suite(seed: int, trials: int) -> SuiteResult:
     """Endpoint reconstruction and numeric-length agreement for the geodesic.
 
-    The trial count is capped: each length integral costs GEODESIC_STEPS
-    evaluations, and a handful of curves already exercises the construction.
+    The trial count is capped: each length integral costs 40 eigensolves,
+    and a handful of curves already exercises the construction.
     """
     rng = np.random.default_rng(seed + 4)
     result = SuiteResult("geodesic-length", seed)
@@ -251,7 +247,7 @@ def geodesic_suite(seed: int, trials: int) -> SuiteResult:
         result.check(res <= GEODESIC_ENDPOINT_REL, trial, "endpoint residual",
                      lambda: f"{res:.3e}")
         d_closed = alpha_procrustes(curve.a, curve.b, alpha).value
-        d_num = geodesic_length_numeric(curve, GEODESIC_STEPS)
+        d_num = geodesic_length_numeric(curve)
         result.check(abs(d_num - d_closed) / d_closed <= GEODESIC_LENGTH_REL, trial,
                      f"length mismatch (alpha={alpha})",
                      lambda: f"numeric={d_num} closed={d_closed}")

@@ -186,8 +186,8 @@ def test_criterion_07_geodesic_validation():
             d_num = geodesic_length_numeric(curve, steps=2000)
             rel = abs(d_num - d_closed) / d_closed
             worst = max(worst, rel)
-            assert rel <= 5e-3
-    report(7, f"geodesic endpoints exact, numeric length within 0.5% (worst {worst:.2e})")
+            assert rel <= 2e-12
+    report(7, f"geodesic endpoints exact, numeric length within 2e-12 (worst {worst:.2e})")
 
 
 def test_criterion_08_gamma_to_zero_convergence():

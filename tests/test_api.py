@@ -48,7 +48,6 @@ PUBLIC = {
     "spd_log",
     "spd_power",
     "sym_eigendecompose",
-    "sym_exp",
     "wasserstein_gaussian",
 }
 

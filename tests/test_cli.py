@@ -123,6 +123,14 @@ def test_golden_stdout(golden_argv, case):
     assert out == GOLDEN_STDOUT[case][1]
 
 
+@pytest.mark.parametrize("case", ["dist-json", "sweep-json", "gauss-dist", "rkhs-dist"])
+def test_negative_zero_gamma_echoed_as_zero(golden_argv, case):
+    # -0.0 is the unridged family, so every command prints the gamma it read: 0.0
+    code, out, err = run_cli([*golden_argv(case), "--gamma=-0.0"])
+    assert (code, err) == (0, "")
+    assert out == GOLDEN_STDOUT[case][1]
+
+
 def test_parser_built_once_per_process(monkeypatch, golden_argv):
     import alphaproc.cli as cli_mod
 
@@ -402,7 +410,8 @@ class TestGeodesic:
         length_line = [ln for ln in out.splitlines() if ln.startswith("# length=")][0]
         length = float(length_line.split("=")[1])
         _, out_dist, _ = run_cli(["dist", "--alpha", "0.5", a, b])
-        assert length == pytest.approx(json.loads(out_dist)["distance"], rel=1e-3)
+        # both print 12 significant digits, so a unit in the last one is the resolution
+        assert length == pytest.approx(json.loads(out_dist)["distance"], rel=2e-12)
 
     def test_log_limit_alpha_exits_3(self, matrices):
         code, out, err = run_cli(["geodesic", *matrices, "--alpha", "log-limit", "--t-steps", "2"])
@@ -410,7 +419,7 @@ class TestGeodesic:
         assert out == "" and "no log-limit form" in err
 
     def test_curve_closed_form_built_once(self, tmp_path, eigh_orders):
-        # 2 endpoint reads + 5 points + 102 quadrature points
+        # 2 endpoint reads + 5 points + 8 nodes x 5 stencil points
         rng = np.random.default_rng(20)
         a = write_matrix(tmp_path / "A.csv", rand_spd(rng, 3).mat)
         b = write_matrix(tmp_path / "B.csv", rand_spd(rng, 3).mat)
@@ -420,7 +429,7 @@ class TestGeodesic:
              "--length-steps", "100"]
         )
         assert code == 0
-        assert len(eigh_orders) == 109
+        assert len(eigh_orders) == 47
 
 
 class TestGaussDist:

@@ -24,7 +24,7 @@ from alphaproc import (
     spd_power,
 )
 from alphaproc import geometry
-from alphaproc.geometry import QUADRATURE_BLOCK_ENTRIES, _lyapunov_factor
+from alphaproc.geometry import _lyapunov_factor
 from alphaproc.geometry import geodesic_endpoints_residual
 from alphaproc.validation import GEODESIC_ENDPOINT_REL
 
@@ -330,51 +330,65 @@ class TestGeodesicLength:
         a, b = rand_spd(rng, 3), rand_spd(rng, 3)
         curve = GeodesicCurve(a, b, 0.5)
         length = geodesic_length_numeric(curve, 1000)
-        assert length == pytest.approx(2.0 * bures_wasserstein(a, b).value, rel=1e-3)
+        assert length == pytest.approx(2.0 * bures_wasserstein(a, b).value, rel=1e-13)
 
     def test_quarter_alpha_matches_closed_form(self):
         rng = np.random.default_rng(15)
         a, b = rand_spd(rng, 3), rand_spd(rng, 3)
         curve = GeodesicCurve(a, b, 0.25)
         length = geodesic_length_numeric(curve, 1000)
-        assert length == pytest.approx(alpha_procrustes(a, b, 0.25).value, rel=1e-3)
+        assert length == pytest.approx(alpha_procrustes(a, b, 0.25).value, rel=4e-13)
 
-    def test_each_grid_point_evaluated_once(self, eigh_orders):
-        # steps + 2 grid points; the cross term takes an SVD, not an eigensolve
+    @pytest.mark.parametrize(
+        "alpha, steps, bound", [(-0.5, 100, 1e-7), (-0.5, 1000, 1e-11), (-1.0, 100, 1e-6),
+                                (-1.0, 1000, 1e-10)]
+    )
+    def test_negative_alpha_matches_closed_form(self, alpha, steps, bound):
+        # the stencil's O(h^4) error: 1000 steps are 1e4 times closer than 100
+        rng = np.random.default_rng(24)
+        a, b = rand_spd(rng, 48), rand_spd(rng, 48)
+        length = geodesic_length_numeric(GeodesicCurve(a, b, alpha), steps)
+        assert length == pytest.approx(alpha_procrustes(a, b, alpha).value, rel=bound)
+
+    @pytest.mark.parametrize("steps", [100, 1000])
+    def test_each_grid_point_evaluated_once(self, eigh_orders, steps):
+        # 8 nodes x 5 stencil points; the cross term takes an SVD, not an eigensolve
         rng = np.random.default_rng(18)
         curve = GeodesicCurve(rand_spd(rng, 3), rand_spd(rng, 3), 0.7)
         eigh_orders.clear()
-        geodesic_length_numeric(curve, 100)
-        assert len(eigh_orders) == 102
+        geodesic_length_numeric(curve, steps)
+        assert len(eigh_orders) == 40
 
     @pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.25, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("n, steps", [(2, 100), (5, 100), (48, 337)])
     def test_matches_per_point_reference(self, alpha, n, steps):
-        # n=48 takes blocks of 14 points: 24 full blocks and a remainder of 3
+        # 8 Gauss-Legendre nodes on [0, 1], each with a five-point stencil at h = 1/steps
         rng = np.random.default_rng(24)
         curve = GeodesicCurve(rand_spd(rng, n), rand_spd(rng, n), alpha)
-        dt = 1.0 / steps
-        points = [curve._point((j - 0.5) * dt) for j in range(steps + 2)]
+        h = 1.0 / steps
+        x, w = np.polynomial.legendre.leggauss(8)
         expected = 0.0
-        for j in range(1, steps + 1):
-            velocity = SymMatrix.from_array((points[j + 1].mat - points[j - 1].mat) / (2.0 * dt))
-            speed_sq = metric_inner(points[j], velocity, velocity, alpha)
-            expected += math.sqrt(max(speed_sq, 0.0)) * dt
+        for t, weight in zip((x + 1.0) / 2.0, w / 2.0):
+            p = [curve._point(t + k * h).mat for k in (-2, -1, 1, 2)]
+            velocity = SymMatrix.from_array((p[0] - 8.0 * p[1] + 8.0 * p[2] - p[3]) / (12.0 * h))
+            speed_sq = metric_inner(curve._point(t), velocity, velocity, alpha)
+            expected += weight * math.sqrt(max(speed_sq, 0.0))
         assert geodesic_length_numeric(curve, steps) == pytest.approx(expected, rel=1e-12)
 
     def test_lost_positivity_names_first_failing_t(self):
         # X(t) = I except its last entry x(t) = 3.25e-6 (1-t) - 4.75e-6 t,
         # which crosses zero at t = 0.406: x^2 is not above 1e-12 of the
-        # largest eigenvalue 1 for t in [0.281, 0.531], from the third block of 14
+        # largest eigenvalue 1 for t in [0.281, 0.531], which first holds the
+        # stencil of the node near 0.408
         n, steps = 48, 100
         rng = np.random.default_rng(25)
         curve = GeodesicCurve(rand_spd(rng, n), rand_spd(rng, n), 0.5)
         ends = (np.diag([1.0] * (n - 1) + [3.25e-6]), np.diag([1.0] * (n - 1) + [-4.75e-6]))
         curve.__dict__["_closed_form"] = ends
-        dt = 1.0 / steps
-        ts = [(j - 0.5) * dt for j in range(steps + 2)]
+        h = 1.0 / steps
+        ts = [float(t) + k * h for t in geometry.GAUSS_NODES for k in (-2.0, -1.0, 0.0, 1.0, 2.0)]
         first = next(t for t in ts if ((1.0 - t) * 3.25e-6 - t * 4.75e-6) ** 2 <= 1e-12)
-        assert 0.28 < first < 0.29
+        assert 0.38 < first < 0.39
         with pytest.raises(NonSpdIntermediateError, match=re.escape(f"t={first} ")):
             geodesic_length_numeric(curve, steps)
         with pytest.raises(NonSpdIntermediateError, match=re.escape("t=0.5 ")):
@@ -424,9 +438,9 @@ class TestGeodesicLength:
 
         monkeypatch.setattr(np.linalg, "eigh", recording)
         length = geodesic_length_numeric(curve, steps)
-        assert sum(sizes) == (steps + 2) * n * n
-        assert max(sizes) <= max(3 * n * n, QUADRATURE_BLOCK_ENTRIES)
-        assert length == pytest.approx(2.0 * bures_wasserstein(a, b).value, rel=1e-3)
+        assert sum(sizes) == 40 * n * n
+        assert max(sizes) == 5 * n * n
+        assert length == pytest.approx(2.0 * bures_wasserstein(a, b).value, rel=1e-13)
 
     def test_too_few_steps_rejected(self):
         rng = np.random.default_rng(16)

@@ -33,10 +33,18 @@ from alphaproc import (
     spd_log,
     spd_power,
     sym_eigendecompose,
-    sym_exp,
 )
-from alphaproc.linalg import ALPHA_SWITCH_TOL, PSD_TOL_FACTOR, nuclear_norm, psd_tolerance
+from alphaproc.linalg import ALPHA_SWITCH_TOL, PSD_TOL_FACTOR, _finite, nuclear_norm, psd_tolerance
 from alphaproc.rkhs import _in_eigenbases
+
+
+def sym_exp(s: SymMatrix) -> SpdMatrix:
+    """Matrix exponential of a symmetric matrix, the inverse of spd_log; always strictly SPD."""
+    eig = sym_eigendecompose(s)
+    with np.errstate(over="ignore"):
+        w = np.exp(eig.values)
+    _finite("matrix exponential", w)
+    return SpdMatrix._from_eig(w, eig.vectors)
 
 
 @st.composite
