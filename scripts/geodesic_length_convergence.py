@@ -2,10 +2,10 @@
 
 The speed of the geodesic between two SPD matrices is integrated at eight
 Gauss-Legendre nodes, each velocity a five-point central difference with
-step h = 1/steps; its length should reproduce the family distance.  The
+step h = 1/(2 steps); its length should reproduce the family distance.  The
 table reports the relative error as steps doubles: it falls ~16x a row, the
 O(h^4) of the stencil, until roundoff amplified by 1/h takes over (near
-steps 3200 at the default alpha -0.5) and the error creeps back up.  At
+steps 1600 at the default alpha -0.5) and the error creeps back up.  At
 alpha 1/2 the points are quadratic in t, so the stencil is exact and only
 roundoff shows.
 

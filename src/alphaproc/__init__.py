@@ -3,7 +3,6 @@ covariance operators, with the associated Riemannian metric and geodesics."""
 
 from .exceptions import (
     AlphaProcError,
-    ComplexSpectrumError,
     ConvergenceFailureError,
     DimensionError,
     DomainError,
@@ -62,7 +61,6 @@ __all__ = [
     "ALPHA_SWITCH_TOL",
     "AlphaParam",
     "AlphaProcError",
-    "ComplexSpectrumError",
     "ConvergenceFailureError",
     "Dataset",
     "DimensionError",

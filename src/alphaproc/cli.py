@@ -9,7 +9,7 @@ skipped by --header.  --output, --gamma and the matrix_a matrix_b pair are
 declared once and shared.  Each subcommand checks the flags it parses before
 it reads any file.  Exit codes: 0 success, 2 parse/input errors
 (an unwritable --output, dimension mismatch and non-finite values included),
-3 other domain errors, 4 complex spectrum, 5 validation failure.  Distances
+3 other domain errors, 5 validation failure.  Distances
 print with 12 significant digits, so output is byte-stable for fixed inputs
 and seed.
 """
@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .exceptions import AlphaProcError, ComplexSpectrumError, DimensionError, NonFiniteError
+from .exceptions import AlphaProcError, DimensionError, NonFiniteError
 from .gaussian import GaussianMeasure, MeanMetricSpec, _gaussian_terms
 from .geometry import GeodesicCurve, geodesic_length_numeric
 from .linalg import AlphaParam, SpdMatrix, _finite
@@ -308,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-steps", type=int, required=True)
     p.add_argument("--report-length", action="store_true")
     p.add_argument("--length-steps", type=int, default=1000,
-                   help="sets the length's difference step h = 1/LENGTH_STEPS (at least 100)")
+                   help="the stencil reaches 1/LENGTH_STEPS on either side of each node; "
+                        "at least 100 keeps it inside [0, 1]")
     p.add_argument("--format", default="csv", choices=["json", "csv"])
 
     p = command("gauss-dist", _cmd_gauss_dist, "distance between two Gaussian measures",
@@ -344,8 +345,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CliInputError, AlphaProcError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        if isinstance(exc, ComplexSpectrumError):
-            return 4
         return 2 if isinstance(exc, (CliInputError, DimensionError, NonFiniteError)) else 3
 
 

@@ -33,13 +33,5 @@ class NumericalInconsistencyError(AlphaProcError):
     """Roundoff exceeded the documented clamping threshold."""
 
 
-class ComplexSpectrumError(AlphaProcError):
-    """Eigenvalues expected to be real carry a non-negligible imaginary part.
-
-    Part of the public contract (CLI exit code 4); no current code path
-    raises it, since every spectrum is taken from a symmetric form.
-    """
-
-
 class NonSpdIntermediateError(AlphaProcError):
     """An intermediate matrix expected to be SPD failed the positivity check."""

@@ -10,7 +10,6 @@ PUBLIC = {
     "ALPHA_SWITCH_TOL",
     "AlphaParam",
     "AlphaProcError",
-    "ComplexSpectrumError",
     "ConvergenceFailureError",
     "Dataset",
     "DimensionError",

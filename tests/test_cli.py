@@ -803,21 +803,6 @@ class TestExitCodeMapping:
         assert code == 2
         assert out == "" and "dimensions differ" in err
 
-    def test_complex_spectrum_maps_to_4(self, monkeypatch, datasets):
-        import alphaproc.cli as cli_mod
-        from alphaproc import ComplexSpectrumError
-
-        def boom(*args, **kwargs):
-            raise ComplexSpectrumError("synthetic")
-
-        monkeypatch.setattr(cli_mod, "_rkhs_gaussian_terms", boom)
-        x, y = datasets
-        code, _, err = run_cli(
-            ["rkhs-dist", x, y, "--kernel", "linear", "--alpha", "0.5"]
-        )
-        assert code == 4
-        assert "synthetic" in err
-
     @pytest.mark.parametrize(
         "error, expected",
         [("CliInputError", 2), ("DimensionError", 2), ("NonFiniteError", 2),

@@ -277,11 +277,16 @@ class TestGeodesic:
         )
         assert abs(split - total) <= 1e-6 * total
 
-    def test_t_outside_range_rejected(self):
+    @pytest.mark.parametrize("bad", [1.5, -1e-12, 1.0 + 1e-12, math.nan])
+    def test_t_outside_range_rejected(self, bad):
+        # outside [0, 1] the cross term of X'X is subtracted: not the curve;
+        # a stack names its first bad t
         rng = np.random.default_rng(10)
         curve = GeodesicCurve(rand_spd(rng, 2), rand_spd(rng, 2), 0.5)
-        with pytest.raises(DomainError):
-            curve.at(1.5)
+        with pytest.raises(DomainError, match=re.escape(f"got {bad}")):
+            curve.at(bad)
+        with pytest.raises(DomainError, match=re.escape(f"got {bad}")):
+            curve._spectra(np.array([0.0, 0.5, bad, 2.0, 1.0]))
 
     def test_zero_alpha_rejected(self):
         rng = np.random.default_rng(11)
@@ -340,8 +345,8 @@ class TestGeodesicLength:
         assert length == pytest.approx(alpha_procrustes(a, b, 0.25).value, rel=4e-13)
 
     @pytest.mark.parametrize(
-        "alpha, steps, bound", [(-0.5, 100, 1e-7), (-0.5, 1000, 1e-11), (-1.0, 100, 1e-6),
-                                (-1.0, 1000, 1e-10)]
+        "alpha, steps, bound", [(-0.5, 100, 6e-9), (-0.5, 1000, 1e-12), (-1.0, 100, 6e-8),
+                                (-1.0, 1000, 6e-12)]
     )
     def test_negative_alpha_matches_closed_form(self, alpha, steps, bound):
         # the stencil's O(h^4) error: 1000 steps are 1e4 times closer than 100
@@ -359,19 +364,35 @@ class TestGeodesicLength:
         geodesic_length_numeric(curve, steps)
         assert len(eigh_orders) == 40
 
+    @pytest.mark.parametrize("steps", [100, 101, 1000])
+    def test_stencil_stays_on_the_curve(self, monkeypatch, steps):
+        # h = 1/(2 steps) and outer nodes 0.0199 from the ends: every t in [0, 1]
+        rng = np.random.default_rng(29)
+        curve = GeodesicCurve(rand_spd(rng, 3), rand_spd(rng, 3), 1.0)
+        seen = []
+        original = GeodesicCurve._spectra
+
+        def recording(self, ts):
+            seen.extend(ts.tolist())
+            return original(self, ts)
+
+        monkeypatch.setattr(GeodesicCurve, "_spectra", recording)
+        geodesic_length_numeric(curve, steps)
+        assert seen and all(0.0 <= t <= 1.0 for t in seen)
+
     @pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.25, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("n, steps", [(2, 100), (5, 100), (48, 337)])
     def test_matches_per_point_reference(self, alpha, n, steps):
-        # 8 Gauss-Legendre nodes on [0, 1], each with a five-point stencil at h = 1/steps
+        # 8 Gauss-Legendre nodes on [0, 1], each with a five-point stencil at h = 1/(2 steps)
         rng = np.random.default_rng(24)
         curve = GeodesicCurve(rand_spd(rng, n), rand_spd(rng, n), alpha)
-        h = 1.0 / steps
+        h = 1.0 / (2 * steps)
         x, w = np.polynomial.legendre.leggauss(8)
         expected = 0.0
         for t, weight in zip((x + 1.0) / 2.0, w / 2.0):
-            p = [curve._point(t + k * h).mat for k in (-2, -1, 1, 2)]
+            p = [curve.at(t + k * h).mat for k in (-2, -1, 1, 2)]
             velocity = SymMatrix.from_array((p[0] - 8.0 * p[1] + 8.0 * p[2] - p[3]) / (12.0 * h))
-            speed_sq = metric_inner(curve._point(t), velocity, velocity, alpha)
+            speed_sq = metric_inner(curve.at(t), velocity, velocity, alpha)
             expected += weight * math.sqrt(max(speed_sq, 0.0))
         assert geodesic_length_numeric(curve, steps) == pytest.approx(expected, rel=1e-12)
 
@@ -385,10 +406,10 @@ class TestGeodesicLength:
         curve = GeodesicCurve(rand_spd(rng, n), rand_spd(rng, n), 0.5)
         ends = (np.diag([1.0] * (n - 1) + [3.25e-6]), np.diag([1.0] * (n - 1) + [-4.75e-6]))
         curve.__dict__["_closed_form"] = ends
-        h = 1.0 / steps
+        h = 1.0 / (2 * steps)
         ts = [float(t) + k * h for t in geometry.GAUSS_NODES for k in (-2.0, -1.0, 0.0, 1.0, 2.0)]
         first = next(t for t in ts if ((1.0 - t) * 3.25e-6 - t * 4.75e-6) ** 2 <= 1e-12)
-        assert 0.38 < first < 0.39
+        assert 0.39 < first < 0.40
         with pytest.raises(NonSpdIntermediateError, match=re.escape(f"t={first} ")):
             geodesic_length_numeric(curve, steps)
         with pytest.raises(NonSpdIntermediateError, match=re.escape("t=0.5 ")):
