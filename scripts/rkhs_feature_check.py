@@ -5,8 +5,10 @@ so every operator distance can be computed both ways: from the centered
 Gram blocks (the route the library takes for every kernel without a small
 finite feature map) and from the means and covariances of the explicit
 features, built here from the library's private feature map.  The library
-itself takes the feature factors on these inputs (2D <= m), so the Gram
-column calls the Gram route directly.  Agreement is at machine precision.
+itself takes the feature factors on these inputs (2D <= m), so most rows call
+the Gram route directly; the unregularized alpha = 1 row calls
+``rkhs_alpha_distance``, whose cross term comes from the R factors of the
+centered features with no eigensolve.  Agreement is at machine precision.
 
 Usage: python scripts/rkhs_feature_check.py [--m 15] [--seed 0]
 """
@@ -21,8 +23,10 @@ from alphaproc import (
     GaussianMeasure,
     KernelSpec,
     SpdMatrix,
+    alpha_procrustes,
     alpha_procrustes_regularized,
     gaussian_alpha_distance,
+    rkhs_alpha_distance,
     wasserstein_gaussian,
 )
 from alphaproc.rkhs import _covariance_distance, _features, _gram_blocks
@@ -52,19 +56,24 @@ def main() -> None:
     my, cy = feature_moments(y, kernel)
     gx = GaussianMeasure.from_arrays(mx, cx)
     gy = GaussianMeasure.from_arrays(my, cy)
-    mdd, cg = _gram_blocks(x, y, kernel)
+    mdd, cg, _ = _gram_blocks(x, y, kernel)
 
     def gram_gaussian(alpha):
         return math.sqrt(mdd + 0.25 * _covariance_distance(cg, alpha, None) ** 2)
 
     print(f"feature dimension: {cx.n}\n")
-    print(f"{'quantity':<32} {'via Gram':>16} {'via features':>16} {'rel diff':>10}")
+    print(f"{'quantity':<32} {'library':>16} {'via features':>16} {'rel diff':>10}")
 
     rows = [
         (
             "regularized (a=0.75, g=0.1)",
             _covariance_distance(cg, 0.75, 0.1),
             alpha_procrustes_regularized(cx, cy, 0.1, 0.75).value,
+        ),
+        (
+            "unregularized (a=1, R factors)",
+            rkhs_alpha_distance(x, y, kernel, 1.0),
+            alpha_procrustes(cx, cy, 1.0).value,
         ),
         (
             "Wasserstein",

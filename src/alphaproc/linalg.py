@@ -8,7 +8,10 @@ also makes every eigensolve and singular value decomposition of the
 package, behind the one guard that turns a failure into a typed error:
 the SVDs are ``nuclear_norm`` (the unregularized RKHS cross term) and
 ``_polar_factor`` (the geodesic's Procrustes factor).  ``rkhs`` puts its QR
-factorizations behind the same guard.  ``_finite`` is the one rule that
+factorizations behind the same guard.  The Cholesky factorization
+``_cholesky`` (of the RKHS kernel matrices) is the one LAPACK failure that
+picks a route instead of raising: it returns None, and its caller takes an
+eigensolve instead.  ``_finite`` is the one rule that
 turns a NaN or an infinity into NonFiniteError; code that may overflow
 runs under ``np.errstate``, so no numpy warning comes first.  Past the
 reject check of ``SpdMatrix.from_array``, only the zero rule ``_clamp_zero``
@@ -325,6 +328,18 @@ def nuclear_norm(mat: np.ndarray) -> float:
     """tr[(M' M)^(1/2)] as the sum of singular values: no clamp at rank deficiency."""
     with _lapack_guard("singular values", mat):
         return float(np.sum(np.linalg.svd(mat, compute_uv=False)))
+
+
+def _cholesky(what: str, mat: np.ndarray) -> np.ndarray | None:
+    """Lower factor G of mat = G G', or None where mat is not numerically positive definite.
+
+    Non-finite input raises NonFiniteError naming ``what``, as the guard does.
+    """
+    _finite(what, mat)
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _polar_factor(mat: np.ndarray) -> np.ndarray:

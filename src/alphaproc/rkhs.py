@@ -29,6 +29,14 @@ are of order m, n and that minimum.  C_X + gI is diagonal there, and the
 family's cross term is formed in that frame.  The ridge adds exactly zero
 off the span, and sample counts may differ.  The Wasserstein distance is
 the alpha = 1/2 member, tr aa + tr bb - 2 |ab|_*, with no eigensolve.
+The unregularized alpha = 1 member needs none either: its cross term
+|aa^(1/2) ab bb^(1/2)|_* keeps its value when aa^(1/2) becomes any square
+factor F of aa = F F', because F = aa^(1/2) U for an orthogonal U, which
+the nuclear norm ignores.  The R factors are such factors; on the Gram
+route, with the Cholesky factor K[X] = G G' taken before the centering,
+so is J_m G / sqrt(m).  Where K[X] or K[Y] is not numerically positive
+definite (say a linear kernel on more samples than dimensions), that route
+takes the eigenbases, as every other alpha does.
 
 Each distance takes a ridge gamma and compares C_X + gamma*I with
 C_Y + gamma*I.  gamma = 0, the default, is the unregularized family, which
@@ -46,7 +54,7 @@ import numpy as np
 from .exceptions import DimensionError, DomainError
 from .gaussian import _combine
 from .linalg import AlphaParam, as_alpha, nuclear_norm, sym_eigh, trace_sqrt
-from .linalg import _clamp_zero, _finite, _finite_real, _lapack_guard, _real_array
+from .linalg import _cholesky, _clamp_zero, _finite, _finite_real, _lapack_guard, _real_array
 from .linalg import _require_strict
 from .metrics import _optional_gamma, _trace_form
 
@@ -181,17 +189,31 @@ def rkhs_alpha_distance(
     compares the operators themselves and needs alpha >= 1/2.  Any other
     gamma raises DomainError.  Sample counts may differ.
     """
-    gamma = _optional_gamma(gamma)
-    return _covariance_distance(_centered_blocks(x, y, kernel)[1], alpha, gamma)
+    return _rkhs_terms(x, y, kernel, alpha, _optional_gamma(gamma))[1]
 
 
-def _centered_blocks(x: Dataset, y: Dataset, kernel: KernelSpec) -> tuple[float, tuple]:
-    """Mean discrepancy squared and the blocks (aa, bb, ab); the one place their route is chosen.
+def _rkhs_terms(
+    x: Dataset, y: Dataset, kernel: KernelSpec, alpha, gamma: float | None
+) -> tuple[float, float]:
+    """Mean discrepancy squared and d_cov; gamma is None or a checked ridge.
+
+    Only the unregularized alpha = 1 route reads square factors of the blocks, so only it asks.
+    """
+    al = as_alpha(alpha)
+    mdd, blocks, factors = _centered_blocks(x, y, kernel, gamma is None and al.value == 1.0)
+    return mdd, _covariance_distance(blocks, al, gamma, factors)
+
+
+def _centered_blocks(
+    x: Dataset, y: Dataset, kernel: KernelSpec, factored: bool = False
+) -> tuple[float, tuple, tuple | None]:
+    """Mean discrepancy squared, the blocks (aa, bb, ab), and with ``factored`` square factors
+    (fa, fb), aa = fa fa' and bb = fb fb', or None; the one place their route is chosen.
 
     Feature dimension D with 0 < 2D <= min(m, n): from the R factors of each dataset's centered
-    features over sqrt(m), the Gram blocks in other sample coordinates; else from the Grams.
-    Both routes run under one np.errstate, so a block that overflows on either raises
-    NonFiniteError naming the kernel, with no numpy warning first.
+    features over sqrt(m), the Gram blocks in other sample coordinates, and the R factors are
+    the square factors; else from the Grams.  Both routes run under one np.errstate, so a block
+    that overflows on either raises NonFiniteError naming the kernel, with no numpy warning first.
     """
     if x.dim != y.dim:
         raise DimensionError(f"sample dimensions differ: {x.dim} vs {y.dim}")
@@ -199,30 +221,43 @@ def _centered_blocks(x: Dataset, y: Dataset, kernel: KernelSpec) -> tuple[float,
         if 0 < 2 * _feature_dim(kernel, x.dim) <= min(x.m, y.m):
             (mx, rx), (my, ry) = (_feature_factor(ds, kernel) for ds in (x, y))
             mdd, blocks = float(np.sum((mx - my) ** 2)), (rx @ rx.T, ry @ ry.T, rx @ ry.T)
+            factors = (rx, ry) if factored else None
         else:
-            mdd, blocks = _gram_blocks(x, y, kernel)
+            mdd, blocks, factors = _gram_blocks(x, y, kernel, factored)
     _finite(f"{kernel} Gram blocks on these datasets", *blocks)
-    return mdd, blocks
+    return mdd, blocks, factors
 
 
-def _gram_blocks(x: Dataset, y: Dataset, kernel: KernelSpec) -> tuple[float, tuple]:
-    """Mean discrepancy squared and the centered blocks from K[X], K[Y], K[X, Y].
+def _gram_blocks(
+    x: Dataset, y: Dataset, kernel: KernelSpec, factored: bool = False
+) -> tuple[float, tuple, tuple | None]:
+    """Mean discrepancy squared, the centered blocks from K[X], K[Y], K[X, Y], and the factors.
 
     The mean discrepancy is (1/m^2) 1'K[X]1 + (1/n^2) 1'K[Y]1 - (2/mn) 1'K[X,Y]1, clamped at
     zero; each block is J K J over its scale, in place: the row means come off, then the column
     means of that, then one multiply scales it.  aa and bb stay symmetric only to roundoff, which
     no consumer sees: eigh reads one triangle, and the alpha = 1/2 route only the diagonal.
+    With ``factored``, the Cholesky factors K[X] = Gx Gx' and K[Y] = Gy Gy', taken before the
+    centering, give aa = fa fa' with fa = J Gx / sqrt(m) (fb likewise); the factors are None
+    without ``factored`` or where either kernel matrix is not numerically positive definite.
     An overflow is left to the caller's np.errstate.
     """
     m, n = x.m, y.m
     kxx, kyy, kxy = (kernel.gram(a.points, b.points) for a, b in ((x, x), (y, y), (x, y)))
+    factors = None
+    if factored:
+        what = f"{kernel} Gram blocks on these datasets"
+        gx = _cholesky(what, kxx)
+        gy = None if gx is None else _cholesky(what, kyy)
+        if gy is not None:
+            factors = tuple((g - g.mean(axis=0)) / math.sqrt(len(g)) for g in (gx, gy))
     mdd = (float(np.sum(kxx)) / m**2 + float(np.sum(kyy)) / n**2
            - 2.0 * float(np.sum(kxy)) / (m * n))
     for k, scale in ((kxx, m), (kyy, n), (kxy, math.sqrt(m * n))):
         k -= k.mean(axis=1, keepdims=True)
         k -= k.mean(axis=0)
         k *= 1.0 / scale
-    return max(mdd, 0.0), (kxx, kyy, kxy)
+    return max(mdd, 0.0), (kxx, kyy, kxy), factors
 
 
 def _feature_factor(ds: Dataset, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -234,12 +269,15 @@ def _feature_factor(ds: Dataset, kernel: KernelSpec) -> tuple[np.ndarray, np.nda
         return mean, np.linalg.qr(centered, mode="r")
 
 
-def _covariance_distance(blocks: tuple, alpha, gamma: float | None) -> float:
+def _covariance_distance(
+    blocks: tuple, alpha, gamma: float | None, factors: tuple | None = None
+) -> float:
     """The one route choice of the RKHS family, from one set of centered blocks.
 
     gamma None takes the operators themselves, which needs alpha >= 1/2;
     otherwise gamma is a ridge its caller checked positive.  Every route reads
     only invariants of the blocks under orthogonal changes of sample coordinates.
+    ``factors``, square factors of aa and bb or None, serve only the unregularized alpha = 1.
     """
     al = as_alpha(alpha)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -247,7 +285,7 @@ def _covariance_distance(blocks: tuple, alpha, gamma: float | None) -> float:
             if al.is_log_limit or al.value < 0.5:
                 raise DomainError(f"unregularized family needs alpha >= 1/2, got {al.label()};"
                                   " smaller alphas and the log-limit need a positive gamma")
-            return _unregularized_distance(blocks, al.value)
+            return _unregularized_distance(blocks, al.value, factors)
         if al.is_log_limit:
             return _log_limit_distance(blocks, gamma)
         return _regularized_distance(blocks, al, gamma)
@@ -329,17 +367,25 @@ def _in_eigenbases(blocks: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _clamp_zero(wa), _clamp_zero(wb), va.T @ ab @ vb
 
 
-def _unregularized_distance(blocks: tuple, alpha: float) -> float:
+def _unregularized_distance(blocks: tuple, alpha: float, factors: tuple | None = None) -> float:
     """(1/a) tr[aa^2a + bb^2a - 2 (ba aa^(2a-1) ab bb^(2a-1))^(1/2)]^(1/2), alpha >= 1/2.
 
     Spectral powers are restricted to the range, so aa^0 is the range
     projection (needed at alpha = 1/2); the clamped kernel stays 0 under
-    every positive power.
+    every positive power.  At alpha = 1 square factors aa = fa fa', bb = fb fb'
+    stand in for aa^(1/2) and bb^(1/2): each differs from it by an orthogonal
+    factor, which the nuclear norm of the cross term ignores.  Without them
+    (factors None: not asked for, or a kernel matrix that is not numerically
+    positive definite) alpha = 1 takes the eigenbases like every other alpha.
     """
     if alpha == 0.5:
         # aa^0 and bb^0 are the range projections, and they leave ab unchanged
         # (its columns lie in range(aa), its rows in range(bb)): no eigensolve.
         term_a, term_b, cross = float(np.trace(blocks[0])), float(np.trace(blocks[1])), blocks[2]
+    elif alpha == 1.0 and factors is not None:
+        # tr aa^2 and tr bb^2 as sums of squares, and fa' ab fb: no eigensolve
+        (fa, fb), (aa, bb, ab) = factors, blocks
+        term_a, term_b, cross = float(np.sum(aa * aa)), float(np.sum(bb * bb)), fa.T @ ab @ fb
     else:
         wa, wb, m = _in_eigenbases(blocks)
         term_a, term_b = (float(np.sum(w ** (2.0 * alpha))) for w in (wa, wb))
@@ -369,8 +415,8 @@ def _rkhs_gaussian_terms(
     x: Dataset, y: Dataset, kernel: KernelSpec, alpha, gamma: float | None
 ) -> tuple[float, float, float]:
     """(mean embedding distance, d_cov, distance); gamma is None or a checked ridge."""
-    mdd, blocks = _centered_blocks(x, y, kernel)
-    return _combine(math.sqrt(mdd), _covariance_distance(blocks, alpha, gamma))
+    mdd, d_cov = _rkhs_terms(x, y, kernel, alpha, gamma)
+    return _combine(math.sqrt(mdd), d_cov)
 
 
 def rkhs_wasserstein(x: Dataset, y: Dataset, kernel: KernelSpec) -> float:

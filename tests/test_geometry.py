@@ -335,14 +335,15 @@ class TestGeodesicLength:
         a, b = rand_spd(rng, 3), rand_spd(rng, 3)
         curve = GeodesicCurve(a, b, 0.5)
         length = geodesic_length_numeric(curve, 1000)
-        assert length == pytest.approx(2.0 * bures_wasserstein(a, b).value, rel=1e-13)
+        assert length == pytest.approx(2.0 * bures_wasserstein(a, b).value, rel=1e-13, abs=0)
 
     def test_quarter_alpha_matches_closed_form(self):
         rng = np.random.default_rng(15)
         a, b = rand_spd(rng, 3), rand_spd(rng, 3)
         curve = GeodesicCurve(a, b, 0.25)
         length = geodesic_length_numeric(curve, 1000)
-        assert length == pytest.approx(alpha_procrustes(a, b, 0.25).value, rel=4e-13)
+        # roundoff at h = 1/2000 reads 1.3e-12 here
+        assert length == pytest.approx(alpha_procrustes(a, b, 0.25).value, rel=2.2e-12, abs=0)
 
     @pytest.mark.parametrize(
         "alpha, steps, bound", [(-0.5, 100, 6e-9), (-0.5, 1000, 1e-12), (-1.0, 100, 6e-8),
@@ -353,7 +354,7 @@ class TestGeodesicLength:
         rng = np.random.default_rng(24)
         a, b = rand_spd(rng, 48), rand_spd(rng, 48)
         length = geodesic_length_numeric(GeodesicCurve(a, b, alpha), steps)
-        assert length == pytest.approx(alpha_procrustes(a, b, alpha).value, rel=bound)
+        assert length == pytest.approx(alpha_procrustes(a, b, alpha).value, rel=bound, abs=0)
 
     @pytest.mark.parametrize("steps", [100, 1000])
     def test_each_grid_point_evaluated_once(self, eigh_orders, steps):
@@ -461,7 +462,7 @@ class TestGeodesicLength:
         length = geodesic_length_numeric(curve, steps)
         assert sum(sizes) == 40 * n * n
         assert max(sizes) == 5 * n * n
-        assert length == pytest.approx(2.0 * bures_wasserstein(a, b).value, rel=1e-13)
+        assert length == pytest.approx(2.0 * bures_wasserstein(a, b).value, rel=1e-13, abs=0)
 
     def test_too_few_steps_rejected(self):
         rng = np.random.default_rng(16)

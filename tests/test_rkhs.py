@@ -24,9 +24,9 @@ from alphaproc import (
     spd_power,
     wasserstein_gaussian,
 )
-from alphaproc.linalg import SpdMatrix, psd_tolerance
+from alphaproc.linalg import SpdMatrix, as_alpha, psd_tolerance
 from alphaproc.rkhs import _centered_blocks, _covariance_distance, _feature_dim, _feature_factor
-from alphaproc.rkhs import _gram_blocks
+from alphaproc.rkhs import _gram_blocks, _unregularized_distance
 
 POLY = KernelSpec.polynomial(2, 1.0)
 LINEAR = KernelSpec.linear()
@@ -117,8 +117,11 @@ def gram_route(x, y, kernel, alpha, gamma=None):
 
     Linear and polynomial inputs with 2D <= min(m, n) take the feature
     factors' blocks in the library; this keeps the Gram route covered on them.
+    The unregularized alpha = 1 takes the Cholesky factors, as the library does.
     """
-    return _covariance_distance(_gram_blocks(x, y, kernel)[1], alpha, gamma)
+    factored = gamma is None and as_alpha(alpha).value == 1.0
+    _, blocks, factors = _gram_blocks(x, y, kernel, factored)
+    return _covariance_distance(blocks, alpha, gamma, factors)
 
 
 def both_routes(x, y, kernel, alpha, gamma=None):
@@ -251,7 +254,7 @@ class TestGramBlocks:
         for a, b in ((x, x), (y, y), (x, y)):
             assert np.array_equal(kernel.gram(a.points, b.points),
                                   reference_gram(kernel, a.points, b.points))
-        mdd, blocks = _gram_blocks(x, y, kernel)
+        mdd, blocks, _ = _gram_blocks(x, y, kernel)
         want = reference_blocks(x, y, kernel)
         assert mdd == want[0]
         for got, block in zip(blocks, want[1:]):
@@ -829,7 +832,7 @@ class TestUnregularizedDistance:
         _, cy = feature_covariance(y, POLY)
         assert d == pytest.approx(alpha_procrustes(cx, cy, 0.75).value, rel=1e-8)
 
-    @pytest.mark.parametrize("alpha", [0.55, 0.75])
+    @pytest.mark.parametrize("alpha", [0.55, 0.75, 1.0])
     def test_against_high_precision_feature_referee(self, alpha):
         # Centered poly:d=2,c=1 features of dim-5 data span 20 dimensions;
         # the 20th eigenvalue of Y's Gram block is 6.8e-11 of its largest, a
@@ -845,6 +848,49 @@ class TestUnregularizedDistance:
         x, y = datasets(23)
         with pytest.raises(DomainError):
             rkhs_alpha_distance(x, y, POLY, 0.4)
+
+    def test_cholesky_factors_match_the_eigenbases(self):
+        # alpha = 1 from square factors of the blocks against the eigenbasis
+        # route on the same blocks; 2.5x the worst seen (2.2e-14 at seed 4,
+        # dim 3, m = 9, n = 14, sigma 30).  Against a 40-digit referee on
+        # such inputs either route reads up to ~2.5e-14.  Wide bandwidths
+        # leave K numerically singular, so some cases fall back; those must
+        # match bitwise.
+        worst, factored = 0.0, 0
+        for seed in range(6):
+            for dim in (1, 3, 5):
+                for m, n in ((9, 14), (23, 17), (40, 31)):
+                    x, y = datasets(seed, m=m, n=n, dim=dim)
+                    for sigma in np.geomspace(0.05, 30.0, 12):
+                        kernel = KernelSpec.gaussian_rbf(float(sigma))
+                        _, blocks, factors = _gram_blocks(x, y, kernel, True)
+                        want = _unregularized_distance(blocks, 1.0)
+                        got = rkhs_alpha_distance(x, y, kernel, 1.0)
+                        if factors is None:
+                            assert got == want
+                            continue
+                        factored += 1
+                        assert got == _unregularized_distance(blocks, 1.0, factors)
+                        worst = max(worst, abs(got - want) / want)
+        assert factored >= 400
+        assert worst <= 5.5e-14
+
+    @pytest.mark.parametrize("failing_call", [0, 1])
+    def test_cholesky_failure_falls_back_bitwise(self, monkeypatch, failing_call):
+        # K[X] or K[Y] not positive definite: the eigenbasis route's value, bit for bit
+        import alphaproc.rkhs as rkhs_mod
+
+        calls = []
+
+        def failing(what, mat):
+            calls.append(mat.shape)
+            return None if len(calls) > failing_call else np.linalg.cholesky(mat)
+
+        monkeypatch.setattr(rkhs_mod, "_cholesky", failing)
+        x, y = datasets(36, m=9, n=12)
+        want = _unregularized_distance(_gram_blocks(x, y, RBF)[1], 1.0)
+        assert rkhs_alpha_distance(x, y, RBF, 1.0) == want
+        assert calls == [(9, 9), (12, 12)][: failing_call + 1]
 
 
 # Exact invariances of the covariance distances, checked on every route:
@@ -1025,9 +1071,20 @@ class TestGaussianDistance:
         with pytest.raises(DomainError):
             rkhs_gaussian_distance(x, y, POLY, 0.75, -0.1)
 
-    @pytest.mark.parametrize("alpha,expected", [(0.5, 0), (1.0, 2)])
-    def test_half_alpha_needs_no_eigensolve(self, eigh_orders, alpha, expected):
-        # at alpha = 1/2 the range projections leave ab unchanged
+    @pytest.mark.parametrize(
+        "alpha,cholesky_fails,expected", [(0.5, False, 0), (1.0, False, 0), (1.0, True, 2)],
+        ids=["0.5-0", "1.0-0", "1.0-fallback-2"],
+    )
+    def test_half_alpha_needs_no_eigensolve(
+        self, monkeypatch, eigh_orders, alpha, cholesky_fails, expected
+    ):
+        # at alpha = 1/2 the range projections leave ab unchanged; at alpha = 1
+        # Cholesky factors of K[X] and K[Y] stand in for aa^(1/2) and bb^(1/2),
+        # and without them alpha = 1 decomposes both blocks
+        import alphaproc.rkhs as rkhs_mod
+
+        if cholesky_fails:
+            monkeypatch.setattr(rkhs_mod, "_cholesky", lambda what, mat: None)
         x, y = datasets(36, m=9, n=12)
         rkhs_gaussian_distance(x, y, RBF, alpha)
         assert len(eigh_orders) == expected
@@ -1035,7 +1092,7 @@ class TestGaussianDistance:
             rkhs_wasserstein(x, y, RBF)
             assert len(eigh_orders) == 0
 
-    @pytest.mark.parametrize("alpha,gamma", [(0.75, 0.0), (0.3, 0.1), (0.0, 0.1)])
+    @pytest.mark.parametrize("alpha,gamma", [(0.75, 0.0), (1.0, 0.0), (0.3, 0.1), (0.0, 0.1)])
     def test_builds_gram_once(self, monkeypatch, alpha, gamma):
         import alphaproc.rkhs as rkhs_mod
 
