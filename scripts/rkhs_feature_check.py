@@ -56,10 +56,10 @@ def main() -> None:
     my, cy = feature_moments(y, kernel)
     gx = GaussianMeasure.from_arrays(mx, cx)
     gy = GaussianMeasure.from_arrays(my, cy)
-    mdd, cg, _ = _gram_blocks(x, y, kernel)
+    mdd, cg = _gram_blocks(x, y, kernel)
 
     def gram_gaussian(alpha):
-        return math.sqrt(mdd + 0.25 * _covariance_distance(cg, alpha, None) ** 2)
+        return math.sqrt(mdd + 0.25 * _covariance_distance(cg, alpha, 0.0) ** 2)
 
     print(f"feature dimension: {cx.n}\n")
     print(f"{'quantity':<32} {'library':>16} {'via features':>16} {'rel diff':>10}")

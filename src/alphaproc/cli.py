@@ -117,7 +117,7 @@ def _cmd_dist(args) -> int:
             "--alpha only applies to the alpha-procrustes and power-euclidean metrics"
         )
     gamma = _optional_gamma(args.gamma)
-    if gamma is not None and metric != "alpha-procrustes":
+    if gamma and metric != "alpha-procrustes":
         raise CliInputError("--gamma only applies to the alpha-procrustes metric")
 
     alpha = _parse_alpha(args.alpha) if needs_alpha else None
@@ -170,7 +170,7 @@ def _cmd_sweep(args) -> int:
         rows.append((alpha.label(), _fmt(_family(a, b, alpha, gamma).value)))
     if args.format == "json":
         rows_json = [{"alpha": al, "distance": d} for al, d in rows]
-        _emit_json(args.output, gamma=gamma or 0.0, rows=rows_json)
+        _emit_json(args.output, gamma=gamma, rows=rows_json)
     else:
         lines = ["alpha,distance"]
         for al, d in rows:
@@ -237,11 +237,11 @@ def _cmd_rkhs_dist(args) -> int:
     return _emit_gaussian(args, alpha, gamma, terms, kernel=args.kernel)
 
 
-def _emit_gaussian(args, alpha: AlphaParam, gamma: float | None, terms, **head) -> int:
+def _emit_gaussian(args, alpha: AlphaParam, gamma: float, terms, **head) -> int:
     """Print the (mean term, covariance term, distance) ``terms`` after the ``head`` fields."""
     mean_term, cov_term, total = terms
     _emit_json(
-        args.output, **head, alpha=alpha.label(), gamma=gamma or 0.0,
+        args.output, **head, alpha=alpha.label(), gamma=gamma,
         mean_term=_fmt(mean_term), cov_term=_fmt(cov_term), distance=_fmt(total),
     )
     return 0

@@ -95,10 +95,10 @@ def _combine(d_mean: float, d_cov: float) -> tuple[float, float, float]:
 
 
 def _gaussian_terms(
-    g1: GaussianMeasure, g2: GaussianMeasure, alpha, gamma: Optional[float],
+    g1: GaussianMeasure, g2: GaussianMeasure, alpha, gamma: float,
     mean_metric: MeanMetricSpec,
 ) -> tuple[float, float, float]:
-    """(d_mean, d_cov, distance); gamma is None or a checked ridge."""
+    """(d_mean, d_cov, distance); gamma is 0.0 (no ridge) or a checked ridge."""
     if g1.dim != g2.dim:
         raise DimensionError(f"Gaussian dimensions differ: {g1.dim} vs {g2.dim}")
     d_mean = mean_metric.distance(g1.mean, g2.mean)

@@ -9,9 +9,9 @@ package, behind the one guard that turns a failure into a typed error:
 the SVDs are ``nuclear_norm`` (the unregularized RKHS cross term) and
 ``_polar_factor`` (the geodesic's Procrustes factor).  ``rkhs`` puts its QR
 factorizations behind the same guard.  The Cholesky factorization
-``_cholesky`` (of the RKHS kernel matrices) is the one LAPACK failure that
-picks a route instead of raising: it returns None, and its caller takes an
-eigensolve instead.  ``_finite`` is the one rule that
+``_cholesky`` (of the shifted centered RKHS Gram blocks) is the one LAPACK
+failure that picks a route instead of raising: it returns None, and its
+caller takes an eigensolve instead.  ``_finite`` is the one rule that
 turns a NaN or an infinity into NonFiniteError; code that may overflow
 runs under ``np.errstate``, so no numpy warning comes first.  Past the
 reject check of ``SpdMatrix.from_array``, only the zero rule ``_clamp_zero``

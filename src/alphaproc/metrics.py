@@ -85,27 +85,27 @@ def _check_gamma(gamma: float) -> None:
         raise DomainError(f"gamma must be positive and finite, got {gamma!r}")
 
 
-def _optional_gamma(gamma) -> float | None:
-    """The one reader of a caller's ridge: a real zero is None, the unridged family.
+def _optional_gamma(gamma) -> float:
+    """The one reader of a caller's ridge: any real zero is 0.0, the unridged family.
 
     Anything else must be positive and finite (None, 0j and arrays raise DomainError).
     """
     if _finite_real(gamma) and gamma == 0.0:
-        return None
+        return 0.0
     _check_gamma(gamma)
     return gamma
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as a decorator it costs half a with block
-def _family(a: SpdMatrix, b: SpdMatrix, alpha, gamma: float | None = None) -> DistanceResult:
+def _family(a: SpdMatrix, b: SpdMatrix, alpha, gamma: float = 0.0) -> DistanceResult:
     """The one evaluator of the family: each of its special cases calls it.
 
-    gamma None evaluates A and B; otherwise gamma is a ridge its caller
+    gamma 0.0 evaluates A and B; otherwise gamma is a ridge its caller
     checked positive, and A + gamma*I and B + gamma*I are evaluated.
     """
     _check_dims(a, b)
     al = as_alpha(alpha)
-    if gamma is not None:
+    if gamma:
         a, b = a.add_ridge(gamma), b.add_ridge(gamma)
     if al.is_log_limit:
         value = float(np.linalg.norm(spd_log(a).mat - spd_log(b).mat))
@@ -114,7 +114,7 @@ def _family(a: SpdMatrix, b: SpdMatrix, alpha, gamma: float | None = None) -> Di
         pa, pb = spd_power(a, p).mat, spd_power(b, 2.0 * p).mat
         ta, tb = (float(np.sum(x.eig.values ** (2.0 * p))) for x in (a, b))
         value = _trace_form(ta, tb, trace_sqrt(pa @ pb @ pa), p)
-    return DistanceResult(value, al, gamma or 0.0, (a, b))
+    return DistanceResult(value, al, gamma, (a, b))
 
 
 def alpha_procrustes(a: SpdMatrix, b: SpdMatrix, alpha) -> DistanceResult:
@@ -185,7 +185,7 @@ def alpha_procrustes_regularized(
     operators; gamma > 0 makes both arguments strictly positive, so every
     alpha (including the log-limit) is admissible for PSD input.
     """
-    _check_gamma(gamma)  # _family reads None as no ridge
+    _check_gamma(gamma)  # _family reads 0 as no ridge
     return _family(a, b, alpha, gamma)
 
 

@@ -14,8 +14,8 @@ and bb.  Without a small feature map they come from the three kernel
 matrices, each evaluated once and made a block in place: its row means
 come off, then the column means of that, and one multiply scales it; no
 J_m is formed.  aa and bb are then symmetric only to roundoff, and no copy
-symmetrizes them: every route reads one triangle (eigh) or the diagonal
-(the alpha = 1/2 trace).  The routes read only invariants of the
+symmetrizes them: every route reads one triangle (eigh, the Cholesky
+factorization) or the diagonal (the alpha = 1/2 trace).  The routes read only invariants of the
 blocks under an orthogonal change of sample coordinates, so a finite
 feature map of dimension D <= min(m, n)/2 (linear, polynomial kernels)
 gives them, of order D, from the R factors of the centered, scaled
@@ -32,11 +32,11 @@ the alpha = 1/2 member, tr aa + tr bb - 2 |ab|_*, with no eigensolve.
 The unregularized alpha = 1 member needs none either: its cross term
 |aa^(1/2) ab bb^(1/2)|_* keeps its value when aa^(1/2) becomes any square
 factor F of aa = F F', because F = aa^(1/2) U for an orthogonal U, which
-the nuclear norm ignores.  The R factors are such factors; on the Gram
-route, with the Cholesky factor K[X] = G G' taken before the centering,
-so is J_m G / sqrt(m).  Where K[X] or K[Y] is not numerically positive
-definite (say a linear kernel on more samples than dimensions), that route
-takes the eigenbases, as every other alpha does.
+the nuclear norm ignores.  The R factors are such factors; so, as the
+centered aa and ab' annihilate the constant vector 1, is the Cholesky factor
+of aa + c 1 1' for any c > 0.  Where that sum is not positive definite (say
+a linear kernel on more samples than dimensions), alpha = 1 takes the
+eigenbases, as every other alpha does.
 
 Each distance takes a ridge gamma and compares C_X + gamma*I with
 C_Y + gamma*I.  gamma = 0, the default, is the unregularized family, which
@@ -193,27 +193,23 @@ def rkhs_alpha_distance(
 
 
 def _rkhs_terms(
-    x: Dataset, y: Dataset, kernel: KernelSpec, alpha, gamma: float | None
+    x: Dataset, y: Dataset, kernel: KernelSpec, alpha, gamma: float
 ) -> tuple[float, float]:
-    """Mean discrepancy squared and d_cov; gamma is None or a checked ridge.
-
-    Only the unregularized alpha = 1 route reads square factors of the blocks, so only it asks.
-    """
-    al = as_alpha(alpha)
-    mdd, blocks, factors = _centered_blocks(x, y, kernel, gamma is None and al.value == 1.0)
-    return mdd, _covariance_distance(blocks, al, gamma, factors)
+    """Mean discrepancy squared and d_cov; gamma is 0.0 (no ridge) or a checked ridge."""
+    mdd, blocks, factors = _centered_blocks(x, y, kernel)
+    return mdd, _covariance_distance(blocks, alpha, gamma, factors)
 
 
 def _centered_blocks(
-    x: Dataset, y: Dataset, kernel: KernelSpec, factored: bool = False
+    x: Dataset, y: Dataset, kernel: KernelSpec
 ) -> tuple[float, tuple, tuple | None]:
-    """Mean discrepancy squared, the blocks (aa, bb, ab), and with ``factored`` square factors
-    (fa, fb), aa = fa fa' and bb = fb fb', or None; the one place their route is chosen.
+    """Mean discrepancy squared, the blocks (aa, bb, ab), and the feature route's square factors
+    (rx, ry), aa = rx rx' and bb = ry ry', or None; the one place their route is chosen.
 
     Feature dimension D with 0 < 2D <= min(m, n): from the R factors of each dataset's centered
-    features over sqrt(m), the Gram blocks in other sample coordinates, and the R factors are
-    the square factors; else from the Grams.  Both routes run under one np.errstate, so a block
-    that overflows on either raises NonFiniteError naming the kernel, with no numpy warning first.
+    features over sqrt(m), the Gram blocks in other sample coordinates; else from the Grams,
+    with no factors.  Both routes run under one np.errstate, so a block that overflows on
+    either raises NonFiniteError naming the kernel, with no numpy warning first.
     """
     if x.dim != y.dim:
         raise DimensionError(f"sample dimensions differ: {x.dim} vs {y.dim}")
@@ -221,43 +217,31 @@ def _centered_blocks(
         if 0 < 2 * _feature_dim(kernel, x.dim) <= min(x.m, y.m):
             (mx, rx), (my, ry) = (_feature_factor(ds, kernel) for ds in (x, y))
             mdd, blocks = float(np.sum((mx - my) ** 2)), (rx @ rx.T, ry @ ry.T, rx @ ry.T)
-            factors = (rx, ry) if factored else None
+            factors = (rx, ry)
         else:
-            mdd, blocks, factors = _gram_blocks(x, y, kernel, factored)
+            (mdd, blocks), factors = _gram_blocks(x, y, kernel), None
     _finite(f"{kernel} Gram blocks on these datasets", *blocks)
     return mdd, blocks, factors
 
 
-def _gram_blocks(
-    x: Dataset, y: Dataset, kernel: KernelSpec, factored: bool = False
-) -> tuple[float, tuple, tuple | None]:
-    """Mean discrepancy squared, the centered blocks from K[X], K[Y], K[X, Y], and the factors.
+def _gram_blocks(x: Dataset, y: Dataset, kernel: KernelSpec) -> tuple[float, tuple]:
+    """Mean discrepancy squared and the centered blocks from K[X], K[Y], K[X, Y].
 
     The mean discrepancy is (1/m^2) 1'K[X]1 + (1/n^2) 1'K[Y]1 - (2/mn) 1'K[X,Y]1, clamped at
     zero; each block is J K J over its scale, in place: the row means come off, then the column
     means of that, then one multiply scales it.  aa and bb stay symmetric only to roundoff, which
-    no consumer sees: eigh reads one triangle, and the alpha = 1/2 route only the diagonal.
-    With ``factored``, the Cholesky factors K[X] = Gx Gx' and K[Y] = Gy Gy', taken before the
-    centering, give aa = fa fa' with fa = J Gx / sqrt(m) (fb likewise); the factors are None
-    without ``factored`` or where either kernel matrix is not numerically positive definite.
-    An overflow is left to the caller's np.errstate.
+    no consumer sees: eigh and the Cholesky factorization read one triangle, and the
+    alpha = 1/2 route only the diagonal.  An overflow is left to the caller's np.errstate.
     """
     m, n = x.m, y.m
     kxx, kyy, kxy = (kernel.gram(a.points, b.points) for a, b in ((x, x), (y, y), (x, y)))
-    factors = None
-    if factored:
-        what = f"{kernel} Gram blocks on these datasets"
-        gx = _cholesky(what, kxx)
-        gy = None if gx is None else _cholesky(what, kyy)
-        if gy is not None:
-            factors = tuple((g - g.mean(axis=0)) / math.sqrt(len(g)) for g in (gx, gy))
     mdd = (float(np.sum(kxx)) / m**2 + float(np.sum(kyy)) / n**2
            - 2.0 * float(np.sum(kxy)) / (m * n))
     for k, scale in ((kxx, m), (kyy, n), (kxy, math.sqrt(m * n))):
         k -= k.mean(axis=1, keepdims=True)
         k -= k.mean(axis=0)
         k *= 1.0 / scale
-    return max(mdd, 0.0), (kxx, kyy, kxy), factors
+    return max(mdd, 0.0), (kxx, kyy, kxy)
 
 
 def _feature_factor(ds: Dataset, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -269,19 +253,17 @@ def _feature_factor(ds: Dataset, kernel: KernelSpec) -> tuple[np.ndarray, np.nda
         return mean, np.linalg.qr(centered, mode="r")
 
 
-def _covariance_distance(
-    blocks: tuple, alpha, gamma: float | None, factors: tuple | None = None
-) -> float:
+def _covariance_distance(blocks: tuple, alpha, gamma: float, factors: tuple | None = None) -> float:
     """The one route choice of the RKHS family, from one set of centered blocks.
 
-    gamma None takes the operators themselves, which needs alpha >= 1/2;
+    gamma 0.0 takes the operators themselves, which needs alpha >= 1/2;
     otherwise gamma is a ridge its caller checked positive.  Every route reads
     only invariants of the blocks under orthogonal changes of sample coordinates.
-    ``factors``, square factors of aa and bb or None, serve only the unregularized alpha = 1.
+    ``factors`` (the feature route's R factors) serve only the unregularized alpha = 1.
     """
     al = as_alpha(alpha)
     with np.errstate(over="ignore", invalid="ignore"):
-        if gamma is None:
+        if not gamma:
             if al.is_log_limit or al.value < 0.5:
                 raise DomainError(f"unregularized family needs alpha >= 1/2, got {al.label()};"
                                   " smaller alphas and the log-limit need a positive gamma")
@@ -374,15 +356,16 @@ def _unregularized_distance(blocks: tuple, alpha: float, factors: tuple | None =
     projection (needed at alpha = 1/2); the clamped kernel stays 0 under
     every positive power.  At alpha = 1 square factors aa = fa fa', bb = fb fb'
     stand in for aa^(1/2) and bb^(1/2): each differs from it by an orthogonal
-    factor, which the nuclear norm of the cross term ignores.  Without them
-    (factors None: not asked for, or a kernel matrix that is not numerically
-    positive definite) alpha = 1 takes the eigenbases like every other alpha.
+    factor, which the nuclear norm of the cross term ignores.  Blocks handed
+    without ``factors`` come only from _gram_blocks and are centered, so
+    _centered_factors derives them; where it cannot (a block of rank below
+    its order less one), alpha = 1 takes the eigenbases like every other alpha.
     """
     if alpha == 0.5:
         # aa^0 and bb^0 are the range projections, and they leave ab unchanged
         # (its columns lie in range(aa), its rows in range(bb)): no eigensolve.
         term_a, term_b, cross = float(np.trace(blocks[0])), float(np.trace(blocks[1])), blocks[2]
-    elif alpha == 1.0 and factors is not None:
+    elif alpha == 1.0 and (factors := factors or _centered_factors(blocks)) is not None:
         # tr aa^2 and tr bb^2 as sums of squares, and fa' ab fb: no eigensolve
         (fa, fb), (aa, bb, ab) = factors, blocks
         term_a, term_b, cross = float(np.sum(aa * aa)), float(np.sum(bb * bb)), fa.T @ ab @ fb
@@ -399,6 +382,21 @@ def _unregularized_distance(blocks: tuple, alpha: float, factors: tuple | None =
     return _trace_form(term_a, term_b, nuclear_norm(cross), alpha)
 
 
+def _centered_factors(blocks: tuple) -> tuple | None:
+    """Square factors of the centered aa and bb, or None where either has rank < its order - 1.
+
+    A centered aa annihilates the unit constant vector u, as ab' does, so the Cholesky factor F
+    of aa + c uu' (c = tr aa / m: tr aa / m^2 on every entry) is aa^(1/2) + sqrt(c) uu' times an
+    orthogonal factor, and |F' ab G|_* = |aa^(1/2) ab bb^(1/2)|_*.
+    """
+    factors = []
+    for block in blocks[:2]:
+        factors.append(_cholesky("shifted Gram block", block + np.trace(block) / block.size))
+        if factors[-1] is None:
+            return None
+    return tuple(factors)
+
+
 def rkhs_gaussian_distance(
     x: Dataset, y: Dataset, kernel: KernelSpec, alpha, gamma: float = 0.0
 ) -> float:
@@ -412,9 +410,9 @@ def rkhs_gaussian_distance(
 
 
 def _rkhs_gaussian_terms(
-    x: Dataset, y: Dataset, kernel: KernelSpec, alpha, gamma: float | None
+    x: Dataset, y: Dataset, kernel: KernelSpec, alpha, gamma: float
 ) -> tuple[float, float, float]:
-    """(mean embedding distance, d_cov, distance); gamma is None or a checked ridge."""
+    """(mean embedding distance, d_cov, distance); gamma is 0.0 (no ridge) or a checked ridge."""
     mdd, d_cov = _rkhs_terms(x, y, kernel, alpha, gamma)
     return _combine(math.sqrt(mdd), d_cov)
 

@@ -24,9 +24,9 @@ from alphaproc import (
     spd_power,
     wasserstein_gaussian,
 )
-from alphaproc.linalg import SpdMatrix, as_alpha, psd_tolerance
+from alphaproc.linalg import SpdMatrix, psd_tolerance
 from alphaproc.rkhs import _centered_blocks, _covariance_distance, _feature_dim, _feature_factor
-from alphaproc.rkhs import _gram_blocks, _unregularized_distance
+from alphaproc.rkhs import _centered_factors, _gram_blocks, _unregularized_distance
 
 POLY = KernelSpec.polynomial(2, 1.0)
 LINEAR = KernelSpec.linear()
@@ -112,22 +112,27 @@ def feature_gaussians(x, y, kernel):
     return GaussianMeasure.from_arrays(mx, cx), GaussianMeasure.from_arrays(my, cy)
 
 
-def gram_route(x, y, kernel, alpha, gamma=None):
+def gram_route(x, y, kernel, alpha, gamma=0.0):
     """Covariance distance on the centered Gram blocks, whichever blocks the library builds.
 
     Linear and polynomial inputs with 2D <= min(m, n) take the feature
     factors' blocks in the library; this keeps the Gram route covered on them.
-    The unregularized alpha = 1 takes the Cholesky factors, as the library does.
     """
-    factored = gamma is None and as_alpha(alpha).value == 1.0
-    _, blocks, factors = _gram_blocks(x, y, kernel, factored)
-    return _covariance_distance(blocks, alpha, gamma, factors)
+    return _covariance_distance(_gram_blocks(x, y, kernel)[1], alpha, gamma)
 
 
-def both_routes(x, y, kernel, alpha, gamma=None):
-    """The library's covariance distance (gamma None: unregularized), then the Gram route's."""
-    lib = rkhs_alpha_distance(x, y, kernel, alpha, 0.0 if gamma is None else gamma)
-    return lib, gram_route(x, y, kernel, alpha, gamma)
+def eigenbasis_alpha_one(blocks):
+    """The unregularized alpha = 1 on Gram blocks from their eigenbases, with no square factor."""
+    import alphaproc.rkhs as rkhs_mod
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rkhs_mod, "_cholesky", lambda what, mat: None)
+        return _unregularized_distance(blocks, 1.0)
+
+
+def both_routes(x, y, kernel, alpha, gamma=0.0):
+    """The library's covariance distance (gamma 0.0: unregularized), then the Gram route's."""
+    return rkhs_alpha_distance(x, y, kernel, alpha, gamma), gram_route(x, y, kernel, alpha, gamma)
 
 
 class TestKernelSpec:
@@ -254,7 +259,7 @@ class TestGramBlocks:
         for a, b in ((x, x), (y, y), (x, y)):
             assert np.array_equal(kernel.gram(a.points, b.points),
                                   reference_gram(kernel, a.points, b.points))
-        mdd, blocks, _ = _gram_blocks(x, y, kernel)
+        mdd, blocks = _gram_blocks(x, y, kernel)
         want = reference_blocks(x, y, kernel)
         assert mdd == want[0]
         for got, block in zip(blocks, want[1:]):
@@ -442,6 +447,18 @@ class TestFeatureRouteErrors:
             with pytest.raises(DimensionError):
                 rkhs_wasserstein(x, y, kernel)
 
+    @pytest.mark.parametrize("alpha", [0.4, "foo", math.nan])
+    def test_dimension_mismatch_before_a_bad_alpha(self, alpha):
+        # the datasets are checked before alpha is read, on either route
+        rng = np.random.default_rng(3)
+        x = Dataset.from_array(rng.standard_normal((20, 2)))
+        y = Dataset.from_array(rng.standard_normal((20, 3)))
+        for kernel in (LINEAR, RBF):
+            with pytest.raises(DimensionError):
+                rkhs_alpha_distance(x, y, kernel, alpha)
+            with pytest.raises(DimensionError):
+                rkhs_gaussian_distance(x, y, kernel, alpha)
+
     @pytest.mark.parametrize("scale", [1e7, 1e10], ids=["blocks", "features"])
     def test_overflow_is_a_typed_error(self, scale):
         # poly:d=40,c=1 on 1-D data has D = 41 <= min(m, n)/2: at scale 1e7
@@ -594,7 +611,7 @@ class TestRegularizedDistance:
         rng = np.random.default_rng(31)
         x, y = (Dataset.from_array(_mixed_gaussian_sample(rng, k)) for k in (m, 3 * m // 4))
         regularized = [(0.25, 0.1), (-0.5, 0.1), (AlphaParam.log_limit(), 0.1)]
-        for alpha, gamma in regularized + [(0.5, None), (0.75, None), (1.0, None)]:
+        for alpha, gamma in regularized + [(0.5, 0.0), (0.75, 0.0), (1.0, 0.0)]:
             d_lib, d_gram = both_routes(x, y, kernel, alpha, gamma)
             assert abs(d_lib - d_gram) <= 1e-12 * d_gram
         mdd = _gram_blocks(x, y, kernel)[0]
@@ -851,33 +868,33 @@ class TestUnregularizedDistance:
 
     def test_cholesky_factors_match_the_eigenbases(self):
         # alpha = 1 from square factors of the blocks against the eigenbasis
-        # route on the same blocks; 2.5x the worst seen (2.2e-14 at seed 4,
-        # dim 3, m = 9, n = 14, sigma 30).  Against a 40-digit referee on
-        # such inputs either route reads up to ~2.5e-14.  Wide bandwidths
-        # leave K numerically singular, so some cases fall back; those must
-        # match bitwise.
-        worst, factored = 0.0, 0
+        # route on the same blocks; about 4x the worst seen (1.4e-14 at seed 3,
+        # dim 3, m = 9, n = 14, sigma 30).  Against a 40-digit referee on such
+        # inputs either route reads up to ~2.5e-14.  Wide bandwidths leave the
+        # shifted blocks numerically singular, so some cases fall back; those
+        # must match bitwise.
+        worst, by_factors = 0.0, 0
         for seed in range(6):
             for dim in (1, 3, 5):
                 for m, n in ((9, 14), (23, 17), (40, 31)):
                     x, y = datasets(seed, m=m, n=n, dim=dim)
                     for sigma in np.geomspace(0.05, 30.0, 12):
                         kernel = KernelSpec.gaussian_rbf(float(sigma))
-                        _, blocks, factors = _gram_blocks(x, y, kernel, True)
-                        want = _unregularized_distance(blocks, 1.0)
+                        blocks = _gram_blocks(x, y, kernel)[1]
+                        want = eigenbasis_alpha_one(blocks)
                         got = rkhs_alpha_distance(x, y, kernel, 1.0)
-                        if factors is None:
+                        if _centered_factors(blocks) is None:
                             assert got == want
                             continue
-                        factored += 1
-                        assert got == _unregularized_distance(blocks, 1.0, factors)
+                        by_factors += 1
+                        assert got == _unregularized_distance(blocks, 1.0)
                         worst = max(worst, abs(got - want) / want)
-        assert factored >= 400
+        assert by_factors >= 400
         assert worst <= 5.5e-14
 
     @pytest.mark.parametrize("failing_call", [0, 1])
     def test_cholesky_failure_falls_back_bitwise(self, monkeypatch, failing_call):
-        # K[X] or K[Y] not positive definite: the eigenbasis route's value, bit for bit
+        # aa or bb singular off the constant vector: the eigenbasis route's value, bit for bit
         import alphaproc.rkhs as rkhs_mod
 
         calls = []
@@ -886,11 +903,26 @@ class TestUnregularizedDistance:
             calls.append(mat.shape)
             return None if len(calls) > failing_call else np.linalg.cholesky(mat)
 
-        monkeypatch.setattr(rkhs_mod, "_cholesky", failing)
         x, y = datasets(36, m=9, n=12)
-        want = _unregularized_distance(_gram_blocks(x, y, RBF)[1], 1.0)
+        want = eigenbasis_alpha_one(_gram_blocks(x, y, RBF)[1])
+        monkeypatch.setattr(rkhs_mod, "_cholesky", failing)
         assert rkhs_alpha_distance(x, y, RBF, 1.0) == want
         assert calls == [(9, 9), (12, 12)][: failing_call + 1]
+
+    def test_wide_bandwidth_alpha_one_against_high_precision_referee(self):
+        # at sigma 10 and 30 the RBF blocks are nearly rank deficient: the 3-D
+        # ones still factor, the 1-D ones fall back to the eigenbases.  2.5x
+        # the worst seen (1.57e-13 at seed 1, dim 1, sigma 30, the fallback).
+        has_factors = set()
+        for seed in (0, 1):
+            for dim in (1, 3):
+                x, y = datasets(seed, m=9, n=7, dim=dim)
+                for sigma in (10.0, 30.0):
+                    kernel = KernelSpec.gaussian_rbf(sigma)
+                    has_factors.add(_centered_factors(_gram_blocks(x, y, kernel)[1]) is not None)
+                    ref = mp_regularized_rbf(x.points, y.points, sigma, [1.0], 0)[0]
+                    assert abs(rkhs_alpha_distance(x, y, kernel, 1.0) - ref) <= 4.0e-13 * ref
+        assert has_factors == {False, True}
 
 
 # Exact invariances of the covariance distances, checked on every route:
@@ -902,10 +934,12 @@ METAMORPHIC_ROUTES = [
 ]
 # Relative deviation bounds, about 2.5x the worst seen over seeds 0-9 (in
 # brackets).  RBF at alpha 2 and gamma 1e-3 loses digits to the cancellation
-# of the trace form tr A^2a + tr B^2a - 2 cross, so it has its own bound.
+# of the trace form tr A^2a + tr B^2a - 2 cross, so it has its own bound, with
+# almost no headroom: seeds 0-59 read up to 4.19e-8 there (median 7.0e-9), so
+# a change to the roundoff of the Gram-route blocks may cross it by chance.
 METAMORPHIC_RTOL_REGULARIZED = 1.4e-11  # [5.65e-12, RBF translation, alpha 1, gamma 1e-3]
 METAMORPHIC_RTOL_UNREGULARIZED = 2.0e-14  # [8.14e-15, RBF translation, alpha 0.5]
-METAMORPHIC_RTOL_RBF_CANCELLING = 2.1e-8  # [8.55e-9, RBF orthogonal transform]
+METAMORPHIC_RTOL_RBF_CANCELLING = 2.1e-8  # [2.07e-8, RBF duplication, seed 8]
 
 
 def _metamorphic_rtol(kernel, alpha, gamma):
@@ -1079,8 +1113,8 @@ class TestGaussianDistance:
         self, monkeypatch, eigh_orders, alpha, cholesky_fails, expected
     ):
         # at alpha = 1/2 the range projections leave ab unchanged; at alpha = 1
-        # Cholesky factors of K[X] and K[Y] stand in for aa^(1/2) and bb^(1/2),
-        # and without them alpha = 1 decomposes both blocks
+        # Cholesky factors of the shifted centered blocks stand in for aa^(1/2)
+        # and bb^(1/2), and without them alpha = 1 decomposes both blocks
         import alphaproc.rkhs as rkhs_mod
 
         if cholesky_fails:
