@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .exceptions import AlphaProcError, DimensionError, NonFiniteError
+from .exceptions import AlphaProcError, DimensionError, DomainError, NonFiniteError
 from .gaussian import GaussianMeasure, MeanMetricSpec, _gaussian_terms
 from .geometry import GeodesicCurve, geodesic_length_numeric
 from .linalg import AlphaParam, SpdMatrix, _finite
@@ -84,8 +84,10 @@ def _read_dataset(path: str, skip_header: bool = False) -> Dataset:
 def _parse_alpha(text: str) -> AlphaParam:
     try:
         return AlphaParam.parse(text)
-    except ValueError as exc:
-        raise CliInputError(f"bad alpha {text!r}: {exc}") from exc
+    except DomainError as exc:
+        if exc.__cause__ is None:  # a number outside the domain, such as nan: exit 3
+            raise
+        raise CliInputError(f"bad alpha {text!r}: {exc.__cause__}") from exc
 
 
 def _emit(text: str, output: str | None) -> None:

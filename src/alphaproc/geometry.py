@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -59,13 +60,11 @@ def _lyapunov_factor(lam: np.ndarray, al: AlphaParam) -> np.ndarray:
     with the removable-singularity limit f = 2 l_i on pairs whose gap is
     below DIVIDED_DIFF_TOL * max(l_i, l_j), a switch relative to the pair so
     that f, like the metric, is homogeneous in P0.
-    ``lam`` may be a (k, n) stack of spectra, giving a (k, n, n) stack.
     At alpha = 1/2 this collapses to l_i + l_j (the Lyapunov equation), and
     the log-limit gives its limit 2 (l_i - l_j) / (log l_i - log l_j), for
     which H = Dlog(P0)[Y] / 2 (the Log-Euclidean metric).
     """
-    li = lam[..., :, None]
-    lj = lam[..., None, :]
+    li, lj = lam[:, None], lam[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         if al.is_log_limit:
             f = 2.0 / _log_divided_difference(li, lj)
@@ -179,7 +178,9 @@ class GeodesicCurve:
         return w ** (1.0 / (2.0 * self.alpha.value)), v
 
     def at(self, t: float) -> SpdMatrix:
-        """Point g(t) on the geodesic, t in [0, 1]; g(0) = A and g(1) = B."""
+        """Point g(t) on the geodesic, t one real number in [0, 1]; g(0) = A and g(1) = B."""
+        if not isinstance(t, Real):
+            raise DomainError(f"t must be one real number, got {t!r}")
         lam, vecs = self._spectra(np.array([t], dtype=float))
         return SpdMatrix._from_eig(lam[0], vecs[0])
 

@@ -237,13 +237,11 @@ class SpdMatrix:
 
 
 def _require_strict(w: np.ndarray, what: str) -> None:
-    """SingularBaseError on the first spectrum in ``w`` (one, or a (k, n) stack) not ``_strict``."""
-    strict = np.atleast_1d(_strict(w))
-    if not strict.all():
-        bad = np.atleast_2d(w)[int(np.argmin(strict))]
+    """SingularBaseError naming ``what`` unless the one spectrum ``w`` is ``_strict``."""
+    if not _strict(w):
         raise SingularBaseError(
             f"{what} requires a strictly positive definite matrix "
-            f"(min eigenvalue {bad.min():.3e}, max eigenvalue {bad.max():.3e})"
+            f"(min eigenvalue {w.min():.3e}, max eigenvalue {w.max():.3e})"
         )
 
 
@@ -272,9 +270,12 @@ class AlphaParam:
 
     @classmethod
     def parse(cls, text: str) -> "AlphaParam":
-        if text.strip().lower() in ("log-limit", "log_limit", "loglimit"):
-            return cls.log_limit()
-        return cls(float(text))
+        try:
+            if text.strip().lower() in ("log-limit", "log_limit", "loglimit"):
+                return cls.log_limit()
+            return cls(float(text))
+        except (AttributeError, ValueError) as exc:
+            raise DomainError(f"alpha must be a number or 'log-limit', got {text!r}") from exc
 
     def label(self):
         """JSON-friendly representation: the float or the string 'log-limit'."""
@@ -300,7 +301,8 @@ def spd_power(a: SpdMatrix, p: float) -> SpdMatrix:
     """
     if p < 0:
         a.require_strict(f"power {p}")
-    w = a.eig.values**p
+    with np.errstate(over="ignore"):
+        w = a.eig.values**p
     # w is ascending and nonnegative: w**p can only overflow, first at its largest
     _finite(f"power {p}", w[0] if p < 0 else w[-1])
     return SpdMatrix._from_eig(w, a.eig.vectors)

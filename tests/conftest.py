@@ -35,6 +35,19 @@ def rand_psd_rank_deficient(rng: np.random.Generator, n: int, rank: int) -> SpdM
     return SpdMatrix.from_array((q * w) @ q.T)
 
 
+def procrustes_residual(a: SpdMatrix, b: SpdMatrix) -> float:
+    """min_U |A^(1/2) - B^(1/2) U|_F over orthogonal U, the Procrustes form of the
+    Bures-Wasserstein distance (Bhatia, Jain and Lim 2019), from numpy alone:
+    eigh square roots and the SVD polar factor U = P Q' of B^(1/2) A^(1/2)."""
+    def sqrt(m):
+        w, v = np.linalg.eigh(m)
+        return (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
+
+    ra, rb = sqrt(a.mat), sqrt(b.mat)
+    p, _, qt = np.linalg.svd(rb @ ra)
+    return float(np.linalg.norm(ra - rb @ p @ qt))
+
+
 def h_alpha(e: SpdMatrix, alpha: float) -> np.ndarray:
     """((1 + l)^alpha - 1) / l on the range of E and 0 on its clamped kernel."""
     w, v = e.eig.values, e.eig.vectors

@@ -288,6 +288,14 @@ class TestGeodesic:
         with pytest.raises(DomainError, match=re.escape(f"got {bad}")):
             curve._spectra(np.array([0.0, 0.5, bad, 2.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", ["0.5", "abc", [0.5], None, 0.5j])
+    def test_t_that_is_not_one_real_number_rejected(self, bad):
+        rng = np.random.default_rng(10)
+        curve = GeodesicCurve(rand_spd(rng, 2), rand_spd(rng, 2), 0.5)
+        with pytest.raises(DomainError, match=re.escape(f"one real number, got {bad!r}")):
+            curve.at(bad)
+        assert np.array_equal(curve.at(np.float64(1.0)).mat, curve.at(1).mat)
+
     def test_zero_alpha_rejected(self):
         rng = np.random.default_rng(11)
         with pytest.raises(DomainError):

@@ -6,6 +6,7 @@ from conftest import (
     commuting_pair,
     mp_family,
     noncommuting_pair,
+    procrustes_residual,
     rand_orthogonal,
     rand_psd_rank_deficient,
     rand_spd,
@@ -192,14 +193,13 @@ class TestBuresWasserstein:
         )
 
     def test_half_alpha_coincidence(self):
+        # against the Procrustes form, not the alpha = 1/2 member it is defined by
         rng = np.random.default_rng(7)
         for _ in range(20):
             n = int(rng.integers(2, 6))
             a, b = rand_spd(rng, n), rand_spd(rng, n)
-            d_half = alpha_procrustes(a, b, 0.5).value
-            d_bw = bures_wasserstein(a, b).value
-            assert abs(d_half - 2.0 * d_bw) <= 1e-10 * max(1.0, d_half)
-            assert d_bw == d_half / 2
+            residual = procrustes_residual(a, b)
+            assert abs(bures_wasserstein(a, b).value - residual) <= 1e-12 * max(1.0, residual)
 
 
 class TestLogEuclidean:
