@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import DimensionError, DomainError
-from .linalg import SpdMatrix, _finite, _real_array
+from .linalg import SpdMatrix, _check_type, _finite, _real_array
 from .metrics import _family, _optional_gamma
 
 
@@ -99,6 +99,8 @@ def _gaussian_terms(
     mean_metric: MeanMetricSpec,
 ) -> tuple[float, float, float]:
     """(d_mean, d_cov, distance); gamma is 0.0 (no ridge) or a checked ridge."""
+    for g in (g1, g2):
+        _check_type(g, GaussianMeasure, "GaussianMeasure.from_arrays")
     if g1.dim != g2.dim:
         raise DimensionError(f"Gaussian dimensions differ: {g1.dim} vs {g2.dim}")
     d_mean = mean_metric.distance(g1.mean, g2.mean)

@@ -23,31 +23,25 @@ O(h^4) in the difference step h until roundoff takes over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from numbers import Real
 
 import numpy as np
 
 from .exceptions import DomainError, NonSpdIntermediateError
 from .linalg import DIVIDED_DIFF_TOL, AlphaParam, SpdMatrix, SymMatrix, as_alpha, spd_power
-from .linalg import _check_dims, _dense, _finite, _log_divided_difference, _polar_factor
-from .linalg import _require_strict, _strict, sym_eigh
+from .linalg import _check_dims, _check_type, _dense, _finite, _log_divided_difference
+from .linalg import _polar_factor, _require_strict, _strict, sym_eigh
 
 
-def _gauss_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (ascending) and weights of the k-point Gauss-Legendre rule on [0, 1].
-
-    Golub-Welsch: the nodes on [-1, 1] are the eigenvalues of the Jacobi
-    matrix with off-diagonal j / sqrt(4 j^2 - 1), j = 1..k-1, and the
-    weights are 2 v_0^2 from its unit eigenvectors; both map to [0, 1].
-    """
-    j = np.arange(1.0, k)
-    off = j / np.sqrt(4.0 * j * j - 1.0)
-    x, v = sym_eigh(np.diag(off, 1) + np.diag(off, -1))
-    return (x + 1.0) / 2.0, v[0] ** 2
+@cache
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of numpy's 8-point Gauss-Legendre rule mapped to [0, 1],
+    built at the first length: leggauss runs an eigensolve, numpy.polynomial a slow import."""
+    x, w = np.polynomial.legendre.leggauss(8)
+    return (x + 1.0) / 2.0, w / 2.0
 
 
-GAUSS_NODES, GAUSS_WEIGHTS = _gauss_legendre(8)
 # Fourth-order central first difference: f'(t) ~ sum_i c_i f(t + o_i h) / h.
 STENCIL_OFFSETS = np.arange(-2.0, 3.0)
 STENCIL = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
@@ -86,8 +80,8 @@ def solve_general_lyapunov(p0: SpdMatrix, y: SymMatrix, alpha) -> SymMatrix:
     |alpha| < 1e-7 gives the limit H = Dlog(P0)[Y] / 2, as metric_inner's log-limit does.
     """
     al = as_alpha(alpha)
+    _check_dims((p0, SpdMatrix), (y, SymMatrix))
     p0.require_strict("generalized Lyapunov solve")
-    _check_dims(p0, y)
     v = p0.eig.vectors
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         h_tilde = _eigenbasis_solve(v, y.mat, _lyapunov_factor(p0.eig.values, al))
@@ -120,8 +114,8 @@ def metric_inner(p0: SpdMatrix, y: SymMatrix, z: SymMatrix, alpha) -> float:
     <Dlog(P0) Y, Dlog(P0) Z>_F, the Log-Euclidean metric.
     """
     al = as_alpha(alpha)
+    _check_dims((p0, SpdMatrix), (y, SymMatrix), (z, SymMatrix))
     p0.require_strict("metric inner product")
-    _check_dims(p0, y, z)
     return _eigenbasis_inner(p0.eig.values, p0.eig.vectors, y.mat, y.mat if z is y else z.mat, al)
 
 
@@ -137,9 +131,9 @@ class GeodesicCurve:
         object.__setattr__(self, "alpha", as_alpha(self.alpha))
         if self.alpha.is_log_limit:
             raise DomainError("geodesic needs alpha != 0 (no log-limit form)")
+        _check_dims((self.a, SpdMatrix), (self.b, SpdMatrix))
         self.a.require_strict("geodesic endpoint")
         self.b.require_strict("geodesic endpoint")
-        _check_dims(self.a, self.b)
 
     @cached_property
     def _closed_form(self):
@@ -188,7 +182,7 @@ class GeodesicCurve:
 def geodesic_length_numeric(curve: GeodesicCurve, steps: int = 1000) -> float:
     """Length of the geodesic by Gauss-Legendre quadrature of the metric speed.
 
-    At each of the 8 nodes t_k of GAUSS_NODES one stacked eigensolve takes
+    At each of the 8 nodes t_k of _gauss_rule one stacked eigensolve takes
     the five points t_k + h (-2, -1, 0, 1, 2), h = 1/(2 steps), and the
     velocity is their fourth-order central difference (an independent
     differentiation path, deliberately not the analytic derivative).  The
@@ -198,16 +192,18 @@ def geodesic_length_numeric(curve: GeodesicCurve, steps: int = 1000) -> float:
     amplifies, O(eps / h).  The outer nodes sit 0.0199 from the ends, so
     steps >= 100 keeps the stencil's reach of 1/steps inside [0, 1].
     """
+    _check_type(curve, GeodesicCurve, "GeodesicCurve(a, b, alpha)")
     if not isinstance(steps, (int, np.integer)) or steps < 100:
         raise DomainError(f"steps must be an integer of at least 100, got {steps!r}")
     h = 0.5 / steps
+    nodes, weights = _gauss_rule()
     speeds = []
-    for t in GAUSS_NODES:
+    for t in nodes:
         lam, vecs = curve._spectra(t + h * STENCIL_OFFSETS)
         velocity = np.tensordot(STENCIL, _dense(vecs, lam), axes=1) / h
         _require_strict(lam[2], "metric inner product")
         speeds.append(_eigenbasis_inner(lam[2], vecs[2], velocity, velocity, curve.alpha))
-    return float(GAUSS_WEIGHTS @ np.sqrt(np.maximum(speeds, 0.0)))
+    return float(weights @ np.sqrt(np.maximum(speeds, 0.0)))
 
 
 def geodesic_endpoints_residual(curve: GeodesicCurve) -> float:

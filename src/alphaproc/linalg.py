@@ -5,7 +5,7 @@ Frechet-derivative map in this package goes through one full symmetric
 eigendecomposition.  A single code path keeps log/exp/power/sqrt exactly
 consistent with each other, which the identity tests rely on.  This module
 also makes every eigensolve and singular value decomposition of the
-package, behind the one guard that turns a failure into a typed error:
+package's operands, behind the one guard that turns a failure into a typed error:
 the SVDs are ``nuclear_norm`` (the unregularized RKHS cross term) and
 ``_polar_factor`` (the geodesic's Procrustes factor).  ``rkhs`` puts its QR
 factorizations behind the same guard.  The Cholesky factorization
@@ -98,10 +98,25 @@ def _lapack_guard(what: str, mat: np.ndarray):
         raise ConvergenceFailureError(f"{what} failed: {exc}") from exc
 
 
-def _check_dims(*ops) -> None:
-    """The one dimension check: square operands (SymMatrix, SpdMatrix, spectra) of one order."""
-    if len({op.n for op in ops}) > 1:
-        raise DimensionError("matrix dimensions differ: " + " vs ".join(str(op.n) for op in ops))
+def _check_type(op, cls: type, build: str) -> None:
+    """DomainError unless ``op`` is a ``cls``, naming the type given and ``build``, which makes one.
+
+    No coercion: an array is refused like any other type.
+    """
+    if not isinstance(op, cls):
+        raise DomainError(
+            f"expected {cls.__name__}, got {type(op).__name__}: build one with {build}"
+        )
+
+
+def _check_dims(*typed) -> None:
+    """The one operand check: in each (operand, type) pair the operand is of its type
+    (SymMatrix, SpdMatrix or EigenDecomposition), and all operands are of one order."""
+    for op, cls in typed:
+        _check_type(op, cls, _BUILDERS[cls])
+    orders = [op.n for op, _ in typed]
+    if len(set(orders)) > 1:
+        raise DimensionError("matrix dimensions differ: " + " vs ".join(map(str, orders)))
 
 
 def _real_array(arr, what: str) -> np.ndarray:
@@ -174,6 +189,7 @@ def sym_eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def sym_eigendecompose(s: SymMatrix) -> EigenDecomposition:
     """Full symmetric eigendecomposition of ``s``."""
+    _check_dims((s, SymMatrix))
     w, v = sym_eigh(s.mat)
     return EigenDecomposition(_freeze(w), _freeze(v))
 
@@ -234,6 +250,13 @@ class SpdMatrix:
     def add_ridge(self, gamma: float) -> "SpdMatrix":
         """A + gamma*I, sharing the eigenbasis."""
         return SpdMatrix._from_eig(self.eig.values + gamma, self.eig.vectors)
+
+
+_BUILDERS = {
+    SymMatrix: "SymMatrix.from_array",
+    SpdMatrix: "SpdMatrix.from_array",
+    EigenDecomposition: "sym_eigendecompose",
+}
 
 
 def _require_strict(w: np.ndarray, what: str) -> None:
@@ -297,8 +320,12 @@ def spd_power(a: SpdMatrix, p: float) -> SpdMatrix:
     """Fractional matrix power A^p through the spectrum.
 
     PSD input is fine for p > 0 (zero eigenvalues map to zero); p < 0
-    requires a strictly positive matrix.  An overflow raises NonFiniteError.
+    requires a strictly positive matrix.  p must be one finite real number
+    (else DomainError).  An overflow raises NonFiniteError.
     """
+    _check_dims((a, SpdMatrix))
+    if not _finite_real(p):
+        raise DomainError(f"power exponent must be finite and real, got {p!r}")
     if p < 0:
         a.require_strict(f"power {p}")
     with np.errstate(over="ignore"):
@@ -310,6 +337,7 @@ def spd_power(a: SpdMatrix, p: float) -> SpdMatrix:
 
 def spd_log(a: SpdMatrix) -> SymMatrix:
     """Principal matrix logarithm of a strictly SPD matrix."""
+    _check_dims((a, SpdMatrix))
     a.require_strict("matrix logarithm")
     return SymMatrix.from_array(_dense(a.eig.vectors, np.log(a.eig.values)))
 
@@ -384,7 +412,7 @@ def loewner_apply(p0_eig: EigenDecomposition, f: str, s: SymMatrix) -> SymMatrix
     """
     if f not in _LOEWNER_FUNCTIONS:
         raise DomainError(f"unknown scalar function {f!r}")
-    _check_dims(p0_eig, s)
+    _check_dims((p0_eig, EigenDecomposition), (s, SymMatrix))
     divided, fprime = _LOEWNER_FUNCTIONS[f]
     lam = p0_eig.values
     if f == "log":

@@ -103,7 +103,7 @@ def _family(a: SpdMatrix, b: SpdMatrix, alpha, gamma: float = 0.0) -> DistanceRe
     gamma 0.0 evaluates A and B; otherwise gamma is a ridge its caller
     checked positive, and A + gamma*I and B + gamma*I are evaluated.
     """
-    _check_dims(a, b)
+    _check_dims((a, SpdMatrix), (b, SpdMatrix))
     al = as_alpha(alpha)
     if gamma:
         a, b = a.add_ridge(gamma), b.add_ridge(gamma)
@@ -162,7 +162,7 @@ def power_euclidean(a: SpdMatrix, b: SpdMatrix, alpha) -> DistanceResult:
     the log-Euclidean distance.
     An overflowing power or distance raises NonFiniteError; the norm is taken rescaled.
     """
-    _check_dims(a, b)
+    _check_dims((a, SpdMatrix), (b, SpdMatrix))
     al = as_alpha(alpha)
     if al.is_log_limit:
         return replace(log_euclidean(a, b), alpha=al)

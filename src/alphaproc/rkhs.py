@@ -54,8 +54,8 @@ import numpy as np
 from .exceptions import DimensionError, DomainError
 from .gaussian import _combine
 from .linalg import AlphaParam, as_alpha, nuclear_norm, sym_eigh, trace_sqrt
-from .linalg import _cholesky, _clamp_zero, _finite, _finite_real, _lapack_guard, _real_array
-from .linalg import _require_strict
+from .linalg import _check_type, _cholesky, _clamp_zero, _finite, _finite_real, _lapack_guard
+from .linalg import _real_array, _require_strict
 from .metrics import _optional_gamma, _trace_form
 
 
@@ -211,6 +211,9 @@ def _centered_blocks(
     with no factors.  Both routes run under one np.errstate, so a block that overflows on
     either raises NonFiniteError naming the kernel, with no numpy warning first.
     """
+    for ds in (x, y):
+        _check_type(ds, Dataset, "Dataset.from_array")
+    _check_type(kernel, KernelSpec, "KernelSpec.parse")
     if x.dim != y.dim:
         raise DimensionError(f"sample dimensions differ: {x.dim} vs {y.dim}")
     with np.errstate(all="ignore"):

@@ -212,6 +212,17 @@ class TestSpdPower:
         with pytest.raises(NonFiniteError, match=f"^power {p}: NaN or infinite"):
             spd_power(SpdMatrix.from_array(np.diag([0.5, 3.0])), p)
 
+    @pytest.mark.parametrize(
+        "diag, p",
+        # at nan and inf, diag(0.5, 1) keeps its largest eigenvalue finite, [nan, 1] and
+        # [0, 1]; at -inf, diag(2, 3) maps to [0, 0]: none of them trips the finite check
+        [([0.5, 1.0], "x"), ([0.5, 1.0], None), ([0.5, 1.0], math.nan),
+         ([0.5, 1.0], math.inf), ([2.0, 3.0], -math.inf)],
+    )
+    def test_exponent_that_is_not_one_finite_real_rejected(self, diag, p):
+        with pytest.raises(DomainError, match="^power exponent must be finite and real"):
+            spd_power(SpdMatrix.from_array(np.diag(diag)), p)
+
     @settings(max_examples=60, deadline=None)
     @given(spd_matrices(), st.floats(-2, 2), st.floats(-2, 2))
     def test_power_composition(self, a, p, q):

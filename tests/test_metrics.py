@@ -37,6 +37,32 @@ from alphaproc import (
 )
 from alphaproc.metrics import BRUTEFORCE_GRID, NEG_TRACE_RTOL, _trace_form
 
+# Referee-free relations of the definition min_U |A^a - B^a U|_F / |a| (ROADMAP item 21): each
+# maps (A, B, an orthogonal Q, alpha) to two values that are equal in exact arithmetic.
+RELATIONS = {
+    # alpha transfer, d_a(A, B) = |b / a| d_b(A^(a/b), B^(a/b)), at b = 1/2
+    "transfer": lambda a, b, q, al: (
+        alpha_procrustes(a, b, al).value,
+        abs(0.5 / al) * alpha_procrustes(spd_power(a, 2.0 * al), spd_power(b, 2.0 * al), 0.5).value,
+    ),
+    # inversion, d_a(A^-1, B^-1) = d_-a(A, B)
+    "inversion": lambda a, b, q, al: (
+        alpha_procrustes(spd_power(a, -1.0), spd_power(b, -1.0), al).value,
+        alpha_procrustes(a, b, -al).value,
+    ),
+    # ridged congruence, d(QAQ' + gI, QBQ' + gI) = d(A + gI, B + gI), at g = 0.1
+    "ridged congruence": lambda a, b, q, al: (
+        alpha_procrustes_regularized(
+            *(SpdMatrix.from_array(q @ x.mat @ q.T) for x in (a, b)), 0.1, al
+        ).value,
+        alpha_procrustes_regularized(a, b, 0.1, al).value,
+    ),
+}
+RELATION_ALPHAS = (-2.0, -1.0, -0.5, 0.25, 0.5, 1.0, 2.0)
+# ~2.5x the worst relative gap over 800 such draws (default_rng seeds 0-3, 200 pairs each):
+# transfer 5.9e-14, inversion 4.6e-13, ridged congruence 8.0e-13
+RELATION_RTOL = {"transfer": 1.5e-13, "inversion": 1.2e-12, "ridged congruence": 2e-12}
+
 DIAG_A = SpdMatrix.from_array(np.diag([1.0, 4.0]))
 DIAG_B = SpdMatrix.from_array(np.diag([9.0, 16.0]))
 
@@ -117,6 +143,27 @@ class TestAlphaProcrustes:
         d1 = alpha_procrustes(a, b, alpha).value
         d2 = alpha_procrustes(b, a, alpha).value
         assert abs(d1 - d2) <= 1e-9 * max(1.0, d1)
+
+
+class TestMetamorphicRelations:
+    """Scope: validate's draws (rand_spd, eigenvalues in [0.3, 3], n 2-6) at |alpha| <= 2.
+
+    The extreme-scale and large-|alpha| classes are known to fail (ROADMAP items 1, 4
+    and 21); they land with the changes that mend them.
+    """
+
+    @pytest.mark.parametrize("relation", sorted(RELATIONS))
+    def test_relation_holds_on_validate_draws(self, relation):
+        rng = np.random.default_rng(0)
+        gaps = []
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            a, b, q = rand_spd(rng, n), rand_spd(rng, n), rand_orthogonal(rng, n)
+            for alpha in RELATION_ALPHAS:
+                lhs, rhs = RELATIONS[relation](a, b, q, alpha)
+                gaps.append(abs(lhs - rhs) / rhs)
+        # np.max keeps a NaN, which then fails the bound
+        assert np.max(gaps) <= RELATION_RTOL[relation]
 
 
 class TestCrossTerm:
