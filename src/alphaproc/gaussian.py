@@ -101,6 +101,7 @@ def _gaussian_terms(
     """(d_mean, d_cov, distance); gamma is 0.0 (no ridge) or a checked ridge."""
     for g in (g1, g2):
         _check_type(g, GaussianMeasure, "GaussianMeasure.from_arrays")
+    _check_type(mean_metric, MeanMetricSpec, "MeanMetricSpec(weights)")
     if g1.dim != g2.dim:
         raise DimensionError(f"Gaussian dimensions differ: {g1.dim} vs {g2.dim}")
     d_mean = mean_metric.distance(g1.mean, g2.mean)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .exceptions import DimensionError, DomainError, NumericalInconsistencyError
 from .linalg import AlphaParam, SpdMatrix, as_alpha, spd_log, spd_power, trace_sqrt
-from .linalg import _check_dims, _finite, _finite_real
+from .linalg import _check_dims, _check_type, _finite, _finite_real
 
 # The trace argument of the square root may dip below zero by roundoff; clamp
 # when |negative| < NEG_TRACE_RTOL * (|tr A^2a| + |tr B^2a|), else raise.
@@ -80,20 +80,15 @@ def _trace_form(ta: float, tb: float, cross: float, alpha: float) -> float:
     return math.sqrt(arg) / abs(alpha)
 
 
-def _check_gamma(gamma: float) -> None:
-    if not (_finite_real(gamma) and gamma > 0.0):
-        raise DomainError(f"gamma must be positive and finite, got {gamma!r}")
-
-
 def _optional_gamma(gamma) -> float:
     """The one reader of a caller's ridge: any real zero is 0.0, the unridged family.
 
     Anything else must be positive and finite (None, 0j and arrays raise DomainError).
+    alpha_procrustes_regularized, whose ridge must be positive, refuses the 0.0.
     """
-    if _finite_real(gamma) and gamma == 0.0:
-        return 0.0
-    _check_gamma(gamma)
-    return gamma
+    if not (_finite_real(gamma) and gamma >= 0.0):
+        raise DomainError(f"gamma must be positive and finite, got {gamma!r}")
+    return gamma if gamma else 0.0
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as a decorator it costs half a with block
@@ -183,9 +178,11 @@ def alpha_procrustes_regularized(
 
     The finite-dimensional form of the distance between regularized
     operators; gamma > 0 makes both arguments strictly positive, so every
-    alpha (including the log-limit) is admissible for PSD input.
+    alpha (including the log-limit) is admissible for PSD input.  Any other
+    gamma, 0 included, raises DomainError.
     """
-    _check_gamma(gamma)  # _family reads 0 as no ridge
+    if not _optional_gamma(gamma):
+        raise DomainError(f"gamma must be positive and finite, got {gamma!r}")
     return _family(a, b, alpha, gamma)
 
 
@@ -203,6 +200,8 @@ def procrustes_bruteforce_2x2(a: SpdMatrix, b: SpdMatrix, alpha) -> float:
     bracket is narrower than BRUTEFORCE_TOL.  It has no log-limit form:
     |alpha| < 1e-7 raises DomainError.
     """
+    for x in (a, b):
+        _check_type(x, SpdMatrix, "SpdMatrix.from_array")
     if a.n != 2 or b.n != 2:
         raise DimensionError("brute-force oracle is 2x2 only")
     al = as_alpha(alpha)

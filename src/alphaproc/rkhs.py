@@ -189,15 +189,9 @@ def rkhs_alpha_distance(
     compares the operators themselves and needs alpha >= 1/2.  Any other
     gamma raises DomainError.  Sample counts may differ.
     """
-    return _rkhs_terms(x, y, kernel, alpha, _optional_gamma(gamma))[1]
-
-
-def _rkhs_terms(
-    x: Dataset, y: Dataset, kernel: KernelSpec, alpha, gamma: float
-) -> tuple[float, float]:
-    """Mean discrepancy squared and d_cov; gamma is 0.0 (no ridge) or a checked ridge."""
-    mdd, blocks, factors = _centered_blocks(x, y, kernel)
-    return mdd, _covariance_distance(blocks, alpha, gamma, factors)
+    gamma = _optional_gamma(gamma)
+    _, blocks, factors = _centered_blocks(x, y, kernel)
+    return _covariance_distance(blocks, alpha, gamma, factors)
 
 
 def _centered_blocks(
@@ -416,8 +410,8 @@ def _rkhs_gaussian_terms(
     x: Dataset, y: Dataset, kernel: KernelSpec, alpha, gamma: float
 ) -> tuple[float, float, float]:
     """(mean embedding distance, d_cov, distance); gamma is 0.0 (no ridge) or a checked ridge."""
-    mdd, d_cov = _rkhs_terms(x, y, kernel, alpha, gamma)
-    return _combine(math.sqrt(mdd), d_cov)
+    mdd, blocks, factors = _centered_blocks(x, y, kernel)
+    return _combine(math.sqrt(mdd), _covariance_distance(blocks, alpha, gamma, factors))
 
 
 def rkhs_wasserstein(x: Dataset, y: Dataset, kernel: KernelSpec) -> float:

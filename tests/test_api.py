@@ -26,6 +26,7 @@ from alphaproc import (
     metric_inner,
     pairwise_distances,
     power_euclidean,
+    procrustes_bruteforce_2x2,
     rkhs_alpha_distance,
     rkhs_gaussian_distance,
     rkhs_wasserstein,
@@ -182,6 +183,13 @@ _WRONG_OPERANDS = {
                                 "ndarray", "GeodesicCurve(a, b, alpha)"),
     "gaussian_alpha_distance": (lambda: gaussian_alpha_distance(_ARR, _GAUSS, 0.5),
                                 "GaussianMeasure", "ndarray", "GaussianMeasure.from_arrays"),
+    "gaussian_alpha_distance-mean-metric": (
+        lambda: gaussian_alpha_distance(_GAUSS, _GAUSS, 0.5, mean_metric="x"), "MeanMetricSpec",
+        "str", "MeanMetricSpec(weights)"),
+    "procrustes_bruteforce_2x2": (lambda: procrustes_bruteforce_2x2(_ARR, _SPD, 0.5),
+                                  "SpdMatrix", "ndarray", "SpdMatrix.from_array"),
+    "procrustes_bruteforce_2x2-second": (lambda: procrustes_bruteforce_2x2(_SPD, _ARR, 0.5),
+                                         "SpdMatrix", "ndarray", "SpdMatrix.from_array"),
     "rkhs_alpha_distance": (lambda: rkhs_alpha_distance(_DATA, _DATA.points, _RBF, 0.5),
                             "Dataset", "ndarray", "Dataset.from_array"),
     "rkhs_gaussian_distance": (

@@ -5,6 +5,7 @@ import pytest
 from conftest import rand_psd_rank_deficient, rand_spd
 
 from alphaproc import (
+    EUCLIDEAN_MEAN,
     AlphaParam,
     DimensionError,
     DomainError,
@@ -16,13 +17,27 @@ from alphaproc import (
     alpha_procrustes_regularized,
     bures_wasserstein,
     gaussian_alpha_distance,
+    validation,
     wasserstein_gaussian,
 )
+from alphaproc.gaussian import _gaussian_terms
 
 
 def rand_gaussian(rng, n, rank=None):
     cov = rand_spd(rng, n) if rank is None else rand_psd_rank_deficient(rng, n, rank)
     return GaussianMeasure.from_arrays(rng.standard_normal(n), cov)
+
+
+def validate_draws():
+    """Gaussian triples by `validate`'s metric-axioms recipe, 50 trials at each seed 0-9."""
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        for trial in range(50):
+            n = int(rng.integers(2, 6))
+            covs = [validation.rand_spd(rng, n) for _ in range(3)]
+            means = [rng.standard_normal(n) for _ in range(3)]
+            alpha = validation.METRIC_ALPHAS[trial % len(validation.METRIC_ALPHAS)]
+            yield alpha, [GaussianMeasure.from_arrays(m, c) for m, c in zip(means, covs)]
 
 
 _G2 = GaussianMeasure.from_arrays(np.zeros(2), np.eye(2))
@@ -103,10 +118,9 @@ class TestAlphaDistance:
         g1 = GaussianMeasure.from_arrays(np.zeros(4), c1)
         g2 = GaussianMeasure.from_arrays(np.zeros(4), c2)
         for alpha in (-1.0, 0.0, 0.7, 2.0):
+            # hypot(0, d / 2) is exactly d / 2
             expected = alpha_procrustes(c1, c2, alpha).value / 2.0
-            assert gaussian_alpha_distance(g1, g2, alpha) == pytest.approx(
-                expected, rel=1e-14
-            )
+            assert gaussian_alpha_distance(g1, g2, alpha) == expected
 
     def test_mean_separability(self):
         # moving only the means changes the distance exactly as
@@ -221,3 +235,17 @@ class TestMetricAxioms:
             d12 = gaussian_alpha_distance(g[1], g[2], alpha)
             d02 = gaussian_alpha_distance(g[0], g[2], alpha)
             assert d01 + d12 - d02 >= -1e-9
+
+    def test_covariance_term_is_the_matrix_family(self):
+        # so the matrix axioms `validate` checks carry over to the Gaussians (Minkowski)
+        for alpha, g in validate_draws():
+            for i, j in ((0, 1), (1, 0), (1, 2), (0, 2)):
+                d_cov = _gaussian_terms(g[i], g[j], alpha, 0.0, EUCLIDEAN_MEAN)[1]
+                assert d_cov == alpha_procrustes(g[i].covariance, g[j].covariance, alpha).value
+
+    def test_symmetry_and_separation(self):
+        for alpha, g in validate_draws():
+            d01 = gaussian_alpha_distance(g[0], g[1], alpha)
+            d10 = gaussian_alpha_distance(g[1], g[0], alpha)
+            assert abs(d01 - d10) <= validation.SYMMETRY_REL * max(d01, d10)
+            assert d01 > validation.SEPARATION_MIN

@@ -47,7 +47,7 @@ def test_impossible_gate_fails_only_its_suite(monkeypatch, gate):
 def test_check_counts(trials):
     counts = {r.name: r.checks for r in validation.run_all_suites(SEED, trials)}
     assert counts == {
-        "metric-axioms": 12 * trials,
+        "metric-axioms": 8 * trials,
         "alt-inequality": 3 * trials,
         "limit-checks": 2 * trials,
         "lyapunov-residual": 2 * trials,
@@ -67,7 +67,6 @@ def test_nan_fails_every_suite(monkeypatch):
         monkeypatch.setattr(
             validation, name, lambda *args, **kwargs: DistanceResult(nan, AlphaParam(0.5))
         )
-    monkeypatch.setattr(validation, "gaussian_alpha_distance", lambda *args: nan)
     monkeypatch.setattr(validation, "geodesic_length_numeric", lambda *args: nan)
     loewner_apply = validation.loewner_apply
 
