@@ -29,8 +29,8 @@ from numbers import Real
 import numpy as np
 
 from .exceptions import DomainError, NonSpdIntermediateError
-from .linalg import DIVIDED_DIFF_TOL, AlphaParam, SpdMatrix, SymMatrix, as_alpha, spd_power
-from .linalg import _check_dims, _check_type, _dense, _finite, _log_divided_difference
+from .linalg import AlphaParam, SpdMatrix, SymMatrix, as_alpha, spd_power
+from .linalg import _check_dims, _check_type, _dense, _expm1_quotient, _finite
 from .linalg import _polar_factor, _require_strict, _strict, sym_eigh
 
 
@@ -51,22 +51,20 @@ def _lyapunov_factor(lam: np.ndarray, al: AlphaParam) -> np.ndarray:
     """Eigenbasis divisor f(l_i, l_j) of the composite Lyapunov operator.
 
     f = 2a (l_i - l_j)(l_i^2a + l_j^2a) / (l_i^2a - l_j^2a) off-diagonal,
-    with the removable-singularity limit f = 2 l_i on pairs whose gap is
-    below DIVIDED_DIFF_TOL * max(l_i, l_j), a switch relative to the pair so
-    that f, like the metric, is homogeneous in P0.
-    At alpha = 1/2 this collapses to l_i + l_j (the Lyapunov equation), and
-    the log-limit gives its limit 2 (l_i - l_j) / (log l_i - log l_j), for
-    which H = Dlog(P0)[Y] / 2 (the Log-Euclidean metric).
+    with its limit 2 l_i on exact ties.  With lo <= hi the pair, r = (hi - lo)
+    / lo, L = log1p(r), p = 2a and q = _expm1_quotient, that is
+    f = lo (2 q(L) / q(p L) + p r): no eigenvalue is raised to a power, so f
+    does not overflow or underflow where l^2a would, and it is homogeneous
+    in P0 like the metric.  At alpha = 1/2 this collapses to l_i + l_j (the
+    Lyapunov equation), and the log-limit (p = 0) gives its limit
+    2 (l_i - l_j) / (log l_i - log l_j), for which H = Dlog(P0)[Y] / 2 (the
+    Log-Euclidean metric).
     """
-    li, lj = lam[:, None], lam[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if al.is_log_limit:
-            f = 2.0 / _log_divided_difference(li, lj)
-        else:
-            pi, pj = li ** (2.0 * al.value), lj ** (2.0 * al.value)
-            f = 2.0 * al.value * (li - lj) * (pi + pj) / (pi - pj)
-    near = np.abs(li - lj) < DIVIDED_DIFF_TOL * np.maximum(li, lj)
-    return np.where(near, 2.0 * li, f)
+    lo, hi = np.minimum.outer(lam, lam), np.maximum.outer(lam, lam)
+    r = (hi - lo) / lo
+    gap = np.log1p(r)
+    p = 0.0 if al.is_log_limit else 2.0 * al.value
+    return lo * (2.0 * _expm1_quotient(gap) / _expm1_quotient(p * gap) + p * r)
 
 
 def _eigenbasis_solve(vecs, s, f) -> np.ndarray:

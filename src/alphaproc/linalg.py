@@ -40,10 +40,6 @@ from .exceptions import (
 # spectral radius, so tiny negative Gram eigenvalues pass at any scale.
 PSD_TOL_FACTOR = 1e-12
 
-# Below this relative eigenvalue gap, Daleckii-Krein quotients switch to the
-# derivative to avoid catastrophic cancellation.
-DIVIDED_DIFF_TOL = 1e-8
-
 # |alpha| below this routes every family formula to its analytic alpha -> 0
 # limit; the 1/alpha^2 prefactor amplifies roundoff quadratically.
 ALPHA_SWITCH_TOL = 1e-7
@@ -379,26 +375,25 @@ def _polar_factor(mat: np.ndarray) -> np.ndarray:
     return p @ qt
 
 
-def _log_divided_difference(li, lj):
-    """(log l_i - log l_j) / (l_i - l_j) without subtracting logarithms; nan at l_i = l_j."""
-    d = np.abs(li - lj)
-    return np.log1p(d / np.minimum(li, lj)) / d
+def _expm1_quotient(x):
+    """(e^x - 1) / x, the divided difference of exp over [0, x], and its limit 1 at x = 0.
 
-
-_LOEWNER_FUNCTIONS = {
-    "exp": (lambda li, lj: (np.exp(li) - np.exp(lj)) / (li - lj), np.exp),
-    "log": (_log_divided_difference, lambda x: 1.0 / x),
-}
+    The one divided-difference rule of the package (McCurdy, Ng and Parlett
+    1984; Higham 2008): expm1 subtracts no nearby values, so the quotient is
+    accurate at any gap, and only an exact tie takes the derivative.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(x == 0.0, 1.0, np.expm1(x) / x)
 
 
 def loewner_apply(p0_eig: EigenDecomposition, f: str, s: SymMatrix) -> SymMatrix:
     """Frechet derivative Df(P0)[S] in the eigenbasis of P0.
 
-    First divided differences (f(l_i) - f(l_j)) / (l_i - l_j), replaced by
-    f'(l_i) whenever |l_i - l_j| < DIVIDED_DIFF_TOL * scale_i.  For "log"
-    the scale is l_i, so the switch is homogeneous like the logarithm's
-    derivative; "exp" acts on logarithms, whose differences are absolute,
-    and uses max(1, |l_i|).
+    First divided differences (f(l_i) - f(l_j)) / (l_i - l_j), which are
+    f'(l_i) where l_i = l_j, formed without subtracting values of f.  With
+    lo <= hi the pair and q = _expm1_quotient, "exp" takes e^hi q(lo - hi),
+    and "log" takes 1 / (lo q(L)) at L = log1p((hi - lo) / lo) = log(hi / lo),
+    so the log derivative is homogeneous in P0 to roundoff.
 
     Parameters
     ----------
@@ -410,21 +405,17 @@ def loewner_apply(p0_eig: EigenDecomposition, f: str, s: SymMatrix) -> SymMatrix
     s : SymMatrix
         Direction of differentiation, of the order of P0 (else DimensionError).
     """
-    if f not in _LOEWNER_FUNCTIONS:
+    if f not in ("exp", "log"):
         raise DomainError(f"unknown scalar function {f!r}")
     _check_dims((p0_eig, EigenDecomposition), (s, SymMatrix))
-    divided, fprime = _LOEWNER_FUNCTIONS[f]
     lam = p0_eig.values
-    if f == "log":
-        _require_strict(lam, "log derivative")
-        scale = lam
-    else:
-        scale = np.maximum(1.0, np.abs(lam))
-
+    lo, hi = np.minimum.outer(lam, lam), np.maximum.outer(lam, lam)
     with np.errstate(all="ignore"):
-        quot = divided(lam[:, None], lam[None, :])
-        near = np.abs(lam[:, None] - lam[None, :]) < DIVIDED_DIFF_TOL * scale[:, None]
-        coeff = np.where(near, fprime(lam)[:, None], quot)
+        if f == "log":
+            _require_strict(lam, "log derivative")
+            coeff = 1.0 / (lo * _expm1_quotient(np.log1p((hi - lo) / lo)))
+        else:
+            coeff = np.exp(hi) * _expm1_quotient(lo - hi)
         v = p0_eig.vectors
         s_tilde = v.T @ s.mat @ v
         return SymMatrix.from_array(v @ (coeff * s_tilde) @ v.T)

@@ -16,6 +16,7 @@ from alphaproc import (
     SpdMatrix,
     SymMatrix,
     alpha_procrustes,
+    as_alpha,
     bures_wasserstein,
     geodesic_length_numeric,
     loewner_apply,
@@ -35,6 +36,38 @@ def kron_lyapunov_solve(p0: np.ndarray, y: np.ndarray) -> np.ndarray:
     eye = np.eye(n)
     system = np.kron(eye, p0) + np.kron(p0, eye)
     return np.linalg.solve(system, y.reshape(-1)).reshape(n, n)
+
+
+def mp_metric(p0: SpdMatrix, y: SymMatrix, z: SymMatrix, alpha, dps=60):
+    """<Y, Z>_P0 as an mpmath number, and H_Y of the solve as a float array, at ``dps`` digits.
+
+    The high-precision referee of the eigenbasis formulas: P0's float
+    eigenpairs are taken as exact, and the factor is the defining quotient
+    2a (l_i - l_j)(l_i^2a + l_j^2a) / (l_i^2a - l_j^2a), its log-limit
+    2 (l_i - l_j) / (log l_i - log l_j), and 2 l_i where l_i = l_j.
+    """
+    mp = pytest.importorskip("mpmath")
+    al = as_alpha(alpha)
+    with mp.workdps(dps):
+        lam = [mp.mpf(float(x)) for x in p0.eig.values]
+        v = mp.matrix(p0.eig.vectors.tolist())
+        yt, zt = (v.T * mp.matrix(m.mat.tolist()) * v for m in (y, z))
+        p = 0 if al.is_log_limit else 2 * mp.mpf(al.value)
+
+        def factor(li, lj):
+            if li == lj:
+                return 2 * li
+            if p == 0:
+                return 2 * (li - lj) / (mp.log(li) - mp.log(lj))
+            return p * (li - lj) * (li**p + lj**p) / (li**p - lj**p)
+
+        pairs = [(i, j) for i in range(len(lam)) for j in range(len(lam))]
+        f = {(i, j): factor(lam[i], lam[j]) for i, j in pairs}
+        inner = 4 * mp.fsum(yt[i, j] * zt[j, i] * lam[j] ** p / f[i, j] ** 2 for i, j in pairs)
+        ht = mp.matrix(len(lam), len(lam))
+        for i, j in pairs:
+            ht[i, j] = yt[i, j] / f[i, j]
+        return inner, np.array((v * ht * v.T).tolist(), dtype=float)
 
 
 class TestLyapunovSolve:
@@ -500,24 +533,76 @@ class TestGeodesicLength:
                 geodesic_length_numeric(curve, steps)
 
 
-# 10^400 overflows the Lyapunov factor's powers; at diag(1e-22, 2e-22) and alpha 7
-# its off-diagonal entries underflow to 0, and the solve divides by them
+# Eigenvalues (1, 1 + d, 2) for 27 relative gaps d from 1e-14 to 1e-1: the
+# divided differences must hold their accuracy at every gap, where a switch to
+# the derivative below a threshold gap, or a subtraction of nearby powers above
+# it, would lose up to ~1e-9
+NEAR_GAPS = np.logspace(-14.0, -1.0, 27)
+NEAR_ALPHAS = [AlphaParam.parse(a) for a in ("0.25", "2", "-0.5", "5", "log-limit")]
+
+
+@pytest.mark.parametrize("alpha", NEAR_ALPHAS, ids=lambda al: str(al.label()))
+class TestNearCoincident:
+    """metric_inner and the Lyapunov solve at nearly equal eigenvalues, against mp_metric."""
+
+    @staticmethod
+    def cases(alpha):
+        rng = np.random.default_rng(60)
+        for d in NEAR_GAPS:
+            p0 = SpdMatrix.from_array(np.diag([1.0, 1.0 + d, 2.0]))
+            for _ in range(3):
+                y, z = rand_sym(rng, 3), rand_sym(rng, 3)
+                yield p0, y, z, mp_metric(p0, y, z, alpha)
+
+    def test_metric_inner(self, alpha):
+        worst = 0.0
+        for p0, y, z, (expected, _) in self.cases(alpha):
+            scale = math.sqrt(metric_inner(p0, y, y, alpha) * metric_inner(p0, z, z, alpha))
+            worst = max(worst, abs(metric_inner(p0, y, z, alpha) - float(expected)) / scale)
+        assert worst <= 1e-15
+
+    def test_lyapunov_solve(self, alpha):
+        worst = 0.0
+        for p0, y, _, (_, expected) in self.cases(alpha):
+            h = solve_general_lyapunov(p0, y, alpha).mat
+            worst = max(worst, np.linalg.norm(h - expected) / np.linalg.norm(expected))
+        assert worst <= 7.5e-16
+
+
+# At diag(10, 20) and alpha 200 the metric's weights l^400 overflow, though the
+# Lyapunov factor and the solve fit a float; at diag(1e-22, 2e-22) and alpha 7
+# every answer fits a float (the metric is ~1e-260)
 OUT_OF_RANGE = [(np.diag([10.0, 20.0]), 200.0), (np.diag([1e-22, 2e-22]), 7.0)]
 
 
 @pytest.mark.parametrize("p0,alpha", OUT_OF_RANGE, ids=["overflow", "underflow"])
 class TestOverflow:
-    """A metric power beyond the float range is one typed error, with no RuntimeWarning."""
+    """Eigenvalue powers beyond the float range: the answer wherever it fits a float,
+    else one typed error, with no RuntimeWarning."""
 
     Y = SymMatrix.from_array([[1.0, 0.5], [0.5, 2.0]])
 
     def test_metric_inner(self, p0, alpha):
-        with pytest.raises(NonFiniteError, match="^metric inner product: "):
-            metric_inner(SpdMatrix.from_array(p0), self.Y, self.Y, alpha)
+        p0 = SpdMatrix.from_array(p0)
+        expected = float(mp_metric(p0, self.Y, self.Y, alpha)[0])
+        if math.isinf(expected):
+            with pytest.raises(NonFiniteError, match="^metric inner product: "):
+                metric_inner(p0, self.Y, self.Y, alpha)
+        else:
+            assert metric_inner(p0, self.Y, self.Y, alpha) == pytest.approx(expected, rel=1e-15)
 
     def test_lyapunov_solve(self, p0, alpha):
-        with pytest.raises(NonFiniteError, match="^matrix: "):
-            solve_general_lyapunov(SpdMatrix.from_array(p0), self.Y, alpha)
+        p0 = SpdMatrix.from_array(p0)
+        expected = mp_metric(p0, self.Y, self.Y, alpha)[1]
+        np.testing.assert_allclose(solve_general_lyapunov(p0, self.Y, alpha).mat, expected,
+                                   rtol=1e-15, atol=0)
+
+
+def test_lyapunov_solve_past_the_float_range():
+    # H ~ Y / P0 ~ 1e310 does not fit a float
+    p0 = SpdMatrix.from_array(np.diag([1e-300, 2e-300]))
+    with pytest.raises(NonFiniteError, match="^matrix: "):
+        solve_general_lyapunov(p0, SymMatrix.from_array(1e10 * np.eye(2)), 0.5)
 
 
 SCALES = [1e-30, 1e-12, 1e-9, 1e-6, 1e3, 1e30]
@@ -526,8 +611,8 @@ SCALES = [1e-30, 1e-12, 1e-9, 1e-6, 1e3, 1e30]
 class TestScaleCovariance:
     """The metric is homogeneous in P0: <sY, sZ>_sP0 = s^2a <Y, Z>_P0.
 
-    Each eigenvalue-gap switch is relative to the eigenvalues it compares,
-    so this holds to roundoff at any scale, not only near 1.
+    The divided differences depend on P0 only through the ratios of its
+    eigenvalues, so this holds to roundoff at any scale, not only near 1.
     """
 
     @pytest.mark.parametrize("alpha", ["-0.5", "0.25", "0.5", "1", "2", "log-limit"])

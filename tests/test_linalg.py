@@ -341,6 +341,13 @@ class TestLoewnerApply:
         back = loewner_apply(log_eig, "exp", dlog)
         assert np.linalg.norm(back.mat - s.mat) <= 1e-9 * max(1.0, np.linalg.norm(s.mat))
 
+    def test_exp_divided_difference_across_a_wide_gap(self):
+        # e^-740 is subnormal and the ratio e^760 of the ends overflows, so the
+        # quotient is formed from e^20, the larger end; the smaller one adds ~e^-760
+        eig = sym_eigendecompose(SymMatrix.from_array(np.diag([-740.0, 20.0])))
+        out = loewner_apply(eig, "exp", SymMatrix.from_array([[0.0, 1.0], [1.0, 0.0]]))
+        assert out.mat[0, 1] == pytest.approx(math.exp(20.0) / 760.0, rel=1e-15)
+
     def test_log_rejects_singular_spectrum(self):
         a = SpdMatrix.from_array(np.diag([1.0, 0.0]))
         s = SymMatrix.from_array(np.eye(2))
@@ -357,6 +364,27 @@ class TestLoewnerApply:
         a = SpdMatrix.from_array(np.eye(2))
         with pytest.raises(DomainError):
             loewner_apply(a.eig, "sinh", SymMatrix.from_array(np.eye(2)))
+
+
+@pytest.mark.parametrize("f", ["exp", "log"])
+def test_loewner_near_coincident_eigenvalues(f):
+    # eigenvalues l and l (1 + d) for 27 relative gaps d from 1e-14 to 1e-1:
+    # the divided differences against a 60-digit referee, with no loss near
+    # any gap (a subtraction of nearby values of f loses ~eps / d)
+    mp = pytest.importorskip("mpmath")
+    s = SymMatrix.from_array([[0.0, 1.0], [1.0, 0.0]])
+    worst = 0.0
+    with mp.workdps(60):
+        fn = mp.exp if f == "exp" else mp.log
+        for l in (0.5, 3.0, 20.0):
+            for d in np.logspace(-14.0, -1.0, 27):
+                eig = sym_eigendecompose(SymMatrix.from_array(np.diag([l, l * (1.0 + d)])))
+                a, b = (mp.mpf(float(x)) for x in eig.values)
+                quotient = (fn(b) - fn(a)) / (b - a)
+                expected = np.array([[0.0, quotient], [quotient, 0.0]], dtype=float)
+                out = loewner_apply(eig, f, s).mat
+                worst = max(worst, np.linalg.norm(out - expected) / np.linalg.norm(expected))
+    assert worst <= 5.5e-16
 
 
 class TestHAlpha:
