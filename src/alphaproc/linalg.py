@@ -147,7 +147,7 @@ class SymMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise DimensionError(f"expected a non-empty square matrix, got shape {a.shape}")
         _finite("matrix", a)
-        return cls(_freeze((a + a.T) / 2.0))
+        return cls(_freeze(a / 2.0 + a.T / 2.0))
 
     @property
     def n(self) -> int:
@@ -234,7 +234,7 @@ class SpdMatrix:
         # bits of the dense form independent of how the basis was built
         v = np.asfortranarray(self.eig.vectors)
         mat = _dense(v, self.eig.values)
-        return _freeze((mat + mat.T) / 2.0)
+        return _freeze(mat / 2.0 + mat.T / 2.0)
 
     @property
     def n(self) -> int:
@@ -344,7 +344,7 @@ def trace_sqrt(m: np.ndarray) -> float:
     The sum of square roots of the eigenvalues of sym(M), with roundoff
     negatives clamped at zero: the cross term of every dense trace form.
     """
-    sym = (m + m.T) / 2.0
+    sym = m / 2.0 + m.T / 2.0
     with _lapack_guard("cross-term eigensolve", sym):
         w = np.linalg.eigvalsh(sym)
     return float(np.sum(np.sqrt(np.maximum(w, 0.0))))

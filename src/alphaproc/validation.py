@@ -3,11 +3,11 @@
 Each suite draws inputs from a seeded generator and checks one family of
 guarantees: metric axioms on matrices and regularized operators, the
 comparison inequality against the power Euclidean distance, the small-alpha
-limit, the generalized Lyapunov solve, and the geodesic length.  Each check
-goes through `SuiteResult.check` as the condition that must hold, so a NaN
-fails it; a failure carries a printable witness so a reported seed
-reproduces it exactly.  The random-input generators are public so the test
-suite draws from them too.
+limit at alpha 1e-3 and 1e-4, the generalized Lyapunov solve, and the
+geodesic length.  Each check goes through `SuiteResult.check` as the
+condition that must hold, so a NaN fails it; a failure carries a printable
+witness so a reported seed reproduces it exactly.  The random-input
+generators are public so the test suite draws from them too.
 """
 
 from __future__ import annotations
@@ -176,16 +176,16 @@ def alt_inequality_suite(seed: int, trials: int) -> SuiteResult:
 
 
 def limit_checks_suite(seed: int, trials: int) -> SuiteResult:
-    """Small-alpha convergence to the log-Euclidean distance; no alpha = 1/2
-    check, since ``bures_wasserstein`` is that member halved."""
+    """Log-Euclidean gap shrinking from alpha 1e-3 to 1e-4 (from 1e-2 it need not, even in exact
+    arithmetic); no alpha = 1/2 check, since ``bures_wasserstein`` is that member halved."""
     rng = np.random.default_rng(seed + 2)
     result = SuiteResult("limit-checks", seed)
     for trial in range(trials):
         n = int(rng.integers(2, 6))
         a, b = rand_spd(rng, n), rand_spd(rng, n)
         d_log = log_euclidean(a, b).value
-        gaps = [abs(alpha_procrustes(a, b, al).value - d_log) for al in (1e-2, 1e-3, 1e-4)]
-        result.check(gaps[0] > gaps[1] > gaps[2], trial, "gap monotonicity",
+        gaps = [abs(alpha_procrustes(a, b, al).value - d_log) for al in (1e-3, 1e-4)]
+        result.check(gaps[0] > gaps[1], trial, "gap monotonicity",
                      lambda: f"gaps={gaps}")
         result.check(gaps[-1] < LIMIT_FINAL_REL * d_log, trial, "final gap",
                      lambda: f"{gaps[-1]} vs {d_log}")

@@ -31,11 +31,19 @@ from alphaproc import (
     SymMatrix,
     alpha_procrustes,
     loewner_apply,
+    pairwise_distances,
     spd_log,
     spd_power,
     sym_eigendecompose,
 )
-from alphaproc.linalg import ALPHA_SWITCH_TOL, PSD_TOL_FACTOR, _finite, nuclear_norm, psd_tolerance
+from alphaproc.linalg import (
+    ALPHA_SWITCH_TOL,
+    PSD_TOL_FACTOR,
+    _finite,
+    nuclear_norm,
+    psd_tolerance,
+    trace_sqrt,
+)
 from alphaproc.rkhs import _in_eigenbases
 
 
@@ -114,6 +122,13 @@ class TestSpdConstruction:
     def test_rejects_genuine_negative(self):
         with pytest.raises(NotPsdError):
             SpdMatrix.from_array(np.diag([1.0, -0.5]))
+
+    def test_symmetrizing_near_the_float_maximum_does_not_overflow(self):
+        # each triangle is halved before the sum, so no entry doubles past the maximum
+        a = np.array([[1.7e308, 1e308], [1e308, 1.0]])
+        assert np.array_equal(SymMatrix.from_array(a).mat, a)
+        assert np.all(np.isfinite(SpdMatrix.from_array(np.diag([1.7e308, 1.0])).mat))
+        assert trace_sqrt(np.diag([1.7e308, 1.0])) == math.sqrt(1.7e308) + 1.0
 
     def test_strict_rejects_singular(self):
         with pytest.raises(SingularBaseError):
@@ -320,6 +335,13 @@ class TestLoewnerApply:
         expected = 1.0 / (math.e - 1.0)  # = 0.581977 to six digits
         assert out.mat[0, 1] == pytest.approx(expected, abs=1e-12)
         assert out.mat[0, 0] == pytest.approx(0.0, abs=1e-14)
+
+    def test_entries_near_the_float_maximum_stay_finite(self):
+        # Y_00 / l_0 = 1.23e308 fits a float, so symmetrizing must not double it
+        p0 = SpdMatrix.from_array(np.diag([8.1e-299, 1.5e-298, 8.5e-298]))
+        out = loewner_apply(p0.eig, "log", SymMatrix.from_array(np.full((3, 3), 1e10)))
+        assert np.all(np.isfinite(out.mat))
+        assert out.mat[0, 0] == pytest.approx(1e10 / 8.1e-299, rel=1e-15)
 
     def test_matches_finite_difference(self):
         rng = np.random.default_rng(8)
@@ -547,6 +569,27 @@ class TestSingleLapackPath:
                 ):
                     offenders.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
         assert offenders == []
+
+    def test_matrix_family_makes_one_eigvalsh_per_pair(self, monkeypatch):
+        # the LAPACK pattern the benchmark's lapack.* layer counters rest on
+        rng = np.random.default_rng(15)
+        mats = [rand_spd(rng, 3) for _ in range(4)]
+        calls = []
+
+        def recording(name, original):
+            def call(a, *args, **kwargs):
+                calls.append((name, np.shape(a)))
+                return original(a, *args, **kwargs)
+
+            return call
+
+        for name in LAPACK_NAMES:
+            monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+        alpha_procrustes(mats[0], mats[1], 0.5)
+        assert calls == [("eigvalsh", (3, 3))]
+        calls.clear()
+        pairwise_distances(mats, 0.5)
+        assert calls == [("eigvalsh", (3, 3))] * 6
 
     @pytest.mark.parametrize(
         "name, call, stage",

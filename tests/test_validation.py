@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import mp_family
 
 from alphaproc import validation
 from alphaproc.linalg import AlphaParam, SymMatrix
@@ -53,6 +54,28 @@ def test_check_counts(trials):
         "lyapunov-residual": 2 * trials,
         "geodesic-length": 2 * min(trials, 9),
     }
+
+
+def test_limit_gap_shrinks_from_alpha_1e3_not_from_1e2():
+    """Seed 12, trial 1 of limit-checks at 50 digits: the gap to the log-Euclidean
+    distance grows from alpha 1e-2 to 1e-3 and then shrinks, so only the link
+    from 1e-3 to 1e-4 is a property of the family, and the suite checks only it."""
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(12 + 2)
+    for _ in range(2):
+        n = int(rng.integers(2, 6))
+        a, b = validation.rand_spd(rng, n), validation.rand_spd(rng, n)
+
+    def mp_log(m):
+        s, u = mp.eigsy(mp.matrix(m.mat))
+        return u * mp.diag([mp.log(si) for si in s]) * u.T
+
+    with mp.workdps(50):
+        d_log = mp.mnorm(mp_log(a) - mp_log(b), "f")
+        gaps = [float(abs(d - d_log)) for d in mp_family(a.mat, b.mat, (1e-2, 1e-3, 1e-4))]
+    assert gaps[0] < gaps[1] and gaps[1] > gaps[2]
+    assert gaps[1:] == pytest.approx([3.27e-6, 3.61e-7], rel=1e-2)
+    assert validation.limit_checks_suite(12, 50).passed
 
 
 def test_nan_fails_every_suite(monkeypatch):
